@@ -164,7 +164,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     rho_state = lebesgue.DensityMatrix(rho, subnormalized=args.subnormalized, tol=tol)
 
     dec = lebesgue.lebesgue_decompose(sigma_state, rho_state, tol)
-    singular = lebesgue.is_singular(rho_state, sigma_state, tol)
+    singular = dec.split.dims[1] == 0  # is_singular(rho, sigma): H2 is empty
     recon = float(np.linalg.norm(dec.ac + dec.perp - sigma) / (1.0 + np.linalg.norm(sigma)))
     ac_rec = float(
         np.linalg.norm(dec.ac - dec.sqrt_lr @ rho @ dec.sqrt_lr) / (1.0 + np.linalg.norm(dec.ac))

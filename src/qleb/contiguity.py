@@ -22,14 +22,8 @@ from .errors import (
     FactorNotAC,
     MissingLimits,
     NotPure,
-    NotPSD,
 )
-from .lebesgue import (
-    DensityMatrix,
-    _as_positive_operator,
-    is_abs_continuous,
-    lebesgue_decompose,
-)
+from .lebesgue import _as_positive_operator, _mat, is_abs_continuous, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
 CONTIGUOUS = "Contiguous"
@@ -52,10 +46,6 @@ def _tail(values: Sequence, frac: float = 0.25) -> list:
 
 def _nonincreasing(xs: Sequence[float], slack: float = 1e-9) -> bool:
     return all(b <= a * (1 + slack) + slack for a, b in zip(xs, xs[1:]))
-
-
-def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
 
 
 @dataclass
@@ -134,11 +124,7 @@ def tail_mass(rho, R: np.ndarray, M: float, tol: ToleranceConfig = DEFAULT_TOL) 
     if not M > 0:
         raise ValueError("threshold M must be positive")
     r = _mat(rho)
-    w, V = matcore.eig_hermitian(R, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale > 0 and float(w.min()) < -tol.psd_floor * scale:
-        raise NotPSD(f"R has negative eigenvalue {w.min():.3e}")
-    w = np.maximum(w, 0.0)
+    _, w, V = matcore.psd_spectrum(R, tol, "R")
     diag = np.einsum("ik,ij,jk->k", V.conj(), r, V).real
     return float(max(0.0, np.sum(w**2 * (w > M) * diag)))
 
@@ -223,8 +209,8 @@ def limit_criterion(
     """
     if seq.declared_limits is None:
         raise MissingLimits("limit_criterion requires declared_limits")
-    rho_inf = _as_positive_operator(seq.declared_limits[0], tol, "declared rho limit")
-    sigma_inf = _as_positive_operator(seq.declared_limits[1], tol, "declared sigma limit")
+    rho_inf = _as_positive_operator(seq.declared_limits[0], tol, "declared rho limit", False).mat
+    sigma_inf = _as_positive_operator(seq.declared_limits[1], tol, "declared sigma limit", False).mat
     evidence = []
     for n in seq.sample_grid:
         rho_n, sigma_n = seq.eval(n)
@@ -264,38 +250,22 @@ def limit_criterion(
     )
 
 
-def _pure_stats_matrix(seq: StateSequence, tol: ToleranceConfig) -> list[dict]:
+def _pure_stats(grid, pair_at: Callable, power: Callable, who: str, tol: ToleranceConfig) -> list[dict]:
+    """``Tr rho R^2`` and the overlap at each grid point, one decomposition each.
+
+    ``power(n, x)`` turns a per-pair statistic into the row's value.  The
+    reference's rank is read off the decomposition's split (H1 + H2).
+    """
     rows = []
-    for n in seq.sample_grid:
-        rho_n, sigma_n = seq.eval(n)
-        rho_n, sigma_n = _mat(rho_n), _mat(sigma_n)
-        w = np.linalg.eigvalsh(rho_n)
-        if int(np.sum(matcore.support_mask(w, tol))) != 1:
-            raise NotPure(f"reference state at n={n} has rank != 1")
-        dec = lebesgue_decompose(sigma_n, rho_n, tol)
+    for n in grid:
+        rho, sigma = (_mat(x) for x in pair_at(n))
+        dec = lebesgue_decompose(sigma, rho, tol)
+        if sum(dec.split.dims[:2]) != 1:
+            raise NotPure(f"{who} at n={n} has rank != 1")
         rows.append({
             "n": int(n),
-            "tr_rho_R2": float(np.trace(dec.ac).real),
-            "overlap": float(np.trace(rho_n @ sigma_n).real),
-        })
-    return rows
-
-
-def _pure_stats_power(fam: PurePowerFamily, tol: ToleranceConfig) -> list[dict]:
-    rows = []
-    for n in fam.sample_grid:
-        rho_s, sigma_s = fam.site(n)
-        rho_s, sigma_s = _mat(rho_s), _mat(sigma_s)
-        w = np.linalg.eigvalsh(rho_s)
-        if int(np.sum(matcore.support_mask(w, tol))) != 1:
-            raise NotPure(f"site reference state at n={n} has rank != 1")
-        m = fam.copies(n)
-        site_trr2 = float(np.trace(lebesgue_decompose(sigma_s, rho_s, tol).ac).real)
-        site_overlap = float(np.trace(rho_s @ sigma_s).real)
-        rows.append({
-            "n": int(n),
-            "tr_rho_R2": _float_power(site_trr2, m),
-            "overlap": _float_power(site_overlap, m),
+            "tr_rho_R2": power(n, float(np.trace(dec.ac).real)),
+            "overlap": power(n, float(np.trace(rho @ sigma).real)),
         })
     return rows
 
@@ -321,11 +291,12 @@ def pure_criterion(
     otherwise.
     """
     if isinstance(seq, PurePowerFamily):
-        rows = _pure_stats_power(seq, tol)
+        rows = _pure_stats(seq.sample_grid, seq.site, lambda n, x: _float_power(x, seq.copies(n)),
+                           "site reference state", tol)
         declared_overlap = seq.declared_overlap_limit
         declared_trr2 = seq.declared_trr2_limit
     else:
-        rows = _pure_stats_matrix(seq, tol)
+        rows = _pure_stats(seq.sample_grid, seq.eval, lambda n, x: x, "reference state", tol)
         declared_overlap = declared_trr2 = None
         if seq.declared_limits is not None:
             lim_r = _mat(seq.declared_limits[0])
@@ -377,8 +348,8 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
         inner = sqrt_sigma @ rhos @ sqrt_sigma
         inner = (inner + inner.conj().swapaxes(-1, -2)) / 2
         w_m = np.maximum(np.linalg.eigvalsh(inner), 0.0)
-        rank_sigma = (w_s > tol.rank_rel * w_s.max(axis=1, keepdims=True)).sum(axis=1)
-        rank_inner = (w_m > tol.rank_rel * np.maximum(w_m.max(axis=1, keepdims=True), 1e-300)).sum(axis=1)
+        rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
+        rank_inner = matcore.support_mask(w_m, tol).sum(axis=-1)
         bad = np.nonzero(rank_inner < rank_sigma)[0]
         if bad.size:
             raise FactorNotAC(

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams
-from .matcore import DEFAULT_TOL, ToleranceConfig, frob
+from .errors import InvalidParams, NonHermitian, NotPSD
+from .matcore import DEFAULT_TOL, ToleranceConfig, psd_spectrum
 
 
 @dataclass
@@ -107,11 +107,11 @@ def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     h, J = params.h, params.J
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] != h.shape[0]:
         return False
-    if frob(J - J.conj().T) > tol.hermitian * (1.0 + frob(J)):
+    try:
+        psd_spectrum(J, tol, "J", vectors=False)
+    except (NonHermitian, NotPSD):
         return False
-    w = np.linalg.eigvalsh((J + J.conj().T) / 2)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return bool(scale == 0.0 or w.min() >= -tol.psd_floor * scale)
+    return True
 
 
 def validate_extended(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -129,7 +129,11 @@ def gaussian_qcf(params: GaussianParams, query, tol: ToleranceConfig = DEFAULT_T
     """Quasi-characteristic function of ``N(h, J)`` at an ordered query."""
     if not validate(params, tol):
         raise InvalidParams("Gaussian parameters failed validation (J must be Hermitian PSD)")
-    q = _coerce_query(query)
+    return _qcf(params, _coerce_query(query))
+
+
+def _qcf(params: GaussianParams, q: QcfQuery) -> complex:
+    """The closed form for parameters that passed validation."""
     if q.dim != params.dim:
         raise InvalidParams(f"query dimension {q.dim} does not match parameter dimension {params.dim}")
     J = params.J
@@ -183,4 +187,4 @@ def sandwiched_gaussian_qcf(
             raise InvalidParams("sandwiched evaluation requires real query vectors")
         enlarged_query.append(np.concatenate([xi, [0.0]]))
     enlarged_query.append(end)
-    return gaussian_qcf(ext.enlarged(), QcfQuery(enlarged_query), tol)
+    return _qcf(ext.enlarged(), QcfQuery(enlarged_query))

@@ -1,11 +1,13 @@
 """Spectral calculus for dense Hermitian/PSD matrices.
 
-All matrix functions (square root, pseudo-inverse, logarithm, exponential)
-run through a single eigendecomposition code path so that rank and
-positivity decisions are controlled by one :class:`ToleranceConfig`.
-Eigenbases are made deterministic by ordering eigenvalues ascending and
-fixing the phase of each eigenvector (first significant component real
-positive).
+Every PSD or strict-positivity check in the package goes through one
+validation routine, :func:`psd_spectrum` (Hermiticity check, eigensolve,
+phase fix, PSD floor, clamp), and every zero/nonzero decision through one
+rank rule, :func:`support_mask`; both are controlled by one
+:class:`ToleranceConfig`.  Matrix functions (square root, pseudo-inverse,
+logarithm, exponential) are applied on the validated spectrum.  Eigenbases
+are made deterministic by ordering eigenvalues ascending and fixing the
+phase of each eigenvector (first significant component real positive).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class ToleranceConfig:
     hermitian : admissible relative Frobenius asymmetry ``||A - A*||``.
     rank_rel  : eigenvalue ``lam`` counts as zero iff ``lam <= rank_rel * lam_max``.
     psd_floor : most negative admissible eigenvalue, relative to ``lam_max``;
-                eigenvalues in ``[-psd_floor * lam_max, 0)`` are clamped to 0.
+                eigenvalues between that floor and 0 are clamped to 0.
     recon     : spectral reconstruction residual bound (relative).
     ortho     : eigenvector Gram-matrix deviation bound.
     eq_rel    : relative Frobenius tolerance for matrix equality checks.
@@ -86,67 +88,77 @@ def check_square(A: np.ndarray) -> np.ndarray:
 def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part of ``A``."""
     A = check_square(A)
-    dev = frob(A - A.conj().T)
+    A_star = A.conj().T
+    dev = frob(A - A_star)
     if dev > tol.hermitian * (1.0 + frob(A)):
-        i, j = np.unravel_index(np.argmax(np.abs(A - A.conj().T)), A.shape)
+        i, j = np.unravel_index(np.argmax(np.abs(A - A_star)), A.shape)
         raise NonHermitian(
             f"matrix is not Hermitian: entry [{i}][{j}]={A[i, j]:.6g} vs "
             f"conj([{j}][{i}])={np.conj(A[j, i]):.6g} (deviation {dev:.3e})"
         )
-    return hermitian_part(A)
+    return (A + A_star) / 2
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-12 * top))
-        pivot = col[idx]
-        if pivot != 0:
-            V[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return V
+    mags = np.abs(V)
+    first = (mags > 1e-12 * mags.max(axis=0, initial=0.0)).argmax(axis=0)
+    pivot = V[first, np.arange(V.shape[1])]
+    # Eigenvector columns are unit vectors, so no pivot is zero.
+    return V * (pivot.conj() / np.abs(pivot))
+
+
+def _eigh(H: np.ndarray) -> SpectralDecomposition:
+    w, V = np.linalg.eigh(H)
+    return SpectralDecomposition(w, _phase_fix(V))
 
 
 def eig_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition with ascending eigenvalues and deterministic phases."""
-    A = check_hermitian(A, tol)
-    w, V = np.linalg.eigh(A)
-    return SpectralDecomposition(w, _phase_fix(V))
+    return _eigh(check_hermitian(A, tol))
 
 
-def _psd_eigenvalues(A: np.ndarray, tol: ToleranceConfig) -> SpectralDecomposition:
-    """Eigendecomposition of a PSD matrix with the negative floor applied."""
-    w, V = eig_hermitian(A, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale > 0 and float(w.min()) < -tol.psd_floor * scale:
-        raise NotPSD(
-            f"matrix has eigenvalue {w.min():.3e} below the PSD floor "
-            f"{-tol.psd_floor * scale:.3e}"
-        )
-    return SpectralDecomposition(np.maximum(w, 0.0), V)
+class PSDSpectrum(NamedTuple):
+    """A validated PSD matrix: its Hermitian part and clamped spectrum (vectors optional)."""
+
+    mat: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
-def support_mask(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Boolean mask of eigenvalues counted as nonzero at the relative cutoff."""
+def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
+                 vectors: bool = True) -> PSDSpectrum:
+    """Validate a PSD matrix once and return its spectrum.
+
+    Checks Hermiticity, diagonalises (with deterministic phases when
+    ``vectors``), rejects eigenvalues below the PSD floor relative to
+    ``lam_max`` and clamps the admissible negative ones to zero.
+    """
+    H = check_hermitian(A, tol)
+    w, V = _eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    lo, hi = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
+    floor = -tol.psd_floor * max(hi, -lo)
+    if lo < floor:
+        raise NotPSD(f"{who} has eigenvalue {lo:.3e} below the PSD floor {floor:.3e}")
+    return PSDSpectrum(H, np.maximum(w, 0.0), V)
+
+
+def support_mask(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, lam_max: float | None = None) -> np.ndarray:
+    """The rank rule: eigenvalues ``w > rank_rel * lam_max`` count as nonzero.
+
+    ``lam_max`` defaults to the largest ``|w|`` along the last axis, so a
+    stack of spectra is judged row by row.  Pass the operand's own largest
+    eigenvalue when ``w`` is the spectrum of a compression of that operand.
+    """
     w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        return np.zeros(0, dtype=bool)
-    lam_max = float(np.max(np.abs(w)))
-    if lam_max == 0.0:
-        return np.zeros(w.shape, dtype=bool)
+    if lam_max is None:
+        lam_max = np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     return w > tol.rank_rel * lam_max
 
 
 def support_projector(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of significantly-positive eigenvectors."""
-    w, V = _psd_eigenvalues(A, tol)
-    keep = V[:, support_mask(w, tol)]
-    return hermitian_part(keep @ keep.conj().T)
+    return _spectral_apply(A, np.ones_like, tol, psd=True, on_support=True)
 
 
 def _spectral_apply(
@@ -158,7 +170,7 @@ def _spectral_apply(
 ) -> np.ndarray:
     """Apply a scalar function through the (single) spectral code path."""
     if psd:
-        w, V = _psd_eigenvalues(A, tol)
+        _, w, V = psd_spectrum(A, tol)
     else:
         w, V = eig_hermitian(A, tol)
     if on_support:
@@ -195,15 +207,18 @@ def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
-def _check_strictly_positive(A: np.ndarray, tol: ToleranceConfig, who: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(check_hermitian(A, tol))
-    lam_max = float(w.max()) if w.size else 0.0
-    if lam_max <= 0 or float(w.min()) <= tol.rank_rel * lam_max:
+def _check_strictly_positive(A: np.ndarray, tol: ToleranceConfig, who: str) -> PSDSpectrum:
+    try:
+        op = psd_spectrum(A, tol, who)
+    except NotPSD as exc:
+        raise NotStrictlyPositive(f"{who} must be strictly positive definite: {exc}") from exc
+    w = op.eigenvalues
+    if not np.all(support_mask(w, tol)):
         raise NotStrictlyPositive(
             f"{who} must be strictly positive definite "
-            f"(min eigenvalue {w.min():.3e}, max {lam_max:.3e})"
+            f"(min eigenvalue {w.min():.3e}, max {w.max():.3e})"
         )
-    return A
+    return op
 
 
 def _det2(A: np.ndarray) -> float:
@@ -218,6 +233,20 @@ def _geometric_mean_2x2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return hermitian_part(N * (da * db) ** 0.25 / np.sqrt(_det2(N)))
 
 
+def _geometric_mean(a: PSDSpectrum, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Geometric mean of validated strictly positive operands, ``a`` with its spectrum."""
+    A = a.mat
+    if A.shape[0] == 1:
+        return np.sqrt(A.real * B.real).astype(complex)
+    if A.shape[0] == 2:
+        return _geometric_mean_2x2(A, B)
+    w, V = a.eigenvalues, a.eigenvectors
+    sqrt_a = (V * np.sqrt(w)) @ V.conj().T
+    inv_sqrt_a = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    inner = psd_sqrt(hermitian_part(inv_sqrt_a @ B @ inv_sqrt_a), tol)
+    return hermitian_part(sqrt_a @ inner @ sqrt_a)
+
+
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Operator geometric mean of strictly positive matrices.
 
@@ -226,19 +255,11 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_
     higher dimensions ``sqrt(A) sqrt(sqrt(A)^{-1} B sqrt(A)^{-1}) sqrt(A)``
     is evaluated through the spectral path.
     """
-    A = _check_strictly_positive(A, tol, "first operand")
-    B = _check_strictly_positive(B, tol, "second operand")
-    if A.shape != B.shape:
-        raise DimMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
-    if A.shape[0] == 1:
-        return np.sqrt(A.real * B.real).astype(complex)
-    if A.shape[0] == 2:
-        return _geometric_mean_2x2(hermitian_part(A), hermitian_part(B))
-    w, V = eig_hermitian(A, tol)
-    sqrt_a = (V * np.sqrt(w)) @ V.conj().T
-    inv_sqrt_a = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    inner = psd_sqrt(hermitian_part(inv_sqrt_a @ B @ inv_sqrt_a), tol)
-    return hermitian_part(sqrt_a @ inner @ sqrt_a)
+    a = _check_strictly_positive(A, tol, "first operand")
+    b = _check_strictly_positive(B, tol, "second operand")
+    if a.mat.shape != b.mat.shape:
+        raise DimMismatch(f"operand shapes differ: {a.mat.shape} vs {b.mat.shape}")
+    return _geometric_mean(a, b.mat, tol)
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> complex:

@@ -24,12 +24,8 @@ from .errors import (
     DimMismatch,
     InconsistentDerivativeWarning,
 )
-from .lebesgue import DensityMatrix, lebesgue_decompose
+from .lebesgue import _mat, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
-
-
-def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
 
 
 @dataclass
@@ -82,9 +78,8 @@ def sld(
     """
     rho = _mat(model.state_at(np.asarray(theta0, dtype=float)))
     drho = model_derivative(model, theta0, i)
-    w, V = matcore.eig_hermitian(rho, tol)
-    w = np.maximum(w, 0.0)
-    lam_max = float(w.max()) if w.size else 0.0
+    _, w, V = matcore.psd_spectrum(rho, tol, "state")
+    lam_max = float(w.max(initial=0.0))
     D = V.conj().T @ drho @ V
     denom = w[:, None] + w[None, :]
     reachable = denom > tol.rank_rel * lam_max
@@ -104,6 +99,12 @@ def slds(model: ParametricModel, theta0: np.ndarray, tol: ToleranceConfig = DEFA
     return [sld(model, theta0, i, tol) for i in range(theta0.shape[0])]
 
 
+def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
+    """``M[i, j] = Tr rho right_j left_i``."""
+    M = [[np.trace(rho @ b @ a) for b in right] for a in left]
+    return np.array(M, dtype=complex).reshape(len(left), len(right))
+
+
 def _check_centered(rho: np.ndarray, ops: Sequence[np.ndarray], centering_tol: float, who: str) -> None:
     for k, op in enumerate(ops):
         mean = abs(complex(np.trace(rho @ op)))
@@ -121,12 +122,7 @@ def qfi_matrix(
     r = _mat(rho)
     ops = [matcore.check_hermitian(L, tol) for L in sld_list]
     _check_centered(r, ops, centering_tol, "sld")
-    d = len(ops)
-    J = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            J[i, j] = np.trace(r @ ops[j] @ ops[i])
-    return J
+    return _trace_matrix(r, ops, ops)
 
 
 @dataclass
@@ -216,15 +212,8 @@ def lecam3_numeric_check(
     rho0 = _mat(model.state_at(theta0))
     L = slds(model, theta0, tol)
     B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
-    dprime, d = len(B), len(L)
-    sigma_mat = np.empty((dprime, dprime), dtype=complex)
-    for i in range(dprime):
-        for j in range(dprime):
-            sigma_mat[i, j] = np.trace(rho0 @ B[j] @ B[i])
-    tau = np.empty((dprime, d), dtype=complex)
-    for i in range(dprime):
-        for j in range(d):
-            tau[i, j] = np.trace(rho0 @ L[j] @ B[i])
+    sigma_mat = _trace_matrix(rho0, B, B)
+    tau = _trace_matrix(rho0, B, L)
     limit = GaussianParams(h=tau.real @ h, J=sigma_mat)
 
     if any(len(q) > 3 for q in xi_grid):

@@ -198,3 +198,31 @@ def test_rank_cutoff_is_relative():
     assert np.allclose(P, np.diag([1.0, 0.0]))
     P2 = support_projector(A, matcore.ToleranceConfig(rank_rel=1e-15))
     assert np.allclose(P2, np.eye(2))
+
+
+def _phase_fix_reference(V):
+    """Column-by-column phase fix, the reference for the vectorised one."""
+    V = V.copy()
+    for k in range(V.shape[1]):
+        col = V[:, k]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        idx = int(np.argmax(mags > 1e-12 * top))
+        pivot = col[idx]
+        if pivot != 0:
+            V[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return V
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_phase_fix_matches_column_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        A = rand_psd(d, rng) - rand_psd(d, rng)
+        _, V = np.linalg.eigh(A)
+        assert np.array_equal(matcore._phase_fix(V), _phase_fix_reference(V))
+    # Degenerate spectra give eigenvectors with exact zeros ahead of the pivot.
+    _, V = np.linalg.eigh(np.eye(d))
+    assert np.array_equal(matcore._phase_fix(V), _phase_fix_reference(V))

@@ -1,0 +1,109 @@
+"""One rank rule: the predicates and the decomposition read the same split.
+
+``is_singular(rho, sigma)`` is "H2 empty" and ``is_abs_continuous(rho, sigma)``
+is "H1 empty" in the split of sigma relative to rho, with excision
+eigenvalues measured against the operand's own largest eigenvalue; these
+properties pin that they can no longer disagree.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qleb import is_abs_continuous, is_singular, lebesgue_decompose, matcore
+
+from util import rand_unitary
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def near_cutoff_pair(seed: int, conjugate: bool):
+    """rho = diag(1, 0), sigma = diag(e, 1 - e) with e log-uniform in [1e-12, 1e-6].
+
+    e comes from a seeded generator rather than ``st.floats``, which favours
+    round values such as 1e-9 that sit exactly on the default cutoff; there,
+    rounding in the unitary conjugation alone decides the rank.
+    """
+    rng = np.random.default_rng(seed)
+    e = 10.0 ** rng.uniform(-12.0, -6.0)
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.diag([e, 1.0 - e]).astype(complex)
+    if conjugate:
+        U = rand_unitary(2, rng)
+        rho, sigma = U @ rho @ U.conj().T, U @ sigma @ U.conj().T
+    return rho, sigma
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=SEEDS, conjugate=st.booleans())
+def test_near_cutoff_predicates_agree_with_decomposition(seed, conjugate):
+    rho, sigma = near_cutoff_pair(seed, conjugate)
+    singular = is_singular(rho, sigma)
+    assert not (singular and is_abs_continuous(rho, sigma))
+    assert singular == (np.trace(lebesgue_decompose(sigma, rho).ac).real == 0)
+    assert singular == is_singular(sigma, rho)
+
+
+def test_near_cutoff_exactly_at_the_cutoff_is_consistent():
+    e = matcore.DEFAULT_TOL.rank_rel
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.diag([e, 1.0 - e]).astype(complex)
+    singular = is_singular(rho, sigma)
+    assert singular == is_singular(sigma, rho)
+    assert singular == (np.trace(lebesgue_decompose(sigma, rho).ac).real == 0)
+    assert not (singular and is_abs_continuous(rho, sigma))
+
+
+def orthogonal_pair(rng: np.random.Generator, d: int):
+    """States supported on complementary halves of a random orthonormal basis."""
+    U = rand_unitary(d, rng)
+    k = d // 2
+    w_r = rng.uniform(0.2, 1.0, size=k)
+    w_s = rng.uniform(0.2, 1.0, size=d - k)
+    rho = (U[:, :k] * (w_r / w_r.sum())) @ U[:, :k].conj().T
+    sigma = (U[:, k:] * (w_s / w_s.sum())) @ U[:, k:].conj().T
+    return (rho + rho.conj().T) / 2, (sigma + sigma.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_orthogonal_supports_are_singular_and_not_ac(d):
+    for seed in range(200):
+        rho, sigma = orthogonal_pair(np.random.default_rng([d, seed]), d)
+        assert not is_abs_continuous(sigma, rho), seed
+        assert not is_abs_continuous(rho, sigma), seed
+        assert is_singular(rho, sigma), seed
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count eigensolves and record the arguments of every Hermiticity check."""
+    calls = {"eigensolves": 0, "hermitian": []}
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            calls["eigensolves"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    check = matcore.check_hermitian
+
+    def checked(A, *args, **kwargs):
+        calls["hermitian"].append(A)
+        return check(A, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "check_hermitian", checked)
+    return calls
+
+
+@pytest.mark.parametrize("d, budget", [(2, 4), (3, 6), (8, 6)])
+def test_full_rank_decompose_eigensolve_budget(counted, d, budget):
+    rng = np.random.default_rng(d)
+    G, H = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+    sigma, rho = (X @ X.conj().T + np.eye(d) for X in (G, H))
+    sigma, rho = sigma / np.trace(sigma), rho / np.trace(rho)
+    dec = lebesgue_decompose(sigma, rho)
+    assert dec.split.dims == (0, d, 0)
+    assert counted["eigensolves"] <= budget
+    for operand in (sigma, rho):
+        assert sum(np.array_equal(A, operand) for A in counted["hermitian"]) == 1
