@@ -25,8 +25,8 @@ from typing import Any
 import numpy as np
 
 from . import __version__, contiguity, gaussian, lebesgue, presets, qlan
-from .errors import NumericCheckFailure, QlebError
-from .matcore import TOL_PROFILES, ToleranceConfig
+from .errors import NonHermitian, NumericCheckFailure, QlebError
+from .matcore import DEFAULT_TOL, TOL_PROFILES, ToleranceConfig, check_hermitian
 
 TOL_FIELDS = ("hermitian", "rank_rel", "psd_floor", "recon", "ortho", "eq_rel")
 
@@ -49,7 +49,9 @@ def matrix_document(A: np.ndarray, label: str | None = None) -> dict:
     return doc
 
 
-def parse_matrix_document(doc: Any, where: str = "matrix") -> np.ndarray:
+def parse_matrix_document(doc: Any, where: str = "matrix",
+                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The matrix of a document, validated as Hermitian under ``tol``."""
     if not isinstance(doc, dict) or "entries" not in doc:
         raise QlebError(f"{where}: expected an object with an 'entries' field")
     entries = doc["entries"]
@@ -64,13 +66,10 @@ def parse_matrix_document(doc: Any, where: str = "matrix") -> np.ndarray:
             if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
                 raise QlebError(f"{where}: entries[{i}][{j}] must be a [re, im] pair")
             A[i, j] = complex(float(cell[0]), float(cell[1]))
-    dev = np.abs(A - A.conj().T)
-    if dev.size and dev.max() > 1e-8 * (1.0 + np.abs(A).max()):
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise QlebError(
-            f"{where}: not Hermitian at entries[{i}][{j}]={complex_pair(A[i, j])} vs "
-            f"conjugate of entries[{j}][{i}]={complex_pair(A[j, i])}"
-        )
+    try:
+        check_hermitian(A, tol)
+    except NonHermitian as exc:
+        raise NonHermitian(f"{where}: {exc}") from exc
     return A
 
 
@@ -158,8 +157,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     tol = resolve_tolerances(args)
     sigma_doc = load_json(args.sigma)
     rho_doc = load_json(args.rho)
-    sigma = parse_matrix_document(sigma_doc, where=f"{args.sigma}")
-    rho = parse_matrix_document(rho_doc, where=f"{args.rho}")
+    sigma = parse_matrix_document(sigma_doc, f"{args.sigma}", tol)
+    rho = parse_matrix_document(rho_doc, f"{args.rho}", tol)
     sigma_state = lebesgue.DensityMatrix(sigma, subnormalized=args.subnormalized, tol=tol)
     rho_state = lebesgue.DensityMatrix(rho, subnormalized=args.subnormalized, tol=tol)
 
@@ -215,7 +214,7 @@ def _scaling_by_name(name: str):
     return table[name]
 
 
-def _contiguity_input(args: argparse.Namespace):
+def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
     horizon = args.horizon
     if args.preset is not None:
         name = args.preset
@@ -245,8 +244,8 @@ def _contiguity_input(args: argparse.Namespace):
     spec = load_json(args.spec)
     kind = spec.get("kind")
     if kind == "constant-pair":
-        rho = parse_matrix_document(spec.get("rho"), "spec.rho")
-        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma")
+        rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
+        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
         horizon = int(spec.get("horizon", horizon or 1000))
         return contiguity.StateSequence(
             eval=lambda n: (rho, sigma),
@@ -255,15 +254,15 @@ def _contiguity_input(args: argparse.Namespace):
             sample_grid=_grid_from_arg(args.grid, horizon),
         )
     if kind == "iid-product":
-        rho = parse_matrix_document(spec.get("rho"), "spec.rho")
-        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma")
+        rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
+        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
         return contiguity.ProductFamily(factors=lambda i: (rho, sigma))
     raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
 
 
 def cmd_contiguity(args: argparse.Namespace) -> int:
     tol = resolve_tolerances(args)
-    family = _contiguity_input(args)
+    family = _contiguity_input(args, tol)
     sub = args.criterion
     if sub == "limit":
         if not isinstance(family, contiguity.StateSequence):
@@ -292,22 +291,22 @@ def cmd_contiguity(args: argparse.Namespace) -> int:
 
 # -- gaussian --------------------------------------------------------------------
 
-def _parse_gaussian_params(doc: Any, where: str) -> gaussian.GaussianParams:
+def _parse_gaussian_params(doc: Any, where: str, tol: ToleranceConfig) -> gaussian.GaussianParams:
     if not isinstance(doc, dict) or "h" not in doc or "J" not in doc:
         raise QlebError(f"{where}: expected an object with 'h' and 'J'")
     return gaussian.GaussianParams(
         h=real_vector(doc["h"], f"{where}.h"),
-        J=parse_matrix_document(doc["J"], f"{where}.J"),
+        J=parse_matrix_document(doc["J"], f"{where}.J", tol),
     )
 
 
-def _parse_extended_params(doc: Any, where: str) -> gaussian.ExtendedGaussianParams:
+def _parse_extended_params(doc: Any, where: str, tol: ToleranceConfig) -> gaussian.ExtendedGaussianParams:
     needed = {"mu", "Sigma", "kappa", "s2"}
     if not isinstance(doc, dict) or not needed.issubset(doc):
         raise QlebError(f"{where}: expected an object with fields {sorted(needed)}")
     return gaussian.ExtendedGaussianParams(
         mu=real_vector(doc["mu"], f"{where}.mu"),
-        Sigma=parse_matrix_document(doc["Sigma"], f"{where}.Sigma"),
+        Sigma=parse_matrix_document(doc["Sigma"], f"{where}.Sigma", tol),
         kappa=complex_vector(doc["kappa"], f"{where}.kappa"),
         s2=float(doc["s2"]),
     )
@@ -325,21 +324,21 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
     params_doc = load_json(args.params)
     inputs = {"operation": sub, "params": params_doc}
     if sub == "qcf":
-        params = _parse_gaussian_params(params_doc, args.params)
+        params = _parse_gaussian_params(params_doc, args.params, tol)
         query_doc = load_json(args.query)
         inputs["query"] = query_doc
         xis = _parse_query(query_doc, args.query)
         value = gaussian.gaussian_qcf(params, xis, tol)
         values = {"value": complex_pair(value)}
     elif sub == "shift":
-        ext = _parse_extended_params(params_doc, args.params)
+        ext = _parse_extended_params(params_doc, args.params, tol)
         shifted = gaussian.lecam_shift(ext, tol)
         values = {
             "h": [float(x) for x in shifted.h],
             "J": matrix_document(shifted.J, "covariance"),
         }
     elif sub == "sandwich":
-        ext = _parse_extended_params(params_doc, args.params)
+        ext = _parse_extended_params(params_doc, args.params, tol)
         xis = []
         if args.query is not None:
             query_doc = load_json(args.query)

@@ -334,7 +334,10 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
 
     Uniform-dimension families go through stacked eigensolves; ``sigma_i <<
     rho_i`` is equivalent to ``rank(sqrt(sigma) rho sqrt(sigma)) = rank(sigma)``,
-    which reuses the same spectra.
+    which reuses the same spectra.  The rank of ``sqrt(sigma) rho sqrt(sigma)``
+    is measured against the operands' scale ``lam_max(sigma) * Tr rho``, an
+    upper bound of its norm, not against its own largest eigenvalue, so a
+    product that is rounding noise (orthogonal supports) has rank 0.
     """
     pairs = [fam.factors(int(i)) for i in idx]
     mats = [(_mat(r), _mat(s)) for r, s in pairs]
@@ -349,7 +352,8 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
         inner = (inner + inner.conj().swapaxes(-1, -2)) / 2
         w_m = np.maximum(np.linalg.eigvalsh(inner), 0.0)
         rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
-        rank_inner = matcore.support_mask(w_m, tol).sum(axis=-1)
+        scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
+        rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
         bad = np.nonzero(rank_inner < rank_sigma)[0]
         if bad.size:
             raise FactorNotAC(
@@ -474,6 +478,12 @@ def _assemble_blocks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
+#: Relative cutoff for strict positivity of a declared block.  It sits near
+#: machine precision: the blocks may legitimately carry eigenvalues far below
+#: the rank cutoff used elsewhere.
+_BLOCK_STRICT = 1e-14
+
+
 def block_criterion_diagnostics(
     bseq: BlockSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -485,27 +495,28 @@ def block_criterion_diagnostics(
     (c) strict positivity of the two declared blocks, and (d) optional
     reassembly consistency, then delegates the normalized inner pair to the
     limit criterion.  Contiguous only when everything holds.
+
+    A declared block ``A`` counts as strictly positive iff ``min eig(A) >
+    1e-14 * ||A||_inf``, where ``||A||_inf >= lam_max`` is the max row sum of
+    ``|A|``; one shifted Cholesky decides it
+    (:func:`matcore.is_positive_definite`), with no eigensolve.  The blocks
+    are evaluated once per grid point.
     """
     evidence = []
     hypotheses_ok = True
     flags = []
+    check_ns = (bseq.consistency_ns or bseq.grid[:2]) if bseq.full_eval is not None else []
+    kept = {}  # blocks at the grid points the consistency check reads
+    inner_pairs = {}
     for n in bseq.grid:
-        parts = bseq.blocks(n)
-        rho2, rho1, rho0, sigma0, sigma1, sigma2 = [np.asarray(b, dtype=complex) for b in parts]
+        parts = [np.asarray(b, dtype=complex) for b in bseq.blocks(n)]
+        rho2, rho1, rho0, sigma0, sigma1, sigma2 = parts
         tr_rho0 = float(np.trace(rho0).real)
         tr_sigma0 = float(np.trace(sigma0).real)
         upper = np.block([[rho2, rho1], [rho1.conj().T, rho0]])
         lower = np.block([[sigma0, sigma1], [sigma1.conj().T, sigma2]])
-        w_up = np.linalg.eigvalsh(hermitian_part(upper))
-        w_lo = np.linalg.eigvalsh(hermitian_part(lower))
-        # Strict positivity of a declared block is tested at a near-machine
-        # relative threshold: the blocks may legitimately carry eigenvalues far
-        # below the rank cutoff used elsewhere.
-        strict = 1e-14
-        pd_ok = bool(
-            w_up.min() > strict * max(w_up.max(), 0.0)
-            and w_lo.min() > strict * max(w_lo.max(), 0.0)
-        )
+        pd_ok = (matcore.is_positive_definite(upper, _BLOCK_STRICT)
+                 and matcore.is_positive_definite(lower, _BLOCK_STRICT))
         if not pd_ok:
             hypotheses_ok = False
             flags.append(f"declared blocks not strictly positive at n={n}")
@@ -515,14 +526,16 @@ def block_criterion_diagnostics(
             "tr_sigma0_gap": abs(1.0 - tr_sigma0),
             "blocks_positive": pd_ok,
         })
+        inner_pairs[n] = (rho0 / tr_rho0, sigma0 / tr_sigma0)
+        if n in check_ns:
+            kept[n] = parts
 
-    if bseq.full_eval is not None:
-        for n in bseq.consistency_ns or bseq.grid[:2]:
-            got_rho, got_sigma = bseq.full_eval(n)
-            exp_rho, exp_sigma = _assemble_blocks(bseq.blocks(n))
-            if not (matcore.mat_close(_mat(got_rho), exp_rho, tol)
-                    and matcore.mat_close(_mat(got_sigma), exp_sigma, tol)):
-                raise BlocksInconsistent(f"reassembled blocks differ from supplied states at n={n}")
+    for n in check_ns:
+        got_rho, got_sigma = bseq.full_eval(n)
+        exp_rho, exp_sigma = _assemble_blocks(kept[n] if n in kept else bseq.blocks(n))
+        if not (matcore.mat_close(_mat(got_rho), exp_rho, tol)
+                and matcore.mat_close(_mat(got_sigma), exp_sigma, tol)):
+            raise BlocksInconsistent(f"reassembled blocks differ from supplied states at n={n}")
 
     tr0_tail = _tail([row["tr_rho0"] for row in evidence])
     gap_tail = _tail([row["tr_sigma0_gap"] for row in evidence])
@@ -533,13 +546,8 @@ def block_criterion_diagnostics(
         hypotheses_ok = False
         flags.append("Tr sigma0 does not approach 1 on the sampled tail")
 
-    def inner(n: int):
-        _, _, rho0, sigma0, _, _ = bseq.blocks(n)
-        rho0, sigma0 = np.asarray(rho0, dtype=complex), np.asarray(sigma0, dtype=complex)
-        return (rho0 / np.trace(rho0).real, sigma0 / np.trace(sigma0).real)
-
     inner_seq = StateSequence(
-        eval=inner,
+        eval=inner_pairs.__getitem__,
         declared_limits=bseq.inner_limits,
         horizon=bseq.grid[-1],
         sample_grid=bseq.grid,

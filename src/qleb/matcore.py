@@ -1,13 +1,16 @@
 """Spectral calculus for dense Hermitian/PSD matrices.
 
-Every PSD or strict-positivity check in the package goes through one
+Every PSD or strict-positivity check on an operand goes through one
 validation routine, :func:`psd_spectrum` (Hermiticity check, eigensolve,
 phase fix, PSD floor, clamp), and every zero/nonzero decision through one
 rank rule, :func:`support_mask`; both are controlled by one
-:class:`ToleranceConfig`.  Matrix functions (square root, pseudo-inverse,
-logarithm, exponential) are applied on the validated spectrum.  Eigenbases
-are made deterministic by ordering eigenvalues ascending and fixing the
-phase of each eigenvector (first significant component real positive).
+:class:`ToleranceConfig`.  The one positivity decision that needs no
+spectrum is :func:`is_positive_definite`: a yes/no answer for a declared
+block, from a single shifted Cholesky.  Matrix functions (square root,
+pseudo-inverse, logarithm, exponential) are applied on the validated
+spectrum.  Eigenbases are made deterministic by ordering eigenvalues
+ascending and fixing the phase of each eigenvector (first significant
+component real positive).
 """
 
 from __future__ import annotations
@@ -219,6 +222,25 @@ def _check_strictly_positive(A: np.ndarray, tol: ToleranceConfig, who: str) -> P
             f"(min eigenvalue {w.min():.3e}, max {w.max():.3e})"
         )
     return op
+
+
+def is_positive_definite(A: np.ndarray, strict: float) -> bool:
+    """Certificate for ``min eig(H) > strict * ||H||_inf``, ``H`` the Hermitian part of ``A``.
+
+    One Cholesky factorisation of ``H - strict * ||H||_inf * I`` decides it,
+    with no eigensolve.  ``||H||_inf`` (max row sum of ``|H|``) bounds
+    ``lam_max`` from above (Gershgorin), so the cutoff differs from
+    ``strict * lam_max`` only when the eigenvalue ratio is at rounding level.
+    The zero matrix and indefinite matrices give False.
+    """
+    H = hermitian_part(check_square(A))
+    bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
+    H[np.diag_indices_from(H)] -= strict * bound
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _det2(A: np.ndarray) -> float:

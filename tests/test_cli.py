@@ -74,7 +74,28 @@ def test_decompose_rejects_non_hermitian(tmp_path, capsys):
     rho_path = write_json(tmp_path / "rho.json", matrix_document(rho))
     code, out, err = run(capsys, ["decompose", bad_path, rho_path])
     assert code == 2
-    assert "entries[0][1]" in err
+    assert out == ""
+    assert bad_path in err and "entry [0][1]" in err
+
+
+def test_hermiticity_check_follows_tolerance_settings(tmp_path, capsys, monkeypatch):
+    # A relative asymmetry of ~1e-9 is outside the default hermitian tolerance
+    # (1e-10) and inside a looser one set by flag; the strict profile is tighter.
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    rho[0, 1], rho[1, 0] = 2e-9, 0.0
+    p = write_json(tmp_path / "skew.json", matrix_document(rho))
+    code, out, err = run(capsys, ["decompose", p, p])
+    assert code == 2 and out == "" and "not Hermitian" in err
+    code, out, _ = run(capsys, ["decompose", p, p, "--tol-hermitian", "1e-8"])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["hermitian"] == 1e-8
+    rho[0, 1] = 2e-11
+    p = write_json(tmp_path / "slight.json", matrix_document(rho))
+    code, _, _ = run(capsys, ["decompose", p, p])
+    assert code == 0
+    monkeypatch.setenv("QLEB_TOL_PROFILE", "strict")
+    code, out, err = run(capsys, ["decompose", p, p])
+    assert code == 2 and out == "" and "not Hermitian" in err
 
 
 def test_decompose_rejects_bad_trace(tmp_path, capsys):

@@ -30,8 +30,11 @@ from qleb.presets import (
     three_block_family,
     three_block_blocks,
 )
+from qleb.contiguity import _assemble_blocks, _kakutani_summands
+from qleb.lebesgue import is_abs_continuous
+from qleb.matcore import DEFAULT_TOL
 
-from util import rand_density, rand_unitary
+from util import rand_density, rand_density_bounded, rand_unitary
 
 
 # -- tail mass -------------------------------------------------------------------
@@ -290,6 +293,50 @@ def test_kakutani_rejects_non_ac_factor():
         kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=50)
 
 
+def test_kakutani_rejects_orthogonal_factors_in_a_random_basis():
+    # Rank-1 projectors onto orthogonal vectors of a random basis: the stacked
+    # product sqrt(sigma) rho sqrt(sigma) is rounding noise and has rank 0.
+    for seed in range(50):
+        U = rand_unitary(2, np.random.default_rng(seed))
+        rho = np.outer(U[:, 0], U[:, 0].conj())
+        sigma = np.outer(U[:, 1], U[:, 1].conj())
+        with pytest.raises(FactorNotAC):
+            kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=20)
+
+
+def _random_pair(kind: str, d: int, rng: np.random.Generator) -> tuple:
+    if kind == "full":
+        return rand_density(d, rng), rand_density(d, rng)
+    if kind == "deficient":
+        r_rank, s_rank = rng.integers(1, d + 1, size=2)
+        return (rand_density_bounded(d, rng, rank=int(r_rank)),
+                rand_density_bounded(d, rng, rank=int(s_rank)))
+    U = rand_unitary(d, rng)
+    k = int(rng.integers(1, d))
+    w = rng.uniform(0.2, 1.0, size=d)
+    rho = (U[:, :k] * w[:k]) @ U[:, :k].conj().T
+    sigma = (U[:, k:] * w[k:]) @ U[:, k:].conj().T
+    return rho / np.trace(rho).real, sigma / np.trace(sigma).real
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["full", "deficient", "orthogonal"])
+def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d):
+    rng = np.random.default_rng([d, ["full", "deficient", "orthogonal"].index(kind)])
+    verdicts = set()
+    for _ in range(40):
+        rho, sigma = _random_pair(kind, d, rng)
+        fam = ProductFamily(factors=lambda i: (rho, sigma))
+        try:
+            _kakutani_summands(fam, np.arange(1, 3), DEFAULT_TOL)
+            stacked = True
+        except FactorNotAC:
+            stacked = False
+        assert stacked == is_abs_continuous(sigma, rho)
+        verdicts.add(stacked)
+    assert verdicts == {"full": {True}, "deficient": {True, False}, "orthogonal": {False}}[kind]
+
+
 def test_kakutani_boundary_exponent_inconclusive():
     # Pure pairs with overlap 1 - i^(-1.08): the fitted exponent lands between
     # the divergence boundary and the convergence margin, so the classifier
@@ -343,6 +390,61 @@ def test_block_criterion_consistency_check():
     )
     with pytest.raises(BlocksInconsistent):
         block_criterion_diagnostics(bseq)
+
+
+@pytest.mark.parametrize("side", ["rho", "sigma"])
+@pytest.mark.parametrize("defect", ["singular", "indefinite"])
+def test_block_criterion_flags_non_positive_block(side, defect):
+    # Break one declared block and nothing else: the inner pair stays
+    # contiguous, so the refusal comes from the positivity hypothesis alone.
+    def blocks(n):
+        rho2, rho1, rho0, sigma0, sigma1, sigma2 = (np.array(b) for b in three_block_blocks(n))
+        outer, coupling = (rho2, rho1) if side == "rho" else (sigma2, sigma1.T)
+        if defect == "singular":
+            outer[0, 0] = 0.0
+            coupling[0, :] = 0.0
+        else:
+            outer[0, 0] = -outer[0, 0]
+        return rho2, rho1, rho0, sigma0, sigma1, sigma2
+
+    grid = three_block_family().grid
+    bseq = BlockSequence(blocks=blocks, grid=grid, inner_limits=presets.faithful_to_pure_limits())
+    rep = block_criterion_diagnostics(bseq)
+    assert [row["blocks_positive"] for row in rep.evidence] == [False] * len(grid)
+    assert rep.verdict == INCONCLUSIVE
+    assert "not strictly positive" in rep.notes
+    assert rep.details["inner_verdict"] == CONTIGUOUS
+
+
+def test_block_criterion_evaluates_blocks_once_per_grid_point():
+    calls = []
+
+    def blocks(n):
+        calls.append(n)
+        return three_block_blocks(n)
+
+    grid = three_block_family().grid
+    bseq = BlockSequence(blocks=blocks, grid=grid, inner_limits=presets.faithful_to_pure_limits(),
+                         full_eval=lambda n: _assemble_blocks(three_block_blocks(n)),
+                         consistency_ns=[4, 8, 5])
+    assert block_criterion_diagnostics(bseq).verdict == CONTIGUOUS
+    # Grid points once each; 5 is checked for consistency but is off the grid.
+    assert calls == grid + [5]
+
+
+def test_block_criterion_positivity_needs_no_eigensolve(monkeypatch):
+    # The declared blocks reach d = 1026; only the 2x2 inner pair is diagonalised.
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(A, *args, _original=original, **kwargs):
+            sizes.append(np.shape(A)[-1])
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    assert block_criterion_diagnostics(three_block_family()).verdict == CONTIGUOUS
+    assert sizes and max(sizes) == 2
 
 
 def test_block_criterion_inner_pair_from_faithful_family():

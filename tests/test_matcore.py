@@ -226,3 +226,33 @@ def test_phase_fix_matches_column_loop_bit_for_bit(d):
     # Degenerate spectra give eigenvectors with exact zeros ahead of the pivot.
     _, V = np.linalg.eigh(np.eye(d))
     assert np.array_equal(matcore._phase_fix(V), _phase_fix_reference(V))
+
+
+# -- positivity certificate -----------------------------------------------------------
+
+
+def _eigvalsh_rule(A: np.ndarray, strict: float) -> bool:
+    """Reference: ``min eig > strict * lam_max`` from a full eigensolve."""
+    w = np.linalg.eigvalsh(matcore.hermitian_part(A))
+    return bool(w.min() > strict * max(w.max(), 0.0))
+
+
+@pytest.mark.parametrize("n", [6, 66, 258])
+@pytest.mark.parametrize("ratio, expected", [
+    (1e-6, True), (1e-10, True), (1e-12, True),
+    (1e-15, False), (0.0, False), (-1e-12, False), (-1e-6, False),
+])
+def test_positive_definite_certificate_agrees_with_eigvalsh_rule(n, ratio, expected):
+    # min/max eigenvalue ratio fixed, the rest spread over [1e-3, 1], in a random basis.
+    rng = np.random.default_rng([n, int(-np.log10(abs(ratio))) if ratio else 0, ratio < 0])
+    w = np.concatenate([[ratio], 10.0 ** rng.uniform(-3.0, 0.0, size=n - 2), [1.0]])
+    U = rand_unitary(n, rng)
+    A = (U * w) @ U.conj().T
+    assert matcore.is_positive_definite(A, 1e-14) is expected
+    assert _eigvalsh_rule(A, 1e-14) is expected
+
+
+@pytest.mark.parametrize("n", [1, 6, 66, 258])
+def test_positive_definite_certificate_rejects_the_zero_block(n):
+    assert matcore.is_positive_definite(np.zeros((n, n)), 1e-14) is False
+    assert matcore.is_positive_definite(np.eye(n), 1e-14) is True
