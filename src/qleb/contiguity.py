@@ -322,52 +322,44 @@ def pure_criterion(
                             evidence=rows, notes=notes)
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray, tol: ToleranceConfig) -> float:
-    """``Tr sqrt(sqrt(sigma) rho sqrt(sigma))``, which equals ``Tr rho R``."""
-    sq = matcore.psd_sqrt(sigma, tol)
-    w = np.linalg.eigvalsh(hermitian_part(sq @ rho @ sq))
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
-
-
 def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Summands ``1 - Tr rho_i R_i`` for all factors, with the AC precondition check.
 
-    Uniform-dimension families go through stacked eigensolves; ``sigma_i <<
-    rho_i`` is equivalent to ``rank(sqrt(sigma) rho sqrt(sigma)) = rank(sigma)``,
-    which reuses the same spectra.  The rank of ``sqrt(sigma) rho sqrt(sigma)``
-    is measured against the operands' scale ``lam_max(sigma) * Tr rho``, an
-    upper bound of its norm, not against its own largest eigenvalue, so a
-    product that is rounding noise (orthogonal supports) has rank 0.
+    Uniform-dimension array factors go through :func:`_stacked_summands` as one
+    stack; others (DensityMatrix factors, varying dimensions) one at a time.
     """
     pairs = [fam.factors(int(i)) for i in idx]
-    mats = [(_mat(r), _mat(s)) for r, s in pairs]
-    dims = {r.shape[0] for r, _ in mats}
-    if len(dims) == 1:
-        rhos = np.stack([r for r, _ in mats])
-        sigmas = np.stack([s for _, s in mats])
-        w_s, V_s = np.linalg.eigh(sigmas)
-        w_s = np.maximum(w_s, 0.0)
-        sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-        inner = sqrt_sigma @ rhos @ sqrt_sigma
-        inner = (inner + inner.conj().swapaxes(-1, -2)) / 2
-        w_m = np.maximum(np.linalg.eigvalsh(inner), 0.0)
-        rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
-        scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
-        rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
-        bad = np.nonzero(rank_inner < rank_sigma)[0]
-        if bad.size:
-            raise FactorNotAC(
-                f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
-            )
-        return np.maximum(0.0, 1.0 - np.sqrt(w_m).sum(axis=1))
-    out = np.empty(len(mats), dtype=float)
-    for k, (r, s) in enumerate(mats):
-        if not is_abs_continuous(s, r, tol):
-            raise FactorNotAC(
-                f"factor {int(idx[k])}: sigma_i is not absolutely continuous w.r.t. rho_i"
-            )
-        out[k] = max(0.0, 1.0 - _fidelity(r, s, tol))
-    return out
+    try:
+        stacked = np.asarray(pairs, dtype=complex)
+    except (TypeError, ValueError):  # DensityMatrix factors, or dimensions that vary
+        stacked = None
+    if stacked is not None and stacked.ndim == 4 and stacked.shape[1] == 2:
+        return _stacked_summands(stacked, idx, tol)
+    return np.array([_stacked_summands(np.stack([_mat(r), _mat(s)])[None], idx[k:k + 1], tol)[0]
+                     for k, (r, s) in enumerate(pairs)])
+
+
+def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The summands for a stack ``(N, 2, d, d)`` of pairs ``(rho_i, sigma_i)`` labelled ``idx``.
+
+    ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``, and ``sigma << rho``
+    iff that product has the rank of ``sigma``, measured against the operands'
+    scale ``lam_max(sigma) * Tr rho`` (an upper bound of its norm), so a
+    product that is rounding noise (orthogonal supports) has rank 0.
+    """
+    rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx).mat
+    _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
+    sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
+    w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+    rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
+    scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
+    rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
+    bad = np.nonzero(rank_inner < rank_sigma)[0]
+    if bad.size:
+        raise FactorNotAC(
+            f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
+        )
+    return np.maximum(0.0, 1.0 - np.sqrt(w_m).sum(axis=1))
 
 
 def kakutani_criterion(

@@ -12,8 +12,9 @@ three-block orthonormal basis adapted to the pair:
 
 in which ``rho`` has no H3 component, ``sigma`` has no H1 component, and the
 H2 block of sigma is strictly positive.  ``R`` is assembled from the operator
-geometric mean of that block with the inverse of the corresponding rho block.
-The canonical choice sets the free kernel component of ``R`` to zero.
+geometric mean ``sigma0 # rho0^{-1}`` of the H2 blocks, taken in the basis
+where one of them is diagonal (see :func:`matcore._diag_mean`).  The
+canonical choice sets the free kernel component of ``R`` to zero.
 
 ``excision``, ``is_singular`` (H2 empty), ``is_abs_continuous`` (H1 empty),
 ``lebesgue_decompose`` and ``quantum_log_likelihood`` all read one split, in
@@ -151,10 +152,6 @@ class SupportSplit:
     def __post_init__(self) -> None:
         self.dims = (self.basis_1.shape[1], self.basis_2.shape[1], self.basis_3.shape[1])
 
-    @property
-    def full_basis(self) -> np.ndarray:
-        return np.hstack([self.basis_1, self.basis_2, self.basis_3])
-
 
 @dataclass
 class LebesgueDecomposition:
@@ -166,65 +163,46 @@ class LebesgueDecomposition:
     split: SupportSplit
 
 
-def _on_h2_h3(d: int, d1: int, top: np.ndarray, off: np.ndarray, corner: np.ndarray) -> np.ndarray:
-    """The d x d block matrix ``[[0, 0, 0], [0, top, off], [0, off*, corner]]``."""
-    out = np.zeros((d, d), dtype=complex)
-    out[d1:, d1:] = np.block([[top, off], [off.conj().T, corner]])
-    return out
-
-
-def _decompose(sp: _Split, tol: ToleranceConfig) -> LebesgueDecomposition:
+def _decompose(sp: _Split) -> LebesgueDecomposition:
     s = sp.s
-    d = s.shape[0]
-    empty = np.zeros((d, 0), dtype=complex)
+    empty = np.zeros((s.shape[0], 0), dtype=complex)
     if not np.any(sp.h2):
         # Mutually singular: ac = 0, perp = sigma, sqrt_lr = 0.
         split = SupportSplit(basis_1=sp.supp_r, basis_2=empty, basis_3=sp.ker_r)
         zero = np.zeros_like(s)
         return LebesgueDecomposition(ac=zero, perp=s.copy(), sqrt_lr=zero.copy(), split=split)
 
+    basis_3 = sp.ker_r
     if np.all(sp.h2):
         # Full-rank excision: H2 is supp(rho) in rho's eigenbasis, so sigma0 is
         # the excision itself and rho's block is exactly diagonal.
         basis_1, basis_2 = empty, sp.supp_r
         sigma0, w0, V0 = sp.ex, sp.wx, sp.Vx
-        rho0_inv = np.diag(1.0 / sp.w_r).astype(complex)
+        R0 = matcore._diag_mean(1.0 / sp.w_r, sigma0)
     else:
         # In the excision eigenbasis sigma0 is diagonal; rho's block is not.
         Vx = matcore._phase_fix(sp.Vx)
         P = Vx[:, sp.h2]
         basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
-        w0 = sp.wx[sp.h2]
-        V0 = np.eye(w0.size, dtype=complex)
+        w0, V0 = sp.wx[sp.h2], None
         sigma0 = np.diag(w0).astype(complex)
-        w_r0, V_r0 = np.linalg.eigh(hermitian_part((P.conj().T * sp.w_r) @ P))
-        rho0_inv = hermitian_part((V_r0 * (1.0 / w_r0)) @ V_r0.conj().T)
-    basis_3 = sp.ker_r
-    split = SupportSplit(basis_1=basis_1, basis_2=basis_2, basis_3=basis_3)
+        R0 = matcore._diag_mean(w0, (P.conj().T * sp.w_r) @ P, inverse=True)
 
-    alpha = basis_2.conj().T @ s @ basis_3
-    beta = hermitian_part(basis_3.conj().T @ s @ basis_3)
-    sigma0_inv_alpha = (V0 * (1.0 / w0)) @ V0.conj().T @ alpha
-
-    # ac, perp and R in the block basis, then rotated back to the input basis.
-    schur = hermitian_part(beta - alpha.conj().T @ sigma0_inv_alpha)
-    corner = hermitian_part(alpha.conj().T @ sigma0_inv_alpha)
-    d1, d2, d3 = split.dims
-    ac_blocks = _on_h2_h3(d, d1, sigma0, alpha, corner)
-    perp_blocks = np.zeros((d, d), dtype=complex)
-    perp_blocks[d1 + d2:, d1 + d2:] = schur
-
-    gm = matcore._geometric_mean(matcore.PSDSpectrum(sigma0, w0, V0), rho0_inv, tol)
-    gm_e = gm @ sigma0_inv_alpha
-    r_blocks = _on_h2_h3(d, d1, gm, gm_e, hermitian_part(sigma0_inv_alpha.conj().T @ gm @ sigma0_inv_alpha))
-
-    W = split.full_basis
-    return LebesgueDecomposition(
-        ac=hermitian_part(W @ ac_blocks @ W.conj().T),
-        perp=hermitian_part(W @ perp_blocks @ W.conj().T),
-        sqrt_lr=hermitian_part(W @ r_blocks @ W.conj().T),
-        split=split,
-    )
+    # With alpha = sigma's H2-H3 block and E = sigma0^{-1} alpha, ac and R are
+    # [I, E]* X [I, E] in the H2 + H3 basis (X = sigma0, R0), i.e. F X F* with
+    # F = basis_2 + basis_3 E*; perp = beta - alpha* E lives on H3 alone.
+    if basis_3.shape[1]:
+        alpha = basis_2.conj().T @ s @ basis_3
+        E = alpha / w0[:, None] if V0 is None else (V0 / w0) @ (V0.conj().T @ alpha)
+        schur = hermitian_part(basis_3.conj().T @ s @ basis_3 - alpha.conj().T @ E)
+        perp = hermitian_part(basis_3 @ schur @ basis_3.conj().T)
+        F = basis_2 + basis_3 @ E.conj().T
+    else:
+        F, perp = basis_2, np.zeros_like(s)
+    F_h = F.conj().T
+    return LebesgueDecomposition(ac=hermitian_part(F @ sigma0 @ F_h), perp=perp,
+                                 sqrt_lr=hermitian_part(F @ R0 @ F_h),
+                                 split=SupportSplit(basis_1, basis_2, basis_3))
 
 
 def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDecomposition:
@@ -235,7 +213,7 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     construction applies; the kernel component of ``sqrt_lr`` is fixed to
     zero (canonical choice), so repeated calls are reproducible.
     """
-    return _decompose(_split(sigma, rho, tol), tol)
+    return _decompose(_split(sigma, rho, tol))
 
 
 def sqrt_likelihood_ratio(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -254,4 +232,4 @@ def quantum_log_likelihood(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np
         raise NotStrictlyPositive("rho must be strictly positive definite")
     if not np.all(sp.h2):
         raise NotStrictlyPositive("sigma must be strictly positive definite")
-    return 2.0 * matcore.psd_log_on_support(_decompose(sp, tol).sqrt_lr, tol)
+    return 2.0 * matcore.psd_log_on_support(_decompose(sp).sqrt_lr, tol)

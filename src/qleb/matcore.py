@@ -78,26 +78,44 @@ def frob(A: np.ndarray) -> float:
 
 
 def hermitian_part(A: np.ndarray) -> np.ndarray:
-    return (A + A.conj().T) / 2
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
-def check_square(A: np.ndarray) -> np.ndarray:
+def check_square(A: np.ndarray, stack: bool = False) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square matrix"
+        raise DimMismatch(f"expected {what}, got shape {A.shape}")
     return A
 
 
-def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermiticity and return the exactly-Hermitian part of ``A``."""
-    A = check_square(A)
-    A_star = A.conj().T
-    dev = frob(A - A_star)
-    if dev > tol.hermitian * (1.0 + frob(A)):
-        i, j = np.unravel_index(np.argmax(np.abs(A - A_star)), A.shape)
+def _failure(bad, who: str, labels: np.ndarray | None) -> tuple | None:
+    """``None`` if ``bad`` flags nothing, else the index and name of the first flagged matrix."""
+    if labels is None:
+        return ((), who) if bad else None
+    hits = np.flatnonzero(bad)
+    return (int(hits[0]), f"{who} {labels[hits[0]]}") if hits.size else None
+
+
+def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
+                    labels: np.ndarray | None = None) -> np.ndarray:
+    """Validate Hermiticity and return the exactly-Hermitian part of ``A``.
+
+    With ``labels``, ``A`` is a stack ``(len(labels), d, d)``, and an error
+    names its first failing matrix ``"<who> <label>"``.
+    """
+    A = check_square(A, stack=labels is not None)
+    axes = None if labels is None else (1, 2)
+    A_star = A.conj().swapaxes(-1, -2)
+    diff = A - A_star
+    dev = np.linalg.norm(diff, axis=axes)
+    if failure := _failure(dev > tol.hermitian * (1.0 + np.linalg.norm(A, axis=axes)), who, labels):
+        k, name = failure
+        a, dev = A[k], dev[k]
+        i, j = np.unravel_index(np.argmax(np.abs(diff[k])), a.shape)
         raise NonHermitian(
-            f"matrix is not Hermitian: entry [{i}][{j}]={A[i, j]:.6g} vs "
-            f"conj([{j}][{i}])={np.conj(A[j, i]):.6g} (deviation {dev:.3e})"
+            f"{name} is not Hermitian: entry [{i}][{j}]={a[i, j]:.6g} vs "
+            f"conj([{j}][{i}])={np.conj(a[j, i]):.6g} (deviation {dev:.3e})"
         )
     return (A + A_star) / 2
 
@@ -112,8 +130,9 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
 
 
 def _eigh(H: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition; one matrix gets deterministic phases, a stack keeps LAPACK's."""
     w, V = np.linalg.eigh(H)
-    return SpectralDecomposition(w, _phase_fix(V))
+    return SpectralDecomposition(w, _phase_fix(V) if V.ndim == 2 else V)
 
 
 def eig_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -130,19 +149,21 @@ class PSDSpectrum(NamedTuple):
 
 
 def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
-                 vectors: bool = True) -> PSDSpectrum:
+                 vectors: bool = True, labels: np.ndarray | None = None) -> PSDSpectrum:
     """Validate a PSD matrix once and return its spectrum.
 
     Checks Hermiticity, diagonalises (with deterministic phases when
     ``vectors``), rejects eigenvalues below the PSD floor relative to
-    ``lam_max`` and clamps the admissible negative ones to zero.
+    ``lam_max`` and clamps the admissible negative ones to zero.  With
+    ``labels``, a stack as in :func:`check_hermitian` (phases not fixed).
     """
-    H = check_hermitian(A, tol)
+    H = check_hermitian(A, tol, who, labels)
     w, V = _eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
-    lo, hi = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
-    floor = -tol.psd_floor * max(hi, -lo)
-    if lo < floor:
-        raise NotPSD(f"{who} has eigenvalue {lo:.3e} below the PSD floor {floor:.3e}")
+    lo, hi = (w[..., 0], w[..., -1]) if w.shape[-1] else (np.zeros(w.shape[:-1]),) * 2
+    floor = -tol.psd_floor * np.maximum(hi, -lo)
+    if failure := _failure(lo < floor, who, labels):
+        k, name = failure
+        raise NotPSD(f"{name} has eigenvalue {lo[k]:.3e} below the PSD floor {floor[k]:.3e}")
     return PSDSpectrum(H, np.maximum(w, 0.0), V)
 
 
@@ -247,41 +268,46 @@ def _det2(A: np.ndarray) -> float:
     return float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]).real)
 
 
-def _geometric_mean_2x2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Determinant closed form for 2x2 positive matrices; unlike the spectral
-    # route it stays accurate when the eigenvalue range approaches 1/eps^2.
-    da, db = _det2(A), _det2(B)
-    N = np.sqrt(db) * A + np.sqrt(da) * B
-    return hermitian_part(N * (da * db) ** 0.25 / np.sqrt(_det2(N)))
+def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``C # M``, or ``C # M^{-1}`` when ``inverse``, for ``C = diag(c) > 0`` and ``M > 0``.
 
-
-def _geometric_mean(a: PSDSpectrum, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Geometric mean of validated strictly positive operands, ``a`` with its spectrum."""
-    A = a.mat
-    if A.shape[0] == 1:
-        return np.sqrt(A.real * B.real).astype(complex)
-    if A.shape[0] == 2:
-        return _geometric_mean_2x2(A, B)
-    w, V = a.eigenvalues, a.eigenvectors
-    sqrt_a = (V * np.sqrt(w)) @ V.conj().T
-    inv_sqrt_a = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    inner = psd_sqrt(hermitian_part(inv_sqrt_a @ B @ inv_sqrt_a), tol)
-    return hermitian_part(sqrt_a @ inner @ sqrt_a)
+    Scale, one eigensolve, scale: ``C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}``
+    (Cholesky mean with the diagonal factor ``C^{1/2}``).  Sizes 1 and 2 use
+    closed forms, with the adjugate for a 2x2 inverse.
+    """
+    if c.size == 1:
+        return np.sqrt(c / M.real if inverse else c * M.real).astype(complex)
+    if c.size == 2:
+        # Determinant closed form; unlike the spectral route it stays accurate
+        # when the eigenvalue range approaches 1/eps^2.
+        if inverse:
+            M = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / _det2(M)
+        dc, dm = c[0] * c[1], _det2(M)
+        N = np.sqrt(dm) * np.diag(c) + np.sqrt(dc) * M
+        return hermitian_part(N * (dc * dm) ** 0.25 / np.sqrt(_det2(N)))
+    root = np.sqrt(c)
+    scale = root if inverse else 1.0 / root
+    w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))
+    # Eigenvalues below eps * w_max are rounding (M > 0): the square root maps
+    # them to 0, the inverse square root to that of the resolution limit.
+    w = np.maximum(w, np.finfo(float).eps * w[-1] if inverse else 0.0)
+    X = (V * (w ** (-0.5 if inverse else 0.5))) @ V.conj().T
+    return hermitian_part(root[:, None] * X * root)
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Operator geometric mean of strictly positive matrices.
 
-    Returns the unique positive ``X`` with ``X A^{-1} X = B``.  For dimension
-    2 a determinant-based closed form is used for numerical robustness; in
-    higher dimensions ``sqrt(A) sqrt(sqrt(A)^{-1} B sqrt(A)^{-1}) sqrt(A)``
-    is evaluated through the spectral path.
+    Returns the unique positive ``X`` with ``X A^{-1} X = B``, evaluated as
+    ``V (diag(a) # V* B V) V*`` in the eigenbasis ``A = V diag(a) V*`` that
+    validation computes (see :func:`_diag_mean`).
     """
     a = _check_strictly_positive(A, tol, "first operand")
     b = _check_strictly_positive(B, tol, "second operand")
     if a.mat.shape != b.mat.shape:
         raise DimMismatch(f"operand shapes differ: {a.mat.shape} vs {b.mat.shape}")
-    return _geometric_mean(a, b.mat, tol)
+    V = a.eigenvectors
+    return hermitian_part(V @ _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V) @ V.conj().T)
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> complex:

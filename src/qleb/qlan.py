@@ -23,6 +23,7 @@ from .errors import (
     DerivativeUnavailable,
     DimMismatch,
     InconsistentDerivativeWarning,
+    InvalidParams,
 )
 from .lebesgue import _mat, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
@@ -205,7 +206,7 @@ def lecam3_numeric_check(
     recorded, where ``Sigma[i, j] = Tr rho B_j B_i`` and ``tau[i, j] =
     Tr rho L_j B_i`` are computed at ``theta0``.
     """
-    from .gaussian import GaussianParams, gaussian_qcf
+    from .gaussian import GaussianParams, QcfQuery, _qcf, validate
 
     theta0 = np.asarray(theta0, dtype=float)
     h = np.asarray(h, dtype=float).reshape(-1)
@@ -218,16 +219,18 @@ def lecam3_numeric_check(
 
     if any(len(q) > 3 for q in xi_grid):
         raise ValueError("query grid is limited to r <= 3 factors")
+    if not validate(limit, tol):
+        raise InvalidParams("Gaussian parameters failed validation (J must be Hermitian PSD)")
+    # The limit law does not depend on n: one value per query.
+    wants = [_qcf(limit, QcfQuery([np.asarray(x, dtype=float) for x in query])) for query in xi_grid]
     deviations = []
     for n in n_grid:
         shifted = _mat(model.state_at(theta0 + h / np.sqrt(n)))
         experiment = IIDExperiment(base=shifted, obs=list(B), h=h, n=int(n),
                                    centering_tol=np.inf)
         worst = 0.0
-        for query in xi_grid:
-            got = iid_qcf(experiment, query, tol)
-            want = gaussian_qcf(limit, [np.asarray(x, dtype=float) for x in query], tol)
-            worst = max(worst, abs(got - want))
+        for query, want in zip(xi_grid, wants):
+            worst = max(worst, abs(iid_qcf(experiment, query, tol) - want))
         deviations.append({"n": int(n), "max_deviation": worst})
     devs = [row["max_deviation"] for row in deviations]
     return LeCam3Report(

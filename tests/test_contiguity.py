@@ -16,7 +16,9 @@ from qleb import (
     tail_mass,
 )
 from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
-from qleb.errors import DimVaries, FactorNotAC, MissingLimits, NotPure, BlocksInconsistent
+from qleb.errors import (
+    BlocksInconsistent, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD, NotPure,
+)
 from qleb import presets
 from qleb.presets import (
     drifting_product_family,
@@ -302,6 +304,36 @@ def test_kakutani_rejects_orthogonal_factors_in_a_random_basis():
         sigma = np.outer(U[:, 1], U[:, 1].conj())
         with pytest.raises(FactorNotAC):
             kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=20)
+
+
+NOT_PSD = np.diag([1.2, -0.2]).astype(complex)
+NOT_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+
+
+@pytest.mark.parametrize("rho, sigma, error", [
+    (NOT_PSD, np.diag([1.0, 0.0]), NotPSD),
+    (NOT_HERMITIAN, np.eye(2) / 2, NonHermitian),
+])
+def test_kakutani_stacked_path_validates_factors(rho, sigma, error):
+    # The per-factor path (is_abs_continuous) rejects these operands; the
+    # stacked path once returned Contiguous and NotContiguous for them.
+    with pytest.raises(error):
+        is_abs_continuous(sigma, rho)
+    with pytest.raises(error, match="rho of factor 1 "):
+        kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=50)
+
+
+@pytest.mark.parametrize("bad, error", [(NOT_PSD, NotPSD), (NOT_HERMITIAN, NonHermitian)])
+@pytest.mark.parametrize("operand", ["rho", "sigma"])
+def test_kakutani_validation_names_the_first_bad_factor(operand, bad, error):
+    good = np.eye(2, dtype=complex) / 2
+
+    def factors(i):
+        x = bad if i in (7, 9) else good
+        return (x, good) if operand == "rho" else (good, x)
+
+    with pytest.raises(error, match=f"{operand} of factor 7 "):
+        kakutani_criterion(ProductFamily(factors=factors), horizon=50)
 
 
 def _random_pair(kind: str, d: int, rng: np.random.Generator) -> tuple:

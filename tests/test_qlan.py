@@ -226,6 +226,21 @@ def test_lecam3_spin_model_converges():
     assert np.allclose(rep.limit_cov, SPIN_J)
 
 
+def test_lecam3_validates_the_limit_once(monkeypatch):
+    # The limit law does not depend on n or on the query: one validation,
+    # where each (n, query) pair used to validate it again.
+    from qleb import gaussian
+
+    calls = []
+    validate = gaussian.validate
+    monkeypatch.setattr(gaussian, "validate", lambda *a, **k: calls.append(a) or validate(*a, **k))
+    lecam3_numeric_check(
+        spin_pure_model(), np.zeros(2), None, np.array([1.0, 0.5]),
+        n_grid=[100, 10_000, 1_000_000], xi_grid=single_xi_grid(),
+    )
+    assert len(calls) == 1
+
+
 def test_lecam3_custom_observable_subset():
     # probing only the first drive direction: Sigma = [1], Re tau = [1, 0],
     # so the limit law is the scalar Gaussian N(h_1, 1)

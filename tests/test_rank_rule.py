@@ -96,14 +96,26 @@ def counted(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d, budget", [(2, 4), (3, 6), (8, 6)])
-def test_full_rank_decompose_eigensolve_budget(counted, d, budget):
+def _state(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    G = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    A = G @ G.conj().T + (np.eye(d) if rank == d else 0)
+    return A / np.trace(A).real
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient-sigma", "deficient-rho", "rank1-rho"])
+@pytest.mark.parametrize("d, budget", [(2, 3), (3, 4), (8, 4)])
+def test_decompose_eigensolve_budget(counted, d, budget, kind):
+    # Validation (eigvalsh of sigma, eigh of rho), the excision's eigh, and one
+    # eigh in the geometric mean, which sizes 1 and 2 replace by closed forms.
+    k = (d + 1) // 2
     rng = np.random.default_rng(d)
-    G, H = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
-    sigma, rho = (X @ X.conj().T + np.eye(d) for X in (G, H))
-    sigma, rho = sigma / np.trace(sigma), rho / np.trace(rho)
+    sigma = _state(rng, d, k if kind == "deficient-sigma" else d)
+    rho = _state(rng, d, {"deficient-rho": k, "rank1-rho": 1}.get(kind, d))
     dec = lebesgue_decompose(sigma, rho)
-    assert dec.split.dims == (0, d, 0)
+    assert dec.split.dims == {
+        "full": (0, d, 0), "deficient-sigma": (d - k, k, 0),
+        "deficient-rho": (0, k, d - k), "rank1-rho": (0, 1, d - 1),
+    }[kind]
     assert counted["eigensolves"] <= budget
     for operand in (sigma, rho):
         assert sum(np.array_equal(A, operand) for A in counted["hermitian"]) == 1
