@@ -335,8 +335,14 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
         stacked = None
     if stacked is not None and stacked.ndim == 4 and stacked.shape[1] == 2:
         return _stacked_summands(stacked, idx, tol)
-    return np.array([_stacked_summands(np.stack([_mat(r), _mat(s)])[None], idx[k:k + 1], tol)[0]
-                     for k, (r, s) in enumerate(pairs)])
+    summands = []
+    for k, (r, s) in enumerate(pairs):
+        r, s = _mat(r), _mat(s)
+        if r.shape != s.shape:
+            raise matcore.DimMismatch(
+                f"factor {int(idx[k])}: operand shapes differ: {r.shape} vs {s.shape}")
+        summands.append(_stacked_summands(np.stack([r, s])[None], idx[k:k + 1], tol)[0])
+    return np.array(summands)
 
 
 def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -346,11 +352,25 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     iff that product has the rank of ``sigma``, measured against the operands'
     scale ``lam_max(sigma) * Tr rho`` (an upper bound of its norm), so a
     product that is rounding noise (orthogonal supports) has rank 0.
+
+    For ``d = 2`` the product's spectrum comes from its trace ``Tr(rho sigma)``
+    and determinant ``det(rho) det(sigma)`` (:func:`matcore._spectrum_2x2`),
+    as do the factors' own spectra, so no ``sqrt(sigma)``, eigenvector or
+    LAPACK call is needed; larger ``d`` takes one stacked ``eigh`` of sigma
+    and one ``eigvalsh`` of the product.
     """
-    rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx).mat
-    _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
-    sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-    w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+    d = stacked.shape[-1]
+    rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False,
+                                        labels=idx)
+    sigmas, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", vectors=d != 2,
+                                            labels=idx)
+    if d == 2:
+        w_m = matcore._spectrum_2x2(np.einsum("nij,nji->n", rhos, sigmas).real,
+                                    w_r.prod(axis=-1) * w_s.prod(axis=-1))
+    else:
+        sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
+        w_m = np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma))
+    w_m = np.maximum(w_m, 0.0)
     rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
     scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
     rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
@@ -501,7 +521,7 @@ def block_criterion_diagnostics(
     kept = {}  # blocks at the grid points the consistency check reads
     inner_pairs = {}
     for n in bseq.grid:
-        parts = [np.asarray(b, dtype=complex) for b in bseq.blocks(n)]
+        parts = [np.asarray(b) for b in bseq.blocks(n)]
         rho2, rho1, rho0, sigma0, sigma1, sigma2 = parts
         tr_rho0 = float(np.trace(rho0).real)
         tr_sigma0 = float(np.trace(sigma0).real)

@@ -81,9 +81,11 @@ class _Split(NamedTuple):
 
     ``supp_r``/``ker_r`` are rho's support and kernel bases (H1 + H2 and H3),
     ``w_r`` rho's support eigenvalues, ``ex`` the excision of sigma onto supp
-    rho in the ``supp_r`` basis with spectrum ``(wx, Vx)`` (phases not yet
-    fixed), and ``h2`` marks the excision eigenvectors spanning H2; the
-    others span H1.
+    rho in the ``supp_r`` basis with ascending eigenvalues ``wx``, and ``h2``
+    marks those spanning H2 (a top segment); the others span H1.  ``Vx`` holds
+    the excision's eigenvectors (phases not yet fixed) when rho is not
+    faithful; for faithful rho the excision is sigma in rho's eigenbasis,
+    ``wx`` is sigma's validated spectrum and ``Vx`` is ``None``.
     """
 
     s: np.ndarray
@@ -92,7 +94,7 @@ class _Split(NamedTuple):
     w_r: np.ndarray
     ex: np.ndarray
     wx: np.ndarray
-    Vx: np.ndarray
+    Vx: np.ndarray | None
     h2: np.ndarray
 
 
@@ -111,7 +113,7 @@ def _split(sigma, rho, tol: ToleranceConfig) -> _Split:
     supp = matcore.support_mask(r.eigenvalues, tol)
     supp_r = r.eigenvectors[:, supp]
     ex = hermitian_part(supp_r.conj().T @ s.mat @ supp_r)
-    wx, Vx = np.linalg.eigh(ex)
+    wx, Vx = (s.eigenvalues, None) if supp.all() else np.linalg.eigh(ex)
     h2 = matcore.support_mask(wx, tol, lam_max=s.eigenvalues[-1])
     return _Split(s.mat, supp_r, r.eigenvectors[:, ~supp], r.eigenvalues[supp], ex, wx, Vx, h2)
 
@@ -176,15 +178,19 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
     if np.all(sp.h2):
         # Full-rank excision: H2 is supp(rho) in rho's eigenbasis, so sigma0 is
         # the excision itself and rho's block is exactly diagonal.
+        # (V0 is None only for faithful rho, where H3 is empty and E unused.)
         basis_1, basis_2 = empty, sp.supp_r
         sigma0, w0, V0 = sp.ex, sp.wx, sp.Vx
         R0 = matcore._diag_mean(1.0 / sp.w_r, sigma0)
     else:
         # In the excision eigenbasis sigma0 is diagonal; rho's block is not.
-        Vx = matcore._phase_fix(sp.Vx)
+        # The split fixed the H2 count; both spectra ascend, so h2 selects the
+        # same top segment of this eigensolve.
+        wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else np.linalg.eigh(sp.ex)
+        Vx = matcore._phase_fix(Vx)
         P = Vx[:, sp.h2]
         basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
-        w0, V0 = sp.wx[sp.h2], None
+        w0, V0 = wx[sp.h2], None
         sigma0 = np.diag(w0).astype(complex)
         R0 = matcore._diag_mean(w0, (P.conj().T * sp.w_r) @ P, inverse=True)
 

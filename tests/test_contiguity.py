@@ -16,8 +16,10 @@ from qleb import (
     tail_mass,
 )
 from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
+from qleb import matcore
 from qleb.errors import (
-    BlocksInconsistent, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD, NotPure,
+    BlocksInconsistent, DimMismatch, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD,
+    NotPure,
 )
 from qleb import presets
 from qleb.presets import (
@@ -32,9 +34,9 @@ from qleb.presets import (
     three_block_family,
     three_block_blocks,
 )
-from qleb.contiguity import _assemble_blocks, _kakutani_summands
+from qleb.contiguity import _assemble_blocks, _kakutani_summands, _stacked_summands
 from qleb.lebesgue import is_abs_continuous
-from qleb.matcore import DEFAULT_TOL
+from qleb.matcore import DEFAULT_TOL, hermitian_part
 
 from util import rand_density, rand_density_bounded, rand_unitary
 
@@ -367,6 +369,139 @@ def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d):
         assert stacked == is_abs_continuous(sigma, rho)
         verdicts.add(stacked)
     assert verdicts == {"full": {True}, "deficient": {True, False}, "orthogonal": {False}}[kind]
+
+
+def test_kakutani_rejects_factors_of_mismatched_dimensions():
+    def factors(i):
+        return (np.eye(2) / 2, np.eye(3) / 3) if i >= 4 else (np.eye(2) / 2, np.eye(2) / 2)
+
+    with pytest.raises(DimMismatch, match=r"factor 4: operand shapes differ: \(2, 2\) vs \(3, 3\)"):
+        kakutani_criterion(ProductFamily(factors=factors), horizon=10)
+    with pytest.raises(DimMismatch, match="factor 1: "):
+        kakutani_criterion(ProductFamily(lambda i: (np.eye(2) / 2, np.eye(3) / 3)), horizon=5)
+
+
+# -- the 2x2 closed form against the LAPACK stacked path --------------------------------
+
+
+def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAULT_TOL):
+    """The LAPACK path for stacked summands, the reference for the 2x2 closed form.
+
+    Both stacks validated by ``eigh``, ``sqrt(sigma)`` from sigma's eigenbasis,
+    and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``.
+    """
+    rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", labels=idx).mat
+    _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
+    sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
+    w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+    rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
+    scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
+    rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
+    bad = np.nonzero(rank_inner < rank_sigma)[0]
+    if bad.size:
+        raise FactorNotAC(
+            f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
+        )
+    return np.maximum(0.0, 1.0 - np.sqrt(w_m).sum(axis=1))
+
+
+def _qubit(rng: np.random.Generator, w, basis: bool = True) -> np.ndarray:
+    U = rand_unitary(2, rng) if basis else np.eye(2)
+    A = (U * np.asarray(w, dtype=float)) @ U.conj().T
+    return hermitian_part(A) / np.sum(w)
+
+
+#: Pair generators.  In the first four the product ``sqrt(sigma) rho sqrt(sigma)``
+#: has a resolved spectrum (its small eigenvalue is an exact zero, with rank-1
+#: sigma given in its eigenbasis, or far above rounding), so both paths give
+#: the summand to rounding: 1e-14.  In the last two its small eigenvalue lies
+#: near or at rounding level (down to 1e-12 of lam_max, or the noise of a
+#: rank-1 sigma in a random basis), and each path knows it only to a few
+#: ``eps * lam_max``; since ``|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)``, the
+#: summands then agree to ``sqrt(8 eps)``, not to rounding.
+RESOLVED_PAIRS = {
+    "full": lambda rng: (_qubit(rng, [rng.uniform(0.1, 1.0), 1.0]),
+                         _qubit(rng, [rng.uniform(0.1, 1.0), 1.0])),
+    "rank1-sigma": lambda rng: (_qubit(rng, [rng.uniform(0.1, 1.0), 1.0]),
+                                _qubit(rng, [0.0, 1.0], basis=False)),
+    "rank1-rho": lambda rng: (_qubit(rng, [0.0, 1.0]), _qubit(rng, [rng.uniform(0.1, 1.0), 1.0])),
+    "orthogonal": lambda rng: (lambda U: (np.outer(U[:, 0], U[:, 0].conj()),
+                                          np.outer(U[:, 1], U[:, 1].conj())))(rand_unitary(2, rng)),
+}
+UNRESOLVED_PAIRS = {
+    "rank1-sigma-random-basis": lambda rng: (_qubit(rng, [rng.uniform(0.1, 1.0), 1.0]),
+                                             _qubit(rng, [0.0, 1.0])),
+    "spectra-to-1e-12": lambda rng: (_qubit(rng, [10.0 ** rng.uniform(-12.0, 0.0), 1.0]),
+                                     _qubit(rng, [10.0 ** rng.uniform(-12.0, 0.0), 1.0])),
+}
+
+
+def _outcome(fn, stacked, idx):
+    try:
+        return fn(stacked, idx, DEFAULT_TOL)
+    except FactorNotAC as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", list(RESOLVED_PAIRS) + list(UNRESOLVED_PAIRS))
+def test_closed_form_summands_match_the_lapack_reference(kind):
+    make = {**RESOLVED_PAIRS, **UNRESOLVED_PAIRS}[kind]
+    rng = np.random.default_rng(list(kind.encode()))
+    tol = 1e-14 if kind in RESOLVED_PAIRS else np.sqrt(8 * np.finfo(float).eps)
+    stacked = np.array([make(rng) for _ in range(200)])
+    idx = np.arange(1, len(stacked) + 1)
+    verdicts = set()
+    for k in range(len(stacked)):
+        got = _outcome(_stacked_summands, stacked[k:k + 1], idx[k:k + 1])
+        want = _outcome(_stacked_summands_reference, stacked[k:k + 1], idx[k:k + 1])
+        verdicts.add(isinstance(want, str))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert abs(got[0] - want[0]) <= tol, (k, got, want)
+    # The whole stack fails on its first non-AC factor, or agrees summand by summand.
+    got = _outcome(_stacked_summands, stacked, idx)
+    want = _outcome(_stacked_summands_reference, stacked, idx)
+    assert got == want if isinstance(want, str) else np.max(np.abs(got - want)) <= tol
+    assert verdicts == {"full": {False}, "rank1-sigma": {False}, "rank1-rho": {True},
+                        "orthogonal": {True}, "rank1-sigma-random-basis": {False},
+                        "spectra-to-1e-12": {False, True}}[kind]
+
+
+@pytest.mark.parametrize("operand", [0, 1])
+@pytest.mark.parametrize("defect", ["indefinite", "non-hermitian"])
+def test_closed_form_validation_fails_like_the_lapack_reference(operand, defect):
+    rng = np.random.default_rng([operand, len(defect)])
+    stacked = np.array([RESOLVED_PAIRS["full"](rng) for _ in range(30)])
+    for k in (11, 17):
+        if defect == "indefinite":
+            neg = -10.0 ** rng.uniform(-6.0, -1.0)
+            stacked[k, operand] = _qubit(rng, [neg, 1.0 - 2 * neg])
+        else:
+            stacked[k, operand, 0, 1] += 1e-3
+    idx = np.arange(1, 31)
+    error = NotPSD if defect == "indefinite" else NonHermitian
+    with pytest.raises(error) as want:
+        _stacked_summands_reference(stacked, idx)
+    with pytest.raises(error) as got:
+        _stacked_summands(stacked, idx, DEFAULT_TOL)
+    assert str(got.value) == str(want.value)
+    assert "of factor 12 " in str(got.value)
+
+
+def test_kakutani_on_2x2_factors_makes_no_lapack_call(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd", "solve", "inv", "det"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    rep = kakutani_criterion(drifting_product_family("linear"))
+    assert rep.verdict == CONTIGUOUS
+    assert calls == []
 
 
 def test_kakutani_boundary_exponent_inconclusive():

@@ -243,16 +243,91 @@ def _eigvalsh_rule(A: np.ndarray, strict: float) -> bool:
     (1e-15, False), (0.0, False), (-1e-12, False), (-1e-6, False),
 ])
 def test_positive_definite_certificate_agrees_with_eigvalsh_rule(n, ratio, expected):
-    # min/max eigenvalue ratio fixed, the rest spread over [1e-3, 1], in a random basis.
+    # min/max eigenvalue ratio fixed, the rest spread over [1e-3, 1], in a random
+    # unitary basis (complex Cholesky) and a random orthogonal one (real Cholesky).
     rng = np.random.default_rng([n, int(-np.log10(abs(ratio))) if ratio else 0, ratio < 0])
     w = np.concatenate([[ratio], 10.0 ** rng.uniform(-3.0, 0.0, size=n - 2), [1.0]])
     U = rand_unitary(n, rng)
     A = (U * w) @ U.conj().T
     assert matcore.is_positive_definite(A, 1e-14) is expected
     assert _eigvalsh_rule(A, 1e-14) is expected
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    B = (Q * w) @ Q.T
+    assert _eigvalsh_rule(B, 1e-14) is expected
+    assert matcore.is_positive_definite(B, 1e-14) is expected
+    assert matcore.is_positive_definite(B.astype(complex), 1e-14) is expected
+
+
+@pytest.fixture
+def cholesky_dtypes(monkeypatch):
+    """Record the dtype of every matrix handed to ``np.linalg.cholesky``."""
+    dtypes = []
+    original = np.linalg.cholesky
+
+    def wrapper(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", wrapper)
+    return dtypes
+
+
+@pytest.mark.parametrize("n", [6, 66, 258])
+def test_positive_definite_takes_the_real_path_only_for_a_zero_imaginary_part(n, cholesky_dtypes):
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for ratio, expected in [(1e-12, True), (1e-15, False), (-1e-6, False)]:
+        w = np.concatenate([[ratio], rng.uniform(1e-3, 1.0, size=n - 2), [1.0]])
+        B = (Q * w) @ Q.T
+        tilted = B.astype(complex)
+        tilted[0, 1] += 1e-300j  # off zero, far below any rounding of B
+        tilted[1, 0] -= 1e-300j
+        cholesky_dtypes.clear()
+        assert matcore.is_positive_definite(B.astype(complex), 1e-14) is expected
+        assert cholesky_dtypes == [np.dtype(float)]
+        cholesky_dtypes.clear()
+        assert matcore.is_positive_definite(tilted, 1e-14) is expected
+        assert cholesky_dtypes == [np.dtype(complex)]
 
 
 @pytest.mark.parametrize("n", [1, 6, 66, 258])
 def test_positive_definite_certificate_rejects_the_zero_block(n):
     assert matcore.is_positive_definite(np.zeros((n, n)), 1e-14) is False
     assert matcore.is_positive_definite(np.eye(n), 1e-14) is True
+
+
+# -- closed-form spectra of 2x2 stacks ----------------------------------------------------
+
+
+def test_psd_spectrum_of_2x2_stacks_matches_eigvalsh():
+    # Trace and determinant replace LAPACK for (N, 2, 2) stacks without vectors;
+    # single matrices keep eigvalsh.  Eigenvalues agree to rounding of lam_max,
+    # including spectra down to 1e-12 and exact zeros.
+    rng = np.random.default_rng(5)
+    lo = np.concatenate([np.zeros(50), 10.0 ** rng.uniform(-12.0, 0.0, size=250)])
+    mats = []
+    for w in lo:
+        U = rand_unitary(2, rng)
+        mats.append((U * [w, 1.0]) @ U.conj().T)
+    stack = np.array(mats)
+    got = matcore.psd_spectrum(stack, labels=np.arange(len(mats)), vectors=False)
+    want = np.maximum(np.linalg.eigvalsh(matcore.hermitian_part(stack)), 0.0)
+    assert np.all(np.abs(got.eigenvalues - want) <= 4 * np.finfo(float).eps)
+    assert got.eigenvectors is None
+    # Diagonal stacks have exact spectra, which the closed form reproduces.
+    diag = np.zeros((len(lo), 2, 2), dtype=complex)
+    diag[:, 0, 0], diag[:, 1, 1] = 1.0, lo
+    w = matcore.psd_spectrum(diag, labels=np.arange(len(lo)), vectors=False).eigenvalues
+    assert np.array_equal(w, np.stack([lo, np.ones_like(lo)], axis=1))
+
+
+def test_psd_spectrum_of_2x2_stacks_rejects_what_eigvalsh_rejects():
+    rng = np.random.default_rng(6)
+    for neg in (-1e-3, -0.2):
+        U = rand_unitary(2, rng)
+        bad = (U * [neg, 1.0 - neg]) @ U.conj().T
+        stack = np.array([np.eye(2) / 2, bad, bad])
+        with pytest.raises(NotPSD, match=f"factor 2 has eigenvalue {neg:.3e} below the PSD floor"):
+            matcore.psd_spectrum(stack, who="factor", labels=np.array([1, 2, 3]), vectors=False)
+        with pytest.raises(NotPSD, match=f"has eigenvalue {neg:.3e} below"):
+            matcore.psd_spectrum(bad, vectors=False)

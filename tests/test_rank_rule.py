@@ -107,6 +107,8 @@ def _state(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
 def test_decompose_eigensolve_budget(counted, d, budget, kind):
     # Validation (eigvalsh of sigma, eigh of rho), the excision's eigh, and one
     # eigh in the geometric mean, which sizes 1 and 2 replace by closed forms.
+    # With faithful rho and sigma the excision is sigma in rho's eigenbasis: its
+    # spectrum is sigma's and nothing reads its eigenvectors, so it takes none.
     k = (d + 1) // 2
     rng = np.random.default_rng(d)
     sigma = _state(rng, d, k if kind == "deficient-sigma" else d)
@@ -116,6 +118,17 @@ def test_decompose_eigensolve_budget(counted, d, budget, kind):
         "full": (0, d, 0), "deficient-sigma": (d - k, k, 0),
         "deficient-rho": (0, k, d - k), "rank1-rho": (0, 1, d - 1),
     }[kind]
-    assert counted["eigensolves"] <= budget
+    assert counted["eigensolves"] <= (budget - 1 if kind == "full" else budget)
     for operand in (sigma, rho):
         assert sum(np.array_equal(A, operand) for A in counted["hermitian"]) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_predicates_on_faithful_pairs_make_two_eigensolves(counted, d):
+    # Only the two validations: the excision's spectrum is sigma's.
+    rng = np.random.default_rng([d, 1])
+    sigma, rho = _state(rng, d, d), _state(rng, d, d)
+    assert is_abs_continuous(sigma, rho)
+    assert counted["eigensolves"] == 2
+    assert not is_singular(rho, sigma)
+    assert counted["eigensolves"] == 4
