@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, contiguity, gaussian, lebesgue, presets, qlan
-from .errors import NonHermitian, NumericCheckFailure, QlebError
+from .errors import NumericCheckFailure, QlebError, ValidationError
 from .matcore import DEFAULT_TOL, TOL_PROFILES, ToleranceConfig, check_hermitian
 
 TOL_FIELDS = ("hermitian", "rank_rel", "psd_floor", "recon", "ortho", "eq_rel")
@@ -68,8 +68,8 @@ def parse_matrix_document(doc: Any, where: str = "matrix",
             A[i, j] = complex(float(cell[0]), float(cell[1]))
     try:
         check_hermitian(A, tol)
-    except NonHermitian as exc:
-        raise NonHermitian(f"{where}: {exc}") from exc
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     return A
 
 

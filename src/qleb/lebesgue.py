@@ -83,9 +83,9 @@ class _Split(NamedTuple):
     ``w_r`` rho's support eigenvalues, ``ex`` the excision of sigma onto supp
     rho in the ``supp_r`` basis with ascending eigenvalues ``wx``, and ``h2``
     marks those spanning H2 (a top segment); the others span H1.  ``Vx`` holds
-    the excision's eigenvectors (phases not yet fixed) when rho is not
-    faithful; for faithful rho the excision is sigma in rho's eigenbasis,
-    ``wx`` is sigma's validated spectrum and ``Vx`` is ``None``.
+    the excision's phase-fixed eigenvectors when they were asked for and rho
+    is not faithful, else ``None``; for faithful rho the excision is sigma in
+    rho's eigenbasis and ``wx`` is sigma's validated spectrum.
     """
 
     s: np.ndarray
@@ -98,13 +98,15 @@ class _Split(NamedTuple):
     h2: np.ndarray
 
 
-def _split(sigma, rho, tol: ToleranceConfig) -> _Split:
+def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split:
     """The three-block split of ``sigma`` relative to ``rho``.
 
-    Every zero/nonzero decision is the rank rule of
-    :func:`matcore.support_mask`: rho's eigenvalues are measured against
-    rho's largest eigenvalue, the excision's against sigma's, so a
-    compression that is rounding noise never counts as a support.
+    The excision's eigenvectors are taken only with ``vectors``: the
+    predicates read its eigenvalues alone.  Every zero/nonzero decision is
+    the rank rule of :func:`matcore.support_mask`: rho's eigenvalues are
+    measured against rho's largest eigenvalue, the excision's against
+    sigma's, so a compression that is rounding noise never counts as a
+    support.
     """
     s = _as_positive_operator(sigma, tol, "sigma", vectors=False)
     r = _as_positive_operator(rho, tol, "rho")
@@ -113,7 +115,7 @@ def _split(sigma, rho, tol: ToleranceConfig) -> _Split:
     supp = matcore.support_mask(r.eigenvalues, tol)
     supp_r = r.eigenvectors[:, supp]
     ex = hermitian_part(supp_r.conj().T @ s.mat @ supp_r)
-    wx, Vx = (s.eigenvalues, None) if supp.all() else np.linalg.eigh(ex)
+    wx, Vx = (s.eigenvalues, None) if supp.all() else matcore._eigh(ex, vectors)
     h2 = matcore.support_mask(wx, tol, lam_max=s.eigenvalues[-1])
     return _Split(s.mat, supp_r, r.eigenvectors[:, ~supp], r.eigenvalues[supp], ex, wx, Vx, h2)
 
@@ -186,8 +188,7 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         # In the excision eigenbasis sigma0 is diagonal; rho's block is not.
         # The split fixed the H2 count; both spectra ascend, so h2 selects the
         # same top segment of this eigensolve.
-        wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else np.linalg.eigh(sp.ex)
-        Vx = matcore._phase_fix(Vx)
+        wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else matcore._eigh(sp.ex)
         P = Vx[:, sp.h2]
         basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
         w0, V0 = wx[sp.h2], None
@@ -219,7 +220,7 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     construction applies; the kernel component of ``sqrt_lr`` is fixed to
     zero (canonical choice), so repeated calls are reproducible.
     """
-    return _decompose(_split(sigma, rho, tol))
+    return _decompose(_split(sigma, rho, tol, vectors=True))
 
 
 def sqrt_likelihood_ratio(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -1,27 +1,35 @@
 """Spectral calculus for dense Hermitian/PSD matrices.
 
 Every PSD or strict-positivity check on an operand goes through one
-validation routine, :func:`psd_spectrum` (Hermiticity check, eigensolve or,
-for stacks of 2x2 matrices, the trace-determinant closed form, phase fix,
-PSD floor, clamp), and every zero/nonzero decision through one rank rule,
-:func:`support_mask`; both are controlled by one :class:`ToleranceConfig`.
-The one positivity decision that needs no spectrum is
-:func:`is_positive_definite`: a yes/no answer for a declared block, from a
-single shifted Cholesky (in real arithmetic when the block is real).  Matrix functions (square root,
+validation routine, :func:`psd_spectrum` (Hermiticity and finiteness check,
+eigensolve or, for stacks of 2x2 matrices, the trace-determinant closed
+form, phase fix, PSD floor, clamp), and every zero/nonzero decision through
+one rank rule, :func:`support_mask`; both are controlled by one
+:class:`ToleranceConfig`.  Every eigensolve of a single matrix goes through
+one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
+entries scaled by a power of 2 so that nothing overflows or underflows, and
+LAPACK above (the geometric mean's inner eigensolve, at sizes 3 and up and
+with no use for phases, calls LAPACK directly).  The one positivity
+decision that needs no spectrum is :func:`is_positive_definite`: a yes/no
+answer for a declared block, from a single shifted Cholesky (in real
+arithmetic when the block is real).  Matrix functions (square root,
 pseudo-inverse, logarithm, exponential) are applied on the validated
-spectrum.  Eigenbases are made deterministic by ordering eigenvalues
-ascending and fixing the phase of each eigenvector (first significant
-component real positive).
+spectrum; ``exp(iH)`` at size 2 is closed-form.  Eigenbases are made
+deterministic by ordering eigenvalues ascending and fixing the phase of
+each eigenvector (first significant component real positive).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive
+from .errors import (DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive, NumericCheckFailure,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -99,21 +107,38 @@ def _failure(bad, who: str, labels: np.ndarray | None) -> tuple | None:
     return (int(hits[0]), f"{who} {labels[hits[0]]}") if hits.size else None
 
 
+def _frob(A: np.ndarray, stack: bool) -> np.ndarray:
+    """Frobenius norm of each matrix; one matrix as ``sqrt(vdot)``, cheaper than ``np.linalg.norm``."""
+    return np.linalg.norm(A, axis=(1, 2)) if stack else np.sqrt(np.vdot(A, A).real)
+
+
 def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
                     labels: np.ndarray | None = None) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part of ``A``.
 
     With ``labels``, ``A`` is a stack ``(len(labels), d, d)``, and an error
-    names its first failing matrix ``"<who> <label>"``.
+    names its first failing matrix ``"<who> <label>"``.  A matrix with a NaN
+    or infinite entry is rejected; it shows as a norm that is not finite, so
+    the entries are read again only then.  Finite entries whose squares
+    overflow are judged by the same rule in units of their largest entry.
     """
-    A = check_square(A, stack=labels is not None)
-    axes = None if labels is None else (1, 2)
+    stack = labels is not None
+    A = check_square(A, stack=stack)
     A_star = A.conj().swapaxes(-1, -2)
     diff = A - A_star
-    dev = np.linalg.norm(diff, axis=axes)
-    if failure := _failure(dev > tol.hermitian * (1.0 + np.linalg.norm(A, axis=axes)), who, labels):
+    dev, size, unit = _frob(diff, stack), _frob(A, stack), 1.0
+    if _failure(~(dev + size < np.inf), who, labels):
+        if failure := _failure(~np.isfinite(A).all(axis=(-2, -1)), who, labels):
+            k, name = failure
+            i, j = np.argwhere(~np.isfinite(A[k]))[0]
+            raise ValidationError(f"{name} has a non-finite entry [{i}][{j}]={A[k][i, j]}")
+        big = np.abs(A).max(axis=(-2, -1), keepdims=True)
+        scaled = A / big
+        unit = 1.0 / big[..., 0, 0]
+        dev, size = _frob(scaled - scaled.conj().swapaxes(-1, -2), stack), _frob(scaled, stack)
+    if failure := _failure(dev > tol.hermitian * (unit + size), who, labels):
         k, name = failure
-        a, dev = A[k], dev[k]
+        a, dev = A[k], (dev / unit)[k]
         i, j = np.unravel_index(np.argmax(np.abs(diff[k])), a.shape)
         raise NonHermitian(
             f"{name} is not Hermitian: entry [{i}][{j}]={a[i, j]:.6g} vs "
@@ -131,8 +156,69 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
     return V * (pivot.conj() / np.abs(pivot))
 
 
-def _eigh(H: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition; one matrix gets deterministic phases, a stack keeps LAPACK's."""
+def _ldexp(z: complex, k: int) -> complex:
+    """``z * 2**k``, exact wherever the result is a normal number."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _phased(x: complex, y: complex) -> tuple[complex, complex]:
+    """The unit 2-vector ``(x, y)`` under :func:`_phase_fix`'s rule."""
+    p = x if abs(x) > 1e-12 * max(abs(x), abs(y)) else y
+    r = p.conjugate() / abs(p)
+    return x * r, y * r
+
+
+def _eigh2(H: np.ndarray, vectors: bool) -> SpectralDecomposition:
+    """Closed-form eigensystem of one Hermitian matrix of size at most 2.
+
+    Diagonal and scalar input is exact.  Otherwise the entries are scaled by
+    a power of 2 to unit size, so no product of them overflows or
+    underflows, and the eigenvalues are ``tr/2 -+ gap`` with ``gap =
+    hypot((a - c)/2, |b|)``, the root of smaller magnitude taken as
+    ``det / big`` as in :func:`_spectrum_2x2`.  The larger eigenvalue's
+    vector is built from the component that does not cancel, ``gap + delta``
+    or ``gap - delta`` with ``delta = (a - c)/2``; the other vector is its
+    orthogonal complement.
+    """
+    if H.shape[0] < 2:
+        return SpectralDecomposition(H.diagonal().real.copy(),
+                                     np.eye(H.shape[0], dtype=complex) if vectors else None)
+    (a, b), (_, c) = H.tolist()
+    a, c = a.real, c.real
+    e = math.frexp(max(abs(a), abs(c), abs(b)))[1]
+    b = _ldexp(b, -e)
+    if b == 0:
+        # Diagonal, or an off-diagonal entry below the diagonal's resolution.
+        swap = c < a
+        V = np.array([[0j, 1], [1, 0]]) if swap else np.eye(2, dtype=complex)
+        return SpectralDecomposition(np.array([c, a] if swap else [a, c]), V if vectors else None)
+    a, c = math.ldexp(a, -e), math.ldexp(c, -e)
+    half, delta = (a + c) / 2, (a - c) / 2
+    gap = math.hypot(delta, abs(b))
+    big = half + math.copysign(gap, half)
+    small = (a * c - b.real * b.real - b.imag * b.imag) / big
+    lo, hi = (small, big) if half >= 0 else (big, small)
+    w = np.array([math.ldexp(min(lo, hi), e), math.ldexp(max(lo, hi), e)])
+    if not vectors:
+        return SpectralDecomposition(w, None)
+    x, y = (complex(gap + delta), b.conjugate()) if delta >= 0 else (b, complex(gap - delta))
+    norm = math.hypot(abs(x), abs(y))
+    u0, u1 = _phased(x / norm, y / norm)
+    v0, v1 = _phased(-u1.conjugate(), u0.conjugate())
+    return SpectralDecomposition(w, np.array([[v0, u0], [v1, u1]]))
+
+
+def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+    """The one eigensolver: ascending eigenvalues, and eigenvectors when ``vectors``.
+
+    One matrix gets deterministic phases (:func:`_phase_fix`'s rule), in
+    closed form at sizes 1 and 2 (:func:`_eigh2`, no LAPACK call); a stack
+    keeps LAPACK's phases.  Without ``vectors`` the eigenvectors are ``None``.
+    """
+    if H.ndim == 2 and H.shape[0] <= 2:
+        return _eigh2(H, vectors)
+    if not vectors:
+        return SpectralDecomposition(np.linalg.eigvalsh(H), None)
     w, V = np.linalg.eigh(H)
     return SpectralDecomposition(w, _phase_fix(V) if V.ndim == 2 else V)
 
@@ -159,16 +245,16 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     ``lam_max`` and clamps the admissible negative ones to zero.  With
     ``labels``, a stack as in :func:`check_hermitian` (phases not fixed);
     the eigenvalues of a ``(N, 2, 2)`` stack without vectors come from
-    trace and determinant (:func:`_spectrum_2x2`), with no LAPACK call.
+    trace and determinant (:func:`_spectrum_2x2`), with no LAPACK call.  A
+    single matrix is diagonalised by :func:`_eigh`, in closed form up to
+    size 2.
     """
     H = check_hermitian(A, tol, who, labels)
-    if vectors:
-        w, V = _eigh(H)
-    elif labels is not None and H.shape[-1] == 2:
+    if labels is not None and H.shape[-1] == 2 and not vectors:
         a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, np.abs(H[:, 0, 1])
         w, V = _spectrum_2x2(a + c, a * c - b * b, np.hypot((a - c) / 2, b)), None
     else:
-        w, V = np.linalg.eigvalsh(H), None
+        w, V = _eigh(H, vectors)
     lo, hi = (w[..., 0], w[..., -1]) if w.shape[-1] else (np.zeros(w.shape[:-1]),) * 2
     floor = -tol.psd_floor * np.maximum(hi, -lo)
     if failure := _failure(lo < floor, who, labels):
@@ -253,9 +339,23 @@ def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian)."""
-    w, V = eig_hermitian(H, tol)
-    return (V * np.exp(1j * w)) @ V.conj().T
+    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian).
+
+    At size 2 no eigenvector is formed: with ``t = Tr H / 2`` and ``g =
+    hypot((a - c)/2, |b|)``, ``exp(iH) = e^{it} (cos g I + i (sin g / g) (H - t I))``.
+    """
+    H = check_hermitian(H, tol)
+    if H.shape[0] != 2:
+        w, V = _eigh(H)
+        return (V * np.exp(1j * w)) @ V.conj().T
+    (a, b), (_, c) = H.tolist()
+    t, delta = a.real / 2 + c.real / 2, a.real / 2 - c.real / 2
+    g = math.hypot(delta, abs(b))
+    cos_g, sinc_g = math.cos(g), (math.sin(g) / g if g else 1.0)
+    phase = cmath.exp(1j * t)
+    off = 1j * sinc_g * phase
+    return np.array([[(cos_g + 1j * sinc_g * delta) * phase, off * b],
+                     [off * b.conjugate(), (cos_g - 1j * sinc_g * delta) * phase]])
 
 
 def _check_strictly_positive(A: np.ndarray, tol: ToleranceConfig, who: str) -> PSDSpectrum:
@@ -297,8 +397,19 @@ def is_positive_definite(A: np.ndarray, strict: float) -> bool:
     return True
 
 
-def _det2(A: np.ndarray) -> float:
-    return float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]).real)
+def _resolved_det2(a: float, c: float, b: complex) -> float:
+    """Determinant of ``[[a, b], [conj(b), c]]``, refused unless it is positive."""
+    det = a * c - (b * b.conjugate()).real
+    if not det > 0:
+        raise NumericCheckFailure(
+            f"2x2 geometric mean unresolved: a determinant ({det:.3e}) is not positive "
+            "at working precision")
+    return det
+
+
+def _unit4(x: float) -> int:
+    """``k`` with ``x / 4**k`` in ``[1/4, 2)``: a scale whose square root is a power of 2."""
+    return math.frexp(x)[1] // 2
 
 
 def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -306,18 +417,35 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
 
     Scale, one eigensolve, scale: ``C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}``
     (Cholesky mean with the diagonal factor ``C^{1/2}``).  Sizes 1 and 2 use
-    closed forms, with the adjugate for a 2x2 inverse.
+    closed forms, with the adjugate for a 2x2 inverse; a 2x2 ``M`` whose
+    determinant is not positive at working precision raises
+    :class:`NumericCheckFailure` (the rank rule passed a block whose
+    positivity the entries cannot resolve).
     """
     if c.size == 1:
         return np.sqrt(c / M.real if inverse else c * M.real).astype(complex)
     if c.size == 2:
         # Determinant closed form; unlike the spectral route it stays accurate
-        # when the eigenvalue range approaches 1/eps^2.
+        # when the eigenvalue range approaches 1/eps^2.  The mean is jointly
+        # homogeneous, (x C) # (y M)^{+-1} = sqrt(x y^{+-1}) C # M^{+-1}, so it
+        # is taken on C and M scaled by powers of 4 to unit size: exactly, and
+        # no product of entries overflows or underflows.
+        (m00, m01), (m10, m11) = M.tolist()
+        c0, c1 = c.tolist()
+        m01 = (m01 + m10.conjugate()) / 2
+        kc, km = _unit4(max(c0, c1)), _unit4(max(abs(m00), abs(m11), abs(m01)))
+        c0, c1 = math.ldexp(c0, -2 * kc), math.ldexp(c1, -2 * kc)
+        m00, m11, m01 = math.ldexp(m00.real, -2 * km), math.ldexp(m11.real, -2 * km), _ldexp(m01, -2 * km)
+        dm = _resolved_det2(m00, m11, m01)
         if inverse:
-            M = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / _det2(M)
-        dc, dm = c[0] * c[1], _det2(M)
-        N = np.sqrt(dm) * np.diag(c) + np.sqrt(dc) * M
-        return hermitian_part(N * (dc * dm) ** 0.25 / np.sqrt(_det2(N)))
+            m00, m11, m01, dm = m11 / dm, m00 / dm, -m01 / dm, 1.0 / dm
+        dc = c0 * c1
+        root_dm, root_dc = math.sqrt(dm), math.sqrt(dc)
+        n00, n11, n01 = root_dm * c0 + root_dc * m00, root_dm * c1 + root_dc * m11, root_dc * m01
+        q, r = (dc * dm) ** 0.25, math.sqrt(_resolved_det2(n00, n11, n01))
+        scale = math.ldexp(1.0, kc - km if inverse else kc + km)
+        n01 = n01 * q / r * scale
+        return np.array([[n00 * q / r * scale, n01], [n01.conjugate(), n11 * q / r * scale]], dtype=complex)
     root = np.sqrt(c)
     scale = root if inverse else 1.0 / root
     w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))

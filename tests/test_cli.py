@@ -344,3 +344,18 @@ def test_exit_code_contract_numeric_failure(tmp_path, capsys):
     assert "numeric check failed" in err
     # the report is still emitted, with the offending residual inside
     assert "reconstruction" in out
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("operand", ["sigma", "rho"])
+def test_decompose_rejects_non_finite_entries(tmp_path, capsys, bad, operand):
+    half = matrix_document(np.eye(2) / 2)
+    broken = matrix_document(np.eye(2) / 2)
+    broken["entries"][1][1] = [bad, 0.0]
+    paths = {"sigma": write_json(tmp_path / "sigma.json", half),
+             "rho": write_json(tmp_path / "rho.json", half)}
+    paths[operand] = write_json(tmp_path / f"{operand}-bad.json", broken)
+    code, out, err = run(capsys, ["decompose", paths["sigma"], paths["rho"]])
+    assert code == 2
+    assert out == ""
+    assert paths[operand] in err and "non-finite entry [1][1]" in err

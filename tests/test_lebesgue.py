@@ -13,7 +13,7 @@ from qleb import (
     sqrt_likelihood_ratio,
     support_projector,
 )
-from qleb.errors import NotPSD, NotStrictlyPositive, ZeroState
+from qleb.errors import NotPSD, NotStrictlyPositive, ValidationError, ZeroState
 from qleb.presets import (
     faithful_to_pure_limits,
     faithful_to_pure_pair,
@@ -325,3 +325,36 @@ def test_ratio_residual_on_wide_spectra(d, ratio, forms, bound):
             R, ac = dec.sqrt_lr, dec.ac
             resid = np.linalg.norm(R @ rho @ R - ac) / (1 + np.linalg.norm(ac))
             assert resid <= bound, (form, seed, resid)
+
+
+# -- scale covariance and non-finite input ---------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_scale_covariance_across_the_float_range(d):
+    # R(c sigma, rho) = sqrt(c) R(sigma, rho) and R(sigma, c rho) = R(sigma, rho) / sqrt(c)
+    # for c = 10^k, k in [-300, 300]: no product of entries may overflow or underflow.
+    rng = np.random.default_rng([d, 300])
+    for _ in range(3):
+        sigma, rho = rand_density(d, rng), rand_density(d, rng)
+        base = lebesgue_decompose(sigma, rho)
+        for k in range(-300, 301, 20):
+            c = 10.0 ** k
+            for dec, factor in ((lebesgue_decompose(c * sigma, rho), np.sqrt(c)),
+                                (lebesgue_decompose(sigma, c * rho), 1.0 / np.sqrt(c))):
+                assert dec.split.dims == base.split.dims, k
+                assert rel_err(dec.sqrt_lr / factor, base.sqrt_lr) <= 1e-12, k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operand", ["sigma", "rho"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_non_finite_operand_is_rejected(bad, operand, d):
+    rng = np.random.default_rng(d)
+    ops = {"sigma": rand_density(d, rng), "rho": rand_density(d, rng)}
+    ops[operand][1, 1] = bad
+    for call in (lambda: lebesgue_decompose(ops["sigma"], ops["rho"]),
+                 lambda: is_singular(ops["rho"], ops["sigma"]),
+                 lambda: is_abs_continuous(ops["rho"], ops["sigma"])):
+        with pytest.raises(ValidationError, match=f"^{operand} has a non-finite entry"):
+            call()

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qleb import matcore
-from qleb.errors import DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive
+from qleb.errors import (DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive, NumericCheckFailure,
+                         ValidationError)
 from qleb.matcore import (
     DEFAULT_TOL,
     TOL_PROFILES,
@@ -300,9 +303,9 @@ def test_positive_definite_certificate_rejects_the_zero_block(n):
 
 
 def test_psd_spectrum_of_2x2_stacks_matches_eigvalsh():
-    # Trace and determinant replace LAPACK for (N, 2, 2) stacks without vectors;
-    # single matrices keep eigvalsh.  Eigenvalues agree to rounding of lam_max,
-    # including spectra down to 1e-12 and exact zeros.
+    # Trace and determinant replace LAPACK for (N, 2, 2) stacks without vectors
+    # (single matrices have their own closed form, tested below).  Eigenvalues
+    # agree to rounding of lam_max, including spectra down to 1e-12 and exact zeros.
     rng = np.random.default_rng(5)
     lo = np.concatenate([np.zeros(50), 10.0 ** rng.uniform(-12.0, 0.0, size=250)])
     mats = []
@@ -331,3 +334,138 @@ def test_psd_spectrum_of_2x2_stacks_rejects_what_eigvalsh_rejects():
             matcore.psd_spectrum(stack, who="factor", labels=np.array([1, 2, 3]), vectors=False)
         with pytest.raises(NotPSD, match=f"has eigenvalue {neg:.3e} below"):
             matcore.psd_spectrum(bad, vectors=False)
+
+
+# -- closed-form eigensystems of single matrices of size <= 2 ------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _eigh_reference(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK plus the phase fix: the reference for the closed forms."""
+    w, V = np.linalg.eigh(H)
+    return w, matcore._phase_fix(V)
+
+
+def _two_by_two_cases() -> list[np.ndarray]:
+    """Haar, rank-1, near-degenerate and wide spectra, each also at scales 1e+-300."""
+    rng = np.random.default_rng(2026)
+    spectra = [rng.uniform(-1.0, 1.0, size=2) for _ in range(200)]
+    spectra += [np.array([0.0, 1.0])] * 50
+    spectra += [np.array([1.0, 1.0 + 1e-15])] * 50
+    spectra += [np.array([10.0 ** -rng.uniform(0.0, 12.0), 1.0]) for _ in range(100)]
+    mats = []
+    for w in spectra:
+        U = rand_unitary(2, rng)
+        mats.append(matcore.hermitian_part((U * w) @ U.conj().T))
+    return mats + [1e300 * A for A in mats[::10]] + [1e-300 * A for A in mats[::10]]
+
+
+def test_closed_form_eigensystem_matches_lapack():
+    for H in _two_by_two_cases():
+        _check_closed_form_eigensystem(H)
+
+
+def _check_closed_form_eigensystem(H: np.ndarray) -> None:
+    w, V = matcore._eigh(H)
+    assert np.array_equal(matcore._eigh(H, vectors=False).eigenvalues, w)
+    w_ref, V_ref = _eigh_reference(H)
+    # Norms in units of the largest entry, so that 1e300 does not overflow.
+    unit = np.abs(H).max()
+    size = np.linalg.norm(H / unit)
+    assert np.all(np.abs(w - w_ref) / unit <= 4 * EPS * size)
+    assert np.linalg.norm((V * (w / unit)) @ V.conj().T - H / unit) <= 4 * EPS * size
+    assert np.linalg.norm(V.conj().T @ V - np.eye(2)) <= 4 * EPS
+    for k in range(2):
+        col = V[:, k]
+        first = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
+        assert abs(first.imag) <= 1e-15 and first.real > 0
+    if w_ref[1] - w_ref[0] > 1e-3 * np.abs(w_ref).max():
+        # Resolved spectrum: the same phase-fixed eigenvectors as LAPACK's.
+        assert np.abs(V - V_ref).max() <= 1e-13
+
+
+def test_closed_form_small_eigenvalue_keeps_its_relative_accuracy():
+    # Graded input [[1, b], [conj(b), s]] with |b|^2 << s determines the small
+    # eigenvalue det / lam_max to full relative accuracy; ``tr/2 - gap`` would
+    # cancel down to an absolute eps.  Reference: det in exact rational
+    # arithmetic on the same floats, over lam_max (itself accurate to eps).
+    rng = np.random.default_rng(9)
+    for k in range(2, 15):
+        s = 10.0 ** -k
+        b = 1e-2 * np.sqrt(s) * np.exp(2j * np.pi * rng.uniform())
+        H = np.array([[1.0, b], [np.conj(b), s]])
+        w = matcore._eigh(H, vectors=False).eigenvalues
+        det = Fraction(1.0) * Fraction(s) - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2
+        want = float(det / Fraction(w[1]))
+        assert abs(w[0] - want) <= 4 * EPS * want, k
+
+
+@pytest.mark.parametrize("diag", [[1.0, 2.0], [2.0, 1.0], [-3.0, 1e-300], [5.0, 5.0], [0.0, 0.0], [7.0]])
+def test_closed_form_eigensystem_of_diagonal_and_scalar_input_is_exact(diag):
+    w, V = matcore._eigh(np.diag(diag).astype(complex))
+    assert np.array_equal(w, np.sort(diag))
+    assert np.array_equal(V, np.eye(len(diag))[:, np.argsort(diag, kind="stable")])
+
+
+def test_closed_form_eigensystem_makes_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(7)
+    for d in (1, 2):
+        A = rand_psd(d, rng)
+        eig_hermitian(A)
+        matcore.psd_spectrum(A, vectors=False)
+        unitary_exp(A)
+
+
+def test_unitary_exp_of_size_two_matches_the_eigen_route():
+    rng = np.random.default_rng(8)
+    cases = [np.zeros((2, 2)), np.diag([0.3, -2.0]), 1e-9 * np.eye(2)]
+    for _ in range(300):
+        U = rand_unitary(2, rng)
+        w = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-8.0, 1.5)
+        cases.append(matcore.hermitian_part((U * w) @ U.conj().T))
+    for H in cases:
+        w, V = _eigh_reference(H.astype(complex))
+        want = (V * np.exp(1j * w)) @ V.conj().T
+        got = unitary_exp(H)
+        assert np.abs(got - want).max() <= 8 * EPS * max(1.0, np.abs(w).max())
+        assert np.linalg.norm(got @ got.conj().T - np.eye(2)) <= 8 * EPS
+
+
+def test_two_by_two_mean_refuses_an_unresolved_determinant():
+    # The rank rule can pass a block whose determinant the entries cannot
+    # resolve; the closed form refuses instead of returning NaN.
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    for inverse in (False, True):
+        with pytest.raises(NumericCheckFailure, match="2x2 geometric mean unresolved"):
+            matcore._diag_mean(np.array([1.0, 2.0]), singular, inverse=inverse)
+
+
+# -- non-finite input ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 5])
+def test_non_finite_entries_are_rejected(bad, d):
+    A = np.eye(d, dtype=complex) / d
+    A[0, 1] = A[1, 0] = bad
+    with pytest.raises(ValidationError, match="operand has a non-finite entry"):
+        matcore.check_hermitian(A, who="operand")
+    with pytest.raises(ValidationError, match="factor 4 has a non-finite entry"):
+        matcore.psd_spectrum(np.array([np.eye(d) / d, A]), who="factor", labels=np.array([3, 4]),
+                             vectors=False)
+
+
+def test_hermiticity_rule_holds_where_squares_overflow():
+    # Entries near 1e200 overflow the squared norms; the rule then runs in
+    # units of the largest entry, and still rejects an asymmetric matrix.
+    A = 1e200 * np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    assert np.array_equal(matcore.check_hermitian(A), A)
+    A[0, 1] *= 1 + 1e-6
+    with pytest.raises(NonHermitian, match=r"deviation 7.071e\+193"):
+        matcore.check_hermitian(A)

@@ -76,8 +76,9 @@ def test_orthogonal_supports_are_singular_and_not_ac(d):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count eigensolves and record the arguments of every Hermiticity check."""
-    calls = {"eigensolves": 0, "hermitian": []}
+    """Count LAPACK eigensolves and closed-form eigensystems (sizes <= 2), and
+    record the arguments of every Hermiticity check."""
+    calls = {"eigensolves": 0, "closed_form": 0, "hermitian": []}
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
@@ -93,6 +94,13 @@ def counted(monkeypatch):
         return check(A, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "check_hermitian", checked)
+    closed_form = matcore._eigh2
+
+    def counted_closed_form(*args, **kwargs):
+        calls["closed_form"] += 1
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_eigh2", counted_closed_form)
     return calls
 
 
@@ -109,6 +117,7 @@ def test_decompose_eigensolve_budget(counted, d, budget, kind):
     # eigh in the geometric mean, which sizes 1 and 2 replace by closed forms.
     # With faithful rho and sigma the excision is sigma in rho's eigenbasis: its
     # spectrum is sigma's and nothing reads its eigenvectors, so it takes none.
+    # At d = 2 every eigensystem is closed-form: no LAPACK eigensolve at all.
     k = (d + 1) // 2
     rng = np.random.default_rng(d)
     sigma = _state(rng, d, k if kind == "deficient-sigma" else d)
@@ -118,17 +127,45 @@ def test_decompose_eigensolve_budget(counted, d, budget, kind):
         "full": (0, d, 0), "deficient-sigma": (d - k, k, 0),
         "deficient-rho": (0, k, d - k), "rank1-rho": (0, 1, d - 1),
     }[kind]
-    assert counted["eigensolves"] <= (budget - 1 if kind == "full" else budget)
+    assert counted["eigensolves"] + counted["closed_form"] <= budget - (kind == "full")
+    if d == 2:
+        assert counted["eigensolves"] == 0
     for operand in (sigma, rho):
         assert sum(np.array_equal(A, operand) for A in counted["hermitian"]) == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
 def test_predicates_on_faithful_pairs_make_two_eigensolves(counted, d):
-    # Only the two validations: the excision's spectrum is sigma's.
+    # Only the two validations: the excision's spectrum is sigma's.  At d = 2
+    # both are closed-form, with no LAPACK eigensolve.
+    per_call = 0 if d == 2 else 2
     rng = np.random.default_rng([d, 1])
     sigma, rho = _state(rng, d, d), _state(rng, d, d)
     assert is_abs_continuous(sigma, rho)
-    assert counted["eigensolves"] == 2
+    assert counted["eigensolves"] == per_call
     assert not is_singular(rho, sigma)
-    assert counted["eigensolves"] == 4
+    assert counted["eigensolves"] == 2 * per_call
+
+
+def test_predicates_take_only_the_excisions_eigenvalues(monkeypatch):
+    # With a rho kernel the split diagonalises the excision; the predicates read
+    # its eigenvalues alone, so the one eigh is rho's validation (its eigenbasis
+    # defines the excision) and the excision gets an eigvalsh of rho's rank.
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name in sizes:
+        original = getattr(np.linalg, name)
+
+        def wrapper(A, *args, _original=original, _name=name, **kwargs):
+            sizes[_name].append(np.shape(A)[-1])
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    rng = np.random.default_rng(8)
+    sigma, rho = _state(rng, 8, 8), _state(rng, 8, 5)
+    assert is_abs_continuous(sigma, rho) is False
+    assert is_abs_continuous(rho, sigma) is True
+    assert is_singular(rho, sigma) is False
+    assert sizes == {"eigh": [8, 8, 8], "eigvalsh": [8, 8, 5, 8, 5]}
+    sizes["eigh"].clear()
+    lebesgue_decompose(sigma, rho)
+    assert sizes["eigh"] == [8, 5, 5]  # rho, the excision, the geometric mean
