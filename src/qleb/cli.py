@@ -256,7 +256,13 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
     if kind == "iid-product":
         rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
         sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
-        return contiguity.ProductFamily(factors=lambda i: (rho, sigma))
+        if rho.shape != sigma.shape:  # the factors raise DimMismatch for factor 1
+            return contiguity.ProductFamily(factors=lambda i: (rho, sigma))
+        pair = np.stack([rho, sigma])
+        return contiguity.ProductFamily(
+            factors=lambda i: (rho, sigma),
+            stack=lambda idx: np.broadcast_to(pair, (len(idx),) + pair.shape),
+        )
     raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
 
 

@@ -99,15 +99,27 @@ class PurePowerFamily:
 class ProductFamily:
     """Factorwise family for tensor products ``rho_n = rho_1 x ... x rho_n``.
 
+    ``factors(i)`` returns the pair ``(rho_i, sigma_i)``.
     ``summand_closed_form`` optionally supplies the analytic value of
     ``1 - Tr rho_i R_i``; ``series_converges`` is the user's declared
     classification of the associated series, used for the verdict when the
     closed form is given.
+
+    ``stack`` optionally hands over many factors at once: ``stack(idx)``
+    returns the array ``(len(idx), 2, d, d)`` whose ``k``-th entry is the
+    pair ``factors(idx[k])``, all of one dimension ``d``.  When it is set,
+    the Kakutani criterion calls it once instead of ``factors`` per index,
+    and validates the stack as it validates the factors (shape, Hermiticity,
+    PSD floor, absolute continuity, errors naming the factor's index).  Any
+    layout will do, a read-only view (``np.broadcast_to``) included; it is
+    taken in C order, as the factors are, so both give the same summands bit
+    for bit.
     """
 
     factors: Callable[[int], tuple]
     summand_closed_form: Optional[Callable[[int], float]] = None
     series_converges: Optional[bool] = None
+    stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass
@@ -325,9 +337,19 @@ def pure_criterion(
 def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Summands ``1 - Tr rho_i R_i`` for all factors, with the AC precondition check.
 
-    Uniform-dimension array factors go through :func:`_stacked_summands` as one
-    stack; others (DensityMatrix factors, varying dimensions) one at a time.
+    The family's ``stack``, or else uniform-dimension array factors, go
+    through :func:`_stacked_summands` as one stack; other factors
+    (DensityMatrix factors, varying dimensions) one at a time.
     """
+    if fam.stack is not None:
+        # C order, as the factors are stacked: the layout sets numpy's
+        # summation order, and with it the summands' last bits.
+        stacked = np.ascontiguousarray(fam.stack(idx), dtype=complex)
+        if stacked.ndim != 4 or stacked.shape[:2] != (len(idx), 2):
+            raise matcore.DimMismatch(
+                f"stack of {len(idx)} factors must have shape ({len(idx)}, 2, d, d), "
+                f"got {stacked.shape}")
+        return _stacked_summands(stacked, idx, tol)
     pairs = [fam.factors(int(i)) for i in idx]
     try:
         stacked = np.asarray(pairs, dtype=complex)
@@ -351,7 +373,9 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``, and ``sigma << rho``
     iff that product has the rank of ``sigma``, measured against the operands'
     scale ``lam_max(sigma) * Tr rho`` (an upper bound of its norm), so a
-    product that is rounding noise (orthogonal supports) has rank 0.
+    product that is rounding noise (orthogonal supports) has rank 0.  The
+    summand sums ``sqrt(w)`` over the eigenvalues that rule keeps, so a
+    rank-deficient product adds no root of rounding noise.
 
     For ``d = 2`` the product's spectrum comes from its trace ``Tr(rho sigma)``
     and determinant ``det(rho) det(sigma)`` (:func:`matcore._spectrum_2x2`),
@@ -370,16 +394,15 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     else:
         sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
         w_m = np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma))
-    w_m = np.maximum(w_m, 0.0)
     rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
     scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
-    rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
-    bad = np.nonzero(rank_inner < rank_sigma)[0]
+    kept = matcore.support_mask(w_m, tol, lam_max=scale)
+    bad = np.nonzero(kept.sum(axis=-1) < rank_sigma)[0]
     if bad.size:
         raise FactorNotAC(
             f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
         )
-    return np.maximum(0.0, 1.0 - np.sqrt(w_m).sum(axis=1))
+    return np.maximum(0.0, 1.0 - np.sqrt(np.where(kept, w_m, 0.0)).sum(axis=1))
 
 
 def kakutani_criterion(

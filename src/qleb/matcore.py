@@ -108,8 +108,16 @@ def _failure(bad, who: str, labels: np.ndarray | None) -> tuple | None:
 
 
 def _frob(A: np.ndarray, stack: bool) -> np.ndarray:
-    """Frobenius norm of each matrix; one matrix as ``sqrt(vdot)``, cheaper than ``np.linalg.norm``."""
-    return np.linalg.norm(A, axis=(1, 2)) if stack else np.sqrt(np.vdot(A, A).real)
+    """Frobenius norm of each matrix as ``sqrt(vdot)``: cheaper than ``np.linalg.norm``,
+    and with no warning (just a norm that is not finite) on a NaN, inf or huge entry."""
+    if stack:
+        return np.sqrt(np.einsum("nij,nij->n", A.conj(), A).real)
+    return np.sqrt(np.vdot(A, A).real)
+
+
+#: Below this Frobenius norm neither ``||A||^2`` nor ``||A - A*||^2 <= 4 ||A||^2``
+#: overflows.
+_FROB_SAFE = 2.0**510
 
 
 def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
@@ -119,23 +127,27 @@ def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str 
     With ``labels``, ``A`` is a stack ``(len(labels), d, d)``, and an error
     names its first failing matrix ``"<who> <label>"``.  A matrix with a NaN
     or infinite entry is rejected; it shows as a norm that is not finite, so
-    the entries are read again only then.  Finite entries whose squares
-    overflow are judged by the same rule in units of their largest entry.
+    the entries are read again only then, before ``A - A*`` is formed
+    (``inf - inf`` would warn).  Matrices of norm ``2**510`` and above, whose
+    squares may overflow, are judged by the same rule in units of their
+    largest entry.
     """
     stack = labels is not None
     A = check_square(A, stack=stack)
     A_star = A.conj().swapaxes(-1, -2)
-    diff = A - A_star
-    dev, size, unit = _frob(diff, stack), _frob(A, stack), 1.0
-    if _failure(~(dev + size < np.inf), who, labels):
+    size, unit = _frob(A, stack), 1.0
+    if _failure(~(size < _FROB_SAFE), who, labels):
         if failure := _failure(~np.isfinite(A).all(axis=(-2, -1)), who, labels):
             k, name = failure
             i, j = np.argwhere(~np.isfinite(A[k]))[0]
             raise ValidationError(f"{name} has a non-finite entry [{i}][{j}]={A[k][i, j]}")
-        big = np.abs(A).max(axis=(-2, -1), keepdims=True)
-        scaled = A / big
-        unit = 1.0 / big[..., 0, 0]
-        dev, size = _frob(scaled - scaled.conj().swapaxes(-1, -2), stack), _frob(scaled, stack)
+        big = np.maximum(np.abs(A).max(axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+        scaled, unit = A / big, 1.0 / big[..., 0, 0]
+        diff = scaled - scaled.conj().swapaxes(-1, -2)
+        size = _frob(scaled, stack)
+    else:
+        diff = A - A_star
+    dev = _frob(diff, stack)
     if failure := _failure(dev > tol.hermitian * (unit + size), who, labels):
         k, name = failure
         a, dev = A[k], (dev / unit)[k]

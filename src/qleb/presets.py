@@ -125,11 +125,18 @@ def three_block_family(grid: list[int] | None = None) -> BlockSequence:
 
 # -- product family drifting to the maximally mixed state ----------------------
 
-def drifting_site(t: float) -> np.ndarray:
-    """Qubit state at drift parameter ``t >= 1``; approaches I/2 as t grows."""
-    return np.array(
-        [[2 * t**2 + 2 * t + 1, 2 * t], [2 * t, 2 * t**2 - 2 * t + 1]], dtype=complex
-    ) / (4 * t**2 + 2)
+def drifting_site(t) -> np.ndarray:
+    """Qubit state at drift parameter ``t >= 1``; approaches I/2 as t grows.
+
+    An array of drift parameters gives the stack ``(*t.shape, 2, 2)`` of
+    their states, entry for entry the same as one call per parameter.
+    """
+    t = np.asarray(t, dtype=float)
+    # libm's pow, as for a Python float's ``t**2``; numpy's ``t**2`` is ``t * t``,
+    # which differs in the last bit for about 1 in 1000 parameters ``sqrt(i)``.
+    t2 = np.float_power(t, 2.0)
+    entries = np.stack([2 * t2 + 2 * t + 1, 2 * t, 2 * t, 2 * t2 - 2 * t + 1], axis=-1)
+    return (entries.astype(complex) / (4 * t2 + 2)[..., None]).reshape(t.shape + (2, 2))
 
 
 def drifting_summand(t: float) -> float:
@@ -143,16 +150,28 @@ def drifting_product_family(scaling: str = "linear", declare: bool = False) -> P
     ``scaling="linear"`` uses drift parameter ``t = i`` (summands fall like
     ``i^-2``: convergent); ``scaling="sqrt"`` uses ``t = sqrt(i)`` (summands
     fall like ``i^-1``: divergent).  With ``declare=True`` the known series
-    classification is attached alongside the closed-form summand.
+    classification is attached alongside the closed-form summand.  The
+    family's ``stack`` builds all its factors with one :func:`drifting_site`
+    call.
     """
     if scaling not in ("linear", "sqrt"):
         raise ValueError("scaling must be 'linear' or 'sqrt'")
-    drift = (lambda i: float(i)) if scaling == "linear" else (lambda i: float(np.sqrt(i)))
+
+    def drift(i):
+        t = np.asarray(i, dtype=float)
+        return t if scaling == "linear" else np.sqrt(t)
+
     rho = np.eye(2, dtype=complex) / 2
+
+    def stack(idx: np.ndarray) -> np.ndarray:
+        sites = drifting_site(drift(idx))
+        return np.stack([np.broadcast_to(rho, sites.shape), sites], axis=1)
+
     return ProductFamily(
         factors=lambda i: (rho, drifting_site(drift(i))),
         summand_closed_form=(lambda i: drifting_summand(drift(i))) if declare else None,
         series_converges=(scaling == "linear") if declare else None,
+        stack=stack,
     )
 
 

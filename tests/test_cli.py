@@ -1,10 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qleb.cli import main, matrix_document, parse_matrix_document
+import qleb
+from qleb import ProductFamily, kakutani_criterion
+from qleb.cli import _contiguity_input, main, matrix_document, parse_matrix_document
+from qleb.matcore import DEFAULT_TOL
 from qleb.presets import faithful_to_pure_pair, faithful_to_pure_sqrt_lr
+
+from util import rand_density
 
 SPIN_J = np.array([[1, -1j], [1j, 1]])
 
@@ -139,6 +149,39 @@ def test_contiguity_kakutani_presets(capsys):
     values = report_values(out)
     assert values["verdict"] == "NotContiguous"
     assert 0.8 <= values["details"]["fitted_exponent"] <= 1.2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_contiguity_kakutani_iid_product_spec(tmp_path, capsys, d):
+    rng = np.random.default_rng([d, 11])
+    rho, sigma = rand_density(d, rng), rand_density(d, rng)
+    spec = write_json(tmp_path / "spec.json", {
+        "kind": "iid-product",
+        "rho": matrix_document(rho, "rho"),
+        "sigma": matrix_document(sigma, "sigma"),
+    })
+    fam = _contiguity_input(argparse.Namespace(preset=None, spec=spec, horizon=None, grid=None),
+                            DEFAULT_TOL)
+    stacked = fam.stack(np.arange(1, 10**4 + 1))
+    assert stacked.shape == (10**4, 2, d, d) and not stacked.flags.writeable
+    code, out, _ = run(capsys, ["contiguity", "kakutani", "--spec", spec])
+    assert code == 0
+    # The broadcast stack gives the factors' report, bit for bit.
+    want = kakutani_criterion(ProductFamily(factors=fam.factors))
+    assert report_values(out)["evidence"] == want.evidence
+    assert report_values(out)["details"] == want.details
+
+
+def test_contiguity_kakutani_iid_product_of_mismatched_shapes(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {
+        "kind": "iid-product",
+        "rho": matrix_document(np.eye(2) / 2, "rho"),
+        "sigma": matrix_document(np.eye(3) / 3, "sigma"),
+    })
+    code, out, err = run(capsys, ["contiguity", "kakutani", "--spec", spec])
+    assert code == 2
+    assert out == ""
+    assert "factor 1: operand shapes differ" in err
 
 
 def test_contiguity_limit_presets(capsys):
@@ -359,3 +402,18 @@ def test_decompose_rejects_non_finite_entries(tmp_path, capsys, bad, operand):
     assert code == 2
     assert out == ""
     assert paths[operand] in err and "non-finite entry [1][1]" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_decompose_on_an_infinite_entry_writes_no_warning(tmp_path, flags):
+    half = matrix_document(np.eye(2) / 2)
+    broken = matrix_document(np.eye(2) / 2)
+    broken["entries"][0][1] = broken["entries"][1][0] = [float("inf"), 0.0]
+    paths = [write_json(tmp_path / "half.json", half), write_json(tmp_path / "inf.json", broken)]
+    env = {**os.environ, "PYTHONPATH": str(Path(qleb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, *flags, "-m", "qleb.cli", "decompose", *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "non-finite entry [0][1]" in proc.stderr
+    assert "Warning" not in proc.stderr

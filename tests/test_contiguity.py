@@ -381,6 +381,115 @@ def test_kakutani_rejects_factors_of_mismatched_dimensions():
         kakutani_criterion(ProductFamily(lambda i: (np.eye(2) / 2, np.eye(3) / 3)), horizon=5)
 
 
+# -- stacked factors (ProductFamily.stack) -------------------------------------------------
+
+
+@pytest.mark.parametrize("scaling", ["linear", "sqrt"])
+def test_drifting_stack_equals_the_factors_bit_for_bit(scaling):
+    fam = drifting_product_family(scaling)
+    idx = np.arange(1, 10**4 + 1)
+    stacked = np.ascontiguousarray(fam.stack(idx), dtype=complex)
+    by_factor = np.asarray([fam.factors(int(i)) for i in idx], dtype=complex)
+    assert stacked.shape == (10**4, 2, 2, 2)
+    assert stacked.tobytes() == by_factor.tobytes()
+    factors_only = ProductFamily(factors=fam.factors)
+    assert np.array_equal(_kakutani_summands(fam, idx, DEFAULT_TOL),
+                          _kakutani_summands(factors_only, idx, DEFAULT_TOL))
+
+
+def test_kakutani_with_a_stack_builds_the_sites_in_one_call(monkeypatch):
+    shapes = []
+    original = presets.drifting_site
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return original(t)
+
+    monkeypatch.setattr(presets, "drifting_site", counted)
+    for scaling, verdict in (("linear", CONTIGUOUS), ("sqrt", NOT_CONTIGUOUS)):
+        shapes.clear()
+        assert kakutani_criterion(drifting_product_family(scaling), horizon=10**4).verdict == verdict
+        assert shapes == [(10**4,)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stack_route_names_the_same_non_ac_factor(d):
+    rng = np.random.default_rng([d, 37])
+    U = rand_unitary(d, rng)
+    orthogonal = (np.outer(U[:, 0], U[:, 0].conj()), np.outer(U[:, 1], U[:, 1].conj()))
+    good = (rand_density(d, rng), rand_density(d, rng))
+
+    def factors(i):
+        return orthogonal if i == 37 else good
+
+    stacked = np.asarray([factors(i) for i in range(1, 101)])
+    messages = []
+    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: stacked[idx - 1])):
+        with pytest.raises(FactorNotAC) as exc:
+            kakutani_criterion(fam, horizon=100)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("factor 37: ")
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((9, 2, 2, 2), r"stack of 10 factors must have shape \(10, 2, d, d\), got \(9, 2, 2, 2\)"),
+    ((10, 3, 2, 2), r"must have shape \(10, 2, d, d\)"),
+    ((10, 2, 2), r"must have shape \(10, 2, d, d\)"),
+    ((10, 2, 2, 3), "square"),
+])
+def test_stack_of_the_wrong_shape_raises_dim_mismatch(shape, match):
+    half = np.eye(2) / 2
+    fam = ProductFamily(factors=lambda i: (half, half), stack=lambda idx: np.zeros(shape))
+    with pytest.raises(DimMismatch, match=match):
+        kakutani_criterion(fam, horizon=10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacks_of_any_layout_give_the_factors_summands(d):
+    # numpy's summation order follows the layout, so a stack is taken in C
+    # order, as the factors are, whatever layout the family hands over.
+    rng = np.random.default_rng([d, 5])
+    pair = np.stack([rand_density(d, rng), rand_density(d, rng)])
+    view = np.broadcast_to(pair, (50,) + pair.shape)
+    assert not view.flags.writeable
+    idx = np.arange(1, 51)
+    want = _kakutani_summands(ProductFamily(lambda i: tuple(pair)), idx, DEFAULT_TOL)
+    for layout in (view, np.array(view), np.asfortranarray(view)):
+        fam = ProductFamily(lambda i: tuple(pair), stack=lambda idx, s=layout: s)
+        assert np.array_equal(_kakutani_summands(fam, idx, DEFAULT_TOL), want)
+    # The read-only view itself is read, not written.
+    assert np.max(np.abs(_stacked_summands(view, idx, DEFAULT_TOL) - want)) <= 1e-15
+    assert np.array_equal(view, np.broadcast_to(pair, view.shape))
+
+
+def test_drifting_site_matches_the_scalar_formula_bit_for_bit():
+    # One Python-float evaluation per parameter, as the factors were once built.
+    def scalar(t):
+        return np.array([[2 * t**2 + 2 * t + 1, 2 * t], [2 * t, 2 * t**2 - 2 * t + 1]],
+                        dtype=complex) / (4 * t**2 + 2)
+
+    t = np.sqrt(np.arange(1, 10**4 + 1, dtype=float))
+    assert presets.drifting_site(t).tobytes() == np.array([scalar(float(x)) for x in t]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rank1_sigma_summand_is_exact_to_rounding(d):
+    # sigma = |v><v| in a random basis: sqrt(sigma) rho sqrt(sigma) = <v|rho|v> sigma,
+    # so the exact summand is 1 - sqrt(<v|rho|v>).  The float sigma's zero
+    # eigenvalues are rounding noise that the rank rule drops; their roots
+    # (~1e-8) once entered the summand.
+    rng = np.random.default_rng([d, 1])
+    pairs, exact = [], []
+    for _ in range(100):
+        v = rand_unitary(d, rng)[:, 0]
+        rho = rand_density(d, rng)
+        pairs.append((rho, np.outer(v, v.conj())))
+        exact.append(1.0 - np.sqrt((v.conj() @ rho @ v).real))
+    got = _stacked_summands(np.array(pairs), np.arange(1, 101), DEFAULT_TOL)
+    assert np.max(np.abs(got - np.array(exact))) <= 1e-14
+
+
 # -- the 2x2 closed form against the LAPACK stacked path --------------------------------
 
 
@@ -388,7 +497,8 @@ def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAUL
     """The LAPACK path for stacked summands, the reference for the 2x2 closed form.
 
     Both stacks validated by ``eigh``, ``sqrt(sigma)`` from sigma's eigenbasis,
-    and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``.
+    and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``, whose eigenvalues
+    enter the summand where the rank rule keeps them.
     """
     rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", labels=idx).mat
     _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
@@ -396,13 +506,13 @@ def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAUL
     w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
     rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
     scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
-    rank_inner = matcore.support_mask(w_m, tol, lam_max=scale).sum(axis=-1)
-    bad = np.nonzero(rank_inner < rank_sigma)[0]
+    kept = matcore.support_mask(w_m, tol, lam_max=scale)
+    bad = np.nonzero(kept.sum(axis=-1) < rank_sigma)[0]
     if bad.size:
         raise FactorNotAC(
             f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
         )
-    return np.maximum(0.0, 1.0 - np.sqrt(w_m).sum(axis=1))
+    return np.maximum(0.0, 1.0 - (np.sqrt(w_m) * kept).sum(axis=1))
 
 
 def _qubit(rng: np.random.Generator, w, basis: bool = True) -> np.ndarray:
@@ -411,14 +521,15 @@ def _qubit(rng: np.random.Generator, w, basis: bool = True) -> np.ndarray:
     return hermitian_part(A) / np.sum(w)
 
 
-#: Pair generators.  In the first four the product ``sqrt(sigma) rho sqrt(sigma)``
+#: Pair generators.  In the first five the product ``sqrt(sigma) rho sqrt(sigma)``
 #: has a resolved spectrum (its small eigenvalue is an exact zero, with rank-1
-#: sigma given in its eigenbasis, or far above rounding), so both paths give
-#: the summand to rounding: 1e-14.  In the last two its small eigenvalue lies
-#: near or at rounding level (down to 1e-12 of lam_max, or the noise of a
-#: rank-1 sigma in a random basis), and each path knows it only to a few
-#: ``eps * lam_max``; since ``|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)``, the
-#: summands then agree to ``sqrt(8 eps)``, not to rounding.
+#: sigma given in its eigenbasis, far above rounding, or rounding noise that
+#: the rank rule drops, with rank-1 sigma in a random basis), so both paths
+#: give the summand to rounding: 1e-14.  In the last its small eigenvalue lies
+#: between rounding level and the rank cutoff's neighbourhood (down to 1e-12
+#: of lam_max), and each path knows it only to a few ``eps * lam_max``; since
+#: ``|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)``, the summands then agree to
+#: ``sqrt(8 eps)``, not to rounding.
 RESOLVED_PAIRS = {
     "full": lambda rng: (_qubit(rng, [rng.uniform(0.1, 1.0), 1.0]),
                          _qubit(rng, [rng.uniform(0.1, 1.0), 1.0])),
@@ -427,10 +538,10 @@ RESOLVED_PAIRS = {
     "rank1-rho": lambda rng: (_qubit(rng, [0.0, 1.0]), _qubit(rng, [rng.uniform(0.1, 1.0), 1.0])),
     "orthogonal": lambda rng: (lambda U: (np.outer(U[:, 0], U[:, 0].conj()),
                                           np.outer(U[:, 1], U[:, 1].conj())))(rand_unitary(2, rng)),
-}
-UNRESOLVED_PAIRS = {
     "rank1-sigma-random-basis": lambda rng: (_qubit(rng, [rng.uniform(0.1, 1.0), 1.0]),
                                              _qubit(rng, [0.0, 1.0])),
+}
+UNRESOLVED_PAIRS = {
     "spectra-to-1e-12": lambda rng: (_qubit(rng, [10.0 ** rng.uniform(-12.0, 0.0), 1.0]),
                                      _qubit(rng, [10.0 ** rng.uniform(-12.0, 0.0), 1.0])),
 }
@@ -654,7 +765,11 @@ def test_verdicts_invariant_under_unitary_conjugation():
 
     fam = drifting_product_family("linear")
     rotated_fam = ProductFamily(factors=lambda i: conj(fam.factors(i)))
-    assert (
-        kakutani_criterion(rotated_fam, horizon=2000).verdict
-        == kakutani_criterion(fam, horizon=2000).verdict
-    )
+    rotated_stack = ProductFamily(factors=rotated_fam.factors,
+                                  stack=lambda idx: U @ fam.stack(idx) @ U.conj().T)
+    reports = [kakutani_criterion(f, horizon=2000) for f in (fam, rotated_fam, rotated_stack)]
+    assert {rep.verdict for rep in reports} == {CONTIGUOUS}
+    idx = np.arange(1, 2001)
+    base = _kakutani_summands(fam, idx, DEFAULT_TOL)
+    for rotated in (rotated_fam, rotated_stack):
+        assert np.max(np.abs(_kakutani_summands(rotated, idx, DEFAULT_TOL) - base)) <= 1e-14

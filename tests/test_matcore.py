@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qleb import matcore
+from qleb import lebesgue_decompose, matcore
 from qleb.errors import (DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive, NumericCheckFailure,
                          ValidationError)
 from qleb.matcore import (
@@ -459,6 +459,31 @@ def test_non_finite_entries_are_rejected(bad, d):
     with pytest.raises(ValidationError, match="factor 4 has a non-finite entry"):
         matcore.psd_spectrum(np.array([np.eye(d) / d, A]), who="factor", labels=np.array([3, 4]),
                              vectors=False)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_raise_before_any_warning(bad, entry):
+    # inf - inf in A - A* once warned ahead of the ValidationError.
+    A = np.eye(3, dtype=complex) / 3
+    A[entry] = A[entry[::-1]] = bad
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        matcore.check_hermitian(A)
+    with pytest.raises(ValidationError, match="factor 2 has a non-finite entry"):
+        matcore.check_hermitian(np.array([np.eye(3) / 3, A]), who="factor", labels=np.array([1, 2]))
+    for operands in ((A, np.eye(3) / 3), (np.eye(3) / 3, A)):
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            lebesgue_decompose(*operands)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_matrix_next_to_an_overflowing_one_is_judged_without_a_warning():
+    A = np.array([np.zeros((2, 2)), 1e200 * np.eye(2)], dtype=complex)
+    assert np.array_equal(matcore.check_hermitian(A, labels=np.array([1, 2])), A)
+    A[0, 0, 1] = 1.0
+    with pytest.raises(NonHermitian, match="matrix 1 is not Hermitian"):
+        matcore.check_hermitian(A, labels=np.array([1, 2]))
 
 
 def test_hermiticity_rule_holds_where_squares_overflow():
