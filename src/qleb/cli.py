@@ -214,31 +214,31 @@ def _scaling_by_name(name: str):
     return table[name]
 
 
+def _sequence_range(args: argparse.Namespace) -> dict:
+    """``horizon`` (default 10**6) and ``sample_grid`` of a state-sequence preset."""
+    horizon = args.horizon or 10**6
+    return {"horizon": horizon, "sample_grid": _grid_from_arg(args.grid, horizon)}
+
+
+#: ``--preset`` name -> the family it builds from the parsed arguments.
+_PRESETS = {
+    "example-4.1": lambda args: presets.faithful_to_pure_family(**_sequence_range(args)),
+    "example-4.3": lambda args: presets.orthogonal_limit_family(**_sequence_range(args)),
+    "sec-7.1": lambda args: presets.three_block_family(grid=_grid_from_arg(args.grid, 512)),
+    "sec-7.2-n": lambda args: presets.drifting_product_family("linear"),
+    "sec-7.2-sqrt-n": lambda args: presets.drifting_product_family("sqrt"),
+    "spin-overlap": lambda args: presets.spin_overlap_family(
+        h=real_vector(args.h.split(","), "--h") if args.h else np.array([1.0, 0.5]),
+        g=_scaling_by_name(args.g or "sqrt"), **_sequence_range(args)),
+}
+
+
 def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
     horizon = args.horizon
     if args.preset is not None:
-        name = args.preset
-        if name == "example-4.1":
-            return presets.faithful_to_pure_family(
-                horizon=horizon or 10**6, sample_grid=_grid_from_arg(args.grid, horizon or 10**6)
-            )
-        if name == "example-4.3":
-            return presets.orthogonal_limit_family(
-                horizon=horizon or 10**6, sample_grid=_grid_from_arg(args.grid, horizon or 10**6)
-            )
-        if name == "sec-7.1":
-            return presets.three_block_family(grid=_grid_from_arg(args.grid, 512))
-        if name == "sec-7.2-n":
-            return presets.drifting_product_family("linear")
-        if name == "sec-7.2-sqrt-n":
-            return presets.drifting_product_family("sqrt")
-        if name == "spin-overlap":
-            h = real_vector(args.h.split(","), "--h") if args.h else np.array([1.0, 0.5])
-            return presets.spin_overlap_family(
-                g=_scaling_by_name(args.g or "sqrt"), h=h, horizon=horizon or 10**6,
-                sample_grid=_grid_from_arg(args.grid, horizon or 10**6),
-            )
-        raise QlebError(f"unknown preset {name!r}")
+        if args.preset not in _PRESETS:
+            raise QlebError(f"unknown preset {args.preset!r}")
+        return _PRESETS[args.preset](args)
     if args.spec is None:
         raise QlebError("either --preset or --spec is required")
     spec = load_json(args.spec)

@@ -35,8 +35,8 @@ def default_grid(horizon: int, points: int = 13) -> list[int]:
     """Strictly increasing integer grid, roughly log-spaced over [1, horizon]."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    raw = np.unique(np.geomspace(1, horizon, num=points).astype(int))
-    return [int(n) for n in raw]
+    # A set, not np.unique: numpy imports numpy.ma (about 1.2 MB) on its first call.
+    return sorted(set(np.geomspace(1, horizon, num=points).astype(int).tolist()))
 
 
 def _tail(values: Sequence, frac: float = 0.25) -> list:
@@ -425,7 +425,7 @@ def kakutani_criterion(
     idx = np.arange(1, horizon + 1)
     summands = _kakutani_summands(fam, idx, tol)
     partial = np.cumsum(summands)
-    sample_at = np.unique(np.geomspace(1, horizon, num=25).astype(int))
+    sample_at = default_grid(horizon, points=25)
     evidence = [
         {"i": int(i), "summand": float(summands[i - 1]), "partial_sum": float(partial[i - 1])}
         for i in sample_at

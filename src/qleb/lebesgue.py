@@ -19,18 +19,23 @@ canonical choice sets the free kernel component of ``R`` to zero.
 ``excision``, ``is_singular`` (H2 empty), ``is_abs_continuous`` (H1 empty),
 ``lebesgue_decompose`` and ``quantum_log_likelihood`` all read one split, in
 which each operand is validated once and every zero/nonzero decision is the
-rank rule of :func:`matcore.support_mask`, so they cannot disagree.
+rank rule of :func:`matcore.support_mask`, so they cannot disagree.  Two 2x2
+operands are split and assembled on Python scalars (:func:`_qubit_split`,
+:func:`_qubit_decompose`), with numpy arrays only for the returned values;
+the array split (:func:`_split`, :func:`_decompose`) takes every other size
+and is the reference for the scalar route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore
-from .errors import NotStrictlyPositive, ZeroState
+from .errors import NotStrictlyPositive, NumericCheckFailure, ZeroState
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
 
@@ -56,8 +61,6 @@ class DensityMatrix:
         elif abs(tr - 1.0) > trace_tol:
             raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {trace_tol:.1e}")
         self.mat = mat
-        self.subnormalized = subnormalized
-        self.trace_tol = trace_tol
 
     @property
     def dim(self) -> int:
@@ -71,24 +74,25 @@ def _mat(x) -> np.ndarray:
 def _as_positive_operator(x, tol: ToleranceConfig, who: str, vectors: bool = True) -> matcore.PSDSpectrum:
     """Validate a DensityMatrix or array as a nonzero positive operator."""
     op = matcore.psd_spectrum(_mat(x), tol, who, vectors)
-    if not op.eigenvalues.any():
-        raise ZeroState(f"{who} is the zero operator")
+    _nonzero(op.eigenvalues, who)
     return op
 
 
 class _Split(NamedTuple):
     """``sigma`` and ``rho`` validated once each, split into H1 + H2 + H3.
 
-    ``supp_r``/``ker_r`` are rho's support and kernel bases (H1 + H2 and H3),
-    ``w_r`` rho's support eigenvalues, ``ex`` the excision of sigma onto supp
-    rho in the ``supp_r`` basis with ascending eigenvalues ``wx``, and ``h2``
-    marks those spanning H2 (a top segment); the others span H1.  ``Vx`` holds
-    the excision's phase-fixed eigenvectors when they were asked for and rho
-    is not faithful, else ``None``; for faithful rho the excision is sigma in
-    rho's eigenbasis and ``wx`` is sigma's validated spectrum.
+    ``s``/``r`` are the operands' validated Hermitian parts, ``supp_r``/``ker_r``
+    rho's support and kernel bases (H1 + H2 and H3), ``w_r`` rho's support
+    eigenvalues, ``ex`` the excision of sigma onto supp rho in the ``supp_r``
+    basis with ascending eigenvalues ``wx``, and ``h2`` marks those spanning
+    H2 (a top segment); the others span H1.  ``Vx`` holds the excision's
+    phase-fixed eigenvectors when they were asked for and rho is not
+    faithful, else ``None``; for faithful rho the excision is sigma in rho's
+    eigenbasis and ``wx`` is sigma's validated spectrum.
     """
 
     s: np.ndarray
+    r: np.ndarray
     supp_r: np.ndarray
     ker_r: np.ndarray
     w_r: np.ndarray
@@ -96,6 +100,16 @@ class _Split(NamedTuple):
     wx: np.ndarray
     Vx: np.ndarray | None
     h2: np.ndarray
+
+    @property
+    def faithful(self) -> bool:
+        return not self.ker_r.shape[1]
+
+    def excision(self) -> np.ndarray:
+        return self.ex
+
+    def decompose(self) -> LebesgueDecomposition:
+        return _decompose(self)
 
 
 def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split:
@@ -117,7 +131,63 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split:
     ex = hermitian_part(supp_r.conj().T @ s.mat @ supp_r)
     wx, Vx = (s.eigenvalues, None) if supp.all() else matcore._eigh(ex, vectors)
     h2 = matcore.support_mask(wx, tol, lam_max=s.eigenvalues[-1])
-    return _Split(s.mat, supp_r, r.eigenvectors[:, ~supp], r.eigenvalues[supp], ex, wx, Vx, h2)
+    return _Split(s.mat, r.mat, supp_r, r.eigenvectors[:, ~supp], r.eigenvalues[supp], ex, wx, Vx, h2)
+
+
+def _nonzero(w, who: str) -> None:
+    if not any(w):
+        raise ZeroState(f"{who} is the zero operator")
+
+
+class _QubitSplit(NamedTuple):
+    """The split of two 2x2 operands on Python scalars (see :class:`_Split`).
+
+    ``sig`` holds the entries ``(a, b, c)`` of sigma's validated Hermitian
+    part ``[[a, b], [conj b, c]]``; ``w_r`` holds rho's clamped
+    eigenvalues and ``u``, ``v`` its eigenvectors, in ascending order.  For
+    faithful rho, ``ex`` holds the excision's entries ``(a, b, c)`` in the
+    basis ``(u, v)``; otherwise supp rho is ``span v``, ker rho ``span u``,
+    and ``ex = (e,)`` with ``e = v* sigma v``.  ``h2`` is as in :class:`_Split`.
+    """
+
+    sig: tuple
+    w_r: tuple
+    u: tuple
+    v: tuple
+    faithful: bool
+    ex: tuple
+    h2: tuple
+
+    def excision(self) -> np.ndarray:
+        return _hermitian(*self.ex) if self.faithful else np.array([[self.ex[0]]], dtype=complex)
+
+    def decompose(self) -> LebesgueDecomposition:
+        return _qubit_decompose(self)
+
+
+def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _QubitSplit:
+    """:func:`_split` of two 2x2 operands, with the same validation and rank rule."""
+    _, sig, w_s, _ = matcore._psd2(sigma, tol, "sigma", vectors=False)
+    _nonzero(w_s, "sigma")
+    _, _, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, "rho", vectors=True)
+    _nonzero(w_r, "rho")
+    u, v = (u0, u1), (v0, v1)
+    faithful = w_r[0] > tol.rank_rel * w_r[1]
+    if faithful:
+        ex, wx = (_form(sig, u, u).real, _form(sig, u, v), _form(sig, v, v).real), w_s
+    else:
+        ex = wx = (_form(sig, v, v).real,)
+    cut = tol.rank_rel * w_s[1]
+    return _QubitSplit(sig, w_r, u, v, faithful, ex, tuple(w > cut for w in wx))
+
+
+def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split | _QubitSplit:
+    """The split of ``sigma`` relative to ``rho``: :func:`_qubit_split` when both
+    are 2x2, else :func:`_split`."""
+    s, r = _mat(sigma), _mat(rho)
+    if s.shape == r.shape == (2, 2):
+        return _qubit_split(s, r, tol)
+    return _split(s, r, tol, vectors)
 
 
 def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -126,17 +196,17 @@ def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Returned in the deterministic eigenbasis of ``rho`` (ascending eigenvalues,
     phase-fixed), with dimension equal to the rank of ``rho``.
     """
-    return _split(sigma, rho, tol).ex
+    return _pair_split(sigma, rho, tol).excision()
 
 
 def is_singular(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Mutual singularity: H2 is empty, i.e. ``lebesgue_decompose(sigma, rho).ac == 0``."""
-    return not np.any(_split(sigma, rho, tol).h2)
+    return not any(_pair_split(sigma, rho, tol).h2)
 
 
 def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """``a << b``: H1 of ``b`` relative to ``a`` is empty (the excision is strictly positive)."""
-    return bool(np.all(_split(b, a, tol).h2))
+    return all(_pair_split(b, a, tol).h2)
 
 
 def is_mutually_ac(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -212,6 +282,76 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
                                  split=SupportSplit(basis_1, basis_2, basis_3))
 
 
+def _form(S: tuple, x, y) -> complex:
+    """``x* S y`` for 2-vectors ``x``, ``y`` and ``S`` given by its entries ``(a, b, c)``."""
+    a, b, c = S
+    return (x[0].conjugate() * (a * y[0] + b * y[1])
+            + x[1].conjugate() * (b.conjugate() * y[0] + c * y[1]))
+
+
+def _hermitian(a: float, b: complex, c: float) -> np.ndarray:
+    return np.array([[a, b], [b.conjugate(), c]], dtype=complex)
+
+
+def _congruence(u, v, X: tuple) -> np.ndarray:
+    """``V X V*`` for ``V = [u, v]`` (columns) and Hermitian ``X`` given by its entries."""
+    r0, r1 = (u[0].conjugate(), v[0].conjugate()), (u[1].conjugate(), v[1].conjugate())
+    return _hermitian(_form(X, r0, r0).real, _form(X, r0, r1), _form(X, r1, r1).real)
+
+
+def _outer(x: float, f) -> np.ndarray:
+    """``x f f*`` for a 2-vector ``f``."""
+    f0, f1 = f
+    return _hermitian(x * matcore._abs2(f0), f0 * x * f1.conjugate(), x * matcore._abs2(f1))
+
+
+def _support_split(*blocks) -> SupportSplit:
+    """H1, H2 and H3 of a qubit split, each given as a tuple of 2-vectors (columns)."""
+    return SupportSplit(*(np.array(cols, dtype=complex).reshape(len(cols), 2).T for cols in blocks))
+
+
+def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
+    """:func:`_decompose` on the scalars of a qubit split; arrays only for the results."""
+    u, v = sp.u, sp.v
+    zero = np.zeros((2, 2), dtype=complex)
+    if not any(sp.h2):
+        # Mutually singular (rho has rank 1): ac = 0, perp = sigma, sqrt_lr = 0.
+        return LebesgueDecomposition(zero, _hermitian(*sp.sig), zero.copy(), _support_split((v,), (), (u,)))
+    if sp.faithful and all(sp.h2):
+        # H2 is the whole space in rho's eigenbasis, where rho's block is diag(w_r).
+        R0 = matcore._diag_mean2(1.0 / sp.w_r[0], 1.0 / sp.w_r[1], *sp.ex)
+        return LebesgueDecomposition(_congruence(u, v, sp.ex), zero, _congruence(u, v, R0),
+                                     _support_split((), (u, v), ()))
+    if sp.faithful:
+        # sigma has a kernel: H1 and H2 are spanned by the excision's eigenvectors
+        # p and q (coordinates in rho's eigenbasis); rho's H2 block is q* diag(w_r) q.
+        _, w0, ((p0, q0), (p1, q1)) = matcore._eig2(*sp.ex, True)
+        f = (u[0] * q0 + v[0] * q1, u[1] * q0 + v[1] * q1)
+        g = (u[0] * p0 + v[0] * p1, u[1] * p0 + v[1] * p1)
+        R0 = math.sqrt(w0 / (sp.w_r[0] * matcore._abs2(q0) + sp.w_r[1] * matcore._abs2(q1)))
+        return LebesgueDecomposition(_outer(w0, f), zero, _outer(R0, f), _support_split((g,), (f,), ()))
+    # rho has the kernel span u and sigma's excision e onto span v is nonzero:
+    # the blocks of _decompose are the scalars e, alpha, E and the Schur complement.
+    e = sp.ex[0]
+    alpha = _form(sp.sig, v, u)
+    E = alpha / e
+    schur = (_form(sp.sig, u, u) - alpha.conjugate() * E).real
+    F = (v[0] + u[0] * E.conjugate(), v[1] + u[1] * E.conjugate())
+    return LebesgueDecomposition(_outer(e, F), _outer(schur, u), _outer(math.sqrt(e / sp.w_r[1]), F),
+                                 _support_split((), (v,), (u,)))
+
+
+def _check_resolved(dec: LebesgueDecomposition, rho: np.ndarray, tol: ToleranceConfig) -> None:
+    """Refuse a decomposition whose ``ac = R rho R`` fails beyond ``eq_rel``."""
+    RrR = dec.sqrt_lr @ rho @ dec.sqrt_lr
+    if not matcore.mat_close(RrR, dec.ac, tol):
+        resid = matcore.frob(RrR - dec.ac) / (1.0 + matcore.frob(dec.ac))
+        raise NumericCheckFailure(
+            f"decomposition unresolved: ||R rho R - ac|| / (1 + ||ac||) = {resid:.3e} exceeds "
+            f"eq_rel {tol.eq_rel:.1e} (rank cutoff {tol.rank_rel:.1e} is below the eigensolver's "
+            "resolution)")
+
+
 def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDecomposition:
     """Decompose ``sigma`` relative to ``rho`` and return the canonical ratio.
 
@@ -219,8 +359,18 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     ``perp = sigma``, ``sqrt_lr = 0``.  Otherwise the three-block
     construction applies; the kernel component of ``sqrt_lr`` is fixed to
     zero (canonical choice), so repeated calls are reproducible.
+
+    Two 2x2 operands are split and assembled on Python scalars
+    (:func:`_qubit_split`); larger ones by the array split.  When the rank
+    cutoff ``rank_rel`` lies below ``d * eps``, where the eigensolver cannot
+    tell rounding from support, the array route checks ``ac = R rho R``
+    and raises :class:`NumericCheckFailure` if it fails beyond ``eq_rel``.
     """
-    return _decompose(_split(sigma, rho, tol, vectors=True))
+    sp = _pair_split(sigma, rho, tol, vectors=True)
+    dec = sp.decompose()
+    if isinstance(sp, _Split) and tol.rank_rel < len(sp.s) * np.finfo(float).eps:
+        _check_resolved(dec, sp.r, tol)
+    return dec
 
 
 def sqrt_likelihood_ratio(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -234,9 +384,9 @@ def quantum_log_likelihood(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np
     Satisfies ``exp(L/2) rho exp(L/2) = sigma``; both arguments must be
     strictly positive definite, which the split reads as empty H1 and H3.
     """
-    sp = _split(sigma, rho, tol)
-    if sp.ker_r.shape[1]:
+    sp = _pair_split(sigma, rho, tol)
+    if not sp.faithful:
         raise NotStrictlyPositive("rho must be strictly positive definite")
-    if not np.all(sp.h2):
+    if not all(sp.h2):
         raise NotStrictlyPositive("sigma must be strictly positive definite")
-    return 2.0 * matcore.psd_log_on_support(_decompose(sp).sqrt_lr, tol)
+    return 2.0 * matcore.psd_log_on_support(sp.decompose().sqrt_lr, tol)

@@ -5,8 +5,11 @@ validation routine, :func:`psd_spectrum` (Hermiticity and finiteness check,
 eigensolve or, for stacks of 2x2 matrices, the trace-determinant closed
 form, phase fix, PSD floor, clamp), and every zero/nonzero decision through
 one rank rule, :func:`support_mask`; both are controlled by one
-:class:`ToleranceConfig`.  Every eigensolve of a single matrix goes through
-one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
+:class:`ToleranceConfig`.  A single 2x2 matrix is validated on its four
+entries as Python scalars (:func:`_psd2`), by the same rules and with the
+same error messages; large or non-finite norms and failed Hermiticity
+checks go on to the array code.  Every eigensolve of a single matrix goes
+through one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
 entries scaled by a power of 2 so that nothing overflows or underflows, and
 LAPACK above (the geometric mean's inner eigensolve, at sizes 3 and up and
 with no use for phases, calls LAPACK directly).  The one positivity
@@ -115,6 +118,10 @@ def _frob(A: np.ndarray, stack: bool) -> np.ndarray:
     return np.sqrt(np.vdot(A, A).real)
 
 
+def _abs2(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
 #: Below this Frobenius norm neither ``||A||^2`` nor ``||A - A*||^2 <= 4 ||A||^2``
 #: overflows.
 _FROB_SAFE = 2.0**510
@@ -130,10 +137,21 @@ def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str 
     the entries are read again only then, before ``A - A*`` is formed
     (``inf - inf`` would warn).  Matrices of norm ``2**510`` and above, whose
     squares may overflow, are judged by the same rule in units of their
-    largest entry.
+    largest entry.  One 2x2 matrix of smaller norm that passes is judged and
+    symmetrised on its entries, with no array arithmetic.
     """
     stack = labels is not None
     A = check_square(A, stack=stack)
+    if not stack and A.shape[0] == 2:
+        # The same rule on the four entries; large or non-finite norms and
+        # failures go on to the array branch, which handles and names them.
+        (a, b), (c, d) = A.tolist()
+        size = math.sqrt(_abs2(a) + _abs2(b) + _abs2(c) + _abs2(d))
+        if size < _FROB_SAFE:
+            dev = math.sqrt(4.0 * (a.imag * a.imag + d.imag * d.imag) + 2.0 * _abs2(b - c.conjugate()))
+            if not dev > tol.hermitian * (1.0 + size):
+                return np.array([[a.real, (b + c.conjugate()) * 0.5],
+                                 [(c + b.conjugate()) * 0.5, d.real]], dtype=complex)
     A_star = A.conj().swapaxes(-1, -2)
     size, unit = _frob(A, stack), 1.0
     if _failure(~(size < _FROB_SAFE), who, labels):
@@ -180,11 +198,12 @@ def _phased(x: complex, y: complex) -> tuple[complex, complex]:
     return x * r, y * r
 
 
-def _eigh2(H: np.ndarray, vectors: bool) -> SpectralDecomposition:
-    """Closed-form eigensystem of one Hermitian matrix of size at most 2.
+def _eig2(a: float, b: complex, c: float, vectors: bool) -> tuple:
+    """Closed-form eigensystem ``(lo, hi, V)`` of ``[[a, b], [conj b, c]]`` on Python scalars.
 
-    Diagonal and scalar input is exact.  Otherwise the entries are scaled by
-    a power of 2 to unit size, so no product of them overflows or
+    ``V`` is the eigenvector matrix as nested lists (rows), ``None`` without
+    ``vectors``.  Diagonal input is exact.  Otherwise the entries are scaled
+    by a power of 2 to unit size, so no product of them overflows or
     underflows, and the eigenvalues are ``tr/2 -+ gap`` with ``gap =
     hypot((a - c)/2, |b|)``, the root of smaller magnitude taken as
     ``det / big`` as in :func:`_spectrum_2x2`.  The larger eigenvalue's
@@ -192,32 +211,37 @@ def _eigh2(H: np.ndarray, vectors: bool) -> SpectralDecomposition:
     or ``gap - delta`` with ``delta = (a - c)/2``; the other vector is its
     orthogonal complement.
     """
-    if H.shape[0] < 2:
-        return SpectralDecomposition(H.diagonal().real.copy(),
-                                     np.eye(H.shape[0], dtype=complex) if vectors else None)
-    (a, b), (_, c) = H.tolist()
-    a, c = a.real, c.real
     e = math.frexp(max(abs(a), abs(c), abs(b)))[1]
     b = _ldexp(b, -e)
     if b == 0:
         # Diagonal, or an off-diagonal entry below the diagonal's resolution.
-        swap = c < a
-        V = np.array([[0j, 1], [1, 0]]) if swap else np.eye(2, dtype=complex)
-        return SpectralDecomposition(np.array([c, a] if swap else [a, c]), V if vectors else None)
+        if c < a:
+            return c, a, ([0j, 1], [1, 0]) if vectors else None
+        return a, c, ([1, 0j], [0j, 1]) if vectors else None
     a, c = math.ldexp(a, -e), math.ldexp(c, -e)
     half, delta = (a + c) / 2, (a - c) / 2
     gap = math.hypot(delta, abs(b))
     big = half + math.copysign(gap, half)
     small = (a * c - b.real * b.real - b.imag * b.imag) / big
     lo, hi = (small, big) if half >= 0 else (big, small)
-    w = np.array([math.ldexp(min(lo, hi), e), math.ldexp(max(lo, hi), e)])
+    lo, hi = math.ldexp(min(lo, hi), e), math.ldexp(max(lo, hi), e)
     if not vectors:
-        return SpectralDecomposition(w, None)
+        return lo, hi, None
     x, y = (complex(gap + delta), b.conjugate()) if delta >= 0 else (b, complex(gap - delta))
     norm = math.hypot(abs(x), abs(y))
     u0, u1 = _phased(x / norm, y / norm)
     v0, v1 = _phased(-u1.conjugate(), u0.conjugate())
-    return SpectralDecomposition(w, np.array([[v0, u0], [v1, u1]]))
+    return lo, hi, ([v0, u0], [v1, u1])
+
+
+def _eigh2(H: np.ndarray, vectors: bool) -> SpectralDecomposition:
+    """Closed-form eigensystem of one Hermitian matrix of size at most 2 (see :func:`_eig2`)."""
+    if H.shape[0] < 2:
+        return SpectralDecomposition(H.diagonal().real.copy(),
+                                     np.eye(H.shape[0], dtype=complex) if vectors else None)
+    (a, b), (_, c) = H.tolist()
+    lo, hi, V = _eig2(a.real, b, c.real, vectors)
+    return SpectralDecomposition(np.array([lo, hi]), np.array(V, dtype=complex) if vectors else None)
 
 
 def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
@@ -259,8 +283,11 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     the eigenvalues of a ``(N, 2, 2)`` stack without vectors come from
     trace and determinant (:func:`_spectrum_2x2`), with no LAPACK call.  A
     single matrix is diagonalised by :func:`_eigh`, in closed form up to
-    size 2.
+    size 2, and one 2x2 matrix is validated on Python scalars (:func:`_psd2`).
     """
+    if labels is None and np.shape(A) == (2, 2):
+        H, _, w, V = _psd2(A, tol, who, vectors)
+        return PSDSpectrum(H, np.array(w), None if V is None else np.array(V, dtype=complex))
     H = check_hermitian(A, tol, who, labels)
     if labels is not None and H.shape[-1] == 2 and not vectors:
         a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, np.abs(H[:, 0, 1])
@@ -271,8 +298,30 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     floor = -tol.psd_floor * np.maximum(hi, -lo)
     if failure := _failure(lo < floor, who, labels):
         k, name = failure
-        raise NotPSD(f"{name} has eigenvalue {lo[k]:.3e} below the PSD floor {floor[k]:.3e}")
+        raise _below_floor(name, lo[k], floor[k])
     return PSDSpectrum(H, np.maximum(w, 0.0), V)
+
+
+def _below_floor(name: str, lo: float, floor: float) -> NotPSD:
+    return NotPSD(f"{name} has eigenvalue {lo:.3e} below the PSD floor {floor:.3e}")
+
+
+def _psd2(A: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple:
+    """:func:`psd_spectrum` of one 2x2 matrix, on Python scalars.
+
+    Returns the validated Hermitian part ``H`` (from :func:`check_hermitian`),
+    its entries ``(a, b, c)`` of ``[[a, b], [conj b, c]]``, the clamped
+    eigenvalues ``(lo, hi)`` and the eigenvectors as :func:`_eig2` gives
+    them; the PSD floor and clamp are those of the array branch.
+    """
+    H = check_hermitian(A, tol, who)
+    (a, b), (_, c) = H.tolist()
+    entries = (a.real, b, c.real)
+    lo, hi, V = _eig2(*entries, vectors)
+    floor = -tol.psd_floor * max(hi, -lo)
+    if lo < floor:
+        raise _below_floor(who, lo, floor)
+    return H, entries, (max(lo, 0.0), max(hi, 0.0)), V
 
 
 def _spectrum_2x2(tr: np.ndarray, det: np.ndarray, gap: np.ndarray | None = None) -> np.ndarray:
@@ -424,6 +473,29 @@ def _unit4(x: float) -> int:
     return math.frexp(x)[1] // 2
 
 
+def _diag_mean2(c0: float, c1: float, m00: float, m01: complex, m11: float,
+                inverse: bool = False) -> tuple[float, complex, float]:
+    """:func:`_diag_mean` at size 2 on Python scalars: entries ``(n00, n01, n11)`` of
+    ``diag(c0, c1) # M^{+-1}`` for ``M = [[m00, m01], [conj m01, m11]]``."""
+    # Determinant closed form; unlike the spectral route it stays accurate
+    # when the eigenvalue range approaches 1/eps^2.  The mean is jointly
+    # homogeneous, (x C) # (y M)^{+-1} = sqrt(x y^{+-1}) C # M^{+-1}, so it
+    # is taken on C and M scaled by powers of 4 to unit size: exactly, and
+    # no product of entries overflows or underflows.
+    kc, km = _unit4(max(c0, c1)), _unit4(max(abs(m00), abs(m11), abs(m01)))
+    c0, c1 = math.ldexp(c0, -2 * kc), math.ldexp(c1, -2 * kc)
+    m00, m11, m01 = math.ldexp(m00, -2 * km), math.ldexp(m11, -2 * km), _ldexp(m01, -2 * km)
+    dm = _resolved_det2(m00, m11, m01)
+    if inverse:
+        m00, m11, m01, dm = m11 / dm, m00 / dm, -m01 / dm, 1.0 / dm
+    dc = c0 * c1
+    root_dm, root_dc = math.sqrt(dm), math.sqrt(dc)
+    n00, n11, n01 = root_dm * c0 + root_dc * m00, root_dm * c1 + root_dc * m11, root_dc * m01
+    q, r = (dc * dm) ** 0.25, math.sqrt(_resolved_det2(n00, n11, n01))
+    scale = math.ldexp(1.0, kc - km if inverse else kc + km)
+    return n00 * q / r * scale, n01 * q / r * scale, n11 * q / r * scale
+
+
 def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``C # M``, or ``C # M^{-1}`` when ``inverse``, for ``C = diag(c) > 0`` and ``M > 0``.
 
@@ -437,27 +509,9 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
     if c.size == 1:
         return np.sqrt(c / M.real if inverse else c * M.real).astype(complex)
     if c.size == 2:
-        # Determinant closed form; unlike the spectral route it stays accurate
-        # when the eigenvalue range approaches 1/eps^2.  The mean is jointly
-        # homogeneous, (x C) # (y M)^{+-1} = sqrt(x y^{+-1}) C # M^{+-1}, so it
-        # is taken on C and M scaled by powers of 4 to unit size: exactly, and
-        # no product of entries overflows or underflows.
         (m00, m01), (m10, m11) = M.tolist()
-        c0, c1 = c.tolist()
-        m01 = (m01 + m10.conjugate()) / 2
-        kc, km = _unit4(max(c0, c1)), _unit4(max(abs(m00), abs(m11), abs(m01)))
-        c0, c1 = math.ldexp(c0, -2 * kc), math.ldexp(c1, -2 * kc)
-        m00, m11, m01 = math.ldexp(m00.real, -2 * km), math.ldexp(m11.real, -2 * km), _ldexp(m01, -2 * km)
-        dm = _resolved_det2(m00, m11, m01)
-        if inverse:
-            m00, m11, m01, dm = m11 / dm, m00 / dm, -m01 / dm, 1.0 / dm
-        dc = c0 * c1
-        root_dm, root_dc = math.sqrt(dm), math.sqrt(dc)
-        n00, n11, n01 = root_dm * c0 + root_dc * m00, root_dm * c1 + root_dc * m11, root_dc * m01
-        q, r = (dc * dm) ** 0.25, math.sqrt(_resolved_det2(n00, n11, n01))
-        scale = math.ldexp(1.0, kc - km if inverse else kc + km)
-        n01 = n01 * q / r * scale
-        return np.array([[n00 * q / r * scale, n01], [n01.conjugate(), n11 * q / r * scale]], dtype=complex)
+        n00, n01, n11 = _diag_mean2(*c.tolist(), m00.real, (m01 + m10.conjugate()) / 2, m11.real, inverse)
+        return np.array([[n00, n01], [n01.conjugate(), n11]], dtype=complex)
     root = np.sqrt(c)
     scale = root if inverse else 1.0 / root
     w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))

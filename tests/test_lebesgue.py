@@ -3,6 +3,7 @@ import pytest
 
 from qleb import (
     DEFAULT_TOL,
+    TOL_PROFILES,
     DensityMatrix,
     excision,
     is_abs_continuous,
@@ -13,7 +14,7 @@ from qleb import (
     sqrt_likelihood_ratio,
     support_projector,
 )
-from qleb.errors import NotPSD, NotStrictlyPositive, ValidationError, ZeroState
+from qleb.errors import NotPSD, NotStrictlyPositive, NumericCheckFailure, ValidationError, ZeroState
 from qleb.presets import (
     faithful_to_pure_limits,
     faithful_to_pure_pair,
@@ -325,6 +326,25 @@ def test_ratio_residual_on_wide_spectra(d, ratio, forms, bound):
             R, ac = dec.sqrt_lr, dec.ac
             resid = np.linalg.norm(R @ rho @ R - ac) / (1 + np.linalg.norm(ac))
             assert resid <= bound, (form, seed, resid)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extreme_scale_refuses_an_unresolved_rho_kernel(seed):
+    # Under rank_rel = 1e-30 the rounding-level kernel eigenvalues of a rank-5 rho
+    # in a Haar basis count as support (split dims (0, 7, 1) or (0, 6, 2)), and
+    # R rho R misses ac by 7e-7 to 9e-2 relative: that result must be refused.
+    # The faithful pair with the same spectra is resolved and still returned.
+    tol = TOL_PROFILES["extreme-scale"]
+    rng = np.random.default_rng(seed)
+    rho = log_uniform_state(8, 5, 1e-9, rng)
+    sigma = log_uniform_state(8, 8, 1e-9, rng)
+    with pytest.raises(NumericCheckFailure, match="decomposition unresolved"):
+        lebesgue_decompose(sigma, rho, tol)
+    faithful = log_uniform_state(8, 8, 1e-9, rng)
+    dec = lebesgue_decompose(sigma, faithful, tol)
+    assert dec.split.dims == (0, 8, 0)
+    R = dec.sqrt_lr
+    assert np.linalg.norm(R @ faithful @ R - dec.ac) <= tol.eq_rel * (1 + np.linalg.norm(dec.ac))
 
 
 # -- scale covariance and non-finite input ---------------------------------------------------
