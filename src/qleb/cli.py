@@ -157,19 +157,21 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     tol = resolve_tolerances(args)
     sigma_doc = load_json(args.sigma)
     rho_doc = load_json(args.rho)
+    # Hermiticity is checked here, where the file is named; positivity and
+    # rank where the library is entered.
     sigma = parse_matrix_document(sigma_doc, f"{args.sigma}", tol)
     rho = parse_matrix_document(rho_doc, f"{args.rho}", tol)
-    sigma_state = lebesgue.DensityMatrix(sigma, subnormalized=args.subnormalized, tol=tol)
-    rho_state = lebesgue.DensityMatrix(rho, subnormalized=args.subnormalized, tol=tol)
+    for state in (sigma, rho):
+        lebesgue._check_trace(state, args.subnormalized)
 
-    dec = lebesgue.lebesgue_decompose(sigma_state, rho_state, tol)
+    dec = lebesgue.lebesgue_decompose(sigma, rho, tol)
     singular = dec.split.dims[1] == 0  # is_singular(rho, sigma): H2 is empty
     recon = float(np.linalg.norm(dec.ac + dec.perp - sigma) / (1.0 + np.linalg.norm(sigma)))
     ac_rec = float(
         np.linalg.norm(dec.ac - dec.sqrt_lr @ rho @ dec.sqrt_lr) / (1.0 + np.linalg.norm(dec.ac))
     )
     perp_overlap = float(np.trace(rho @ dec.perp).real)
-    ac_predicate = None if singular else bool(lebesgue.is_abs_continuous(dec.ac, rho_state, tol))
+    ac_predicate = None if singular else bool(lebesgue.is_abs_continuous(dec.ac, rho, tol))
     checks = {
         "reconstruction": recon,
         "ac_reconstruction": ac_rec,
@@ -203,15 +205,16 @@ def _grid_from_arg(arg: str | None, horizon: int) -> list[int] | None:
     return grid or contiguity.default_grid(horizon)
 
 
-def _scaling_by_name(name: str):
-    table = {
-        "sqrt": presets.sqrt_scaling,
-        "quarter": presets.quarter_scaling,
-        "linear": presets.linear_scaling,
-    }
+def _named(table: dict, name: str, what: str):
+    """``table[name]`` or an error naming the choices (tables read ``presets`` per call)."""
     if name not in table:
-        raise QlebError(f"unknown scaling {name!r}; available: {sorted(table)}")
+        raise QlebError(f"unknown {what} {name!r}; available: {sorted(table)}")
     return table[name]
+
+
+def _scaling_by_name(name: str):
+    return _named({"sqrt": presets.sqrt_scaling, "quarter": presets.quarter_scaling,
+                   "linear": presets.linear_scaling}, name, "scaling")
 
 
 def _sequence_range(args: argparse.Namespace) -> dict:
@@ -236,9 +239,7 @@ _PRESETS = {
 def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
     horizon = args.horizon
     if args.preset is not None:
-        if args.preset not in _PRESETS:
-            raise QlebError(f"unknown preset {args.preset!r}")
-        return _PRESETS[args.preset](args)
+        return _named(_PRESETS, args.preset, "preset")(args)
     if args.spec is None:
         raise QlebError("either --preset or --spec is required")
     spec = load_json(args.spec)
@@ -367,22 +368,13 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
 # -- qlan ------------------------------------------------------------------------
 
 def _model_by_name(name: str) -> qlan.ParametricModel:
-    if name == "spin-pure":
-        return presets.spin_pure_model()
-    if name == "spin-perturbed:f=cubic":
-        return presets.spin_perturbed_model()
-    raise QlebError(f"unknown model {name!r}; available: spin-pure, spin-perturbed:f=cubic")
+    return _named({"spin-pure": presets.spin_pure_model,
+                   "spin-perturbed:f=cubic": presets.spin_perturbed_model}, name, "model")()
 
 
 def _defect_by_name(name: str):
-    table = {
-        "cubic": presets.cubic_defect,
-        "quadratic": presets.quadratic_defect,
-        "zero": lambda theta: 0.0,
-    }
-    if name not in table:
-        raise QlebError(f"unknown defect {name!r}; available: {sorted(table)}")
-    return table[name]
+    return _named({"cubic": presets.cubic_defect, "quadratic": presets.quadratic_defect,
+                   "zero": lambda theta: 0.0}, name, "defect")
 
 
 def cmd_qlan(args: argparse.Namespace) -> int:

@@ -63,14 +63,7 @@ class StateSequence:
     sample_grid: Optional[list[int]] = None
 
     def __post_init__(self) -> None:
-        if self.sample_grid is None:
-            self.sample_grid = default_grid(self.horizon)
-        grid = list(self.sample_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sample_grid must be non-empty and strictly increasing")
-        if grid[0] < 1 or grid[-1] > self.horizon:
-            raise ValueError("sample_grid must lie within [1, horizon]")
-        self.sample_grid = grid
+        self.sample_grid = _sample_grid(self.sample_grid, self.horizon)
 
 
 @dataclass
@@ -91,8 +84,19 @@ class PurePowerFamily:
     sample_grid: Optional[list[int]] = None
 
     def __post_init__(self) -> None:
-        if self.sample_grid is None:
-            self.sample_grid = default_grid(self.horizon)
+        self.sample_grid = _sample_grid(self.sample_grid, self.horizon)
+
+
+def _sample_grid(grid: Optional[Sequence[int]], horizon: int) -> list[int]:
+    """``grid`` checked (non-empty, strictly increasing, within [1, horizon]), or the default grid."""
+    if grid is None:
+        return default_grid(horizon)
+    grid = list(grid)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sample_grid must be non-empty and strictly increasing")
+    if grid[0] < 1 or grid[-1] > horizon:
+        raise ValueError("sample_grid must lie within [1, horizon]")
+    return grid
 
 
 @dataclass
@@ -153,18 +157,29 @@ def l2_norm_sq(rho, O: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 def finite_qcf(rho, observables: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
                tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Expectation of the ordered product ``prod_t exp(i xi_t . X)`` under rho."""
-    r = _mat(rho)
-    obs = [matcore.check_hermitian(np.asarray(X), tol) for X in observables]
-    U = np.eye(r.shape[0], dtype=complex)
+    obs = [matcore.check_hermitian(X, tol) for X in observables]
+    return _ordered_product(_mat(rho), obs, xis, tol)
+
+
+def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
+                     tol: ToleranceConfig, n: int = 1) -> complex:
+    """``(Tr rho prod_t exp(i xi_t . X / sqrt(n)))^n`` for observables ``X`` validated by
+    :func:`matcore.check_hermitian`: the one evaluation of an ordered exponential product
+    (``n > 1`` gives the n-copy value of collective observables, see :func:`qlan.iid_qcf`)."""
+    scale = 1.0 / np.sqrt(n)
+    U = np.eye(rho.shape[0], dtype=complex)
     for xi in xis:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (len(obs),):
             raise matcore.DimMismatch(
                 f"query vector length {xi.shape} does not match {len(obs)} observables"
             )
-        H = sum(c * X for c, X in zip(xi, obs))
+        H = sum(c * X for c, X in zip(xi, obs)) * scale
         U = U @ matcore.unitary_exp(H, tol)
-    return complex(np.trace(r @ U))
+    z = complex(np.trace(rho @ U))
+    if n == 1 or z == 0:
+        return z
+    return complex(np.exp(n * np.log(z)))
 
 
 def d_infinitesimal_diagnostic(
@@ -192,12 +207,13 @@ def d_infinitesimal_diagnostic(
     for n in grid:
         rho, Z, O = triples(n)
         r = _mat(rho)
+        Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
         worst = 0.0
         for xis, etas in zip(xi_grid, eta_grid):
             if len(xis) != len(etas):
                 raise ValueError("each xi query must pair with an eta query of equal length")
-            base = finite_qcf(r, [Z], [[x] for x in xis], tol)
-            mixed = finite_qcf(r, [Z, O], [[x, e] for x, e in zip(xis, etas)], tol)
+            base = _ordered_product(r, [Z], [[x] for x in xis], tol)
+            mixed = _ordered_product(r, [Z, O], [[x, e] for x, e in zip(xis, etas)], tol)
             worst = max(worst, abs(mixed - base))
         evidence.append({"n": int(n), "max_qcf_deviation": worst})
     return ContiguityReport(

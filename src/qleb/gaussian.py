@@ -1,9 +1,9 @@
 """Quantum Gaussian states: parameter validation and quasi-characteristic functions.
 
 A Gaussian state ``N(h, J)`` on d modes is described by a real mean vector
-``h`` and a Hermitian PSD covariance ``J = V + iS`` (``V`` symmetric, ``S``
-skew-symmetric).  Expectations of ordered products of exponentials evaluate
-in closed form:
+``h`` and a Hermitian PSD covariance ``J`` (symmetric real part,
+skew-symmetric imaginary part).  Expectations of ordered products of
+exponentials evaluate in closed form:
 
     E prod_t exp(i xi_t . X)
         = exp( sum_t (i xi_t.h - 1/2 xi_t^i xi_t^j J_ji)
@@ -17,7 +17,6 @@ continuation; no operator representation is ever constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,14 +38,6 @@ class GaussianParams:
     @property
     def dim(self) -> int:
         return self.h.shape[0]
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.J.real.copy()
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.J.imag.copy()
 
 
 @dataclass
@@ -121,15 +112,11 @@ def validate_extended(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAUL
     return validate(GaussianParams(h=np.zeros(ext.dim + 1), J=ext.enlarged().J), tol)
 
 
-def _coerce_query(query) -> QcfQuery:
-    return query if isinstance(query, QcfQuery) else QcfQuery(list(query))
-
-
 def gaussian_qcf(params: GaussianParams, query, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Quasi-characteristic function of ``N(h, J)`` at an ordered query."""
     if not validate(params, tol):
         raise InvalidParams("Gaussian parameters failed validation (J must be Hermitian PSD)")
-    return _qcf(params, _coerce_query(query))
+    return _qcf(params, query if isinstance(query, QcfQuery) else QcfQuery(list(query)))
 
 
 def _qcf(params: GaussianParams, q: QcfQuery) -> complex:
@@ -170,13 +157,9 @@ def sandwiched_gaussian_qcf(
     if not validate_extended(ext, tol):
         raise InvalidParams("extended Gaussian parameters failed validation")
     d = ext.dim
-    xis: Sequence[np.ndarray]
-    if query is None:
-        xis = []
-    elif isinstance(query, QcfQuery):
-        xis = query.xis
-    else:
-        xis = [np.asarray(x, dtype=complex).reshape(-1) for x in query]
+    if isinstance(query, QcfQuery):
+        query = query.xis
+    xis = [np.asarray(x, dtype=complex).reshape(-1) for x in (() if query is None else query)]
     end = np.zeros(d + 1, dtype=complex)
     end[d] = -0.5j
     enlarged_query = [end]

@@ -28,7 +28,6 @@ and is the reference for the scalar route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,7 +42,8 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, trace one.
 
     ``subnormalized=True`` relaxes the trace constraint to ``0 < Tr <= 1``,
-    which is needed for diagonostics on blocks of larger states.
+    which is needed for diagnostics on blocks of larger states.  The trace
+    rule is :func:`_check_trace`, which the CLI applies to the arrays it reads.
     """
 
     def __init__(
@@ -54,17 +54,22 @@ class DensityMatrix:
         tol: ToleranceConfig = DEFAULT_TOL,
     ) -> None:
         mat = matcore.psd_spectrum(mat, tol, "state", vectors=False).mat
-        tr = float(np.trace(mat).real)
-        if subnormalized:
-            if not 0.0 < tr <= 1.0 + trace_tol:
-                raise ZeroState(f"subnormalized state must have trace in (0, 1], got {tr:.6g}")
-        elif abs(tr - 1.0) > trace_tol:
-            raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {trace_tol:.1e}")
+        _check_trace(mat, subnormalized, trace_tol)
         self.mat = mat
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _check_trace(mat: np.ndarray, subnormalized: bool = False, trace_tol: float = 1e-10) -> None:
+    """The trace rule of a state: ``Tr = 1`` within ``trace_tol``, or ``0 < Tr <= 1`` if subnormalized."""
+    tr = float(np.trace(mat).real)
+    if subnormalized:
+        if not 0.0 < tr <= 1.0 + trace_tol:
+            raise ZeroState(f"subnormalized state must have trace in (0, 1], got {tr:.6g}")
+    elif abs(tr - 1.0) > trace_tol:
+        raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {trace_tol:.1e}")
 
 
 def _mat(x) -> np.ndarray:
@@ -143,14 +148,16 @@ class _QubitSplit(NamedTuple):
     """The split of two 2x2 operands on Python scalars (see :class:`_Split`).
 
     ``sig`` holds the entries ``(a, b, c)`` of sigma's validated Hermitian
-    part ``[[a, b], [conj b, c]]``; ``w_r`` holds rho's clamped
-    eigenvalues and ``u``, ``v`` its eigenvectors, in ascending order.  For
+    part ``[[a, b], [conj b, c]]``; ``r`` is rho's validated Hermitian part,
+    ``w_r`` holds its clamped eigenvalues and ``u``, ``v`` its eigenvectors, in
+    ascending order.  For
     faithful rho, ``ex`` holds the excision's entries ``(a, b, c)`` in the
     basis ``(u, v)``; otherwise supp rho is ``span v``, ker rho ``span u``,
     and ``ex = (e,)`` with ``e = v* sigma v``.  ``h2`` is as in :class:`_Split`.
     """
 
     sig: tuple
+    r: np.ndarray
     w_r: tuple
     u: tuple
     v: tuple
@@ -169,7 +176,7 @@ def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _Q
     """:func:`_split` of two 2x2 operands, with the same validation and rank rule."""
     _, sig, w_s, _ = matcore._psd2(sigma, tol, "sigma", vectors=False)
     _nonzero(w_s, "sigma")
-    _, _, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, "rho", vectors=True)
+    r, _, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, "rho", vectors=True)
     _nonzero(w_r, "rho")
     u, v = (u0, u1), (v0, v1)
     faithful = w_r[0] > tol.rank_rel * w_r[1]
@@ -178,7 +185,7 @@ def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _Q
     else:
         ex = wx = (_form(sig, v, v).real,)
     cut = tol.rank_rel * w_s[1]
-    return _QubitSplit(sig, w_r, u, v, faithful, ex, tuple(w > cut for w in wx))
+    return _QubitSplit(sig, r, w_r, u, v, faithful, ex, tuple(w > cut for w in wx))
 
 
 def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split | _QubitSplit:
@@ -328,7 +335,7 @@ def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
         _, w0, ((p0, q0), (p1, q1)) = matcore._eig2(*sp.ex, True)
         f = (u[0] * q0 + v[0] * q1, u[1] * q0 + v[1] * q1)
         g = (u[0] * p0 + v[0] * p1, u[1] * p0 + v[1] * p1)
-        R0 = math.sqrt(w0 / (sp.w_r[0] * matcore._abs2(q0) + sp.w_r[1] * matcore._abs2(q1)))
+        R0 = matcore._root(w0, sp.w_r[0] * matcore._abs2(q0) + sp.w_r[1] * matcore._abs2(q1), True)
         return LebesgueDecomposition(_outer(w0, f), zero, _outer(R0, f), _support_split((g,), (f,), ()))
     # rho has the kernel span u and sigma's excision e onto span v is nonzero:
     # the blocks of _decompose are the scalars e, alpha, E and the Schur complement.
@@ -337,15 +344,20 @@ def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
     E = alpha / e
     schur = (_form(sp.sig, u, u) - alpha.conjugate() * E).real
     F = (v[0] + u[0] * E.conjugate(), v[1] + u[1] * E.conjugate())
-    return LebesgueDecomposition(_outer(e, F), _outer(schur, u), _outer(math.sqrt(e / sp.w_r[1]), F),
+    return LebesgueDecomposition(_outer(e, F), _outer(schur, u), _outer(matcore._root(e, sp.w_r[1], True), F),
                                  _support_split((), (v,), (u,)))
 
 
 def _check_resolved(dec: LebesgueDecomposition, rho: np.ndarray, tol: ToleranceConfig) -> None:
-    """Refuse a decomposition whose ``ac = R rho R`` fails beyond ``eq_rel``."""
-    RrR = dec.sqrt_lr @ rho @ dec.sqrt_lr
-    if not matcore.mat_close(RrR, dec.ac, tol):
-        resid = matcore.frob(RrR - dec.ac) / (1.0 + matcore.frob(dec.ac))
+    """Refuse a decomposition whose ``ac = R rho R`` fails beyond ``eq_rel``: ``||R rho R - ac||
+    <= eq_rel (1 + ||ac||)``, in units of a power of 4 near ac's largest entry when that
+    exceeds 1, so that entries near 1e300 neither overflow nor warn."""
+    k = max(matcore._unit4(float(np.abs(dec.ac).max(initial=0.0))), 0)
+    half = 0.5**k  # R is in units of 2**k
+    R, ac, unit = dec.sqrt_lr * half, dec.ac * half * half, half * half
+    diff, size = matcore.frob(R @ rho @ R - ac), matcore.frob(ac)
+    if not diff <= tol.eq_rel * (unit + size):  # NaN is refused too
+        resid = diff / (unit + size)
         raise NumericCheckFailure(
             f"decomposition unresolved: ||R rho R - ac|| / (1 + ||ac||) = {resid:.3e} exceeds "
             f"eq_rel {tol.eq_rel:.1e} (rank cutoff {tol.rank_rel:.1e} is below the eigensolver's "
@@ -363,12 +375,12 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     Two 2x2 operands are split and assembled on Python scalars
     (:func:`_qubit_split`); larger ones by the array split.  When the rank
     cutoff ``rank_rel`` lies below ``d * eps``, where the eigensolver cannot
-    tell rounding from support, the array route checks ``ac = R rho R``
-    and raises :class:`NumericCheckFailure` if it fails beyond ``eq_rel``.
+    tell rounding from support, either route checks ``ac = R rho R`` and
+    raises :class:`NumericCheckFailure` if it fails beyond ``eq_rel``.
     """
     sp = _pair_split(sigma, rho, tol, vectors=True)
     dec = sp.decompose()
-    if isinstance(sp, _Split) and tol.rank_rel < len(sp.s) * np.finfo(float).eps:
+    if tol.rank_rel < len(dec.ac) * np.finfo(float).eps:
         _check_resolved(dec, sp.r, tol)
     return dec
 

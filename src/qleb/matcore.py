@@ -473,6 +473,15 @@ def _unit4(x: float) -> int:
     return math.frexp(x)[1] // 2
 
 
+def _root(x: float, y: float, inverse: bool = False) -> float:
+    """``sqrt(x y)``, or ``sqrt(x / y)`` when ``inverse``, for ``x, y > 0``, taken on ``x`` and
+    ``y`` scaled by powers of 4: the unscaled value bit for bit wherever that is a normal
+    number, and no overflow or underflow in between wherever the result is representable."""
+    kx, ky = _unit4(x), _unit4(y)
+    x, y = math.ldexp(x, -2 * kx), math.ldexp(y, -2 * ky)
+    return math.ldexp(math.sqrt(x / y if inverse else x * y), kx - ky if inverse else kx + ky)
+
+
 def _diag_mean2(c0: float, c1: float, m00: float, m01: complex, m11: float,
                 inverse: bool = False) -> tuple[float, complex, float]:
     """:func:`_diag_mean` at size 2 on Python scalars: entries ``(n00, n01, n11)`` of
@@ -501,13 +510,14 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
 
     Scale, one eigensolve, scale: ``C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}``
     (Cholesky mean with the diagonal factor ``C^{1/2}``).  Sizes 1 and 2 use
-    closed forms, with the adjugate for a 2x2 inverse; a 2x2 ``M`` whose
+    closed forms on operands scaled by powers of 4 (:func:`_root`,
+    :func:`_diag_mean2`), with the adjugate for a 2x2 inverse; a 2x2 ``M`` whose
     determinant is not positive at working precision raises
     :class:`NumericCheckFailure` (the rank rule passed a block whose
     positivity the entries cannot resolve).
     """
     if c.size == 1:
-        return np.sqrt(c / M.real if inverse else c * M.real).astype(complex)
+        return np.array([[_root(float(c[0]), M.real.item(), inverse)]], dtype=complex)
     if c.size == 2:
         (m00, m01), (m10, m11) = M.tolist()
         n00, n01, n11 = _diag_mean2(*c.tolist(), m00.real, (m01 + m10.conjugate()) / 2, m11.real, inverse)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import matcore
-from .contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _tail
+from .contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product, _tail
 from .errors import (
     CenteringViolated,
     DerivativeUnavailable,
@@ -132,27 +132,24 @@ class IIDExperiment:
 
     ``obs`` carries the single-site observables ``B_i`` (zero mean under the
     base state); queries couple to the collective ``(1/sqrt(n)) sum_k B_i``.
+    The observables are validated once, here, as :func:`contiguity.finite_qcf`
+    validates its own (Hermitian under the default tolerances, of the base
+    state's shape, centred).
     """
 
     base: np.ndarray
-    slds: list = field(default_factory=list)
     obs: list = field(default_factory=list)
-    h: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n: int = 1
     centering_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         self.base = _mat(self.base)
-        self.slds = [np.asarray(L, dtype=complex) for L in self.slds]
-        self.obs = [np.asarray(B, dtype=complex) for B in self.obs]
-        self.h = np.asarray(self.h, dtype=float).reshape(-1)
+        self.obs = [matcore.check_hermitian(B) for B in self.obs]
         if self.n < 1:
             raise ValueError("copy count n must be >= 1")
-        for name, ops in (("sld", self.slds), ("obs", self.obs)):
-            for op in ops:
-                if op.shape != self.base.shape:
-                    raise DimMismatch(f"{name} dimension {op.shape} != base {self.base.shape}")
-        _check_centered(self.base, self.slds, self.centering_tol, "sld")
+        for op in self.obs:
+            if op.shape != self.base.shape:
+                raise DimMismatch(f"obs dimension {op.shape} != base {self.base.shape}")
         _check_centered(self.base, self.obs, self.centering_tol, "obs")
 
 
@@ -162,20 +159,7 @@ def iid_qcf(exp: IIDExperiment, xis: Sequence[Sequence[float]], tol: ToleranceCo
     Exact identity: the value equals ``(Tr rho prod_t exp(i xi_t . B /
     sqrt(n)))^n`` because each collective exponential factorizes over sites.
     """
-    scale = 1.0 / np.sqrt(exp.n)
-    U = np.eye(exp.base.shape[0], dtype=complex)
-    for xi in xis:
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        if xi.shape[0] != len(exp.obs):
-            raise DimMismatch(f"query length {xi.shape[0]} != number of observables {len(exp.obs)}")
-        H = sum(c * B for c, B in zip(xi, exp.obs)) * scale
-        U = U @ matcore.unitary_exp(hermitian_part(H), tol)
-    z = complex(np.trace(exp.base @ U))
-    if exp.n == 1:
-        return z
-    if z == 0:
-        return 0.0j
-    return complex(np.exp(exp.n * np.log(z)))
+    return _ordered_product(exp.base, exp.obs, xis, tol, exp.n)
 
 
 @dataclass
@@ -225,12 +209,12 @@ def lecam3_numeric_check(
     wants = [_qcf(limit, QcfQuery([np.asarray(x, dtype=float) for x in query])) for query in xi_grid]
     deviations = []
     for n in n_grid:
+        if n < 1:
+            raise ValueError("copy count n must be >= 1")
         shifted = _mat(model.state_at(theta0 + h / np.sqrt(n)))
-        experiment = IIDExperiment(base=shifted, obs=list(B), h=h, n=int(n),
-                                   centering_tol=np.inf)
         worst = 0.0
         for query, want in zip(xi_grid, wants):
-            worst = max(worst, abs(iid_qcf(experiment, query, tol) - want))
+            worst = max(worst, abs(_ordered_product(shifted, B, query, tol, int(n)) - want))
         deviations.append({"n": int(n), "max_deviation": worst})
     devs = [row["max_deviation"] for row in deviations]
     return LeCam3Report(

@@ -221,6 +221,14 @@ def test_contiguity_block_preset(capsys):
     assert values["verdict"] == "Contiguous"
 
 
+def test_contiguity_pure_rejects_a_decreasing_grid(capsys):
+    argv = ["contiguity", "pure", "--preset", "spin-overlap", "--g", "quarter", "--h", "1,0.5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and report_values(out)["verdict"] == "NotContiguous"
+    code, out, err = run(capsys, argv + ["--grid", "1000000,1000,10,1"])
+    assert code == 2 and out == "" and "strictly increasing" in err
+
+
 def test_contiguity_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, ["contiguity", "kakutani", "--preset", "sec-9.9"])
     assert code == 2 and "unknown preset" in err

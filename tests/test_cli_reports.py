@@ -1,6 +1,9 @@
 """CLI reports of the paper's criteria and of generated decompositions, against stored reports.
 
-The sec-7.1 block report and the decompose reports must equal the stored ones
+The README's commands are pinned, the inline ``--spec`` family aside.  The
+reports of ``decompose`` (d = 2 and 8, full rank and a kernel on either
+side), of the ``limit``, ``pure`` and ``block`` criteria, of ``gaussian`` (on
+generated parameter files) and of ``qlan`` must equal the stored ones
 exactly.  The Kakutani presets must give the same verdict and report keys,
 with every summand within 1e-14 of the stored one (and so every partial sum
 up to ``i`` within ``i * 1e-14``): their summands are rounding-level
@@ -51,7 +54,50 @@ def commands(workdir: Path) -> dict[str, list[str]]:
             path.write_text(json.dumps(matrix_document(_state(rng, 8, rank))), encoding="utf-8")
             paths.append(str(path))
         cmds[f"decompose.d8.{kind}"] = ["decompose", *paths]
+    rng = np.random.default_rng([20261018, 2])
+    for kind, (sigma_rank, rho_rank) in {"full": (2, 2), "deficient-sigma": (1, 2),
+                                         "deficient-rho": (2, 1)}.items():
+        paths = []
+        for name, rank in (("sigma", sigma_rank), ("rho", rho_rank)):
+            path = workdir / f"{name}-d2-{kind}.json"
+            path.write_text(json.dumps(matrix_document(_state(rng, 2, rank))), encoding="utf-8")
+            paths.append(str(path))
+        cmds[f"decompose.d2.{kind}"] = ["decompose", *paths]
+    for preset in ("example-4.1", "example-4.3"):
+        cmds[f"limit.{preset}"] = ["contiguity", "limit", "--preset", preset]
+    cmds["pure.spin-overlap"] = ["contiguity", "pure", "--preset", "spin-overlap",
+                                 "--g", "sqrt", "--h", "1,0.5"]
+    cmds.update(_gaussian_commands(np.random.default_rng([20261018, 3]), workdir))
+    for op in ("sld", "qfi", "expansion"):
+        cmds[f"qlan.{op}"] = ["qlan", op, "--model", "spin-pure"]
+    cmds["qlan.clt-check"] = ["qlan", "clt-check", "--model", "spin-perturbed:f=cubic",
+                              "--h", "1,0.5", "--n", "1e2,1e4,1e6"]
+    cmds["qlan.rate-scan"] = ["qlan", "rate-scan", "--f", "cubic", "--g", "sqrt"]
     return cmds
+
+
+def _gaussian_commands(rng: np.random.Generator, workdir: Path) -> dict[str, list[str]]:
+    """``gaussian qcf|shift|sandwich`` on a generated 2-mode parameter set and a 2-vector query."""
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    T = G @ G.conj().T
+    T = (T + T.conj().T) / 2
+    docs = {
+        "params": {"h": rng.standard_normal(2).tolist(), "J": matrix_document(T[:2, :2])},
+        "ext": {"mu": rng.standard_normal(2).tolist(), "Sigma": matrix_document(T[:2, :2]),
+                "kappa": [[float(z.real), float(z.imag)] for z in T[:2, 2]],
+                "s2": float(T[2, 2].real)},
+        "query": {"xis": [rng.standard_normal(2).tolist() for _ in range(2)]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(workdir / f"gaussian-{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+    return {
+        "gaussian.qcf": ["gaussian", "qcf", "--params", paths["params"], "--query", paths["query"]],
+        "gaussian.shift": ["gaussian", "shift", "--params", paths["ext"]],
+        "gaussian.sandwich": ["gaussian", "sandwich", "--params", paths["ext"],
+                              "--query", paths["query"]],
+    }
 
 
 def cli_reports(workdir: Path) -> dict[str, dict]:
@@ -88,8 +134,14 @@ def test_pinned_commands_are_the_stored_ones(reports, expected):
     assert sorted(reports) == sorted(expected)
 
 
-@pytest.mark.parametrize("name", ["block.sec-7.1", "decompose.d8.full",
-                                  "decompose.d8.deficient-sigma", "decompose.d8.deficient-rho"])
+EXACT = ["block.sec-7.1", "decompose.d8.full", "decompose.d8.deficient-sigma",
+         "decompose.d8.deficient-rho", "decompose.d2.full", "decompose.d2.deficient-sigma",
+         "decompose.d2.deficient-rho", "limit.example-4.1", "limit.example-4.3",
+         "pure.spin-overlap", "gaussian.qcf", "gaussian.shift", "gaussian.sandwich", "qlan.sld",
+         "qlan.qfi", "qlan.expansion", "qlan.clt-check", "qlan.rate-scan"]
+
+
+@pytest.mark.parametrize("name", EXACT)
 def test_report_matches_exactly(reports, expected, name):
     assert reports[name] == expected[name]
 

@@ -253,6 +253,16 @@ def test_pure_criterion_without_declarations_is_inconclusive():
     assert rep.verdict == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("grid", [[10**6, 1000, 10, 1], [5, 5], [], [0, 10], [1, 10**7]])
+def test_pure_power_family_checks_its_grid_as_state_sequence_does(grid):
+    # A decreasing grid once read as Contiguous for the quarter scaling, whose
+    # default grid gives NotContiguous.
+    for make in (lambda: spin_overlap_family(presets.quarter_scaling, sample_grid=grid),
+                 lambda: StateSequence(eval=lambda n: None, horizon=10**6, sample_grid=grid)):
+        with pytest.raises(ValueError, match="sample_grid must"):
+            make()
+
+
 # -- kakutani criterion -------------------------------------------------------------
 
 

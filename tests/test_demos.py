@@ -1,0 +1,30 @@
+"""Every script in ``demos/`` runs to completion and writes nothing to stderr.
+
+The demos read the public API (fields included), so a renamed or deleted
+name fails here rather than in a reader's terminal.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_there_are_four_demos():
+    assert [path.name[:3] for path in DEMOS] == ["01_", "02_", "03_", "04_"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_clean(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=ROOT, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    assert proc.stdout

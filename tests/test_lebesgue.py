@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,41 @@ def test_extreme_scale_refuses_an_unresolved_rho_kernel(seed):
     assert dec.split.dims == (0, 8, 0)
     R = dec.sqrt_lr
     assert np.linalg.norm(R @ faithful @ R - dec.ac) <= tol.eq_rel * (1 + np.linalg.norm(dec.ac))
+
+
+def test_extreme_scale_refuses_unresolved_qubit_pairs_too():
+    # Orthogonal pure pairs in a Haar basis are exactly singular, but under
+    # rank_rel = 1e-30 their rounding-level eigenvalues pass as support, and
+    # for about a third of them R rho R misses ac beyond eq_rel: the scalar
+    # route must refuse those, as the array route does.
+    tol = TOL_PROFILES["extreme-scale"]
+    refused = 0
+    for seed in range(200):
+        U = rand_unitary(2, np.random.default_rng([seed, 2]))
+        rho, sigma = np.outer(U[:, 0], U[:, 0].conj()), np.outer(U[:, 1], U[:, 1].conj())
+        try:
+            dec = lebesgue_decompose(sigma, rho, tol)
+        except NumericCheckFailure:
+            refused += 1
+            continue
+        R = dec.sqrt_lr
+        assert np.linalg.norm(R @ rho @ R - dec.ac) <= tol.eq_rel * (1 + np.linalg.norm(dec.ac))
+    assert refused > 0
+
+
+@pytest.mark.parametrize("sigma, rho", [
+    (np.diag([1e300, 0, 0]), 1e-300 * np.eye(3)),
+    (np.diag([1e300, 0]), 1e-300 * np.eye(2)),
+    (1e300 * np.eye(2), np.diag([0, 1e-300])),
+    (1e300 * np.eye(3), np.diag([0, 0, 1e-300])),
+])
+def test_ratio_at_opposite_ends_of_the_float_range(sigma, rho):
+    # R = 1e300 is representable although sigma / rho is not: the size-1 mean and
+    # the qubit route's scalar roots are taken on operands scaled by powers of 4.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = lebesgue_decompose(sigma.astype(complex), rho.astype(complex))
+    assert np.abs(dec.sqrt_lr).max() == pytest.approx(1e300, rel=1e-15)
 
 
 # -- scale covariance and non-finite input ---------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +445,20 @@ def test_two_by_two_mean_refuses_an_unresolved_determinant():
     for inverse in (False, True):
         with pytest.raises(NumericCheckFailure, match="2x2 geometric mean unresolved"):
             matcore._diag_mean(np.array([1.0, 2.0]), singular, inverse=inverse)
+
+
+def test_scaled_root_is_the_plain_root_wherever_that_is_in_range():
+    # Scaling by powers of 4 is exact, so the size-1 mean and the qubit route's
+    # roots keep their bits; beyond the range they no longer overflow.
+    rng = np.random.default_rng(41)
+    for x, y in 10.0 ** rng.uniform(-150.0, 150.0, size=(2000, 2)):
+        assert matcore._root(x, y) == math.sqrt(x * y)
+        assert matcore._root(x, y, inverse=True) == math.sqrt(x / y)
+    assert matcore._root(1e300, 1e-300, inverse=True) == pytest.approx(1e300, rel=1e-15)
+    assert matcore._root(1e-300, 1e300, inverse=True) == pytest.approx(1e-300, rel=1e-15)
+    assert matcore._root(1e300, 1e300) == pytest.approx(1e300, rel=1e-15)
+    mean = matcore._diag_mean(np.array([1e300]), np.array([[1e300]], dtype=complex))
+    assert mean[0, 0] == pytest.approx(1e300, rel=1e-15)
 
 
 # -- non-finite input ----------------------------------------------------------------------

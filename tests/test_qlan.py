@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,9 @@ from qleb import (
     sqrt_likelihood_ratio,
 )
 from qleb.contiguity import CONTIGUOUS, NOT_CONTIGUOUS
-from qleb.errors import CenteringViolated, InconsistentDerivativeWarning
+from qleb.errors import CenteringViolated, InconsistentDerivativeWarning, NonHermitian
 from qleb.qlan import model_derivative
-from qleb import presets
+from qleb import cli, contiguity, gaussian, lebesgue, matcore, presets, qlan
 from qleb.presets import (
     GROUND,
     SIGMA_X,
@@ -204,6 +207,47 @@ def test_iid_qcf_defining_identity_against_tensor_product():
         U = unitary_exp(0.8 * collective) @ unitary_exp(-0.3 * collective)
         want = np.trace(rho_n @ U)
         assert got == pytest.approx(complex(want), abs=1e-12)
+
+
+def test_iid_experiment_rejects_what_finite_qcf_rejects():
+    # Both validate their observables once, by the same Hermiticity rule, so
+    # neither symmetrises a non-Hermitian observable silently.
+    from qleb import finite_qcf
+
+    upper = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(NonHermitian):
+        finite_qcf(GROUND, [upper], [[0.5]])
+    with pytest.raises(NonHermitian):
+        IIDExperiment(base=GROUND, obs=[upper], n=4)
+
+
+def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
+    # Every quasi-characteristic function over observables goes through
+    # contiguity._ordered_product, the only caller of unitary_exp in the package.
+    sources = [inspect.getsource(m) for m in (cli, contiguity, gaussian, lebesgue, presets, qlan)]
+    assert sum(src.count("unitary_exp(") for src in sources) == 1
+    callers = []
+    unitary_exp = matcore.unitary_exp
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return unitary_exp(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "unitary_exp", spy)
+    constructed = []
+    monkeypatch.setattr(IIDExperiment, "__post_init__",
+                        lambda self, _init=IIDExperiment.__post_init__: constructed.append(self)
+                        or _init(self))
+    model = spin_perturbed_model()
+    lecam3_numeric_check(model, np.zeros(2), None, np.array([1.0, 0.5]),
+                         n_grid=[100, 10_000, 1_000_000], xi_grid=single_xi_grid())
+    assert constructed == [] and len(callers) == 60
+    iid_qcf(IIDExperiment(base=GROUND, obs=[SIGMA_X], n=9), [[0.3], [0.1]])
+    contiguity.finite_qcf(GROUND, [SIGMA_X], [[0.3]])
+    contiguity.d_infinitesimal_diagnostic(lambda n: (GROUND, SIGMA_X, SIGMA_Y / n),
+                                          [[0.3, 0.1]], [[0.2, 0.4]], [1, 10])
+    assert len(callers) == 60 + 2 + 1 + 8
+    assert set(callers) == {"_ordered_product"}
 
 
 # -- quantum Le Cam third lemma at desk scale -----------------------------------------

@@ -6,11 +6,15 @@ eigenvalues measured against the operand's own largest eigenvalue; these
 properties pin that they can no longer disagree.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qleb import is_abs_continuous, is_singular, lebesgue_decompose, matcore
+from qleb import cli, is_abs_continuous, is_singular, lebesgue_decompose, matcore
 
 from util import rand_unitary
 
@@ -132,6 +136,32 @@ def test_decompose_eigensolve_budget(counted, d, budget, kind):
         assert counted["eigensolves"] == 0
     for operand in (sigma, rho):
         assert sum(np.array_equal(A, operand) for A in counted["hermitian"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient-sigma", "deficient-rho"])
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_cli_decompose_validates_each_operand_once(counted, monkeypatch, tmp_path, d, kind):
+    # Hermiticity is checked where the CLI reads each file (2), positivity and
+    # rank where the library is entered (2), and the ac_predicate check
+    # validates ac and rho (2).  The eigensolves are the decomposition's (3 at
+    # full rank, 4 with a kernel) and the predicate's (2, or 3 when ac has a
+    # kernel); nothing else validates an operand.
+    monkeypatch.setattr(cli, "check_hermitian", matcore.check_hermitian)
+    k = (d + 1) // 2
+    rng = np.random.default_rng([d, 2])
+    sigma = _state(rng, d, k if kind == "deficient-sigma" else d)
+    rho = _state(rng, d, k if kind == "deficient-rho" else d)
+    paths = []
+    for name, A in (("sigma", sigma), ("rho", rho)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli.matrix_document(A)), encoding="utf-8")
+        paths.append(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["decompose", *paths]) == 0
+    assert json.loads(out.getvalue())["values"]["checks"]["ac_predicate"] is True
+    assert len(counted["hermitian"]) == 6
+    assert counted["eigensolves"] == (0 if d == 2 else 5 if kind == "full" else 7)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
