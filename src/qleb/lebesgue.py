@@ -16,6 +16,17 @@ geometric mean ``sigma0 # rho0^{-1}`` of the H2 blocks, taken in the basis
 where one of them is diagonal (see :func:`matcore._diag_mean`).  The
 canonical choice sets the free kernel component of ``R`` to zero.
 
+At sizes 3 and up a shifted Cholesky certifies an operand full rank under
+the rank rule before any eigensolve (:func:`matcore._certified_full_rank`);
+a certified operand takes none.  When both are certified, H2 is the whole
+space in the standard basis, ``ac = sigma``, ``perp = 0``, and
+``R = rho^{-1} # sigma`` comes through rho's Cholesky factor with one
+eigensolve (:func:`matcore._tri_mean`, the triangular route).  A certified
+rho alone makes supp rho the whole space, so sigma's own eigenbasis splits
+H1 from H2; a certified sigma alone puts every excision eigenvalue above
+the cutoff.  Where a certificate fails, or ``rank_rel < d * eps``, the rank
+rule is decided on spectra.
+
 ``excision``, ``is_singular`` (H2 empty), ``is_abs_continuous`` (H1 empty),
 ``lebesgue_decompose`` and ``quantum_log_likelihood`` all read one split, in
 which each operand is validated once and every zero/nonzero decision is the
@@ -89,20 +100,22 @@ class _Split(NamedTuple):
     ``s``/``r`` are the operands' validated Hermitian parts, ``supp_r``/``ker_r``
     rho's support and kernel bases (H1 + H2 and H3), ``w_r`` rho's support
     eigenvalues, ``ex`` the excision of sigma onto supp rho in the ``supp_r``
-    basis with ascending eigenvalues ``wx``, and ``h2`` marks those spanning
+    basis, ``wx`` its ascending eigenvalues, and ``h2`` marks those spanning
     H2 (a top segment); the others span H1.  ``Vx`` holds the excision's
-    phase-fixed eigenvectors when they were asked for and rho is not
-    faithful, else ``None``; for faithful rho the excision is sigma in rho's
-    eigenbasis and ``wx`` is sigma's validated spectrum.
+    phase-fixed eigenvectors when they were asked for and taken, else
+    ``None``.  When rho is certified full rank it has no eigenbasis:
+    ``supp_r`` and ``w_r`` are ``None``, supp rho is the whole space in the
+    standard basis, and the excision is sigma.  When sigma is certified full
+    rank ``wx`` is ``None``: every excision eigenvalue clears the cutoff.
     """
 
     s: np.ndarray
     r: np.ndarray
-    supp_r: np.ndarray
+    supp_r: np.ndarray | None
     ker_r: np.ndarray
-    w_r: np.ndarray
+    w_r: np.ndarray | None
     ex: np.ndarray
-    wx: np.ndarray
+    wx: np.ndarray | None
     Vx: np.ndarray | None
     h2: np.ndarray
 
@@ -117,26 +130,49 @@ class _Split(NamedTuple):
         return _decompose(self)
 
 
-def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split:
+def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: bool = True) -> _Split:
     """The three-block split of ``sigma`` relative to ``rho``.
 
-    The excision's eigenvectors are taken only with ``vectors``: the
-    predicates read its eigenvalues alone.  Every zero/nonzero decision is
-    the rank rule of :func:`matcore.support_mask`: rho's eigenvalues are
-    measured against rho's largest eigenvalue, the excision's against
-    sigma's, so a compression that is rounding noise never counts as a
-    support.
+    Every zero/nonzero decision is the rank rule of
+    :func:`matcore.support_mask`: rho's eigenvalues are measured against
+    rho's largest eigenvalue, the excision's against sigma's, so a
+    compression that is rounding noise never counts as a support.  At sizes
+    3 and up, with ``certify``, an operand whose shifted Cholesky proves the
+    rule's "full rank" (:func:`matcore._certified_full_rank`) takes no
+    eigensolve: a certified rho needs no eigenbasis, since supp rho is the
+    whole space, and a certified sigma needs no spectrum, since every
+    eigenvalue of a compression clears the cutoff (interlacing).  Otherwise,
+    or without ``certify`` (the eigen route, which :func:`excision` takes to
+    return rho's eigenbasis), rho gets an eigensolve with vectors and sigma
+    one without; sigma takes vectors too when rho is certified and
+    ``vectors`` is set, and the excision takes its own only when rho has a
+    kernel (with vectors under ``vectors``).
     """
-    s = _as_positive_operator(sigma, tol, "sigma", vectors=False)
-    r = _as_positive_operator(rho, tol, "rho")
-    if s.mat.shape != r.mat.shape:
-        raise matcore.DimMismatch(f"operand shapes differ: {s.mat.shape} vs {r.mat.shape}")
-    supp = matcore.support_mask(r.eigenvalues, tol)
-    supp_r = r.eigenvectors[:, supp]
-    ex = hermitian_part(supp_r.conj().T @ s.mat @ supp_r)
-    wx, Vx = (s.eigenvalues, None) if supp.all() else matcore._eigh(ex, vectors)
-    h2 = matcore.support_mask(wx, tol, lam_max=s.eigenvalues[-1])
-    return _Split(s.mat, r.mat, supp_r, r.eigenvectors[:, ~supp], r.eigenvalues[supp], ex, wx, Vx, h2)
+    s = matcore.check_hermitian(_mat(sigma), tol, "sigma")
+    r = matcore.check_hermitian(_mat(rho), tol, "rho")
+    if s.shape != r.shape:
+        raise matcore.DimMismatch(f"operand shapes differ: {s.shape} vs {r.shape}")
+    certify = certify and len(s) > 2
+    s_pd = certify and matcore._certified_full_rank(s, tol)
+    r_pd = certify and matcore._certified_full_rank(r, tol)
+    w_s, V_s = (None, None) if s_pd else _spectrum(s, tol, "sigma", vectors and r_pd)
+    if r_pd:
+        supp_r, ker_r, w_r, ex, wx, Vx = None, np.zeros((len(s), 0), dtype=complex), None, s, w_s, V_s
+    else:
+        w, V = _spectrum(r, tol, "rho", True)
+        supp = matcore.support_mask(w, tol)
+        supp_r, ker_r, w_r = V[:, supp], V[:, ~supp], w[supp]
+        ex = hermitian_part(supp_r.conj().T @ s @ supp_r)
+        wx, Vx = (None, None) if s_pd else (w_s, None) if supp.all() else matcore._eigh(ex, vectors)
+    h2 = np.ones(len(ex), dtype=bool) if s_pd else matcore.support_mask(wx, tol, lam_max=w_s[-1])
+    return _Split(s, r, supp_r, ker_r, w_r, ex, wx, Vx, h2)
+
+
+def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> matcore.SpectralDecomposition:
+    """The clamped spectrum of a validated Hermitian operand, checked PSD and nonzero."""
+    _, w, V = matcore._psd_spectrum(H, tol, who, vectors)
+    _nonzero(w, who)
+    return matcore.SpectralDecomposition(w, V)
 
 
 def _nonzero(w, who: str) -> None:
@@ -188,13 +224,14 @@ def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _Q
     return _QubitSplit(sig, r, w_r, u, v, faithful, ex, tuple(w > cut for w in wx))
 
 
-def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False) -> _Split | _QubitSplit:
+def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False,
+                certify: bool = True) -> _Split | _QubitSplit:
     """The split of ``sigma`` relative to ``rho``: :func:`_qubit_split` when both
     are 2x2, else :func:`_split`."""
     s, r = _mat(sigma), _mat(rho)
     if s.shape == r.shape == (2, 2):
         return _qubit_split(s, r, tol)
-    return _split(s, r, tol, vectors)
+    return _split(s, r, tol, vectors, certify)
 
 
 def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -203,7 +240,7 @@ def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Returned in the deterministic eigenbasis of ``rho`` (ascending eigenvalues,
     phase-fixed), with dimension equal to the rank of ``rho``.
     """
-    return _pair_split(sigma, rho, tol).excision()
+    return _pair_split(sigma, rho, tol, certify=False).excision()
 
 
 def is_singular(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -253,13 +290,17 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         zero = np.zeros_like(s)
         return LebesgueDecomposition(ac=zero, perp=s.copy(), sqrt_lr=zero.copy(), split=split)
 
+    if sp.supp_r is None and np.all(sp.h2):
+        # Triangular route: rho is certified full rank and H2 is the whole
+        # space in the standard basis, so ac = sigma and R = rho^{-1} # sigma
+        # comes through rho's Cholesky factor.
+        return LebesgueDecomposition(ac=s, perp=np.zeros_like(s), sqrt_lr=matcore._tri_mean(sp.r, s),
+                                     split=SupportSplit(empty, np.eye(len(s), dtype=complex), empty))
     basis_3 = sp.ker_r
     if np.all(sp.h2):
         # Full-rank excision: H2 is supp(rho) in rho's eigenbasis, so sigma0 is
         # the excision itself and rho's block is exactly diagonal.
-        # (V0 is None only for faithful rho, where H3 is empty and E unused.)
-        basis_1, basis_2 = empty, sp.supp_r
-        sigma0, w0, V0 = sp.ex, sp.wx, sp.Vx
+        basis_1, basis_2, sigma0, w0 = empty, sp.supp_r, sp.ex, None
         R0 = matcore._diag_mean(1.0 / sp.w_r, sigma0)
     else:
         # In the excision eigenbasis sigma0 is diagonal; rho's block is not.
@@ -267,17 +308,21 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         # same top segment of this eigensolve.
         wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else matcore._eigh(sp.ex)
         P = Vx[:, sp.h2]
-        basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
-        w0, V0 = wx[sp.h2], None
+        if sp.supp_r is None:  # rho certified: the excision is sigma itself
+            basis_1, basis_2, rho0 = Vx[:, ~sp.h2], P, P.conj().T @ sp.r @ P
+        else:
+            basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
+            rho0 = (P.conj().T * sp.w_r) @ P
+        w0 = wx[sp.h2]
         sigma0 = np.diag(w0).astype(complex)
-        R0 = matcore._diag_mean(w0, (P.conj().T * sp.w_r) @ P, inverse=True)
+        R0 = matcore._diag_mean(w0, rho0, inverse=True)
 
     # With alpha = sigma's H2-H3 block and E = sigma0^{-1} alpha, ac and R are
     # [I, E]* X [I, E] in the H2 + H3 basis (X = sigma0, R0), i.e. F X F* with
     # F = basis_2 + basis_3 E*; perp = beta - alpha* E lives on H3 alone.
     if basis_3.shape[1]:
         alpha = basis_2.conj().T @ s @ basis_3
-        E = alpha / w0[:, None] if V0 is None else (V0 / w0) @ (V0.conj().T @ alpha)
+        E = np.linalg.solve(sigma0, alpha) if w0 is None else alpha / w0[:, None]
         schur = hermitian_part(basis_3.conj().T @ s @ basis_3 - alpha.conj().T @ E)
         perp = hermitian_part(basis_3 @ schur @ basis_3.conj().T)
         F = basis_2 + basis_3 @ E.conj().T
@@ -373,7 +418,10 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     zero (canonical choice), so repeated calls are reproducible.
 
     Two 2x2 operands are split and assembled on Python scalars
-    (:func:`_qubit_split`); larger ones by the array split.  When the rank
+    (:func:`_qubit_split`); larger ones by the array split, where a faithful
+    pair whose operands are both certified full rank takes the triangular
+    route: ``ac = sigma``, ``perp = 0``, H2 the whole space with
+    ``basis_2 = I``, and one eigensolve.  When the rank
     cutoff ``rank_rel`` lies below ``d * eps``, where the eigensolver cannot
     tell rounding from support, either route checks ``ac = R rho R`` and
     raises :class:`NumericCheckFailure` if it fails beyond ``eq_rel``.

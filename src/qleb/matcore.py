@@ -11,11 +11,13 @@ same error messages; large or non-finite norms and failed Hermiticity
 checks go on to the array code.  Every eigensolve of a single matrix goes
 through one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
 entries scaled by a power of 2 so that nothing overflows or underflows, and
-LAPACK above (the geometric mean's inner eigensolve, at sizes 3 and up and
-with no use for phases, calls LAPACK directly).  The one positivity
-decision that needs no spectrum is :func:`is_positive_definite`: a yes/no
-answer for a declared block, from a single shifted Cholesky (in real
-arithmetic when the block is real).  Matrix functions (square root,
+LAPACK above (the geometric means' inner eigensolves, at sizes 3 and up and
+with no use for phases, call LAPACK directly).  The positivity decisions
+that need no spectrum are one shifted Cholesky: :func:`is_positive_definite`,
+a yes/no answer for a declared block (in real arithmetic when the block is
+real), and :func:`_certified_full_rank`, which proves that the rank rule
+calls an operand full rank so that the decomposition can skip its
+eigensolve.  Matrix functions (square root,
 pseudo-inverse, logarithm, exponential) are applied on the validated
 spectrum; ``exp(iH)`` at size 2 is closed-form.  Eigenbases are made
 deterministic by ordering eigenvalues ascending and fixing the phase of
@@ -288,7 +290,12 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     if labels is None and np.shape(A) == (2, 2):
         H, _, w, V = _psd2(A, tol, who, vectors)
         return PSDSpectrum(H, np.array(w), None if V is None else np.array(V, dtype=complex))
-    H = check_hermitian(A, tol, who, labels)
+    return _psd_spectrum(check_hermitian(A, tol, who, labels), tol, who, vectors, labels)
+
+
+def _psd_spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool,
+                  labels: np.ndarray | None = None) -> PSDSpectrum:
+    """:func:`psd_spectrum` of ``H`` that :func:`check_hermitian` has validated."""
     if labels is not None and H.shape[-1] == 2 and not vectors:
         a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, np.abs(H[:, 0, 1])
         w, V = _spectrum_2x2(a + c, a * c - b * b, np.hypot((a - c) / 2, b)), None
@@ -448,14 +455,52 @@ def is_positive_definite(A: np.ndarray, strict: float) -> bool:
     A = check_square(A, dtype=None)
     if np.iscomplexobj(A) and not A.imag.any():
         A = A.real
-    H = hermitian_part(A)
-    bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
-    H[np.diag_indices_from(H)] -= strict * bound
+    return _shifted_cholesky(hermitian_part(A), strict)
+
+
+def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
+    """:func:`is_positive_definite` of a Hermitian ``H``, which it overwrites.
+
+    When ``||H||_inf`` lies outside ``2**-500 ... 2**500`` (or a row sum
+    overflows), ``H`` is first scaled by a power of 4 near its largest entry,
+    exactly, so that nothing in the factorisation underflows or overflows;
+    inside that range scaling would change no bit of the decision.
+    """
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
+    if not 2.0**-500 < bound < 2.0**500:
+        H = _scaled4(H)[0]
+        bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
+    H.flat[:: len(H) + 1] -= strict * bound
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+#: The full-rank certificate's rounding margin, in units of ``d * eps``: room
+#: for the backward error of the shifted Cholesky and for that of the
+#: eigensolver whose rank decision the certificate stands in for.
+_CERT_MARGIN = 8
+
+
+def _certified_full_rank(H: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether the rank rule calls the validated Hermitian ``H`` full rank, shown with no eigensolve.
+
+    :func:`is_positive_definite`'s shifted Cholesky with ``strict = rank_rel
+    + c d eps``: a factor of ``H - strict ||H||_inf I`` proves ``lam_min >
+    strict ||H||_inf >= (rank_rel + c d eps) lam_max``, so the eigenvalues an
+    eigensolver computes all clear ``rank_rel * lam_max``, and ``H`` clears
+    the PSD floor.  False means "decide by the spectrum": the factorisation
+    failed, or ``rank_rel < d eps``, where no eigensolver resolves the cutoff
+    either.
+    """
+    d = H.shape[0]
+    eps = np.finfo(float).eps
+    if tol.rank_rel < d * eps:
+        return False
+    return _shifted_cholesky(H.copy(), tol.rank_rel + _CERT_MARGIN * d * eps)
 
 
 def _resolved_det2(a: float, c: float, b: complex) -> float:
@@ -480,6 +525,20 @@ def _root(x: float, y: float, inverse: bool = False) -> float:
     kx, ky = _unit4(x), _unit4(y)
     x, y = math.ldexp(x, -2 * kx), math.ldexp(y, -2 * ky)
     return math.ldexp(math.sqrt(x / y if inverse else x * y), kx - ky if inverse else kx + ky)
+
+
+def _times2(A: np.ndarray, k: int) -> np.ndarray:
+    """``A * 2**k`` in two factors that are normal floats: exact wherever the result is normal."""
+    if not k:
+        return A
+    h = k // 2
+    return A * math.ldexp(1.0, h) * math.ldexp(1.0, k - h)
+
+
+def _scaled4(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(A / 4**k, k)`` with the largest entry of ``A / 4**k`` in ``[1/4, 2)`` (see :func:`_unit4`)."""
+    k = _unit4(float(np.abs(A).max(initial=0.0)))
+    return _times2(A, -2 * k), k
 
 
 def _diag_mean2(c0: float, c1: float, m00: float, m01: complex, m11: float,
@@ -509,8 +568,11 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
     """``C # M``, or ``C # M^{-1}`` when ``inverse``, for ``C = diag(c) > 0`` and ``M > 0``.
 
     Scale, one eigensolve, scale: ``C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}``
-    (Cholesky mean with the diagonal factor ``C^{1/2}``).  Sizes 1 and 2 use
-    closed forms on operands scaled by powers of 4 (:func:`_root`,
+    (Cholesky mean with the diagonal factor ``C^{1/2}``).  The mean is jointly
+    homogeneous, ``(x C) # (y M)^{+-1} = sqrt(x y^{+-1}) C # M^{+-1}``, so it is
+    taken on ``C`` and ``M`` scaled by powers of 4 to unit size: exactly, and
+    nothing in between overflows or underflows wherever the result is
+    representable.  Sizes 1 and 2 use closed forms (:func:`_root`,
     :func:`_diag_mean2`), with the adjugate for a 2x2 inverse; a 2x2 ``M`` whose
     determinant is not positive at working precision raises
     :class:`NumericCheckFailure` (the rank rule passed a block whose
@@ -522,6 +584,7 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
         (m00, m01), (m10, m11) = M.tolist()
         n00, n01, n11 = _diag_mean2(*c.tolist(), m00.real, (m01 + m10.conjugate()) / 2, m11.real, inverse)
         return np.array([[n00, n01], [n01.conjugate(), n11]], dtype=complex)
+    (c, kc), (M, km) = _scaled4(c), _scaled4(M)
     root = np.sqrt(c)
     scale = root if inverse else 1.0 / root
     w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))
@@ -529,7 +592,25 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
     # them to 0, the inverse square root to that of the resolution limit.
     w = np.maximum(w, np.finfo(float).eps * w[-1] if inverse else 0.0)
     X = (V * (w ** (-0.5 if inverse else 0.5))) @ V.conj().T
-    return hermitian_part(root[:, None] * X * root)
+    return _times2(hermitian_part(root[:, None] * X * root), kc - km if inverse else kc + km)
+
+
+def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``rho^{-1} # sigma``, the ``R >= 0`` with ``R rho R = sigma``, for ``rho > 0`` and ``sigma >= 0``.
+
+    Cholesky form with one eigensolve: ``rho = L L*``, ``L* sigma L = V diag(w) V*``
+    and ``R = Y diag(sqrt w) Y*`` with ``Y = L^{-*} V`` (a solve on the
+    triangular ``L*``).  No inverse or inverse square root of either operand
+    is formed, and ``R`` is as accurate as the pair's conditioning allows
+    (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).  Like
+    :func:`_diag_mean` it is taken on operands scaled by powers of 4.
+    """
+    (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
+    L = np.linalg.cholesky(rho)
+    L_h = L.conj().T
+    w, V = np.linalg.eigh(hermitian_part(L_h @ sigma @ L))
+    Y = np.linalg.solve(L_h, V)
+    return _times2(hermitian_part((Y * np.sqrt(np.maximum(w, 0.0))) @ Y.conj().T), ks - kr)
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -3,10 +3,14 @@
 These deliberately avoid the library's code paths: matrix square roots come
 from scipy's Schur-based ``sqrtm``, pseudo-inverses from ``np.linalg.pinv``,
 and the geometric mean from the similarity formula ``A (A^{-1}B)^{1/2}``.
+The faithful-pair ratio is also evaluated in mpmath at 40 digits, by two
+independent formulations, with the problem's own sensitivity to eps-relative
+input perturbations as the yardstick for a float result.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -91,6 +95,68 @@ def block_construction_decomposition(sigma: np.ndarray, rho: np.ndarray, cut: fl
     core[d1:d1 + d2, d1:d1 + d2] = gm
     R = E.conj().T @ core @ E
     return herm(W @ ac @ W.conj().T), herm(W @ perp @ W.conj().T), herm(W @ R @ W.conj().T)
+
+
+MP_DPS = 40
+
+
+def _mp_sqrt(H: mpmath.matrix) -> mpmath.matrix:
+    """Square root of a Hermitian PSD mpmath matrix through its eigendecomposition."""
+    w, Q = mpmath.eighe((H + H.H) / 2)
+    return Q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * Q.H
+
+
+def _mp_faithful_sqrt_lr(S: mpmath.matrix, P: mpmath.matrix, route: str) -> mpmath.matrix:
+    if route == "cholesky":
+        # rho = L L*: R = L^{-*} (L* sigma L)^{1/2} L^{-1}.
+        L = mpmath.cholesky(P)
+        Y = mpmath.inverse(L.H)
+        return Y * _mp_sqrt(L.H * S * L) * Y.H
+    if route == "eigen":
+        # R = rho^{-1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2} in rho's eigenbasis.
+        w, Q = mpmath.eighe(P)
+        half = Q * mpmath.diag([mpmath.sqrt(x) for x in w]) * Q.H
+        inv_half = Q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * Q.H
+        return inv_half * _mp_sqrt(half * S * half) * inv_half
+    raise ValueError(f"unknown route {route!r}")
+
+
+def mp_faithful_sqrt_lr(sigma: np.ndarray, rho: np.ndarray, route: str = "cholesky",
+                        dps: int = MP_DPS) -> np.ndarray:
+    """``R = rho^{-1} # sigma`` of a faithful pair in mpmath at ``dps`` digits, rounded to complex.
+
+    The float inputs (exactly Hermitian) are read as exact numbers.  Two
+    independent formulations: ``"cholesky"`` through rho's Cholesky factor and
+    ``"eigen"`` through rho's eigendecomposition.
+    """
+    with mpmath.workdps(dps):
+        R = _mp_faithful_sqrt_lr(mpmath.matrix(sigma.tolist()), mpmath.matrix(rho.tolist()), route)
+        return np.array(R.tolist(), dtype=complex)
+
+
+def mp_perturbation_bound(sigma: np.ndarray, rho: np.ndarray, rng: np.random.Generator,
+                          draws: int = 3, dps: int = MP_DPS) -> float:
+    """How far eps-relative input perturbations move the true ratio: the problem's own sensitivity.
+
+    Each draw perturbs every entry of sigma and rho by ``eps |entry|`` times a
+    random unit phase (kept Hermitian), recomputes ``R`` in mpmath and takes
+    ``||R' - R||_F / ||R||_F``; the largest over ``draws`` is returned.
+    """
+    eps = np.finfo(float).eps
+
+    def perturbed(A: np.ndarray) -> mpmath.matrix:
+        d = len(A)
+        phase = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
+        dA = eps * np.abs(A) * phase
+        dA = (dA + dA.conj().T) / 2
+        return mpmath.matrix(A.tolist()) + mpmath.matrix(dA.tolist())
+
+    with mpmath.workdps(dps):
+        R = _mp_faithful_sqrt_lr(mpmath.matrix(sigma.tolist()), mpmath.matrix(rho.tolist()), "cholesky")
+        size = mpmath.mnorm(R, "f")
+        return max(float(mpmath.mnorm(_mp_faithful_sqrt_lr(perturbed(sigma), perturbed(rho), "cholesky") - R,
+                                      "f") / size)
+                   for _ in range(draws))
 
 
 def classical_gaussian_cf(mean: np.ndarray, cov: np.ndarray, xi: np.ndarray) -> complex:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from qleb.presets import (
     orthogonal_limit_sqrt_lr,
 )
 
-from oracles import block_construction_decomposition, closed_form_decomposition
+from qleb import lebesgue
+from oracles import (block_construction_decomposition, closed_form_decomposition,
+                     mp_faithful_sqrt_lr, mp_perturbation_bound)
 from util import (
     rand_density,
     rand_density_bounded,
@@ -401,6 +407,111 @@ def test_scale_covariance_across_the_float_range(d):
                                 (lebesgue_decompose(sigma, c * rho), 1.0 / np.sqrt(c))):
                 assert dec.split.dims == base.split.dims, k
                 assert rel_err(dec.sqrt_lr / factor, base.sqrt_lr) <= 1e-12, k
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient-sigma", "deficient-rho"])
+@pytest.mark.parametrize("d", [3, 8])
+def test_scale_covariance_on_every_route(d, kind):
+    # The triangular route (full rank) and both geometric means (a kernel on
+    # either side) are taken on operands scaled by powers of 4.
+    rng = np.random.default_rng([d, 150])
+    k = d // 2 + 1
+    sigma = rand_density(d, rng, k if kind == "deficient-sigma" else d)
+    rho = rand_density(d, rng, k if kind == "deficient-rho" else d)
+    base = lebesgue_decompose(sigma, rho)
+    for e in range(-150, 151, 30):
+        c = 10.0 ** e
+        for dec, factor in ((lebesgue_decompose(c * sigma, rho), np.sqrt(c)),
+                            (lebesgue_decompose(sigma, c * rho), 1.0 / np.sqrt(c))):
+            assert dec.split.dims == base.split.dims, e
+            assert rel_err(dec.sqrt_lr / factor, base.sqrt_lr) <= 1e-12, e
+
+
+def test_geometric_mean_of_blocks_above_2x2_is_scaled():
+    # sigma of rank 4 at 1e-194 against a faithful rho at 1e-172: unscaled,
+    # C^{1/2} M C^{1/2} underflowed to 0 in the mean of the 4x4 H2 blocks, and
+    # sqrt_lr came out NaN after a divide-by-zero warning.
+    rng = np.random.default_rng([8, 22])
+    sigma, rho = rand_density(8, rng, 4), rand_density(8, rng)
+    base = lebesgue_decompose(sigma, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = lebesgue_decompose(1e-194 * sigma, 1e-172 * rho)
+    assert dec.split.dims == base.split.dims == (4, 4, 0)
+    assert rel_err(dec.sqrt_lr * 1e11, base.sqrt_lr) <= 1e-12
+
+
+# -- the triangular route and its accuracy ---------------------------------------------------
+
+
+def conditioned_state(rng: np.random.Generator, d: int, cond: float) -> np.ndarray:
+    """Exactly Hermitian, eigenvalues log-spaced from 1 down to 1/cond, in a Haar basis."""
+    U = rand_unitary(d, rng)
+    A = (U * np.logspace(0.0, -np.log10(cond), d)) @ U.conj().T
+    return (A + A.conj().T) / 2
+
+
+def test_triangular_route_returns_sigma_as_ac():
+    # Both operands certified full rank: H2 is the whole space in the standard
+    # basis, ac is sigma's validated Hermitian part and perp is 0, exactly.
+    rng = np.random.default_rng(11)
+    sigma, rho = rand_density(8, rng), rand_density(8, rng)
+    dec = lebesgue_decompose(sigma, rho)
+    assert np.array_equal(dec.ac, (sigma + sigma.conj().T) / 2)
+    assert not np.any(dec.perp)
+    assert dec.split.dims == (0, 8, 0)
+    assert np.array_equal(dec.split.basis_2, np.eye(8))
+
+
+@pytest.mark.parametrize("sigma_rank, rho_rank", [(8, 8), (5, 8), (8, 5), (5, 5), (8, 1)])
+def test_certified_routes_agree_with_the_eigen_route(sigma_rank, rho_rank):
+    # Certificates change which eigensolves run, never the decomposition.
+    for seed in range(5):
+        rng = np.random.default_rng([seed, sigma_rank, rho_rank])
+        sigma, rho = rand_density(8, rng, sigma_rank), rand_density(8, rng, rho_rank)
+        dec = lebesgue_decompose(sigma, rho)
+        eigen = lebesgue._decompose(lebesgue._split(sigma, rho, DEFAULT_TOL, vectors=True, certify=False))
+        assert dec.split.dims == eigen.split.dims
+        for got, want in ((dec.ac, eigen.ac), (dec.perp, eigen.perp), (dec.sqrt_lr, eigen.sqrt_lr)):
+            assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("d", [3, 6, 12, 16])
+def test_faithful_ratio_is_as_accurate_as_its_conditioning(d):
+    # cond(sigma) = cond(rho) = 1e8.  The forward error of sqrt_lr against a
+    # 40-digit evaluation stays within 1e3 times what eps-relative input
+    # perturbations do to the true R.  Residuals cannot show this: the mean
+    # diag(1/w_rho) # sigma0 in rho's eigenbasis misses by 1e-5 to 9e-3 here
+    # (1e3 to 4e7 times that bound) and passes every residual check.
+    rng = np.random.default_rng([d, 1])
+    sigma, rho = conditioned_state(rng, d, 1e8), conditioned_state(rng, d, 1e8)
+    err = rel_err(lebesgue_decompose(sigma, rho).sqrt_lr, mp_faithful_sqrt_lr(sigma, rho))
+    assert err <= 1e3 * mp_perturbation_bound(sigma, rho, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_extended_precision_oracle_routes_agree(d):
+    rng = np.random.default_rng([d, 2])
+    sigma, rho = conditioned_state(rng, d, 1e8), conditioned_state(rng, d, 1e8)
+    chol, eig = mp_faithful_sqrt_lr(sigma, rho, "cholesky"), mp_faithful_sqrt_lr(sigma, rho, "eigen")
+    assert rel_err(chol, eig) <= 1e-15  # both rounded from 40 digits
+    R = lebesgue_decompose(sigma, rho).sqrt_lr
+    assert rel_err(R @ rho @ R, sigma) <= 1e-6
+
+
+def test_decompose_does_not_load_scipy():
+    # numpy only: importing scipy.linalg costs about 0.3 s and 29 MB per process.
+    code = ("import sys, numpy as np, qleb\n"
+            "rng = np.random.default_rng(0)\n"
+            "G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))\n"
+            "A = G @ G.conj().T\n"
+            "qleb.lebesgue_decompose(A / np.trace(A).real, np.eye(8) / 8)\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
