@@ -22,6 +22,7 @@ from .errors import (
     FactorNotAC,
     MissingLimits,
     NotPure,
+    ValidationError,
 )
 from .lebesgue import _as_positive_operator, _mat, is_abs_continuous, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
@@ -535,6 +536,15 @@ def _assemble_blocks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_STRICT = 1e-14
 
 
+def _declared_positive(n: int, name: str, outer, coupling, inner) -> bool:
+    """Hypothesis (c) for the declared block ``[[outer, coupling], [coupling*, inner]]``
+    at ``n``; an error from its entries names the block and ``n``."""
+    try:
+        return matcore._bordered_positive(outer, coupling, inner, _BLOCK_STRICT)
+    except ValidationError as exc:
+        raise type(exc)(f"declared {name} block at n={n}: {exc}") from None
+
+
 def block_criterion_diagnostics(
     bseq: BlockSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -549,9 +559,14 @@ def block_criterion_diagnostics(
 
     A declared block ``A`` counts as strictly positive iff ``min eig(A) >
     1e-14 * ||A||_inf``, where ``||A||_inf >= lam_max`` is the max row sum of
-    ``|A|``; one shifted Cholesky decides it
-    (:func:`matcore.is_positive_definite`), with no eigensolve.  The blocks
-    are evaluated once per grid point.
+    ``|A|``; a shifted Cholesky decides it, with no eigensolve.  Each block is
+    read as declared, ``[[rho2, rho1], [rho1*, rho0]]`` and (a symmetric
+    permutation of the assembled one, with the same spectrum and row sums)
+    ``[[sigma2, sigma1*], [sigma1, sigma0]]``: with a diagonal outer block
+    only the inner-sized Schur complement is factored, otherwise the
+    assembled block (:func:`matcore._bordered_positive`).  A NaN or infinite
+    entry raises :class:`ValidationError` naming the block and ``n``.  The
+    blocks are evaluated once per grid point.
     """
     evidence = []
     hypotheses_ok = True
@@ -564,10 +579,10 @@ def block_criterion_diagnostics(
         rho2, rho1, rho0, sigma0, sigma1, sigma2 = parts
         tr_rho0 = float(np.trace(rho0).real)
         tr_sigma0 = float(np.trace(sigma0).real)
-        upper = np.block([[rho2, rho1], [rho1.conj().T, rho0]])
-        lower = np.block([[sigma0, sigma1], [sigma1.conj().T, sigma2]])
-        pd_ok = (matcore.is_positive_definite(upper, _BLOCK_STRICT)
-                 and matcore.is_positive_definite(lower, _BLOCK_STRICT))
+        # A list, not ``and``: both sides are read, so a non-finite entry is
+        # refused wherever it is.
+        pd_ok = all([_declared_positive(n, "rho", rho2, rho1, rho0),
+                     _declared_positive(n, "sigma", sigma2, sigma1.conj().T, sigma0)])
         if not pd_ok:
             hypotheses_ok = False
             flags.append(f"declared blocks not strictly positive at n={n}")

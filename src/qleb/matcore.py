@@ -14,9 +14,11 @@ entries scaled by a power of 2 so that nothing overflows or underflows, and
 LAPACK above (the geometric means' inner eigensolves, at sizes 3 and up and
 with no use for phases, call LAPACK directly).  The positivity decisions
 that need no spectrum are one shifted Cholesky: :func:`is_positive_definite`,
-a yes/no answer for a declared block (in real arithmetic when the block is
-real), and :func:`_certified_full_rank`, which proves that the rank rule
-calls an operand full rank so that the decomposition can skip its
+a yes/no answer for a block (in real arithmetic when the block is real),
+:func:`_bordered_positive`, the same answer read from a declared block's
+blocks (only a Schur complement is factored when the outer block is
+diagonal), and :func:`_certified_full_rank`, which proves that the rank
+rule calls an operand full rank so that the decomposition can skip its
 eigensolve.  Matrix functions (square root,
 pseudo-inverse, logarithm, exponential) are applied on the validated
 spectrum; ``exp(iH)`` at size 2 is closed-form.  Eigenbases are made
@@ -447,15 +449,27 @@ def is_positive_definite(A: np.ndarray, strict: float) -> bool:
     with no eigensolve.  ``||H||_inf`` (max row sum of ``|H|``) bounds
     ``lam_max`` from above (Gershgorin), so the cutoff differs from
     ``strict * lam_max`` only when the eigenvalue ratio is at rounding level.
-    The zero matrix and indefinite matrices give False.  A matrix whose
+    The zero matrix and indefinite matrices give False, and a NaN or
+    infinite entry raises :class:`ValidationError`.  A matrix whose
     imaginary part is exactly zero is decided on its real part, by a real
     Cholesky (about a third of the complex one's cost) and with no complex
-    copy.
+    copy.  :func:`_bordered_positive` decides a matrix given as blocks
+    without assembling it.
     """
     A = check_square(A, dtype=None)
     if np.iscomplexobj(A) and not A.imag.any():
         A = A.real
-    return _shifted_cholesky(hermitian_part(A), strict)
+    with np.errstate(invalid="ignore"):  # an infinite entry shows as a bound that is not finite
+        H = hermitian_part(A)
+    return _shifted_cholesky(H, strict)
+
+
+def _finite_bound(bound: float) -> float:
+    """A row-sum bound after any rescaling, refused unless finite: only a NaN or
+    infinite entry leaves it so."""
+    if not math.isfinite(bound):
+        raise ValidationError("matrix has a non-finite entry")
+    return bound
 
 
 def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
@@ -464,19 +478,74 @@ def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
     When ``||H||_inf`` lies outside ``2**-500 ... 2**500`` (or a row sum
     overflows), ``H`` is first scaled by a power of 4 near its largest entry,
     exactly, so that nothing in the factorisation underflows or overflows;
-    inside that range scaling would change no bit of the decision.
+    inside that range scaling would change no bit of the decision.  A bound
+    that is still not finite raises :class:`ValidationError`.
     """
     with np.errstate(over="ignore"):
         bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
     if not 2.0**-500 < bound < 2.0**500:
         H = _scaled4(H)[0]
-        bound = float(np.abs(H).sum(axis=1).max(initial=0.0))
-    H.flat[:: len(H) + 1] -= strict * bound
+        bound = _finite_bound(float(np.abs(H).sum(axis=1).max(initial=0.0)))
+    return _factors(H, strict * bound)
+
+
+def _factors(H: np.ndarray, shift: float) -> bool:
+    """Whether ``H - shift * I`` (formed in ``H``) has a Cholesky factor."""
+    H.flat[:: len(H) + 1] -= shift
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _bordered_bound(a: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """``||H||_inf`` of ``H = [[diag(a), B], [B*, C]]``: the larger of its two blocks of row sums."""
+    absB = np.abs(B)
+    with np.errstate(over="ignore"):
+        top = (np.abs(a) + absB.sum(axis=1)).max(initial=0.0)
+        return float(np.maximum(top, (absB.sum(axis=0) + np.abs(C).sum(axis=1)).max(initial=0.0)))
+
+
+def _bordered_positive(A: np.ndarray, B: np.ndarray, C: np.ndarray, strict: float) -> bool:
+    """:func:`is_positive_definite` of ``[[A, B], [B*, C]]``, read from its blocks.
+
+    The rule is unchanged: ``t = strict * ||H||_inf``, ``H`` the Hermitian
+    part, whose rows are ``|Re a_ii| + sum_j |B_ij|`` for a diagonal ``A``
+    and the column sums of ``|B|`` plus the row sums of ``|herm C|``, taken
+    in units of a power of 4 as in :func:`_shifted_cholesky` outside
+    ``2**-500 ... 2**500``.  When every off-diagonal entry of ``A`` is exactly
+    zero, ``H - t I > 0`` iff ``D = Re diag(A) - t > 0`` and the Schur
+    complement ``herm(C) - t I - B* D^{-1} B > 0`` (Horn & Johnson, Matrix
+    Analysis, Thm 7.7.7); that complement is the trailing block a Cholesky
+    factorisation reaches after eliminating ``D``, so only a ``C``-sized
+    matrix is factored.  A dense ``A`` goes to the assembled matrix's shifted
+    Cholesky.  A NaN or infinite entry raises :class:`ValidationError` on
+    either route.
+    """
+    n = A.shape[0]
+    # The off-diagonal entries of A as a strided view: flat A[1:] in rows of
+    # n + 1, each ending at the next diagonal entry, which [:, :n] drops.
+    if n > 1 and A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return is_positive_definite(np.block([[A, B], [B.conj().T, C]]), strict)
+    with np.errstate(invalid="ignore"):  # as in is_positive_definite
+        a, C = A.diagonal().real, hermitian_part(C)
+    bound = _bordered_bound(a, B, C)
+    if not 2.0**-500 < bound < 2.0**500:
+        big = np.max([np.abs(X).max(initial=0.0) for X in (a, B, C)])
+        k = -2 * _unit4(float(big))
+        a, B, C = _times2(a, k), _times2(B, k), _times2(C, k)
+        bound = _finite_bound(_bordered_bound(a, B, C))
+    shift = strict * bound
+    d = a - shift
+    if not (d > 0).all():
+        return False
+    # A tiny pivot against a coupling may overflow W: that complement is
+    # hugely negative, and its non-finite entries fail the factorisation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = B / np.sqrt(d)[:, None]
+        S = C - W.conj().T @ W
+    return _factors(S, shift)
 
 
 #: The full-rank certificate's rounding margin, in units of ``d * eps``: room

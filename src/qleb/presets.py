@@ -100,14 +100,17 @@ def three_block_blocks(n: int) -> tuple:
 
     The inner 2x2 blocks are the faithful-to-pure pair above, scaled to
     subnormalized traces 1/2 and 1 - 1/(2n); the outer blocks carry the
-    remaining mass and shrink on the sigma side.
+    remaining mass and shrink on the sigma side.  The outer blocks are
+    scalar matrices, built as diagonals (the same entries as ``eye(n) / (2m)``,
+    with no division pass over the zeros); the criterion decides their
+    positivity on the diagonal.
     """
     m = float(n)
     rho0 = np.diag([(2 * m**3 - 1), 1.0]).astype(complex) / (4 * m**3)
     sigma0 = (1 - 1 / (2 * m)) * faithful_to_pure_pair(n)[1]
     coupling = np.ones((n, 2), dtype=complex) / (m + 1) ** 3
-    rho2 = np.eye(n, dtype=complex) / (2 * m)
-    sigma2 = np.eye(n, dtype=complex) / (2 * m**2)
+    rho2 = np.diag(np.full(n, 1 / (2 * m), dtype=complex))
+    sigma2 = np.diag(np.full(n, 1 / (2 * m**2), dtype=complex))
     return rho2, coupling, rho0, sigma0, coupling.conj().T, sigma2
 
 
@@ -210,7 +213,7 @@ def spin_pure_deriv(theta, i: int) -> np.ndarray:
 
 
 def spin_pure_model() -> ParametricModel:
-    return ParametricModel(dim=2, state_at=spin_pure_state, deriv_at=spin_pure_deriv)
+    return ParametricModel(state_at=spin_pure_state, deriv_at=spin_pure_deriv)
 
 
 def cubic_defect(theta) -> float:
@@ -240,7 +243,6 @@ def spin_perturbed_model(defect=cubic_defect, defect_grad=cubic_defect_grad) -> 
         return weight * (spin_pure_deriv(theta, i) + g * (EXCITED - spin_pure_state(theta)))
 
     return ParametricModel(
-        dim=2,
         state_at=lambda th: spin_perturbed_state(th, defect),
         deriv_at=deriv,
     )

@@ -38,7 +38,6 @@ class ParametricModel:
     used.
     """
 
-    dim: int
     state_at: Callable[[np.ndarray], np.ndarray]
     deriv_at: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     fd_step: float = 1e-5
@@ -233,7 +232,6 @@ class ExpansionReport:
     residual_order: Optional[float]
     trr2_order: Optional[float]
     trr2_exact: bool
-    samples: list[dict]
 
 
 def _order_estimate(scales: np.ndarray, residuals: np.ndarray, floor: float = 1e-14) -> tuple[Optional[float], bool]:
@@ -273,7 +271,6 @@ def sqrt_expansion_check(
             directions.append((np.eye(d)[i] + np.eye(d)[j]) / np.sqrt(2.0))
 
     scales = np.asarray(list(scales), dtype=float)
-    samples = []
     values = np.empty((len(directions), scales.size))
     trr2_gap = np.zeros(scales.size)
     for k, u in enumerate(directions):
@@ -284,7 +281,6 @@ def sqrt_expansion_check(
             B = R - np.eye(R.shape[0]) - 0.5 * sum(hvec[i] * L[i] for i in range(d))
             values[k, m] = float(np.trace(rho0 @ B).real)
             trr2_gap[m] = max(trr2_gap[m], abs(float(np.trace(dec.ac).real) - 1.0))
-            samples.append({"direction": k, "scale": float(s), "tr_rho_B": values[k, m]})
 
     coeffs = values @ (scales**2) / float(np.sum(scales**4))
     C = np.zeros((d, d))
@@ -303,7 +299,6 @@ def sqrt_expansion_check(
     return ExpansionReport(
         fitted_quadratic=C, target_quadratic=target, rel_error=float(rel_error),
         residual_order=residual_order, trr2_order=trr2_order, trr2_exact=trr2_exact,
-        samples=samples,
     )
 
 

@@ -236,7 +236,7 @@ def test_criterion_8_qfi_sld_expansion():
         rho = rho / np.trace(rho).real
         drho = rand_psd(d, rng) - rand_psd(d, rng)
         drho = drho - np.trace(drho) / d * np.eye(d)
-        m = qleb.ParametricModel(dim=d, state_at=lambda th: rho, deriv_at=lambda th, i: drho)
+        m = qleb.ParametricModel(state_at=lambda th: rho, deriv_at=lambda th, i: drho)
         L = qleb.sld(m, np.zeros(1), 0)
         worst_res = max(worst_res, np.linalg.norm(rho @ L + L @ rho - 2 * drho))
     sld_ok = worst_res <= 1e-10

@@ -42,6 +42,7 @@ def commands(workdir: Path) -> dict[str, list[str]]:
     """The CLI calls whose reports are pinned; decompose inputs are written to ``workdir``."""
     cmds = {
         "block.sec-7.1": ["contiguity", "block", "--preset", "sec-7.1"],
+        "block.sec-7.1.grid": ["contiguity", "block", "--preset", "sec-7.1", "--grid", "4,8,16,32"],
         "kakutani.sec-7.2-n": ["contiguity", "kakutani", "--preset", "sec-7.2-n"],
         "kakutani.sec-7.2-sqrt-n": ["contiguity", "kakutani", "--preset", "sec-7.2-sqrt-n"],
     }
@@ -134,7 +135,7 @@ def test_pinned_commands_are_the_stored_ones(reports, expected):
     assert sorted(reports) == sorted(expected)
 
 
-EXACT = ["block.sec-7.1", "decompose.d8.full", "decompose.d8.deficient-sigma",
+EXACT = ["block.sec-7.1", "block.sec-7.1.grid", "decompose.d8.full", "decompose.d8.deficient-sigma",
          "decompose.d8.deficient-rho", "decompose.d2.full", "decompose.d2.deficient-sigma",
          "decompose.d2.deficient-rho", "limit.example-4.1", "limit.example-4.3",
          "pure.spin-overlap", "gaussian.qcf", "gaussian.shift", "gaussian.sandwich", "qlan.sld",

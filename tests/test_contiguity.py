@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
 from qleb import matcore
 from qleb.errors import (
     BlocksInconsistent, DimMismatch, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD,
-    NotPure,
+    NotPure, ValidationError,
 )
 from qleb import presets
 from qleb.presets import (
@@ -734,6 +736,75 @@ def test_block_criterion_positivity_needs_no_eigensolve(monkeypatch):
         monkeypatch.setattr(np.linalg, name, wrapper)
     assert block_criterion_diagnostics(three_block_family()).verdict == CONTIGUOUS
     assert sizes == []
+
+
+def test_block_criterion_factors_only_inner_sized_complements(monkeypatch):
+    # The outer blocks are diagonal, so each declared block is decided by the
+    # Cholesky of its 2x2 Schur complement, never the assembled d = 1026 block.
+    sizes = []
+    original = np.linalg.cholesky
+
+    def wrapper(A, *args, **kwargs):
+        sizes.append(np.shape(A)[-1])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", wrapper)
+    assert block_criterion_diagnostics(three_block_family()).verdict == CONTIGUOUS
+    assert sizes and max(sizes) <= 2
+
+
+def test_block_criterion_peak_memory_is_about_the_declared_blocks():
+    declared = sum(np.asarray(b).nbytes for b in three_block_blocks(three_block_family().grid[-1]))
+    family = three_block_family()
+    tracemalloc.start()
+    try:
+        assert block_criterion_diagnostics(family).verdict == CONTIGUOUS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * declared
+
+
+@pytest.mark.parametrize("defect", [None, "indefinite"])
+def test_block_criterion_decides_a_dense_outer_block(defect):
+    # [[U D U*, U B], [B* U*, C]] is unitarily equivalent to [[D, B], [B* C]]:
+    # a dense outer block (decided assembled) gets the diagonal one's verdict.
+    rng = np.random.default_rng(17)
+
+    def blocks(n, rotate):
+        rho2, rho1, rho0, sigma0, sigma1, sigma2 = (np.array(b) for b in three_block_blocks(n))
+        rho2 = rho2 * np.linspace(0.5, 1.5, n)
+        if defect:
+            rho2[0, 0] = -rho2[0, 0]
+        if rotate:
+            U = rand_unitary(n, rng)
+            rho2, rho1 = U @ rho2 @ U.conj().T, U @ rho1
+        return rho2, rho1, rho0, sigma0, sigma1, sigma2
+
+    grid = [4, 8, 16, 32, 64]
+    reports = [block_criterion_diagnostics(BlockSequence(
+        blocks=lambda n, rotate=rotate: blocks(n, rotate), grid=grid,
+        inner_limits=presets.faithful_to_pure_limits())) for rotate in (False, True)]
+    assert [row["blocks_positive"] for row in reports[0].evidence] == [not defect] * len(grid)
+    assert [row["blocks_positive"] for row in reports[1].evidence] == [not defect] * len(grid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side, entry, value", [
+    ("sigma", (0, 0), np.nan), ("rho", (0, 0), np.inf), ("rho", (0, 1), np.nan)])
+def test_block_criterion_refuses_non_finite_declared_blocks(side, entry, value):
+    # A NaN or infinite entry is refused, naming the block and n, on the
+    # diagonal-outer route and (off-diagonal entry) on the assembled one.
+    def blocks(n):
+        parts = [np.array(b) for b in three_block_blocks(n)]
+        outer = parts[0 if side == "rho" else 5]
+        outer[entry] = outer[entry[::-1]] = value
+        return tuple(parts)
+
+    bseq = BlockSequence(blocks=blocks, grid=three_block_family().grid,
+                         inner_limits=presets.faithful_to_pure_limits())
+    with pytest.raises(ValidationError, match=f"declared {side} block at n=4: .*non-finite entry"):
+        block_criterion_diagnostics(bseq)
 
 
 def test_block_criterion_inner_pair_from_faithful_family():

@@ -300,6 +300,124 @@ def test_positive_definite_certificate_rejects_the_zero_block(n):
     assert matcore.is_positive_definite(np.eye(n), 1e-14) is True
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_positive_definite_refuses_non_finite_entries(value):
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        matcore.is_positive_definite(np.full((3, 3), value), 1e-14)
+    A = np.eye(3, dtype=complex)
+    A[1, 1] = value
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        matcore.is_positive_definite(A, 1e-14)
+    A[0, 2], A[2, 0] = 0.5j, -0.5j  # a complex block, with a complex Hermitian part
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        matcore.is_positive_definite(A, 1e-14)
+
+
+# -- positivity of a block read from its blocks ---------------------------------------------
+
+_RATIOS = [(1e-6, True), (1e-10, True), (1e-12, True),
+           (1e-15, False), (0.0, False), (-1e-12, False), (-1e-6, False)]
+
+
+def _bordered(d1: int, d2: int, coupling: str, ratio: float, rng) -> tuple:
+    """Blocks ``(A, B, C)`` of ``[[A, B], [B*, C]]`` with ``A`` diagonal and min/max eigenvalue
+    ratio ``ratio``: a random such block shifted by a multiple of ``I``, which keeps ``A`` diagonal."""
+    a = rng.uniform(0.5, 1.0, size=d1)
+    B = np.zeros((d1, d2))
+    if coupling != "zero":
+        B = rng.standard_normal((d1, d2)) / np.sqrt(2 * d1)
+    C = rng.standard_normal((d2, d2))
+    if coupling == "complex":
+        B = B + 1j * rng.standard_normal((d1, d2)) / np.sqrt(2 * d1)
+        C = C + 1j * rng.standard_normal((d2, d2))
+    C = (C + C.conj().T) / 4 + 2 * np.eye(d2)
+    w = np.linalg.eigvalsh(np.block([[np.diag(a), B], [B.conj().T, C]]))
+    c = (ratio * w[-1] - w[0]) / (1 - ratio)
+    return np.diag(a + c), B, C + c * np.eye(d2)
+
+
+@pytest.mark.parametrize("d1", [1, 2, 5, 300])
+@pytest.mark.parametrize("d2", [1, 2, 3])
+@pytest.mark.parametrize("coupling", ["zero", "real", "complex"])
+def test_bordered_positive_agrees_with_the_assembled_block(d1, d2, coupling):
+    # The assembled block's shifted Cholesky is the reference; the block route
+    # must give its decision, and the same one on the block scaled by 1e+-300.
+    rng = np.random.default_rng([d1, d2, len(coupling)])
+    for ratio, expected in _RATIOS:
+        A, B, C = _bordered(d1, d2, coupling, ratio, rng)
+        assembled = np.block([[A, B], [B.conj().T, C]])
+        assert _eigvalsh_rule(assembled, 1e-14) is expected
+        assert matcore.is_positive_definite(assembled, 1e-14) is expected
+        for scale in (1.0, 1e300, 1e-300):
+            assert matcore._bordered_positive(scale * A, scale * B, scale * C, 1e-14) is expected
+            assert matcore.is_positive_definite(scale * assembled, 1e-14) is expected
+
+
+def test_bordered_positive_sees_a_coupling_that_breaks_positivity():
+    # Both diagonal blocks are positive; the coupling alone decides.
+    A, C = np.diag([1.0, 2.0, 3.0]), np.eye(2)
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5j]])
+    for scale, expected in [(1.0, False), (0.5, True)]:
+        assembled = np.block([[A, scale * B], [scale * B.conj().T, C]])
+        assert _eigvalsh_rule(assembled, 1e-14) is expected
+        assert matcore.is_positive_definite(assembled, 1e-14) is expected
+        assert matcore._bordered_positive(A, scale * B, C, 1e-14) is expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_bordered_positive_survives_a_complement_that_overflows():
+    # A pivot at the subnormal limit against a coupling of 1e100: B* D^{-1} B
+    # overflows, and the block is (hugely) indefinite on both routes.
+    A, B, C = np.diag([5e-324, 1.0]), np.array([[1e100, 0.0], [0.0, 0.0]]), np.eye(2)
+    assert matcore.is_positive_definite(np.block([[A, B], [B.T, C]]), 0.0) is False
+    assert matcore._bordered_positive(A, B, C, 0.0) is False
+
+
+@pytest.fixture
+def cholesky_shapes(monkeypatch):
+    """Record the shape of every matrix handed to ``np.linalg.cholesky``."""
+    shapes = []
+    original = np.linalg.cholesky
+
+    def wrapper(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", wrapper)
+    return shapes
+
+
+@pytest.mark.parametrize("d1", [2, 5, 300])
+def test_bordered_positive_factors_the_complement_of_a_diagonal_block(d1, cholesky_shapes):
+    rng = np.random.default_rng(d1)
+    A, B, C = _bordered(d1, 2, "complex", 1e-10, rng)
+    assert matcore._bordered_positive(A, B, C, 1e-14) is True
+    assert cholesky_shapes == [(2, 2)]
+    # A dense outer block (the same block in another basis) is decided assembled.
+    U = rand_unitary(d1, rng)
+    cholesky_shapes.clear()
+    assert matcore._bordered_positive(U @ A @ U.conj().T, U @ B, C, 1e-14) is True
+    assert cholesky_shapes == [(d1 + 2, d1 + 2)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["outer diagonal", "outer off-diagonal", "coupling", "inner"])
+def test_bordered_positive_refuses_non_finite_entries(value, where):
+    A, B, C = np.eye(4, dtype=complex), np.zeros((4, 2), dtype=complex), np.eye(2, dtype=complex)
+    if where == "outer diagonal":
+        A[1, 1] = value
+    elif where == "outer off-diagonal":
+        A[0, 1] = A[1, 0] = value
+    elif where == "coupling":
+        B[2, 1] = value
+    else:
+        C[0, 0] = value
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        matcore._bordered_positive(A, B, C, 1e-14)
+
+
 # -- closed-form spectra of 2x2 stacks ----------------------------------------------------
 
 

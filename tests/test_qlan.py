@@ -43,7 +43,7 @@ SPIN_J = np.array([[1, -1j], [1j, 1]])
 
 
 def test_model_derivative_fd_matches_analytic():
-    fd_model = ParametricModel(dim=2, state_at=spin_pure_state)
+    fd_model = ParametricModel(state_at=spin_pure_state)
     for theta in [np.zeros(2), np.array([0.2, -0.4])]:
         for i in range(2):
             got = model_derivative(fd_model, theta, i)
@@ -63,7 +63,7 @@ def test_sld_maximally_mixed_rule():
     d = 4
     A = rand_herm(d, rng)
     A = A - np.trace(A) / d * np.eye(d)
-    model = ParametricModel(dim=d, state_at=lambda th: np.eye(d) / d,
+    model = ParametricModel(state_at=lambda th: np.eye(d) / d,
                             deriv_at=lambda th, i: A)
     L = sld(model, np.zeros(1), 0)
     assert rel_err(L, d * A) < 1e-12
@@ -77,7 +77,7 @@ def test_sld_lyapunov_residual_random_faithful():
         rho = rho / np.trace(rho).real
         drho = rand_herm(d, rng)
         drho = drho - np.trace(drho) / d * np.eye(d)
-        model = ParametricModel(dim=d, state_at=lambda th: rho, deriv_at=lambda th, i: drho)
+        model = ParametricModel(state_at=lambda th: rho, deriv_at=lambda th, i: drho)
         L = sld(model, np.zeros(1), 0)
         assert np.linalg.norm(rho @ L + L @ rho - 2 * drho) <= 1e-10
         assert abs(np.trace(rho @ L)) <= 1e-10  # solutions stay centered
@@ -86,7 +86,7 @@ def test_sld_lyapunov_residual_random_faithful():
 def test_sld_projects_unreachable_components():
     rho = np.diag([1.0, 0.0]).astype(complex)
     bad = np.diag([0.5, -0.5]).astype(complex)  # kernel-kernel component -0.5
-    model = ParametricModel(dim=2, state_at=lambda th: rho, deriv_at=lambda th, i: bad)
+    model = ParametricModel(state_at=lambda th: rho, deriv_at=lambda th, i: bad)
     with pytest.warns(InconsistentDerivativeWarning):
         L = sld(model, np.zeros(1), 0)
     assert L[1, 1] == 0.0
@@ -112,7 +112,7 @@ def test_qfi_matches_classical_fisher_for_diagonal_family():
     def state(thvec):
         return np.diag([p(thvec[0]), 1 - p(thvec[0])]).astype(complex)
 
-    model = ParametricModel(dim=2, state_at=state)
+    model = ParametricModel(state_at=state)
     theta0 = np.array([0.4])
     L = slds(model, theta0)
     J = qfi_matrix(model.state_at(theta0), L)
