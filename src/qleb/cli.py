@@ -351,8 +351,7 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
             query_doc = load_json(args.query)
             inputs["query"] = query_doc
             xis = _parse_query(query_doc, args.query)
-        value = gaussian.sandwiched_gaussian_qcf(ext, xis, tol)
-        reference = gaussian.gaussian_qcf(gaussian.lecam_shift(ext, tol), xis, tol) if xis else 1.0 + 0j
+        value, reference = gaussian._sandwich_and_shift_qcf(ext, xis, tol)
         values = {
             "value": complex_pair(value),
             "shift_qcf": complex_pair(reference),

@@ -6,10 +6,18 @@ by one of four theorem-level criteria: declared matrix limits, purity of the
 reference sequence, tensor-product structure, or a declared three-block
 structure.  Anything else yields ``Inconclusive`` or a diagnostics-only
 report.
+
+Quasi-characteristic functions over observables are one ordered product,
+:func:`_ordered_product`; with 2x2 operands its generators are formed from
+the observables' entries and exponentiated in closed form, with no array
+round-trip per factor.  The declared limits of :func:`limit_criterion` are
+validated once, by the split that decides the verdict.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +32,7 @@ from .errors import (
     NotPure,
     ValidationError,
 )
-from .lebesgue import _as_positive_operator, _mat, is_abs_continuous, lebesgue_decompose
+from .lebesgue import _mat, _pair_split, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
 CONTIGUOUS = "Contiguous"
@@ -166,18 +174,50 @@ def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[S
                      tol: ToleranceConfig, n: int = 1) -> complex:
     """``(Tr rho prod_t exp(i xi_t . X / sqrt(n)))^n`` for observables ``X`` validated by
     :func:`matcore.check_hermitian`: the one evaluation of an ordered exponential product
-    (``n > 1`` gives the n-copy value of collective observables, see :func:`qlan.iid_qcf`)."""
-    scale = 1.0 / np.sqrt(n)
-    U = np.eye(rho.shape[0], dtype=complex)
+    (``n > 1`` gives the n-copy value of collective observables, see :func:`qlan.iid_qcf`).
+
+    When rho and every observable are 2x2, each generator ``H = scale sum_k xi_k X_k``
+    is formed from the observables' entries, read once, with numpy's operations
+    in numpy's order (complex times complex, whatever the Python version), and
+    exponentiated by the closed form :func:`matcore._expi2`.
+    A real combination of exactly Hermitian observables is exactly Hermitian,
+    so only finiteness is checked; a generator with a NaN or infinite entry
+    (a non-finite or overflowing ``xi``) goes to :func:`matcore.check_hermitian`,
+    which names the entry.  The factors and ``rho`` are multiplied as arrays
+    (BLAS rounding), and the trace is summed as ``np.trace`` sums it.
+    """
+    scale = 1.0 / math.sqrt(n)
+    cscale = complex(scale)
+    qubit = rho.shape == (2, 2) and len(obs) > 0 and all(X.shape == (2, 2) for X in obs)
+    entries = [X.tolist() for X in obs] if qubit else None
+    U = None
     for xi in xis:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (len(obs),):
             raise matcore.DimMismatch(
                 f"query vector length {xi.shape} does not match {len(obs)} observables"
             )
-        H = sum(c * X for c, X in zip(xi, obs)) * scale
-        U = U @ matcore.unitary_exp(H, tol)
-    z = complex(np.trace(rho @ U))
+        if qubit:
+            # Complex arithmetic throughout, as numpy casts a real scalar that meets a
+            # complex array (Python 3.14 drops the 0 * imag terms of float * complex).
+            a = b = c = 0j
+            for x, ((x00, x01), (_, x11)) in zip(map(complex, xi.tolist()), entries):
+                a, b, c = a + x * x00, b + x * x01, c + x * x11
+            a, b, c = a * cscale, b * cscale, c * cscale
+            if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+                with np.errstate(all="ignore"):  # the error names the entry; no warning first
+                    H = sum(x * X for x, X in zip(xi, obs)) * scale
+                matcore.check_hermitian(H, tol)
+            factor = matcore._expi2(a.real, b, c.real)
+        else:
+            factor = matcore.unitary_exp(sum(x * X for x, X in zip(xi, obs)) * scale, tol)
+        U = factor if U is None else U @ factor
+    P = rho if U is None else rho @ U
+    if qubit:
+        (p0, _), (_, p1) = P.tolist()
+        z = 0j + p0 + p1
+    else:
+        z = complex(np.trace(P))
     if n == 1 or z == 0:
         return z
     return complex(np.exp(n * np.log(z)))
@@ -234,12 +274,15 @@ def limit_criterion(
 
     Contiguous iff ``sigma_inf << rho_inf``, provided the sampled sequences
     confirm the declared limits (residual at the horizon below
-    ``limit_check_tol``); otherwise the report is inconclusive.
+    ``limit_check_tol``); otherwise the report is inconclusive.  Each
+    declared limit is validated once, by the split that decides
+    ``sigma_inf << rho_inf``.
     """
     if seq.declared_limits is None:
         raise MissingLimits("limit_criterion requires declared_limits")
-    rho_inf = _as_positive_operator(seq.declared_limits[0], tol, "declared rho limit", False).mat
-    sigma_inf = _as_positive_operator(seq.declared_limits[1], tol, "declared sigma limit", False).mat
+    # sigma_inf << rho_inf iff the split of rho_inf relative to sigma_inf has no H1.
+    split = _pair_split(*seq.declared_limits, tol, who=("declared rho limit", "declared sigma limit"))
+    rho_inf, sigma_inf = split.operands()
     evidence = []
     for n in seq.sample_grid:
         rho_n, sigma_n = seq.eval(n)
@@ -270,7 +313,7 @@ def limit_criterion(
                 f"{last['sigma_limit_residual']:.3e} > {limit_check_tol:.1e})"
             ),
         )
-    ac = is_abs_continuous(sigma_inf, rho_inf, tol)
+    ac = all(split.h2)
     return ContiguityReport(
         verdict=CONTIGUOUS if ac else NOT_CONTIGUOUS,
         criterion_used="LimitCriterion",

@@ -107,9 +107,21 @@ def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool
 
 def validate_extended(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff the enlarged covariance block matrix is Hermitian PSD."""
-    if ext.Sigma.shape != (ext.dim, ext.dim) or ext.kappa.shape[0] != ext.dim:
+    try:
+        _valid_enlarged(ext, tol)
+    except InvalidParams:
         return False
-    return validate(GaussianParams(h=np.zeros(ext.dim + 1), J=ext.enlarged().J), tol)
+    return True
+
+
+def _valid_enlarged(ext: ExtendedGaussianParams, tol: ToleranceConfig) -> GaussianParams:
+    """``ext.enlarged()``, built and validated once, or :class:`InvalidParams` if its
+    covariance is not Hermitian PSD."""
+    if ext.Sigma.shape == (ext.dim, ext.dim) and ext.kappa.shape[0] == ext.dim:
+        enlarged = ext.enlarged()
+        if validate(enlarged, tol):
+            return enlarged
+    raise InvalidParams("extended Gaussian parameters failed validation")
 
 
 def gaussian_qcf(params: GaussianParams, query, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -136,8 +148,7 @@ def _qcf(params: GaussianParams, q: QcfQuery) -> complex:
 
 def lecam_shift(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> GaussianParams:
     """Limit law after reweighting by the likelihood coordinate: ``N(mu + Re kappa, Sigma)``."""
-    if not validate_extended(ext, tol):
-        raise InvalidParams("extended Gaussian parameters failed validation")
+    _valid_enlarged(ext, tol)
     return GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma.copy())
 
 
@@ -154,8 +165,7 @@ def sandwiched_gaussian_qcf(
     gives the value.  An empty query returns the normalization ``E[e^L] = 1``
     up to the Gaussian identity.
     """
-    if not validate_extended(ext, tol):
-        raise InvalidParams("extended Gaussian parameters failed validation")
+    enlarged = _valid_enlarged(ext, tol)
     d = ext.dim
     if isinstance(query, QcfQuery):
         query = query.xis
@@ -170,4 +180,18 @@ def sandwiched_gaussian_qcf(
             raise InvalidParams("sandwiched evaluation requires real query vectors")
         enlarged_query.append(np.concatenate([xi, [0.0]]))
     enlarged_query.append(end)
-    return _qcf(ext.enlarged(), QcfQuery(enlarged_query))
+    return _qcf(enlarged, QcfQuery(enlarged_query))
+
+
+def _sandwich_and_shift_qcf(ext: ExtendedGaussianParams, query,
+                            tol: ToleranceConfig = DEFAULT_TOL) -> tuple[complex, complex]:
+    """:func:`sandwiched_gaussian_qcf` and, at the same query, the quasi-characteristic
+    function of :func:`lecam_shift` (1 for an empty query), which Le Cam's third lemma
+    makes equal.  The enlarged covariance is validated once, by the first; ``Sigma`` is
+    its principal block, so the shifted law needs no validation of its own.
+    """
+    value = sandwiched_gaussian_qcf(ext, query, tol)
+    if not query:
+        return value, 1.0 + 0j
+    shifted = GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma)
+    return value, _qcf(shifted, QcfQuery(list(query)))

@@ -87,13 +87,6 @@ def _mat(x) -> np.ndarray:
     return x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
 
 
-def _as_positive_operator(x, tol: ToleranceConfig, who: str, vectors: bool = True) -> matcore.PSDSpectrum:
-    """Validate a DensityMatrix or array as a nonzero positive operator."""
-    op = matcore.psd_spectrum(_mat(x), tol, who, vectors)
-    _nonzero(op.eigenvalues, who)
-    return op
-
-
 class _Split(NamedTuple):
     """``sigma`` and ``rho`` validated once each, split into H1 + H2 + H3.
 
@@ -123,6 +116,10 @@ class _Split(NamedTuple):
     def faithful(self) -> bool:
         return not self.ker_r.shape[1]
 
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The validated Hermitian parts of sigma and rho."""
+        return self.s, self.r
+
     def excision(self) -> np.ndarray:
         return self.ex
 
@@ -130,7 +127,8 @@ class _Split(NamedTuple):
         return _decompose(self)
 
 
-def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: bool = True) -> _Split:
+def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: bool = True,
+           who: tuple[str, str] = ("sigma", "rho")) -> _Split:
     """The three-block split of ``sigma`` relative to ``rho``.
 
     Every zero/nonzero decision is the rank rule of
@@ -146,20 +144,21 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
     return rho's eigenbasis), rho gets an eigensolve with vectors and sigma
     one without; sigma takes vectors too when rho is certified and
     ``vectors`` is set, and the excision takes its own only when rho has a
-    kernel (with vectors under ``vectors``).
+    kernel (with vectors under ``vectors``).  Errors name the operands by
+    ``who``.
     """
-    s = matcore.check_hermitian(_mat(sigma), tol, "sigma")
-    r = matcore.check_hermitian(_mat(rho), tol, "rho")
+    s = matcore.check_hermitian(_mat(sigma), tol, who[0])
+    r = matcore.check_hermitian(_mat(rho), tol, who[1])
     if s.shape != r.shape:
         raise matcore.DimMismatch(f"operand shapes differ: {s.shape} vs {r.shape}")
     certify = certify and len(s) > 2
     s_pd = certify and matcore._certified_full_rank(s, tol)
     r_pd = certify and matcore._certified_full_rank(r, tol)
-    w_s, V_s = (None, None) if s_pd else _spectrum(s, tol, "sigma", vectors and r_pd)
+    w_s, V_s = (None, None) if s_pd else _spectrum(s, tol, who[0], vectors and r_pd)
     if r_pd:
         supp_r, ker_r, w_r, ex, wx, Vx = None, np.zeros((len(s), 0), dtype=complex), None, s, w_s, V_s
     else:
-        w, V = _spectrum(r, tol, "rho", True)
+        w, V = _spectrum(r, tol, who[1], True)
         supp = matcore.support_mask(w, tol)
         supp_r, ker_r, w_r = V[:, supp], V[:, ~supp], w[supp]
         ex = hermitian_part(supp_r.conj().T @ s @ supp_r)
@@ -183,17 +182,17 @@ def _nonzero(w, who: str) -> None:
 class _QubitSplit(NamedTuple):
     """The split of two 2x2 operands on Python scalars (see :class:`_Split`).
 
-    ``sig`` holds the entries ``(a, b, c)`` of sigma's validated Hermitian
-    part ``[[a, b], [conj b, c]]``; ``r`` is rho's validated Hermitian part,
-    ``w_r`` holds its clamped eigenvalues and ``u``, ``v`` its eigenvectors, in
-    ascending order.  For
+    ``sig`` and ``r`` hold the entries ``(a, b, c)`` of sigma's and rho's
+    validated Hermitian parts ``[[a, b], [conj b, c]]`` (arrays are built only
+    by :meth:`operands`); ``w_r`` holds rho's clamped eigenvalues and ``u``,
+    ``v`` its eigenvectors, in ascending order.  For
     faithful rho, ``ex`` holds the excision's entries ``(a, b, c)`` in the
     basis ``(u, v)``; otherwise supp rho is ``span v``, ker rho ``span u``,
     and ``ex = (e,)`` with ``e = v* sigma v``.  ``h2`` is as in :class:`_Split`.
     """
 
     sig: tuple
-    r: np.ndarray
+    r: tuple
     w_r: tuple
     u: tuple
     v: tuple
@@ -201,19 +200,24 @@ class _QubitSplit(NamedTuple):
     ex: tuple
     h2: tuple
 
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The validated Hermitian parts of sigma and rho."""
+        return matcore._matrix2(*self.sig), matcore._matrix2(*self.r)
+
     def excision(self) -> np.ndarray:
-        return _hermitian(*self.ex) if self.faithful else np.array([[self.ex[0]]], dtype=complex)
+        return matcore._matrix2(*self.ex) if self.faithful else np.array([[self.ex[0]]], dtype=complex)
 
     def decompose(self) -> LebesgueDecomposition:
         return _qubit_decompose(self)
 
 
-def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _QubitSplit:
-    """:func:`_split` of two 2x2 operands, with the same validation and rank rule."""
-    _, sig, w_s, _ = matcore._psd2(sigma, tol, "sigma", vectors=False)
-    _nonzero(w_s, "sigma")
-    r, _, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, "rho", vectors=True)
-    _nonzero(w_r, "rho")
+def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig,
+                 who: tuple[str, str] = ("sigma", "rho")) -> _QubitSplit:
+    """:func:`_split` of two 2x2 complex arrays, with the same validation and rank rule."""
+    sig, w_s, _ = matcore._psd2(sigma, tol, who[0], vectors=False)
+    _nonzero(w_s, who[0])
+    r, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, who[1], vectors=True)
+    _nonzero(w_r, who[1])
     u, v = (u0, u1), (v0, v1)
     faithful = w_r[0] > tol.rank_rel * w_r[1]
     if faithful:
@@ -224,14 +228,14 @@ def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig) -> _Q
     return _QubitSplit(sig, r, w_r, u, v, faithful, ex, tuple(w > cut for w in wx))
 
 
-def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False,
-                certify: bool = True) -> _Split | _QubitSplit:
+def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: bool = True,
+                who: tuple[str, str] = ("sigma", "rho")) -> _Split | _QubitSplit:
     """The split of ``sigma`` relative to ``rho``: :func:`_qubit_split` when both
-    are 2x2, else :func:`_split`."""
+    are 2x2, else :func:`_split`; errors name the operands by ``who``."""
     s, r = _mat(sigma), _mat(rho)
     if s.shape == r.shape == (2, 2):
-        return _qubit_split(s, r, tol)
-    return _split(s, r, tol, vectors, certify)
+        return _qubit_split(s, r, tol, who)
+    return _split(s, r, tol, vectors, certify, who)
 
 
 def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -341,25 +345,22 @@ def _form(S: tuple, x, y) -> complex:
             + x[1].conjugate() * (b.conjugate() * y[0] + c * y[1]))
 
 
-def _hermitian(a: float, b: complex, c: float) -> np.ndarray:
-    return np.array([[a, b], [b.conjugate(), c]], dtype=complex)
-
-
 def _congruence(u, v, X: tuple) -> np.ndarray:
     """``V X V*`` for ``V = [u, v]`` (columns) and Hermitian ``X`` given by its entries."""
     r0, r1 = (u[0].conjugate(), v[0].conjugate()), (u[1].conjugate(), v[1].conjugate())
-    return _hermitian(_form(X, r0, r0).real, _form(X, r0, r1), _form(X, r1, r1).real)
+    return matcore._matrix2(_form(X, r0, r0).real, _form(X, r0, r1), _form(X, r1, r1).real)
 
 
 def _outer(x: float, f) -> np.ndarray:
     """``x f f*`` for a 2-vector ``f``."""
     f0, f1 = f
-    return _hermitian(x * matcore._abs2(f0), f0 * x * f1.conjugate(), x * matcore._abs2(f1))
+    return matcore._matrix2(x * matcore._abs2(f0), f0 * x * f1.conjugate(), x * matcore._abs2(f1))
 
 
 def _support_split(*blocks) -> SupportSplit:
     """H1, H2 and H3 of a qubit split, each given as a tuple of 2-vectors (columns)."""
-    return SupportSplit(*(np.array(cols, dtype=complex).reshape(len(cols), 2).T for cols in blocks))
+    return SupportSplit(*(np.array([[f[0] for f in cols], [f[1] for f in cols]], dtype=complex)
+                          if cols else np.empty((2, 0), dtype=complex) for cols in blocks))
 
 
 def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
@@ -368,7 +369,7 @@ def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
     zero = np.zeros((2, 2), dtype=complex)
     if not any(sp.h2):
         # Mutually singular (rho has rank 1): ac = 0, perp = sigma, sqrt_lr = 0.
-        return LebesgueDecomposition(zero, _hermitian(*sp.sig), zero.copy(), _support_split((v,), (), (u,)))
+        return LebesgueDecomposition(zero, matcore._matrix2(*sp.sig), zero.copy(), _support_split((v,), (), (u,)))
     if sp.faithful and all(sp.h2):
         # H2 is the whole space in rho's eigenbasis, where rho's block is diag(w_r).
         R0 = matcore._diag_mean2(1.0 / sp.w_r[0], 1.0 / sp.w_r[1], *sp.ex)
@@ -429,7 +430,7 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     sp = _pair_split(sigma, rho, tol, vectors=True)
     dec = sp.decompose()
     if tol.rank_rel < len(dec.ac) * np.finfo(float).eps:
-        _check_resolved(dec, sp.r, tol)
+        _check_resolved(dec, sp.operands()[1], tol)
     return dec
 
 

@@ -6,9 +6,10 @@ eigensolve or, for stacks of 2x2 matrices, the trace-determinant closed
 form, phase fix, PSD floor, clamp), and every zero/nonzero decision through
 one rank rule, :func:`support_mask`; both are controlled by one
 :class:`ToleranceConfig`.  A single 2x2 matrix is validated on its four
-entries as Python scalars (:func:`_psd2`), by the same rules and with the
-same error messages; large or non-finite norms and failed Hermiticity
-checks go on to the array code.  Every eigensolve of a single matrix goes
+entries as Python scalars (:func:`_hermitian2`, :func:`_psd2`), by the same
+rules and with the same error messages, and handed on as the entries of its
+Hermitian part; large or non-finite norms and failed Hermiticity checks go
+on to the array code.  Every eigensolve of a single matrix goes
 through one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
 entries scaled by a power of 2 so that nothing overflows or underflows, and
 LAPACK above (the geometric means' inner eigensolves, at sizes 3 and up and
@@ -21,7 +22,11 @@ diagonal), and :func:`_certified_full_rank`, which proves that the rank
 rule calls an operand full rank so that the decomposition can skip its
 eigensolve.  Matrix functions (square root,
 pseudo-inverse, logarithm, exponential) are applied on the validated
-spectrum; ``exp(iH)`` at size 2 is closed-form.  Eigenbases are made
+spectrum; ``exp(iH)`` at size 2 is closed-form on the entries
+(:func:`_expi2`, which the qubit ordered products call directly).  The
+Hermitian part is formed from halves once a sum of entries could
+overflow, so no finite entry overflows.
+Eigenbases are made
 deterministic by ordering eigenvalues ascending and fixing the phase of
 each eigenvector (first significant component real positive).
 """
@@ -94,7 +99,22 @@ def frob(A: np.ndarray) -> float:
 
 
 def hermitian_part(A: np.ndarray) -> np.ndarray:
-    return (A + A.conj().swapaxes(-1, -2)) / 2
+    """``(A + A*) / 2``, with no overflow on finite entries.
+
+    Below norm ``2**510`` (of the whole array) no sum of two entries
+    overflows, and the sum is halved, exact on the diagonal down to the
+    subnormals.  From there on each entry is halved first: the same bits
+    wherever the halves are normal numbers, and at most ``2**-1075`` off in
+    an entry whose half is subnormal, against a norm above ``2**510``.
+    """
+    return _hermitian_part(A, A.conj().swapaxes(-1, -2), _frob(A, False) < _FROB_SAFE)
+
+
+def _hermitian_part(A: np.ndarray, A_star: np.ndarray, summable: bool) -> np.ndarray:
+    """:func:`hermitian_part` given ``A*`` and whether no sum of two entries of ``A``
+    overflows (a norm below ``2**510``), which :func:`check_hermitian` has already
+    measured: scanning a ``(10**4, 2, 2)`` stack again cost a tenth of a Kakutani op."""
+    return (A + A_star) / 2 if summable else A / 2 + A_star / 2
 
 
 def check_square(A: np.ndarray, stack: bool = False, dtype=complex) -> np.ndarray:
@@ -141,24 +161,22 @@ def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str 
     the entries are read again only then, before ``A - A*`` is formed
     (``inf - inf`` would warn).  Matrices of norm ``2**510`` and above, whose
     squares may overflow, are judged by the same rule in units of their
-    largest entry.  One 2x2 matrix of smaller norm that passes is judged and
-    symmetrised on its entries, with no array arithmetic.
+    largest entry, and symmetrised with no overflow (:func:`hermitian_part`).
+    One 2x2 matrix is judged on its entries (:func:`_hermitian2`).
     """
     stack = labels is not None
     A = check_square(A, stack=stack)
     if not stack and A.shape[0] == 2:
-        # The same rule on the four entries; large or non-finite norms and
-        # failures go on to the array branch, which handles and names them.
-        (a, b), (c, d) = A.tolist()
-        size = math.sqrt(_abs2(a) + _abs2(b) + _abs2(c) + _abs2(d))
-        if size < _FROB_SAFE:
-            dev = math.sqrt(4.0 * (a.imag * a.imag + d.imag * d.imag) + 2.0 * _abs2(b - c.conjugate()))
-            if not dev > tol.hermitian * (1.0 + size):
-                return np.array([[a.real, (b + c.conjugate()) * 0.5],
-                                 [(c + b.conjugate()) * 0.5, d.real]], dtype=complex)
+        return _matrix2(*_hermitian2(A, tol, who))
+    return _check_hermitian(A, tol, who, labels)
+
+
+def _check_hermitian(A: np.ndarray, tol: ToleranceConfig, who: str, labels: np.ndarray | None) -> np.ndarray:
+    """:func:`check_hermitian`'s array rule, for a square complex ``A`` (or stack)."""
+    stack = labels is not None
     A_star = A.conj().swapaxes(-1, -2)
     size, unit = _frob(A, stack), 1.0
-    if _failure(~(size < _FROB_SAFE), who, labels):
+    if large := _failure(~(size < _FROB_SAFE), who, labels):
         if failure := _failure(~np.isfinite(A).all(axis=(-2, -1)), who, labels):
             k, name = failure
             i, j = np.argwhere(~np.isfinite(A[k]))[0]
@@ -178,7 +196,30 @@ def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str 
             f"{name} is not Hermitian: entry [{i}][{j}]={a[i, j]:.6g} vs "
             f"conj([{j}][{i}])={np.conj(a[j, i]):.6g} (deviation {dev:.3e})"
         )
-    return (A + A_star) / 2
+    return _hermitian_part(A, A_star, not large)
+
+
+def _hermitian2(A: np.ndarray, tol: ToleranceConfig, who: str) -> tuple[float, complex, float]:
+    """:func:`check_hermitian` of one 2x2 complex array, as the entries ``(a, b, c)`` of its
+    Hermitian part ``[[a, b], [conj b, c]]``.
+
+    The rule is judged on the four entries as Python scalars; large or
+    non-finite norms and failures go on to the array rule, which handles and
+    names them.  :func:`_matrix2` builds the array.
+    """
+    (a, b), (c, d) = A.tolist()
+    size = math.sqrt(_abs2(a) + _abs2(b) + _abs2(c) + _abs2(d))
+    if size < _FROB_SAFE:
+        dev = math.sqrt(4.0 * (a.imag * a.imag + d.imag * d.imag) + 2.0 * _abs2(b - c.conjugate()))
+        if not dev > tol.hermitian * (1.0 + size):
+            return a.real, (b + c.conjugate()) * 0.5, d.real
+    (a, b), (_, d) = _check_hermitian(A, tol, who, None).tolist()
+    return a.real, b, d.real
+
+
+def _matrix2(a: float, b: complex, c: float) -> np.ndarray:
+    """The 2x2 Hermitian array ``[[a, b], [conj b, c]]``."""
+    return np.array([[a, b], [b.conjugate(), c]], dtype=complex)
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
@@ -290,8 +331,8 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     size 2, and one 2x2 matrix is validated on Python scalars (:func:`_psd2`).
     """
     if labels is None and np.shape(A) == (2, 2):
-        H, _, w, V = _psd2(A, tol, who, vectors)
-        return PSDSpectrum(H, np.array(w), None if V is None else np.array(V, dtype=complex))
+        entries, w, V = _psd2(check_square(A), tol, who, vectors)
+        return PSDSpectrum(_matrix2(*entries), np.array(w), None if V is None else np.array(V, dtype=complex))
     return _psd_spectrum(check_hermitian(A, tol, who, labels), tol, who, vectors, labels)
 
 
@@ -316,21 +357,19 @@ def _below_floor(name: str, lo: float, floor: float) -> NotPSD:
 
 
 def _psd2(A: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple:
-    """:func:`psd_spectrum` of one 2x2 matrix, on Python scalars.
+    """:func:`psd_spectrum` of one 2x2 complex array, on Python scalars.
 
-    Returns the validated Hermitian part ``H`` (from :func:`check_hermitian`),
-    its entries ``(a, b, c)`` of ``[[a, b], [conj b, c]]``, the clamped
-    eigenvalues ``(lo, hi)`` and the eigenvectors as :func:`_eig2` gives
-    them; the PSD floor and clamp are those of the array branch.
+    Returns the entries ``(a, b, c)`` of the validated Hermitian part
+    ``[[a, b], [conj b, c]]`` (:func:`_hermitian2`), the clamped eigenvalues
+    ``(lo, hi)`` and the eigenvectors as :func:`_eig2` gives them; the PSD
+    floor and clamp are those of the array branch.
     """
-    H = check_hermitian(A, tol, who)
-    (a, b), (_, c) = H.tolist()
-    entries = (a.real, b, c.real)
+    entries = _hermitian2(A, tol, who)
     lo, hi, V = _eig2(*entries, vectors)
     floor = -tol.psd_floor * max(hi, -lo)
     if lo < floor:
         raise _below_floor(who, lo, floor)
-    return H, entries, (max(lo, 0.0), max(hi, 0.0)), V
+    return entries, (max(lo, 0.0), max(hi, 0.0)), V
 
 
 def _spectrum_2x2(tr: np.ndarray, det: np.ndarray, gap: np.ndarray | None = None) -> np.ndarray:
@@ -409,17 +448,22 @@ def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian).
+    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian); closed-form
+    at size 2 (:func:`_expi2`)."""
+    if np.shape(H) == (2, 2):
+        return _expi2(*_hermitian2(check_square(H), tol, "matrix"))
+    w, V = _eigh(check_hermitian(H, tol))
+    return (V * np.exp(1j * w)) @ V.conj().T
 
-    At size 2 no eigenvector is formed: with ``t = Tr H / 2`` and ``g =
-    hypot((a - c)/2, |b|)``, ``exp(iH) = e^{it} (cos g I + i (sin g / g) (H - t I))``.
+
+def _expi2(a: float, b: complex, c: float) -> np.ndarray:
+    """``exp(iH)`` of ``H = [[a, b], [conj b, c]]``, with no eigenvector.
+
+    With ``t = Tr H / 2`` and ``g = hypot((a - c)/2, |b|)``,
+    ``exp(iH) = e^{it} (cos g I + i (sin g / g) (H - t I))``; ``t`` and
+    ``(a - c)/2`` are formed from halves, so no finite entry overflows.
     """
-    H = check_hermitian(H, tol)
-    if H.shape[0] != 2:
-        w, V = _eigh(H)
-        return (V * np.exp(1j * w)) @ V.conj().T
-    (a, b), (_, c) = H.tolist()
-    t, delta = a.real / 2 + c.real / 2, a.real / 2 - c.real / 2
+    t, delta = a / 2 + c / 2, a / 2 - c / 2
     g = math.hypot(delta, abs(b))
     cos_g, sinc_g = math.cos(g), (math.sin(g) / g if g else 1.0)
     phase = cmath.exp(1j * t)

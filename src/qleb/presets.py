@@ -2,10 +2,14 @@
 
 Each family is a small closed-form construction with known behaviour
 (contiguous or not, known ratios and limits), which makes them useful as
-regression anchors.
+regression anchors.  The spin states are computed on their four entries as
+Python floats, with the numpy ufuncs of the array formula, so they are the
+same bytes as that formula gives.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -181,13 +185,32 @@ def drifting_product_family(scaling: str = "linear", declare: bool = False) -> P
 # -- spin-1/2 models -------------------------------------------------------------
 
 def spin_pure_state(theta) -> np.ndarray:
-    """Pure qubit state obtained by a symmetric exponential tilt of |0><0|."""
-    theta = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(theta))
+    """Pure qubit state obtained by a symmetric exponential tilt of |0><0|:
+    ``(I + tanh(t)/t (theta_0 X + theta_1 Y) + Z / cosh(t)) / 2`` with ``t = |theta|``."""
+    return _qubit(*_spin_pure_entries(np.asarray(theta, dtype=float)))
+
+
+def _spin_pure_entries(theta: np.ndarray) -> tuple[float, complex, float]:
+    """The entries ``(a, b, c)`` of :func:`spin_pure_state` ``[[a, b], [conj b, c]]``, on Python floats.
+
+    The operations are those of the array formula, with the same numpy
+    ufuncs (``math.tanh`` differs from ``np.tanh`` in the last bit) and the
+    norm as ``sqrt(theta . theta)``, as ``np.linalg.norm`` takes it, so the
+    entries are the same bit for bit.
+    """
+    t = math.sqrt(theta.dot(theta))
     if t == 0.0:
-        return GROUND.copy()
-    drive = theta[0] * SIGMA_X + theta[1] * SIGMA_Y
-    return 0.5 * (np.eye(2) + np.tanh(t) / t * drive + SIGMA_Z / np.cosh(t))
+        return 1.0, 0j, 0.0
+    k, sech = float(np.tanh(t)) / t, 1.0 / float(np.cosh(t))
+    x, y = float(theta[0]), float(theta[1])
+    return 0.5 * (1.0 + sech), 0.5 * complex(k * x, -(k * y)), 0.5 * (1.0 - sech)
+
+
+def _qubit(a: float, b: complex, c: float) -> np.ndarray:
+    """``[[a, b], [conj b, c]]`` with its zeros off the diagonal positive, as the array
+    formulas' sums with zero leave them."""
+    b += 0j
+    return np.array([[a, b], [b.conjugate() + 0j, c]], dtype=complex)
 
 
 def _tilt_coefficients(t: float) -> tuple[float, float, float]:
@@ -230,9 +253,12 @@ def quadratic_defect(theta) -> float:
 
 
 def spin_perturbed_state(theta, defect=cubic_defect) -> np.ndarray:
-    """Rank-dropping perturbation: pure tilt mixed with the orthogonal pole."""
-    weight = float(np.exp(-defect(np.asarray(theta, dtype=float))))
-    return weight * spin_pure_state(theta) + (1.0 - weight) * EXCITED
+    """Rank-dropping perturbation: pure tilt mixed with the orthogonal pole,
+    ``w rho_pure + (1 - w) |1><1|`` with ``w = exp(-defect(theta))``."""
+    theta = np.asarray(theta, dtype=float)
+    weight = float(np.exp(-defect(theta)))
+    a, b, c = _spin_pure_entries(theta)
+    return _qubit(weight * a, weight * b, weight * c + (1.0 - weight))
 
 
 def spin_perturbed_model(defect=cubic_defect, defect_grad=cubic_defect_grad) -> ParametricModel:

@@ -273,12 +273,12 @@ def sqrt_expansion_check(
     scales = np.asarray(list(scales), dtype=float)
     values = np.empty((len(directions), scales.size))
     trr2_gap = np.zeros(scales.size)
+    identity = np.eye(rho0.shape[0])
     for k, u in enumerate(directions):
         for m, s in enumerate(scales):
             hvec = s * u
             dec = lebesgue_decompose(model.state_at(theta0 + hvec), rho0, tol)
-            R = dec.sqrt_lr
-            B = R - np.eye(R.shape[0]) - 0.5 * sum(hvec[i] * L[i] for i in range(d))
+            B = dec.sqrt_lr - identity - 0.5 * sum(hvec[i] * L[i] for i in range(d))
             values[k, m] = float(np.trace(rho0 @ B).real)
             trr2_gap[m] = max(trr2_gap[m], abs(float(np.trace(dec.ac).real) - 1.0))
 

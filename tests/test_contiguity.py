@@ -21,7 +21,7 @@ from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
 from qleb import matcore
 from qleb.errors import (
     BlocksInconsistent, DimMismatch, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD,
-    NotPure, ValidationError,
+    NotPure, ValidationError, ZeroState,
 )
 from qleb import presets
 from qleb.presets import (
@@ -184,6 +184,21 @@ def test_limit_criterion_requires_limits_and_fixed_dim():
     )
     with pytest.raises(DimVaries):
         limit_criterion(bad)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_limit_criterion_errors_name_the_declared_limit(d):
+    good = np.eye(d, dtype=complex) / d
+    not_psd = np.diag([1.5] + [-0.5] * (d - 1)).astype(complex)
+    upper = good.copy()
+    upper[0, 1] = 0.5
+    for limits, error, match in (((not_psd, good), NotPSD, "declared rho limit has eigenvalue"),
+                                 ((good, np.zeros((d, d))), ZeroState,
+                                  "declared sigma limit is the zero operator"),
+                                 ((good, upper), NonHermitian, "declared sigma limit is not Hermitian")):
+        seq = StateSequence(eval=lambda n, pair=limits: pair, declared_limits=limits, horizon=10)
+        with pytest.raises(error, match=match):
+            limit_criterion(seq)
 
 
 def test_limit_criterion_unconfirmed_limits_inconclusive():

@@ -207,3 +207,39 @@ def test_degenerate_s2_zero_allowed():
     lhs = sandwiched_gaussian_qcf(ext, [xi])
     rhs = gaussian_qcf(GaussianParams(h=ext.mu, J=Sigma), [xi])
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_sandwich_builds_and_validates_the_enlarged_covariance_once(monkeypatch, tmp_path):
+    # The library call and `qleb gaussian sandwich` (whose reference value is
+    # the shifted law's, on the enlarged covariance's principal block) each
+    # build the enlarged parameters once and validate their covariance once.
+    import contextlib
+    import io
+    import json
+
+    from qleb import cli, gaussian
+
+    validated, built = [], []
+    spectrum, enlarged = gaussian.psd_spectrum, ExtendedGaussianParams.enlarged
+    monkeypatch.setattr(gaussian, "psd_spectrum",
+                        lambda J, *args, **kwargs: validated.append(J.shape) or spectrum(J, *args, **kwargs))
+    monkeypatch.setattr(ExtendedGaussianParams, "enlarged", lambda self: built.append(self) or enlarged(self))
+    ext = rand_extended(2, np.random.default_rng(9))
+    xis = [[0.3, -0.2], [0.1, 0.4]]
+    value = sandwiched_gaussian_qcf(ext, xis)
+    assert validated == [(3, 3)] and len(built) == 1
+    validated.clear(), built.clear()
+    docs = {"params": {"mu": ext.mu.tolist(), "Sigma": cli.matrix_document(ext.Sigma),
+                       "kappa": [[z.real, z.imag] for z in ext.kappa.tolist()], "s2": ext.s2},
+            "query": {"xis": xis}}
+    paths = []
+    for name, doc in docs.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gaussian", "sandwich", "--params", paths[0], "--query", paths[1]]) == 0
+    assert validated == [(3, 3)] and len(built) == 1
+    values = json.loads(out.getvalue())["values"]
+    assert values["agrees"] is True and complex(*values["value"]) == value
+    assert complex(*values["shift_qcf"]) == gaussian_qcf(lecam_shift(ext), xis)

@@ -627,3 +627,60 @@ def test_hermiticity_rule_holds_where_squares_overflow():
     A[0, 1] *= 1 + 1e-6
     with pytest.raises(NonHermitian, match=r"deviation 7.071e\+193"):
         matcore.check_hermitian(A)
+
+
+# -- the Hermitian part near the top of the float range ------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+def test_positive_definite_decides_entries_near_the_largest_float():
+    # The Hermitian part once formed A + A* before halving, so an entry at
+    # or above 2**1023 overflowed and a finite matrix was refused.
+    assert matcore.is_positive_definite(np.diag([1e308, 1.0]), 1e-14) is False
+    assert matcore.is_positive_definite(np.diag([1e308, 1e308]), 1e-14) is True
+    assert matcore.is_positive_definite(np.diag([1.7e308, 1e308, 1.2e308]).astype(complex), 1e-14) is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3])
+def test_hermitian_part_of_finite_entries_is_finite(d):
+    A = np.full((d, d), 1e308, dtype=complex)
+    A[0, 0], A[0, 1] = 1.7e308, 1.5e308 + 1e308j
+    H = matcore.hermitian_part(A)
+    assert np.isfinite(H).all()
+    assert H[0, 0] == 1.7e308 and H[0, 1] == 1.25e308 + 0.5e308j and H[1, 0] == np.conj(H[0, 1])
+    A = matcore.hermitian_part(A)
+    assert np.array_equal(matcore.check_hermitian(A), A)
+    assert np.array_equal(matcore.check_hermitian(A[None], labels=np.array([1])), A[None])
+
+
+def test_hermitian_part_keeps_its_bits_in_the_normal_range():
+    # Above norm 2**510 the entries are halved first, exact wherever the
+    # halves are normal numbers.
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 8):
+        for _ in range(200):
+            A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 10.0 ** rng.uniform(-300, 300)
+            assert np.array_equal(matcore.hermitian_part(A), (A + A.conj().T) / 2)
+
+
+def test_hermitian_part_keeps_a_subnormal_diagonal():
+    # Halving 3 * 2**-1074 first would round it to 4 * 2**-1074.
+    tiny = 3 * 2.0**-1074
+    for A in (np.diag([tiny, 1.0]), np.diag([tiny, tiny]).astype(complex), np.full((3, 3), tiny)):
+        H = matcore.hermitian_part(A)
+        assert np.array_equal(H, A) and np.array_equal(matcore.check_hermitian(A), A)
+    stack = np.array([np.diag([tiny, 1.0]), np.diag([1.0, tiny])])
+    assert np.array_equal(matcore.hermitian_part(stack), stack)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unitary_exp_of_entries_near_the_largest_float():
+    from qleb import finite_qcf
+    from qleb.presets import GROUND, SIGMA_Z
+
+    want = complex(math.cos(1e308), math.sin(1e308))
+    assert abs(finite_qcf(GROUND, [SIGMA_Z], [[1e308]]) - want) <= 1e-15
+    assert abs(unitary_exp(1e308 * SIGMA_Z)[0, 0] - want) <= 1e-15
+    U = unitary_exp(np.diag([1.7e308, 1.0, -1.7e308]))
+    assert np.abs(U @ U.conj().T - np.eye(3)).max() <= 1e-15

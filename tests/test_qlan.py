@@ -223,17 +223,18 @@ def test_iid_experiment_rejects_what_finite_qcf_rejects():
 
 def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
     # Every quasi-characteristic function over observables goes through
-    # contiguity._ordered_product, the only caller of unitary_exp in the package.
+    # contiguity._ordered_product, the only caller of unitary_exp and of its
+    # 2x2 closed form _expi2 in the package.
     sources = [inspect.getsource(m) for m in (cli, contiguity, gaussian, lebesgue, presets, qlan)]
     assert sum(src.count("unitary_exp(") for src in sources) == 1
+    assert sum(src.count("_expi2(") for src in sources) == 1
     callers = []
-    unitary_exp = matcore.unitary_exp
+    for name in ("unitary_exp", "_expi2"):
+        def spy(*args, _exp=getattr(matcore, name), **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _exp(*args, **kwargs)
 
-    def spy(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return unitary_exp(*args, **kwargs)
-
-    monkeypatch.setattr(matcore, "unitary_exp", spy)
+        monkeypatch.setattr(matcore, name, spy)
     constructed = []
     monkeypatch.setattr(IIDExperiment, "__post_init__",
                         lambda self, _init=IIDExperiment.__post_init__: constructed.append(self)
@@ -248,6 +249,100 @@ def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
                                           [[0.3, 0.1]], [[0.2, 0.4]], [1, 10])
     assert len(callers) == 60 + 2 + 1 + 8
     assert set(callers) == {"_ordered_product"}
+
+
+def ordered_product_reference(rho, obs, xis, n=1):
+    """The array route: an identity-seeded product of ``unitary_exp`` factors."""
+    scale = 1.0 / np.sqrt(n)
+    U = np.eye(rho.shape[0], dtype=complex)
+    for xi in xis:
+        U = U @ matcore.unitary_exp(sum(c * X for c, X in zip(np.asarray(xi, dtype=float), obs)) * scale)
+    z = complex(np.trace(rho @ U))
+    if n == 1 or z == 0:
+        return z
+    return complex(np.exp(n * np.log(z)))
+
+
+def bits(z: complex) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 10**6])
+def test_qubit_ordered_product_matches_the_array_route(n):
+    # At size 2 the generators are formed from the observables' entries and
+    # exponentiated in closed form: a single factor gives the array route's
+    # bits, and products of up to 3 factors agree within 1e-14.
+    rng = np.random.default_rng([n, 5])
+    worst = 0.0
+    for trial in range(400):
+        rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho = rand_density(2, rng) if trial % 3 else rho / np.abs(rho).sum()  # |Tr rho U| <= 1
+        obs = [matcore.check_hermitian(rand_herm(2, rng) * 10.0 ** rng.uniform(-3, 2))
+               for _ in range(1 + trial % 3)]
+        xis = [rng.uniform(-3.0, 3.0, size=len(obs)) * 10.0 ** rng.uniform(-4.0, 1.0)
+               for _ in range(1 + trial % 4 % 3)]
+        xis[0][0] = -0.0 if trial % 5 == 0 else xis[0][0]
+        got = contiguity._ordered_product(rho, obs, xis, matcore.DEFAULT_TOL, n)
+        want = ordered_product_reference(rho, obs, xis, n)
+        if len(xis) == 1:
+            assert bits(got) == bits(want)
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_qubit_ordered_product_of_a_vanishing_trace(n):
+    # Diagonal factors against an off-diagonal rho: Tr rho U is exactly 0.
+    obs = [presets.SIGMA_Z, np.diag([0.5, -2.0]).astype(complex)]
+    xis = [[0.3, 1.1], [-0.7, 0.2]]
+    got = contiguity._ordered_product(SIGMA_X, obs, xis, matcore.DEFAULT_TOL, n)
+    assert got == 0 and bits(got) == bits(ordered_product_reference(SIGMA_X, obs, xis, n))
+
+
+@pytest.mark.parametrize("xi", [[np.nan, 0.1], [0.1, np.inf], [-np.inf, 0.0], [1e308, 1e308]])
+def test_qubit_ordered_product_refuses_a_non_finite_generator(xi):
+    # A NaN or infinite coefficient, or a finite one whose generator
+    # overflows, is refused with the array route's message.
+    from qleb.errors import ValidationError
+
+    obs = [presets.SIGMA_Z, presets.SIGMA_Z]
+    for call in (lambda: contiguity._ordered_product(GROUND, obs, [[0.2, 0.1], xi], matcore.DEFAULT_TOL),
+                 lambda: ordered_product_reference(GROUND, obs, [[0.2, 0.1], xi])):
+        with np.errstate(all="ignore"), pytest.raises(ValidationError,
+                                                      match=r"matrix has a non-finite entry \[0\]\[0\]"):
+            call()
+
+
+def spin_pure_state_reference(theta):
+    """The array formula of the spin states."""
+    theta = np.asarray(theta, dtype=float)
+    t = float(np.linalg.norm(theta))
+    if t == 0.0:
+        return GROUND.copy()
+    drive = theta[0] * SIGMA_X + theta[1] * SIGMA_Y
+    return 0.5 * (np.eye(2) + np.tanh(t) / t * drive + presets.SIGMA_Z / np.cosh(t))
+
+
+def test_spin_states_are_the_array_formula_bit_for_bit():
+    # The scalar entries use the array formula's operations and numpy ufuncs,
+    # so every byte agrees, the signs of zeros included.
+    rng = np.random.default_rng(61)
+    thetas = [np.zeros(2), np.zeros(3), np.array([-0.0, 0.0]), np.array([1.0, 0.0]),
+              np.array([0.0, -1.0]), np.array([3e-5, -2e-5]), np.array([0.3, -0.2, 0.7])]
+    for k in range(4000):
+        theta = rng.standard_normal(2 + k % 4 // 3) * 10.0 ** rng.uniform(-9.0, 1.3)
+        if k % 4 == 1:
+            theta[k % 2] = 0.0
+        elif k % 4 == 2:
+            theta = -np.abs(theta)
+        thetas.append(theta)
+    for theta in thetas:
+        pure = spin_pure_state_reference(theta)
+        assert spin_pure_state(theta).tobytes() == pure.tobytes()
+        for defect in (cubic_defect, quadratic_defect):
+            weight = float(np.exp(-defect(theta)))
+            want = weight * pure + (1.0 - weight) * presets.EXCITED
+            assert presets.spin_perturbed_state(theta, defect).tobytes() == want.tobytes()
 
 
 # -- quantum Le Cam third lemma at desk scale -----------------------------------------

@@ -81,7 +81,8 @@ def test_orthogonal_supports_are_singular_and_not_ac(d):
 @pytest.fixture
 def counted(monkeypatch):
     """Count LAPACK eigensolves and closed-form eigensystems (sizes <= 2), and
-    record the arguments of every Hermiticity check."""
+    record the arguments of every Hermiticity check: ``check_hermitian`` and
+    its 2x2 entry rule ``_hermitian2``, a check inside another counted once."""
     calls = {"eigensolves": 0, "closed_form": 0, "hermitian": []}
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -91,13 +92,18 @@ def counted(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapper)
-    check = matcore.check_hermitian
+    depth = [0]
+    for name in ("check_hermitian", "_hermitian2"):
+        def checked(A, *args, _check=getattr(matcore, name), **kwargs):
+            if not depth[0]:
+                calls["hermitian"].append(A)
+            depth[0] += 1
+            try:
+                return _check(A, *args, **kwargs)
+            finally:
+                depth[0] -= 1
 
-    def checked(A, *args, **kwargs):
-        calls["hermitian"].append(A)
-        return check(A, *args, **kwargs)
-
-    monkeypatch.setattr(matcore, "check_hermitian", checked)
+        monkeypatch.setattr(matcore, name, checked)
     closed_form = matcore._eigh2
 
     def counted_closed_form(*args, **kwargs):
@@ -174,6 +180,23 @@ def test_cli_decompose_validates_each_operand_once(counted, monkeypatch, tmp_pat
     assert len(counted["hermitian"]) == 6
     assert counted["eigensolves"] == (0 if d == 2 else {"full": 1, "deficient-sigma": 3,
                                                          "deficient-rho": 5}[kind])
+
+
+def test_limit_criterion_validates_each_declared_limit_once(counted):
+    # The split that decides sigma_inf << rho_inf validates both limits, and
+    # the residuals are read against its validated arrays: 2 checks, not 4.
+    from qleb import StateSequence, limit_criterion, presets
+
+    assert limit_criterion(presets.faithful_to_pure_family()).verdict == "Contiguous"
+    assert len(counted["hermitian"]) == 2
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 8):
+        rho, sigma = _state(rng, d, d), _state(rng, d, (d + 1) // 2)
+        for limits, verdict in (((rho, sigma), "Contiguous"), ((sigma, rho), "NotContiguous")):
+            counted["hermitian"].clear()
+            seq = StateSequence(eval=lambda n, pair=limits: pair, declared_limits=limits, horizon=50)
+            assert limit_criterion(seq).verdict == verdict
+            assert [id(A) for A in counted["hermitian"]] == [id(A) for A in limits]
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
