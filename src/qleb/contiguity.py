@@ -96,15 +96,17 @@ class PurePowerFamily:
         self.sample_grid = _sample_grid(self.sample_grid, self.horizon)
 
 
-def _sample_grid(grid: Optional[Sequence[int]], horizon: int) -> list[int]:
-    """``grid`` checked (non-empty, strictly increasing, within [1, horizon]), or the default grid."""
+def _sample_grid(grid: Optional[Sequence[int]], horizon: float,
+                 name: str = "sample_grid") -> list[int]:
+    """``grid`` checked (non-empty, strictly increasing, within [1, horizon]), or the default grid;
+    an error names the field ``name``."""
     if grid is None:
         return default_grid(horizon)
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sample_grid must be non-empty and strictly increasing")
+        raise ValueError(f"{name} must be non-empty and strictly increasing")
     if grid[0] < 1 or grid[-1] > horizon:
-        raise ValueError("sample_grid must lie within [1, horizon]")
+        raise ValueError(f"{name} must lie within [1, horizon]")
     return grid
 
 
@@ -543,10 +545,14 @@ class BlockSequence:
         rho   = [[rho2, rho1, 0], [rho1*, rho0, 0], [0, 0, 0]]
         sigma = [[0, 0, 0], [0, sigma0, sigma1], [0, sigma1*, sigma2]]
 
-    ``full_eval`` optionally supplies the assembled states for a consistency
-    check at the indices in ``consistency_ns``.  The normalized inner pair
-    ``(rho0/Tr, sigma0/Tr)`` is judged by the limit criterion against
-    ``inner_limits``.
+    An outer block (``rho2``, ``sigma2``) may be declared by its diagonal: a
+    1-D array stands for the diagonal matrix with those entries, which the
+    criterion decides without forming it.  ``grid`` is checked as a sample
+    grid is (non-empty, strictly increasing, from 1 up) before any block is
+    evaluated.  ``full_eval`` optionally supplies the assembled states for a
+    consistency check at the indices in ``consistency_ns``.  The normalized
+    inner pair ``(rho0/Tr, sigma0/Tr)`` is judged by the limit criterion
+    against ``inner_limits``.
     """
 
     blocks: Callable[[int], tuple]
@@ -555,9 +561,13 @@ class BlockSequence:
     full_eval: Optional[Callable[[int], tuple]] = None
     consistency_ns: Optional[list[int]] = None
 
+    def __post_init__(self) -> None:
+        self.grid = _sample_grid(list(self.grid), math.inf, "grid")  # None is refused, not defaulted
+
 
 def _assemble_blocks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
     rho2, rho1, rho0, sigma0, sigma1, sigma2 = [np.asarray(b, dtype=complex) for b in parts]
+    rho2, sigma2 = (np.diag(X) if X.ndim == 1 else X for X in (rho2, sigma2))
     d1, d2, d3 = rho2.shape[0], rho0.shape[0], sigma2.shape[0]
     d = d1 + d2 + d3
     rho = np.zeros((d, d), dtype=complex)
@@ -605,10 +615,12 @@ def block_criterion_diagnostics(
     ``|A|``; a shifted Cholesky decides it, with no eigensolve.  Each block is
     read as declared, ``[[rho2, rho1], [rho1*, rho0]]`` and (a symmetric
     permutation of the assembled one, with the same spectrum and row sums)
-    ``[[sigma2, sigma1*], [sigma1, sigma0]]``: with a diagonal outer block
-    only the inner-sized Schur complement is factored, otherwise the
-    assembled block (:func:`matcore._bordered_positive`).  A NaN or infinite
-    entry raises :class:`ValidationError` naming the block and ``n``.  The
+    ``[[sigma2, sigma1*], [sigma1, sigma0]]``: with an outer block declared
+    by its diagonal (1-D) only the inner-sized Schur complement is factored
+    and nothing of the outer block's size is formed; a 2-D outer block is
+    decided on the assembled block (:func:`matcore._bordered_positive`).
+    Blocks whose shapes do not fit raise :class:`DimMismatch`, and a NaN or
+    infinite entry :class:`ValidationError`, naming the block and ``n``.  The
     blocks are evaluated once per grid point.
     """
     evidence = []

@@ -17,10 +17,10 @@ with no use for phases, call LAPACK directly).  The positivity decisions
 that need no spectrum are one shifted Cholesky: :func:`is_positive_definite`,
 a yes/no answer for a block (in real arithmetic when the block is real),
 :func:`_bordered_positive`, the same answer read from a declared block's
-blocks (only a Schur complement is factored when the outer block is
-diagonal), and :func:`_certified_full_rank`, which proves that the rank
-rule calls an operand full rank so that the decomposition can skip its
-eigensolve.  Matrix functions (square root,
+blocks (an outer block declared by its diagonal, as a vector, is never
+assembled: only a Schur complement is factored), and
+:func:`_certified_full_rank`, which proves that the rank rule calls an
+operand full rank so that the decomposition can skip its eigensolve.  Matrix functions (square root,
 pseudo-inverse, logarithm, exponential) are applied on the validated
 spectrum; ``exp(iH)`` at size 2 is closed-form on the entries
 (:func:`_expi2`, which the qubit ordered products call directly).  The
@@ -497,8 +497,8 @@ def is_positive_definite(A: np.ndarray, strict: float) -> bool:
     infinite entry raises :class:`ValidationError`.  A matrix whose
     imaginary part is exactly zero is decided on its real part, by a real
     Cholesky (about a third of the complex one's cost) and with no complex
-    copy.  :func:`_bordered_positive` decides a matrix given as blocks
-    without assembling it.
+    copy.  :func:`_bordered_positive` decides a matrix given as blocks,
+    without assembling it when its outer block is declared by its diagonal.
     """
     A = check_square(A, dtype=None)
     if np.iscomplexobj(A) and not A.imag.any():
@@ -554,26 +554,30 @@ def _bordered_bound(a: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
 def _bordered_positive(A: np.ndarray, B: np.ndarray, C: np.ndarray, strict: float) -> bool:
     """:func:`is_positive_definite` of ``[[A, B], [B*, C]]``, read from its blocks.
 
-    The rule is unchanged: ``t = strict * ||H||_inf``, ``H`` the Hermitian
-    part, whose rows are ``|Re a_ii| + sum_j |B_ij|`` for a diagonal ``A``
-    and the column sums of ``|B|`` plus the row sums of ``|herm C|``, taken
-    in units of a power of 4 as in :func:`_shifted_cholesky` outside
-    ``2**-500 ... 2**500``.  When every off-diagonal entry of ``A`` is exactly
-    zero, ``H - t I > 0`` iff ``D = Re diag(A) - t > 0`` and the Schur
+    The outer block ``A`` is declared either as an ``n x n`` matrix or, 1-D,
+    by its diagonal: a vector ``a`` stands for ``diag(a)``.  A 2-D ``A`` is
+    decided on the assembled matrix's shifted Cholesky.  A diagonal one is
+    never assembled, and the rule is the same: ``t = strict * ||H||_inf``,
+    ``H`` the Hermitian part, whose rows are ``|Re a_i| + sum_j |B_ij|`` and
+    the column sums of ``|B|`` plus the row sums of ``|herm C|``, taken in
+    units of a power of 4 as in :func:`_shifted_cholesky` outside ``2**-500
+    ... 2**500``; ``H - t I > 0`` iff ``D = Re a - t > 0`` and the Schur
     complement ``herm(C) - t I - B* D^{-1} B > 0`` (Horn & Johnson, Matrix
-    Analysis, Thm 7.7.7); that complement is the trailing block a Cholesky
+    Analysis, Thm 7.7.7).  That complement is the trailing block a Cholesky
     factorisation reaches after eliminating ``D``, so only a ``C``-sized
-    matrix is factored.  A dense ``A`` goes to the assembled matrix's shifted
-    Cholesky.  A NaN or infinite entry raises :class:`ValidationError` on
-    either route.
+    matrix is factored and nothing of size ``n x n`` is formed.  Blocks that
+    do not border each other raise :class:`DimMismatch`; a NaN or infinite
+    entry raises :class:`ValidationError` on either route.
     """
-    n = A.shape[0]
-    # The off-diagonal entries of A as a strided view: flat A[1:] in rows of
-    # n + 1, each ending at the next diagonal entry, which [:, :n] drops.
-    if n > 1 and A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+    n = len(A) if A.ndim else -1
+    if not (A.shape in ((n,), (n, n)) and B.ndim == 2 and B.shape[0] == n
+            and C.shape == (B.shape[1],) * 2):
+        raise DimMismatch(f"outer block {A.shape}, coupling {B.shape} and inner block {C.shape} "
+                          "do not border each other")
+    if A.ndim == 2:
         return is_positive_definite(np.block([[A, B], [B.conj().T, C]]), strict)
     with np.errstate(invalid="ignore"):  # as in is_positive_definite
-        a, C = A.diagonal().real, hermitian_part(C)
+        a, C = A.real, hermitian_part(C)
     bound = _bordered_bound(a, B, C)
     if not 2.0**-500 < bound < 2.0**500:
         big = np.max([np.abs(X).max(initial=0.0) for X in (a, B, C)])

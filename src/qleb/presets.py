@@ -105,16 +105,16 @@ def three_block_blocks(n: int) -> tuple:
     The inner 2x2 blocks are the faithful-to-pure pair above, scaled to
     subnormalized traces 1/2 and 1 - 1/(2n); the outer blocks carry the
     remaining mass and shrink on the sigma side.  The outer blocks are
-    scalar matrices, built as diagonals (the same entries as ``eye(n) / (2m)``,
-    with no division pass over the zeros); the criterion decides their
-    positivity on the diagonal.
+    scalar matrices, declared by their diagonals (1-D arrays of ``n``
+    entries, ``diag(rho2) = 1/(2m)``): the criterion decides their positivity
+    from the vectors, and nothing of size ``n x n`` is formed.
     """
     m = float(n)
     rho0 = np.diag([(2 * m**3 - 1), 1.0]).astype(complex) / (4 * m**3)
     sigma0 = (1 - 1 / (2 * m)) * faithful_to_pure_pair(n)[1]
     coupling = np.ones((n, 2), dtype=complex) / (m + 1) ** 3
-    rho2 = np.diag(np.full(n, 1 / (2 * m), dtype=complex))
-    sigma2 = np.diag(np.full(n, 1 / (2 * m**2), dtype=complex))
+    rho2 = np.full(n, 1 / (2 * m), dtype=complex)
+    sigma2 = np.full(n, 1 / (2 * m**2), dtype=complex)
     return rho2, coupling, rho0, sigma0, coupling.conj().T, sigma2
 
 

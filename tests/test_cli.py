@@ -229,6 +229,14 @@ def test_contiguity_pure_rejects_a_decreasing_grid(capsys):
     assert code == 2 and out == "" and "strictly increasing" in err
 
 
+@pytest.mark.parametrize("grid", ["8,4", "0,4", "4,4"])
+def test_contiguity_block_rejects_a_bad_grid(grid, capsys):
+    # "0,4" once ended in a ZeroDivisionError traceback, "8,4" only after
+    # every block had been evaluated.
+    code, out, err = run(capsys, ["contiguity", "block", "--preset", "sec-7.1", "--grid", grid])
+    assert code == 2 and out == "" and err.startswith("error: grid must")
+
+
 def test_contiguity_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, ["contiguity", "kakutani", "--preset", "sec-9.9"])
     assert code == 2 and "unknown preset" in err

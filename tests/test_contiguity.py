@@ -706,10 +706,10 @@ def test_block_criterion_flags_non_positive_block(side, defect):
         rho2, rho1, rho0, sigma0, sigma1, sigma2 = (np.array(b) for b in three_block_blocks(n))
         outer, coupling = (rho2, rho1) if side == "rho" else (sigma2, sigma1.T)
         if defect == "singular":
-            outer[0, 0] = 0.0
+            outer[0] = 0.0  # the outer blocks are declared by their diagonals
             coupling[0, :] = 0.0
         else:
-            outer[0, 0] = -outer[0, 0]
+            outer[0] = -outer[0]
         return rho2, rho1, rho0, sigma0, sigma1, sigma2
 
     grid = three_block_family().grid
@@ -769,51 +769,97 @@ def test_block_criterion_factors_only_inner_sized_complements(monkeypatch):
 
 
 def test_block_criterion_peak_memory_is_about_the_declared_blocks():
-    declared = sum(np.asarray(b).nbytes for b in three_block_blocks(three_block_family().grid[-1]))
+    # The outer blocks are declared by their diagonals, up to n = 1024: nothing
+    # of size n x n is formed (one complex 1024 x 1024 array is 16 MiB).
     family = three_block_family()
+    assert family.grid[-1] == 1024
     tracemalloc.start()
     try:
         assert block_criterion_diagnostics(family).verdict == CONTIGUOUS
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * declared
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("defect", [None, "indefinite"])
 def test_block_criterion_decides_a_dense_outer_block(defect):
     # [[U D U*, U B], [B* U*, C]] is unitarily equivalent to [[D, B], [B* C]]:
-    # a dense outer block (decided assembled) gets the diagonal one's verdict.
+    # the outer block declared by its diagonal D (the Schur-complement route),
+    # as the matrix D and as U D U* (both decided assembled) gets one verdict.
     rng = np.random.default_rng(17)
 
-    def blocks(n, rotate):
+    def blocks(n, form):
         rho2, rho1, rho0, sigma0, sigma1, sigma2 = (np.array(b) for b in three_block_blocks(n))
         rho2 = rho2 * np.linspace(0.5, 1.5, n)
         if defect:
-            rho2[0, 0] = -rho2[0, 0]
-        if rotate:
+            rho2[0] = -rho2[0]
+        if form == "dense":
             U = rand_unitary(n, rng)
-            rho2, rho1 = U @ rho2 @ U.conj().T, U @ rho1
+            rho2, rho1 = U @ np.diag(rho2) @ U.conj().T, U @ rho1
+        elif form == "matrix":
+            rho2 = np.diag(rho2)
         return rho2, rho1, rho0, sigma0, sigma1, sigma2
 
     grid = [4, 8, 16, 32, 64]
-    reports = [block_criterion_diagnostics(BlockSequence(
-        blocks=lambda n, rotate=rotate: blocks(n, rotate), grid=grid,
-        inner_limits=presets.faithful_to_pure_limits())) for rotate in (False, True)]
-    assert [row["blocks_positive"] for row in reports[0].evidence] == [not defect] * len(grid)
-    assert [row["blocks_positive"] for row in reports[1].evidence] == [not defect] * len(grid)
+    for form in ("vector", "matrix", "dense"):
+        rep = block_criterion_diagnostics(BlockSequence(
+            blocks=lambda n: blocks(n, form), grid=grid,
+            inner_limits=presets.faithful_to_pure_limits()))
+        assert [row["blocks_positive"] for row in rep.evidence] == [not defect] * len(grid)
+
+
+@pytest.mark.parametrize("side", ["rho", "sigma"])
+@pytest.mark.parametrize("form", ["vector", "matrix"])
+@pytest.mark.parametrize("part", ["outer", "coupling", "inner"])
+def test_block_criterion_refuses_blocks_that_do_not_fit(side, form, part):
+    # One block a row short, with the outer block declared by its diagonal or
+    # as a matrix: refused as a DimMismatch naming the block and n, where a
+    # numpy broadcasting error once escaped.
+    def blocks(n):
+        parts = [np.array(b) for b in three_block_blocks(n)]
+        outer, coupling, inner = (0, 1, 2) if side == "rho" else (5, 4, 3)
+        if form == "matrix":
+            parts[outer] = np.diag(parts[outer])
+        k = {"outer": outer, "coupling": coupling, "inner": inner}[part]
+        parts[k] = parts[k][:-1]
+        return tuple(parts)
+
+    bseq = BlockSequence(blocks=blocks, grid=[4, 8], inner_limits=presets.faithful_to_pure_limits())
+    with pytest.raises(DimMismatch, match=f"declared {side} block at n=4: .*do not border each other"):
+        block_criterion_diagnostics(bseq)
+
+
+@pytest.mark.parametrize("grid", [[], [0, 4], [8, 4], [4, 4], [-2, 4, 8]])
+def test_block_sequence_checks_its_grid_before_evaluating_blocks(grid):
+    calls = []
+
+    def blocks(n):
+        calls.append(n)
+        return three_block_blocks(n)
+
+    with pytest.raises(ValueError, match="^grid must"):
+        BlockSequence(blocks=blocks, grid=grid, inner_limits=presets.faithful_to_pure_limits())
+    with pytest.raises(ValueError, match="^grid must"):
+        three_block_family(grid)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("side, entry, value", [
     ("sigma", (0, 0), np.nan), ("rho", (0, 0), np.inf), ("rho", (0, 1), np.nan)])
 def test_block_criterion_refuses_non_finite_declared_blocks(side, entry, value):
-    # A NaN or infinite entry is refused, naming the block and n, on the
-    # diagonal-outer route and (off-diagonal entry) on the assembled one.
+    # A NaN or infinite entry is refused, naming the block and n: in an outer
+    # block declared by its diagonal (the Schur-complement route) and, for the
+    # off-diagonal entry, in one declared as a dense matrix (the assembled route).
     def blocks(n):
         parts = [np.array(b) for b in three_block_blocks(n)]
-        outer = parts[0 if side == "rho" else 5]
-        outer[entry] = outer[entry[::-1]] = value
+        k, (i, j) = (0 if side == "rho" else 5), entry
+        if i == j:
+            parts[k][i] = value
+        else:
+            parts[k] = np.diag(parts[k])
+            parts[k][i, j] = parts[k][j, i] = value
         return tuple(parts)
 
     bseq = BlockSequence(blocks=blocks, grid=three_block_family().grid,

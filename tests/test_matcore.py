@@ -341,8 +341,10 @@ def _bordered(d1: int, d2: int, coupling: str, ratio: float, rng) -> tuple:
 @pytest.mark.parametrize("d2", [1, 2, 3])
 @pytest.mark.parametrize("coupling", ["zero", "real", "complex"])
 def test_bordered_positive_agrees_with_the_assembled_block(d1, d2, coupling):
-    # The assembled block's shifted Cholesky is the reference; the block route
-    # must give its decision, and the same one on the block scaled by 1e+-300.
+    # The assembled block's shifted Cholesky is the reference; both routes, the
+    # outer block declared as a matrix and by its diagonal, must give its
+    # decision, and the same one on the block scaled by 1e+-300 (taken in
+    # units of a power of 4).
     rng = np.random.default_rng([d1, d2, len(coupling)])
     for ratio, expected in _RATIOS:
         A, B, C = _bordered(d1, d2, coupling, ratio, rng)
@@ -350,7 +352,8 @@ def test_bordered_positive_agrees_with_the_assembled_block(d1, d2, coupling):
         assert _eigvalsh_rule(assembled, 1e-14) is expected
         assert matcore.is_positive_definite(assembled, 1e-14) is expected
         for scale in (1.0, 1e300, 1e-300):
-            assert matcore._bordered_positive(scale * A, scale * B, scale * C, 1e-14) is expected
+            for outer in (A, A.diagonal()):
+                assert matcore._bordered_positive(scale * outer, scale * B, scale * C, 1e-14) is expected
             assert matcore.is_positive_definite(scale * assembled, 1e-14) is expected
 
 
@@ -371,7 +374,8 @@ def test_bordered_positive_survives_a_complement_that_overflows():
     # overflows, and the block is (hugely) indefinite on both routes.
     A, B, C = np.diag([5e-324, 1.0]), np.array([[1e100, 0.0], [0.0, 0.0]]), np.eye(2)
     assert matcore.is_positive_definite(np.block([[A, B], [B.T, C]]), 0.0) is False
-    assert matcore._bordered_positive(A, B, C, 0.0) is False
+    for outer in (A, A.diagonal()):
+        assert matcore._bordered_positive(outer, B, C, 0.0) is False
 
 
 @pytest.fixture
@@ -392,13 +396,15 @@ def cholesky_shapes(monkeypatch):
 def test_bordered_positive_factors_the_complement_of_a_diagonal_block(d1, cholesky_shapes):
     rng = np.random.default_rng(d1)
     A, B, C = _bordered(d1, 2, "complex", 1e-10, rng)
-    assert matcore._bordered_positive(A, B, C, 1e-14) is True
+    assert matcore._bordered_positive(A.diagonal(), B, C, 1e-14) is True
     assert cholesky_shapes == [(2, 2)]
-    # A dense outer block (the same block in another basis) is decided assembled.
+    # A 2-D outer block is decided assembled: declared as the diagonal matrix
+    # itself, and as the same block in another basis.
     U = rand_unitary(d1, rng)
-    cholesky_shapes.clear()
-    assert matcore._bordered_positive(U @ A @ U.conj().T, U @ B, C, 1e-14) is True
-    assert cholesky_shapes == [(d1 + 2, d1 + 2)]
+    for outer, coupling in ((A, B), (U @ A @ U.conj().T, U @ B)):
+        cholesky_shapes.clear()
+        assert matcore._bordered_positive(outer, coupling, C, 1e-14) is True
+        assert cholesky_shapes == [(d1 + 2, d1 + 2)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -414,7 +420,18 @@ def test_bordered_positive_refuses_non_finite_entries(value, where):
         B[2, 1] = value
     else:
         C[0, 0] = value
-    with pytest.raises(ValidationError, match="non-finite entry"):
+    for outer in (A, A.diagonal()) if where != "outer off-diagonal" else (A,):
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            matcore._bordered_positive(outer, B, C, 1e-14)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3,), (4, 2), (2, 2)), ((4, 4), (3, 2), (2, 2)), ((4, 3), (4, 2), (2, 2)),
+    ((4,), (4, 2), (3, 3)), ((4,), (4, 2), (2, 3)), ((4,), (4,), (1, 1)),
+    ((), (1, 2), (2, 2)), ((4, 4, 4), (4, 2), (2, 2))])
+def test_bordered_positive_refuses_blocks_that_do_not_border(shapes):
+    A, B, C = (np.ones(shape) for shape in shapes)
+    with pytest.raises(DimMismatch, match="do not border each other"):
         matcore._bordered_positive(A, B, C, 1e-14)
 
 
