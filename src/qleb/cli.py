@@ -42,7 +42,7 @@ def matrix_document(A: np.ndarray, label: str | None = None) -> dict:
     A = np.asarray(A, dtype=complex)
     doc: dict[str, Any] = {
         "dim": int(A.shape[0]),
-        "entries": [[complex_pair(A[i, j]) for j in range(A.shape[1])] for i in range(A.shape[0])],
+        "entries": np.stack([A.real, A.imag], -1).tolist(),
     }
     if label is not None:
         doc["label"] = label
@@ -236,10 +236,11 @@ _PRESETS = {
 }
 
 
-def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
+def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
+    """The family of ``--preset`` or ``--spec``, and the spec document read (``None`` for a preset)."""
     horizon = args.horizon
     if args.preset is not None:
-        return _named(_PRESETS, args.preset, "preset")(args)
+        return _named(_PRESETS, args.preset, "preset")(args), None
     if args.spec is None:
         raise QlebError("either --preset or --spec is required")
     spec = load_json(args.spec)
@@ -253,23 +254,23 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig):
             declared_limits=(rho, sigma),
             horizon=horizon,
             sample_grid=_grid_from_arg(args.grid, horizon),
-        )
+        ), spec
     if kind == "iid-product":
         rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
         sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
         if rho.shape != sigma.shape:  # the factors raise DimMismatch for factor 1
-            return contiguity.ProductFamily(factors=lambda i: (rho, sigma))
+            return contiguity.ProductFamily(factors=lambda i: (rho, sigma)), spec
         pair = np.stack([rho, sigma])
         return contiguity.ProductFamily(
             factors=lambda i: (rho, sigma),
             stack=lambda idx: np.broadcast_to(pair, (len(idx),) + pair.shape),
-        )
+        ), spec
     raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
 
 
 def cmd_contiguity(args: argparse.Namespace) -> int:
     tol = resolve_tolerances(args)
-    family = _contiguity_input(args, tol)
+    family, spec = _contiguity_input(args, tol)
     sub = args.criterion
     if sub == "limit":
         if not isinstance(family, contiguity.StateSequence):
@@ -289,7 +290,7 @@ def cmd_contiguity(args: argparse.Namespace) -> int:
         rep = contiguity.block_criterion_diagnostics(family, tol)
     else:  # pragma: no cover - argparse restricts choices
         raise QlebError(f"unknown contiguity criterion {sub!r}")
-    inputs = {"criterion": sub, "preset": args.preset, "spec": args.spec,
+    inputs = {"criterion": sub, "preset": args.preset, "spec": spec,
               "horizon": args.horizon, "grid": args.grid, "g": args.g, "h": args.h}
     report = make_report(f"contiguity {sub}", inputs, report_from_contiguity(rep), tol)
     emit(report, args)
@@ -376,6 +377,10 @@ def _defect_by_name(name: str):
                    "zero": lambda theta: 0.0}, name, "defect")
 
 
+#: Number of ``clt-check`` queries ``xi (1, 0.3)``, with ``xi`` evenly spaced over [-2, 2].
+_CLT_XI_COUNT = 20
+
+
 def cmd_qlan(args: argparse.Namespace) -> int:
     tol = resolve_tolerances(args)
     sub = args.operation
@@ -406,8 +411,7 @@ def cmd_qlan(args: argparse.Namespace) -> int:
         values = {"qfi": matrix_document(qlan.qfi_matrix(rho0, qlan.slds(model, theta0, tol), tol))}
     elif sub == "clt-check":
         n_grid = [int(float(x)) for x in (args.n or "100,10000,1000000").split(",")]
-        xi_count = args.xi_count
-        xi_grid = [[np.array([x, 0.3 * x])] for x in np.linspace(-2.0, 2.0, xi_count)]
+        xi_grid = [[np.array([x, 0.3 * x])] for x in np.linspace(-2.0, 2.0, _CLT_XI_COUNT)]
         rep = qlan.lecam3_numeric_check(model, theta0, None, h, n_grid, xi_grid, tol)
         values = {
             "deviations": rep.deviations,
@@ -482,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="expansion point, comma-separated (default origin)")
     p.add_argument("--h", help="shift direction, comma-separated (default 1,0.5)")
     p.add_argument("--n", help="comma-separated copy counts for clt-check")
-    p.add_argument("--xi-count", type=int, default=20)
     p.add_argument("--f", help="defect for rate-scan (cubic|quadratic|zero)")
     p.add_argument("--g", help="scaling for rate-scan (sqrt|quarter|linear)")
     p.add_argument("--grid", help="comma-separated sample indices")

@@ -77,16 +77,14 @@ class StateSequence:
 
 @dataclass
 class PurePowerFamily:
-    """Tensor-power pair family ``n -> (rho_site(n)^(x m), sigma_site(n)^(x m))``.
+    """Tensor-power pair family ``n -> (rho_site(n)^(x n), sigma_site(n)^(x n))``.
 
     Only per-site matrices are ever materialized; the two pure-criterion
     statistics reduce to scalar powers, which keeps horizons of 10^6 copies
-    cheap and exact.  ``copies`` maps the index ``n`` to the tensor power
-    ``m`` (identity by default).
+    cheap and exact.
     """
 
     site: Callable[[int], tuple]
-    copies: Callable[[int], int] = lambda n: n
     declared_trr2_limit: Optional[float] = None
     declared_overlap_limit: Optional[float] = None
     horizon: int = 10**6
@@ -151,7 +149,8 @@ def tail_mass(rho, R: np.ndarray, M: float, tol: ToleranceConfig = DEFAULT_TOL) 
     if not M > 0:
         raise ValueError("threshold M must be positive")
     r = _mat(rho)
-    _, w, V = matcore.psd_spectrum(R, tol, "R")
+    R, w, V = matcore.psd_spectrum(R, tol, "R")
+    matcore._same_shape(r, R)
     diag = np.einsum("ik,ij,jk->k", V.conj(), r, V).real
     return float(max(0.0, np.sum(w**2 * (w > M) * diag)))
 
@@ -160,16 +159,17 @@ def l2_norm_sq(rho, O: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """``Tr rho O^2`` for a Hermitian observable ``O`` (always >= 0)."""
     r = _mat(rho)
     o = matcore.check_hermitian(O, tol)
-    if r.shape != o.shape:
-        raise matcore.DimMismatch(f"operand shapes differ: {r.shape} vs {o.shape}")
+    matcore._same_shape(r, o)
     return float(max(0.0, np.trace(r @ o @ o).real))
 
 
 def finite_qcf(rho, observables: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
                tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Expectation of the ordered product ``prod_t exp(i xi_t . X)`` under rho."""
+    r = _mat(rho)
     obs = [matcore.check_hermitian(X, tol) for X in observables]
-    return _ordered_product(_mat(rho), obs, xis, tol)
+    matcore._same_shape(r, *obs)
+    return _ordered_product(r, obs, xis, tol)
 
 
 def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
@@ -251,6 +251,7 @@ def d_infinitesimal_diagnostic(
         rho, Z, O = triples(n)
         r = _mat(rho)
         Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
+        matcore._same_shape(r, Z, O)
         worst = 0.0
         for xis, etas in zip(xi_grid, eta_grid):
             if len(xis) != len(etas):
@@ -267,18 +268,17 @@ def d_infinitesimal_diagnostic(
     )
 
 
-def limit_criterion(
-    seq: StateSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    limit_check_tol: float = 1e-3,
-) -> ContiguityReport:
+#: Largest Frobenius residual at the horizon that confirms a declared limit.
+_LIMIT_CHECK_TOL = 1e-3
+
+
+def limit_criterion(seq: StateSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ContiguityReport:
     """Verdict from declared limit states on a fixed-dimension sequence.
 
     Contiguous iff ``sigma_inf << rho_inf``, provided the sampled sequences
-    confirm the declared limits (residual at the horizon below
-    ``limit_check_tol``); otherwise the report is inconclusive.  Each
-    declared limit is validated once, by the split that decides
-    ``sigma_inf << rho_inf``.
+    confirm the declared limits (Frobenius residual at the horizon at most
+    1e-3); otherwise the report is inconclusive.  Each declared limit is
+    validated once, by the split that decides ``sigma_inf << rho_inf``.
     """
     if seq.declared_limits is None:
         raise MissingLimits("limit_criterion requires declared_limits")
@@ -301,8 +301,8 @@ def limit_criterion(
         })
     last = evidence[-1]
     confirmed = (
-        last["rho_limit_residual"] <= limit_check_tol
-        and last["sigma_limit_residual"] <= limit_check_tol
+        last["rho_limit_residual"] <= _LIMIT_CHECK_TOL
+        and last["sigma_limit_residual"] <= _LIMIT_CHECK_TOL
     )
     if not confirmed:
         return ContiguityReport(
@@ -312,7 +312,7 @@ def limit_criterion(
             notes=(
                 "declared limits not confirmed at the horizon "
                 f"(residuals {last['rho_limit_residual']:.3e}, "
-                f"{last['sigma_limit_residual']:.3e} > {limit_check_tol:.1e})"
+                f"{last['sigma_limit_residual']:.3e} > {_LIMIT_CHECK_TOL:.1e})"
             ),
         )
     ac = all(split.h2)
@@ -344,29 +344,29 @@ def _pure_stats(grid, pair_at: Callable, power: Callable, who: str, tol: Toleran
     return rows
 
 
-def _float_power(x: float, m: int) -> float:
+def _float_power(n: int, x: float) -> float:
     if x <= 0.0:
         return 0.0
-    return float(np.exp(m * np.log(x)))
+    return float(np.exp(n * np.log(x)))
 
 
-def pure_criterion(
-    seq: StateSequence | PurePowerFamily,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    eps_one: float = 1e-3,
-    eps_overlap: float = 1e-6,
-) -> ContiguityReport:
+#: How close to 1 ``Tr rho_n R_n^2`` must come at the horizon, and the overlap's floor.
+_PURE_EPS_ONE = 1e-3
+_PURE_EPS_OVERLAP = 1e-6
+
+
+def pure_criterion(seq: StateSequence | PurePowerFamily,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> ContiguityReport:
     """Criterion for pure reference sequences.
 
-    Contiguous when ``Tr rho_n R_n^2`` reaches 1 within ``eps_one`` at the
+    Contiguous when ``Tr rho_n R_n^2`` reaches 1 within 1e-3 at the
     horizon (with a declared limit or a monotone trend) and the overlap
-    ``Tr rho_n sigma_n`` stays above ``eps_overlap``; NotContiguous when the
-    overlap is declared to vanish and does so numerically; Inconclusive
-    otherwise.
+    ``Tr rho_n sigma_n`` stays at or above 1e-6; NotContiguous when the
+    overlap is declared to vanish (at most 1e-6) and falls below 1e-6 on a
+    non-increasing tail; Inconclusive otherwise.
     """
     if isinstance(seq, PurePowerFamily):
-        rows = _pure_stats(seq.sample_grid, seq.site, lambda n, x: _float_power(x, seq.copies(n)),
-                           "site reference state", tol)
+        rows = _pure_stats(seq.sample_grid, seq.site, _float_power, "site reference state", tol)
         declared_overlap = seq.declared_overlap_limit
         declared_trr2 = seq.declared_trr2_limit
     else:
@@ -380,15 +380,15 @@ def pure_criterion(
     trr2 = [row["tr_rho_R2"] for row in rows]
     overlap = [row["overlap"] for row in rows]
     one_gap = [abs(t - 1.0) for t in trr2]
-    trr2_ok = one_gap[-1] <= eps_one and (
+    trr2_ok = one_gap[-1] <= _PURE_EPS_ONE and (
         declared_trr2 == 1.0 or _nonincreasing(_tail(one_gap))
     )
-    overlap_positive = min(_tail(overlap)) >= eps_overlap
-    overlap_vanishes = overlap[-1] < eps_overlap and _nonincreasing(_tail(overlap))
+    overlap_positive = min(_tail(overlap)) >= _PURE_EPS_OVERLAP
+    overlap_vanishes = overlap[-1] < _PURE_EPS_OVERLAP and _nonincreasing(_tail(overlap))
 
     if trr2_ok and overlap_positive:
         verdict, notes = CONTIGUOUS, "Tr rho R^2 -> 1 and overlap bounded away from 0"
-    elif overlap_vanishes and declared_overlap is not None and declared_overlap <= eps_overlap:
+    elif overlap_vanishes and declared_overlap is not None and declared_overlap <= _PURE_EPS_OVERLAP:
         verdict, notes = NOT_CONTIGUOUS, "overlap declared and observed to vanish"
     else:
         verdict, notes = INCONCLUSIVE, "statistics do not settle either hypothesis on this grid"
@@ -467,22 +467,25 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     return np.maximum(0.0, 1.0 - np.sqrt(np.where(kept, w_m, 0.0)).sum(axis=1))
 
 
-def kakutani_criterion(
-    fam: ProductFamily,
-    horizon: int = 10**4,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    margin: float = 0.15,
-    boundary_slack: float = 0.02,
-    summand_floor: float = 1e-15,
-) -> ContiguityReport:
+#: A fitted decay exponent ``p >= 1 + margin`` reads as a convergent series.
+_KAKUTANI_MARGIN = 0.15
+#: A fitted ``p <= 1 + slack`` reads as divergent (the boundary is ``p = 1``).
+_KAKUTANI_BOUNDARY_SLACK = 0.02
+#: Summands at or below this are numerically zero and stay out of the fit.
+_SUMMAND_FLOOR = 1e-15
+
+
+def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> ContiguityReport:
     """Product-state criterion: contiguity iff ``sum_i (1 - Tr rho_i R_i)`` converges.
 
     The summands are evaluated through the fidelity identity and classified by
     a log-log tail fit of their decay exponent ``p`` over the last half of the
-    factor range: ``p >= 1 + margin`` reads as convergent, while fits at or
-    below the divergence boundary (``p <= 1 + boundary_slack``) read as
-    divergent; anything between is Inconclusive.  A user-supplied closed form
-    with a declared series classification overrides the fit-based verdict.
+    factor range, on the summands above 1e-15: ``p >= 1.15`` reads as
+    convergent, while fits at or below the divergence boundary
+    (``p <= 1.02``) read as divergent; anything between is Inconclusive.  A
+    user-supplied closed form with a declared series classification overrides
+    the fit-based verdict.
     """
     idx = np.arange(1, horizon + 1)
     summands = _kakutani_summands(fam, idx, tol)
@@ -498,7 +501,7 @@ def kakutani_criterion(
         closed_form_dev = float(np.max(np.abs(closed - summands)))
 
     tail_mask = idx >= max(2, horizon // 2)
-    fit_mask = tail_mask & (summands > summand_floor)
+    fit_mask = tail_mask & (summands > _SUMMAND_FLOOR)
     p_fit = None
     notes = []
     if np.count_nonzero(fit_mask) >= 8:
@@ -507,7 +510,7 @@ def kakutani_criterion(
         slope, _ = np.polyfit(x, y, 1)
         p_fit = float(-slope)
         notes.append(f"fitted decay exponent p={p_fit:.4f} on the last half of the factors")
-    elif np.all(summands[tail_mask] <= summand_floor):
+    elif np.all(summands[tail_mask] <= _SUMMAND_FLOOR):
         # All tail summands vanish; the series is trivially summable.
         p_fit = float("inf")
         notes.append("tail summands are numerically zero; series trivially convergent")
@@ -521,9 +524,9 @@ def kakutani_criterion(
     elif p_fit is None:
         verdict = INCONCLUSIVE
         notes.append("insufficient usable tail samples for a decay fit")
-    elif p_fit >= 1.0 + margin:
+    elif p_fit >= 1.0 + _KAKUTANI_MARGIN:
         verdict = CONTIGUOUS
-    elif p_fit <= 1.0 + boundary_slack:
+    elif p_fit <= 1.0 + _KAKUTANI_BOUNDARY_SLACK:
         verdict = NOT_CONTIGUOUS
     else:
         verdict = INCONCLUSIVE
@@ -587,6 +590,8 @@ def _assemble_blocks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
 #: machine precision: the blocks may legitimately carry eigenvalues far below
 #: the rank cutoff used elsewhere.
 _BLOCK_STRICT = 1e-14
+#: Floor of ``Tr rho0`` on the sampled tail, and ceiling of ``|1 - Tr sigma0|`` at its end.
+_BLOCK_TRACE_EPS = 1e-3
 
 
 def _declared_positive(n: int, name: str, outer, coupling, inner) -> bool:
@@ -598,17 +603,14 @@ def _declared_positive(n: int, name: str, outer, coupling, inner) -> bool:
         raise type(exc)(f"declared {name} block at n={n}: {exc}") from None
 
 
-def block_criterion_diagnostics(
-    bseq: BlockSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    eps: float = 1e-3,
-) -> ContiguityReport:
+def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ContiguityReport:
     """Three-block criterion: hypothesis checks plus a delegated inner verdict.
 
-    Verifies (a) ``Tr rho0`` bounded away from zero, (b) ``Tr sigma0 -> 1``,
-    (c) strict positivity of the two declared blocks, and (d) optional
-    reassembly consistency, then delegates the normalized inner pair to the
-    limit criterion.  Contiguous only when everything holds.
+    Verifies (a) ``Tr rho0`` bounded away from zero (at least 1e-3 on the
+    sampled tail), (b) ``Tr sigma0 -> 1`` (within 1e-3 at the last grid
+    point), (c) strict positivity of the two declared blocks, and (d)
+    optional reassembly consistency, then delegates the normalized inner pair
+    to the limit criterion.  Contiguous only when everything holds.
 
     A declared block ``A`` counts as strictly positive iff ``min eig(A) >
     1e-14 * ||A||_inf``, where ``||A||_inf >= lam_max`` is the max row sum of
@@ -660,10 +662,10 @@ def block_criterion_diagnostics(
 
     tr0_tail = _tail([row["tr_rho0"] for row in evidence])
     gap_tail = _tail([row["tr_sigma0_gap"] for row in evidence])
-    if min(tr0_tail) < eps:
+    if min(tr0_tail) < _BLOCK_TRACE_EPS:
         hypotheses_ok = False
         flags.append("Tr rho0 not bounded away from zero on the sampled tail")
-    if evidence[-1]["tr_sigma0_gap"] > eps or not _nonincreasing(gap_tail, slack=1e-6):
+    if evidence[-1]["tr_sigma0_gap"] > _BLOCK_TRACE_EPS or not _nonincreasing(gap_tail, slack=1e-6):
         hypotheses_ok = False
         flags.append("Tr sigma0 does not approach 1 on the sampled tail")
 

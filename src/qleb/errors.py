@@ -55,10 +55,6 @@ class InvalidParams(ValidationError):
     """Gaussian parameters violate their positivity/shape invariants."""
 
 
-class DerivativeUnavailable(QlebError):
-    """No analytic derivative was supplied and finite differences are disabled."""
-
-
 class CenteringViolated(ValidationError):
     """An observable that must have zero mean under the base state does not."""
 

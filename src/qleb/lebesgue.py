@@ -57,15 +57,10 @@ class DensityMatrix:
     rule is :func:`_check_trace`, which the CLI applies to the arrays it reads.
     """
 
-    def __init__(
-        self,
-        mat: np.ndarray,
-        subnormalized: bool = False,
-        trace_tol: float = 1e-10,
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ) -> None:
+    def __init__(self, mat: np.ndarray, subnormalized: bool = False,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> None:
         mat = matcore.psd_spectrum(mat, tol, "state", vectors=False).mat
-        _check_trace(mat, subnormalized, trace_tol)
+        _check_trace(mat, subnormalized)
         self.mat = mat
 
     @property
@@ -73,14 +68,18 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _check_trace(mat: np.ndarray, subnormalized: bool = False, trace_tol: float = 1e-10) -> None:
-    """The trace rule of a state: ``Tr = 1`` within ``trace_tol``, or ``0 < Tr <= 1`` if subnormalized."""
+#: Absolute slack of a state's trace about 1 (rounding of entries read from documents).
+_TRACE_TOL = 1e-10
+
+
+def _check_trace(mat: np.ndarray, subnormalized: bool = False) -> None:
+    """The trace rule of a state: ``Tr = 1`` within 1e-10, or ``0 < Tr <= 1 + 1e-10`` if subnormalized."""
     tr = float(np.trace(mat).real)
     if subnormalized:
-        if not 0.0 < tr <= 1.0 + trace_tol:
+        if not 0.0 < tr <= 1.0 + _TRACE_TOL:
             raise ZeroState(f"subnormalized state must have trace in (0, 1], got {tr:.6g}")
-    elif abs(tr - 1.0) > trace_tol:
-        raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {trace_tol:.1e}")
+    elif abs(tr - 1.0) > _TRACE_TOL:
+        raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {_TRACE_TOL:.1e}")
 
 
 def _mat(x) -> np.ndarray:
@@ -149,8 +148,7 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
     """
     s = matcore.check_hermitian(_mat(sigma), tol, who[0])
     r = matcore.check_hermitian(_mat(rho), tol, who[1])
-    if s.shape != r.shape:
-        raise matcore.DimMismatch(f"operand shapes differ: {s.shape} vs {r.shape}")
+    matcore._same_shape(s, r)
     certify = certify and len(s) > 2
     s_pd = certify and matcore._certified_full_rank(s, tol)
     r_pd = certify and matcore._certified_full_rank(r, tol)

@@ -126,6 +126,13 @@ def check_square(A: np.ndarray, stack: bool = False, dtype=complex) -> np.ndarra
     return A
 
 
+def _same_shape(A: np.ndarray, *others: np.ndarray) -> None:
+    """Raise :class:`DimMismatch` unless every operand has the shape of ``A``."""
+    for B in others:
+        if B.shape != A.shape:
+            raise DimMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
+
+
 def _failure(bad, who: str, labels: np.ndarray | None) -> tuple | None:
     """``None`` if ``bad`` flags nothing, else the index and name of the first flagged matrix."""
     if labels is None:
@@ -739,8 +746,7 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_
     """
     a = _check_strictly_positive(A, tol, "first operand")
     b = _check_strictly_positive(B, tol, "second operand")
-    if a.mat.shape != b.mat.shape:
-        raise DimMismatch(f"operand shapes differ: {a.mat.shape} vs {b.mat.shape}")
+    _same_shape(a.mat, b.mat)
     V = a.eigenvectors
     return hermitian_part(V @ _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V) @ V.conj().T)
 
@@ -749,8 +755,7 @@ def trace_inner(A: np.ndarray, B: np.ndarray) -> complex:
     """``Tr(A B)`` for same-dimension square matrices."""
     A = check_square(A)
     B = check_square(B)
-    if A.shape != B.shape:
-        raise DimMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
+    _same_shape(A, B)
     return complex(np.trace(A @ B))
 
 

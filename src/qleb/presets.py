@@ -310,7 +310,6 @@ def spin_overlap_family(
     state = spin_perturbed_state if perturbed else spin_pure_state
     return PurePowerFamily(
         site=lambda n: (GROUND.copy(), state(h / g(n))),
-        copies=lambda n: n,
         declared_trr2_limit=1.0,
         declared_overlap_limit=declared_overlap_limit,
         horizon=horizon,

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import matcore
 from .contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product, _tail
-from .errors import (
-    CenteringViolated,
-    DerivativeUnavailable,
-    DimMismatch,
-    InconsistentDerivativeWarning,
-    InvalidParams,
-)
+from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams
 from .lebesgue import _mat, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
@@ -34,13 +28,15 @@ class ParametricModel:
     """A parametric family of states ``theta -> rho_theta``.
 
     ``deriv_at(theta, i)`` may supply analytic partial derivatives; otherwise
-    Richardson-refined central finite differences with step ``fd_step`` are
-    used.
+    Richardson-refined central finite differences with step 1e-5 are used.
     """
 
     state_at: Callable[[np.ndarray], np.ndarray]
     deriv_at: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
-    fd_step: float = 1e-5
+
+
+#: Step of the coarse central difference; the Richardson refinement halves it.
+_FD_STEP = 1e-5
 
 
 def model_derivative(model: ParametricModel, theta0: np.ndarray, i: int) -> np.ndarray:
@@ -48,9 +44,6 @@ def model_derivative(model: ParametricModel, theta0: np.ndarray, i: int) -> np.n
     theta0 = np.asarray(theta0, dtype=float)
     if model.deriv_at is not None:
         return hermitian_part(np.asarray(model.deriv_at(theta0, i), dtype=complex))
-    if not model.fd_step > 0:
-        raise DerivativeUnavailable("no analytic derivative and finite differences disabled")
-    h = model.fd_step
     e = np.zeros_like(theta0)
     e[i] = 1.0
 
@@ -58,7 +51,7 @@ def model_derivative(model: ParametricModel, theta0: np.ndarray, i: int) -> np.n
         return (_mat(model.state_at(theta0 + step * e))
                 - _mat(model.state_at(theta0 - step * e))) / (2 * step)
 
-    coarse, fine = central(h), central(h / 2)
+    coarse, fine = central(_FD_STEP), central(_FD_STEP / 2)
     return hermitian_part((4.0 * fine - coarse) / 3.0)
 
 
@@ -78,6 +71,7 @@ def sld(
     """
     rho = _mat(model.state_at(np.asarray(theta0, dtype=float)))
     drho = model_derivative(model, theta0, i)
+    matcore._same_shape(rho, drho)
     _, w, V = matcore.psd_spectrum(rho, tol, "state")
     lam_max = float(w.max(initial=0.0))
     D = V.conj().T @ drho @ V
@@ -105,23 +99,23 @@ def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[n
     return np.array(M, dtype=complex).reshape(len(left), len(right))
 
 
-def _check_centered(rho: np.ndarray, ops: Sequence[np.ndarray], centering_tol: float, who: str) -> None:
+#: Largest ``|Tr rho op|`` an observable that must be centred may have.
+_CENTERING_TOL = 1e-8
+
+
+def _check_centered(rho: np.ndarray, ops: Sequence[np.ndarray], who: str) -> None:
     for k, op in enumerate(ops):
         mean = abs(complex(np.trace(rho @ op)))
-        if mean > centering_tol:
+        if mean > _CENTERING_TOL:
             raise CenteringViolated(f"{who}[{k}] has mean {mean:.3e} under the base state")
 
 
-def qfi_matrix(
-    rho,
-    sld_list: Sequence[np.ndarray],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    centering_tol: float = 1e-8,
-) -> np.ndarray:
-    """Quantum Fisher information matrix ``J[i, j] = Tr rho L_j L_i``."""
+def qfi_matrix(rho, sld_list: Sequence[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Quantum Fisher information matrix ``J[i, j] = Tr rho L_j L_i`` of SLDs with ``|Tr rho L_i| <= 1e-8``."""
     r = _mat(rho)
     ops = [matcore.check_hermitian(L, tol) for L in sld_list]
-    _check_centered(r, ops, centering_tol, "sld")
+    matcore._same_shape(r, *ops)
+    _check_centered(r, ops, "sld")
     return _trace_matrix(r, ops, ops)
 
 
@@ -133,23 +127,20 @@ class IIDExperiment:
     base state); queries couple to the collective ``(1/sqrt(n)) sum_k B_i``.
     The observables are validated once, here, as :func:`contiguity.finite_qcf`
     validates its own (Hermitian under the default tolerances, of the base
-    state's shape, centred).
+    state's shape, centred: ``|Tr base B_i| <= 1e-8``).
     """
 
     base: np.ndarray
     obs: list = field(default_factory=list)
     n: int = 1
-    centering_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         self.base = _mat(self.base)
         self.obs = [matcore.check_hermitian(B) for B in self.obs]
         if self.n < 1:
             raise ValueError("copy count n must be >= 1")
-        for op in self.obs:
-            if op.shape != self.base.shape:
-                raise DimMismatch(f"obs dimension {op.shape} != base {self.base.shape}")
-        _check_centered(self.base, self.obs, self.centering_tol, "obs")
+        matcore._same_shape(self.base, *self.obs)
+        _check_centered(self.base, self.obs, "obs")
 
 
 def iid_qcf(exp: IIDExperiment, xis: Sequence[Sequence[float]], tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -196,6 +187,7 @@ def lecam3_numeric_check(
     rho0 = _mat(model.state_at(theta0))
     L = slds(model, theta0, tol)
     B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
+    matcore._same_shape(rho0, *B)
     sigma_mat = _trace_matrix(rho0, B, B)
     tau = _trace_matrix(rho0, B, L)
     limit = GaussianParams(h=tau.real @ h, J=sigma_mat)
@@ -242,19 +234,20 @@ def _order_estimate(scales: np.ndarray, residuals: np.ndarray, floor: float = 1e
     return float(slope), False
 
 
-def sqrt_expansion_check(
-    model: ParametricModel,
-    theta0: np.ndarray,
-    scales: Sequence[float] = tuple(np.geomspace(1e-3, 1e-2, 8)),
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ExpansionReport:
+#: Step lengths ``|h|`` of the expansion fit: 8 log-spaced values over [1e-3, 1e-2].
+_EXPANSION_SCALES = tuple(np.geomspace(1e-3, 1e-2, 8))
+
+
+def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
+                         tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionReport:
     """Fit the second-order response of the square-root likelihood ratio.
 
     Writes ``R_h = I + (1/2) h^i L_i + B(h)`` with the canonical ratio of
-    ``rho_{theta0+h}`` relative to ``rho_{theta0}`` and fits ``Tr rho B(h)``
-    to a quadratic form, which should match ``-(1/8) Re J``.  Also reports
-    the decay order of ``|Tr rho R_h^2 - 1|`` (must exceed 2) and of the
-    residual against the predicted quadratic.
+    ``rho_{theta0+h}`` relative to ``rho_{theta0}`` and fits ``Tr rho B(h)``,
+    at 8 log-spaced ``|h|`` from 1e-3 to 1e-2, to a quadratic form, which
+    should match ``-(1/8) Re J``.  Also reports the decay order of
+    ``|Tr rho R_h^2 - 1|`` (must exceed 2) and of the residual against the
+    predicted quadratic.
     """
     theta0 = np.asarray(theta0, dtype=float)
     d = theta0.shape[0]
@@ -270,7 +263,7 @@ def sqrt_expansion_check(
             pair_index[(i, j)] = len(directions)
             directions.append((np.eye(d)[i] + np.eye(d)[j]) / np.sqrt(2.0))
 
-    scales = np.asarray(list(scales), dtype=float)
+    scales = np.asarray(_EXPANSION_SCALES)
     values = np.empty((len(directions), scales.size))
     trr2_gap = np.zeros(scales.size)
     identity = np.eye(rho0.shape[0])
@@ -311,7 +304,6 @@ class RateScan:
     h: np.ndarray
     grid: list[int]
     g2_bound: Optional[float] = None
-    eps: float = 1e-3
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=float).reshape(-1)
@@ -326,10 +318,14 @@ class RateScanReport:
     notes: str
 
 
+#: Final ``n f(h / g(n))`` at or below this reads as vanishing.
+_RATE_EPS = 1e-3
+
+
 def rate_scan(scan: RateScan) -> RateScanReport:
     """Tabulate ``n f(h / g(n))`` and ``n / g(n)^2`` and classify the trend.
 
-    Contiguous requires the first column to vanish (final value below ``eps``
+    Contiguous requires the first column to vanish (final value at most 1e-3
     with a non-increasing tail) and the second to stay bounded; a clearly
     non-vanishing first column or a growing unbounded second column gives
     NotContiguous; ambiguous trends are Inconclusive.
@@ -346,8 +342,8 @@ def rate_scan(scan: RateScan) -> RateScanReport:
     ng2 = [row["n_over_g2"] for row in rows]
     nf_tail, ng2_tail = _tail(nf), _tail(ng2)
 
-    nf_vanishes = nf[-1] <= scan.eps and _nonincreasing(nf_tail)
-    nf_nonvanishing = nf[-1] > scan.eps and nf_tail[-1] >= nf_tail[0] * (1 - 1e-9)
+    nf_vanishes = nf[-1] <= _RATE_EPS and _nonincreasing(nf_tail)
+    nf_nonvanishing = nf[-1] > _RATE_EPS and nf_tail[-1] >= nf_tail[0] * (1 - 1e-9)
     if scan.g2_bound is not None:
         g2_bounded = max(ng2_tail) <= scan.g2_bound
         g2_unbounded = not g2_bounded

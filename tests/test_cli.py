@@ -10,7 +10,7 @@ import pytest
 
 import qleb
 from qleb import ProductFamily, kakutani_criterion
-from qleb.cli import _contiguity_input, main, matrix_document, parse_matrix_document
+from qleb.cli import _contiguity_input, complex_pair, main, matrix_document, parse_matrix_document
 from qleb.matcore import DEFAULT_TOL
 from qleb.presets import faithful_to_pure_pair, faithful_to_pure_sqrt_lr
 
@@ -49,6 +49,17 @@ def test_matrix_document_roundtrip_bit_for_bit():
     doc = matrix_document(A)
     back = parse_matrix_document(json.loads(json.dumps(doc)))
     assert np.array_equal(back, A)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_matrix_document_writes_the_entries_pair_by_pair(d):
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    A.flat[::3] = complex(-0.0, 0.0)
+    A.flat[1::2] = complex(1e-310, -0.0)
+    for M in (A, A.real):
+        want = [[complex_pair(z) for z in row] for row in M]  # the per-entry reference
+        assert json.dumps(matrix_document(M)["entries"]) == json.dumps(want)
 
 
 def test_decompose_known_family(pair_files, capsys):
@@ -160,8 +171,8 @@ def test_contiguity_kakutani_iid_product_spec(tmp_path, capsys, d):
         "rho": matrix_document(rho, "rho"),
         "sigma": matrix_document(sigma, "sigma"),
     })
-    fam = _contiguity_input(argparse.Namespace(preset=None, spec=spec, horizon=None, grid=None),
-                            DEFAULT_TOL)
+    fam, _ = _contiguity_input(argparse.Namespace(preset=None, spec=spec, horizon=None, grid=None),
+                               DEFAULT_TOL)
     stacked = fam.stack(np.arange(1, 10**4 + 1))
     assert stacked.shape == (10**4, 2, d, d) and not stacked.flags.writeable
     code, out, _ = run(capsys, ["contiguity", "kakutani", "--spec", spec])
@@ -199,6 +210,22 @@ def test_contiguity_limit_constant_spec(tmp_path, capsys):
     code, out, _ = run(capsys, ["contiguity", "limit", "--spec", spec_path])
     assert code == 0
     assert report_values(out)["verdict"] == "Contiguous"
+
+
+def test_contiguity_spec_digest_hashes_the_document_not_its_path(tmp_path, capsys):
+    def report(path, sigma):
+        spec = {"kind": "constant-pair", "rho": matrix_document(np.diag([1.0, 0.0])),
+                "sigma": matrix_document(sigma), "horizon": 50}
+        code, out, _ = run(capsys, ["contiguity", "limit", "--spec", write_json(path, spec)])
+        assert code == 0
+        return json.loads(out)
+
+    one = report(tmp_path / "family.json", np.diag([1.0, 0.0]))
+    other = report(tmp_path / "family.json", np.diag([0.5, 0.5]))  # same path, new document
+    assert (one["values"]["verdict"], other["values"]["verdict"]) == ("Contiguous", "NotContiguous")
+    assert one["inputs_digest"] != other["inputs_digest"]
+    moved = report(tmp_path / "moved.json", np.diag([1.0, 0.0]))  # same document, new path
+    assert moved == one
 
 
 def test_contiguity_pure_spin_overlap(capsys):
@@ -324,6 +351,12 @@ def test_qlan_clt_check(capsys):
     assert values["decreasing"] is True
     assert values["deviations"][-1]["max_deviation"] <= 1e-3
     assert values["limit_mean"] == [1.0, 0.5]
+
+
+def test_qlan_clt_check_has_one_query_grid(capsys):
+    # The query count is fixed, so one inputs digest names one set of values.
+    code, out, err = run(capsys, ["qlan", "clt-check", "--xi-count", "5"])
+    assert code == 2 and out == "" and "--xi-count" in err
 
 
 def test_qlan_clt_check_perturbed_model(capsys):

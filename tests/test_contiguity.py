@@ -5,6 +5,7 @@ import pytest
 
 from qleb import (
     BlockSequence,
+    ParametricModel,
     ProductFamily,
     PurePowerFamily,
     StateSequence,
@@ -13,8 +14,11 @@ from qleb import (
     finite_qcf,
     kakutani_criterion,
     l2_norm_sq,
+    lecam3_numeric_check,
     limit_criterion,
     pure_criterion,
+    qfi_matrix,
+    sld,
     tail_mass,
 )
 from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
@@ -37,7 +41,7 @@ from qleb.presets import (
     three_block_blocks,
 )
 from qleb.contiguity import _assemble_blocks, _kakutani_summands, _stacked_summands
-from qleb.lebesgue import is_abs_continuous
+from qleb.lebesgue import is_abs_continuous, lebesgue_decompose
 from qleb.matcore import DEFAULT_TOL, hermitian_part
 
 from util import rand_density, rand_density_bounded, rand_unitary
@@ -107,6 +111,28 @@ def test_l2_norm_modification_decreases():
     # closed form of the decay: n / (n^2 + n + 1)
     n = 10
     assert values[1] == pytest.approx(n / (n**2 + n + 1), rel=1e-12)
+
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_D3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+_RHO2, _RHO3 = np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: l2_norm_sq(_RHO3, _SX),
+    lambda: finite_qcf(_RHO3, [_SX], [[0.5]]),
+    lambda: finite_qcf(_RHO2, [_SX, _D3], [[0.5, 0.5]]),
+    lambda: d_infinitesimal_diagnostic(lambda n: (_RHO2, _SX, _D3), [[0.5]], [[0.5]], [1]),
+    lambda: tail_mass(_RHO3, np.eye(2), 0.5),
+    lambda: qfi_matrix(_RHO2, [_D3]),
+    lambda: sld(ParametricModel(state_at=lambda th: _RHO2, deriv_at=lambda th, i: _D3), np.zeros(1), 0),
+    lambda: lecam3_numeric_check(presets.spin_pure_model(), np.zeros(2), [_D3], np.ones(2), [10],
+                                 [[np.array([0.5])]]),
+], ids=["l2_norm_sq", "finite_qcf-rho", "finite_qcf-observables", "d_infinitesimal_diagnostic",
+        "tail_mass", "qfi_matrix", "sld", "lecam3_numeric_check"])
+def test_shape_mismatch_raises_dim_mismatch_where_input_enters(call):
+    with pytest.raises(DimMismatch, match="operand shapes differ"):
+        call()
 
 
 # -- quasi-characteristic diagnostics ----------------------------------------------
@@ -396,6 +422,17 @@ def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d):
         assert stacked == is_abs_continuous(sigma, rho)
         verdicts.add(stacked)
     assert verdicts == {"full": {True}, "deficient": {True, False}, "orthogonal": {False}}[kind]
+
+
+@pytest.mark.xfail(strict=True, raises=FactorNotAC, reason=(
+    "the stacked AC check measures sqrt(sigma) rho sqrt(sigma) against lam_max(sigma) Tr rho; "
+    "the split measures rho against its own spectrum, so they part near the rank cutoff"))
+def test_kakutani_ac_check_agrees_with_the_split_near_the_cutoff():
+    rho = np.diag([1 - 5e-9, 5e-9]).astype(complex)  # 5x the rank cutoff
+    sigma = np.diag([0.9, 0.1]).astype(complex)
+    assert is_abs_continuous(sigma, rho)
+    assert not lebesgue_decompose(sigma, rho).perp.any()
+    kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=20)
 
 
 def test_kakutani_rejects_factors_of_mismatched_dimensions():
