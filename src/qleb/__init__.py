@@ -3,8 +3,7 @@
 A numpy library (plus a small CLI, ``qleb``) in four layers:
 
 - :mod:`qleb.matcore` — Hermitian/PSD spectral calculus with one tolerance
-  configuration: matrix functions, support projectors, the operator
-  geometric mean.
+  configuration: matrix functions and the operator geometric mean.
 - :mod:`qleb.lebesgue` — excision, absolute-continuity predicates, the
   Lebesgue decomposition of one state relative to another, and the
   canonical square-root likelihood ratio.
@@ -24,14 +23,9 @@ from .matcore import (
     TOL_PROFILES,
     SpectralDecomposition,
     ToleranceConfig,
-    eig_hermitian,
     geometric_mean,
     herm_exp,
     psd_log_on_support,
-    psd_pinv,
-    psd_sqrt,
-    support_projector,
-    trace_inner,
     unitary_exp,
 )
 from .lebesgue import (
@@ -40,7 +34,6 @@ from .lebesgue import (
     SupportSplit,
     excision,
     is_abs_continuous,
-    is_mutually_ac,
     is_singular,
     lebesgue_decompose,
     quantum_log_likelihood,
@@ -70,7 +63,6 @@ from .gaussian import (
     lecam_shift,
     sandwiched_gaussian_qcf,
     validate,
-    validate_extended,
 )
 from .qlan import (
     ExpansionReport,
@@ -96,21 +88,15 @@ __all__ = [
     "TOL_PROFILES",
     "SpectralDecomposition",
     "ToleranceConfig",
-    "eig_hermitian",
     "geometric_mean",
     "herm_exp",
     "psd_log_on_support",
-    "psd_pinv",
-    "psd_sqrt",
-    "support_projector",
-    "trace_inner",
     "unitary_exp",
     "DensityMatrix",
     "LebesgueDecomposition",
     "SupportSplit",
     "excision",
     "is_abs_continuous",
-    "is_mutually_ac",
     "is_singular",
     "lebesgue_decompose",
     "quantum_log_likelihood",
@@ -136,7 +122,6 @@ __all__ = [
     "lecam_shift",
     "sandwiched_gaussian_qcf",
     "validate",
-    "validate_extended",
     "ExpansionReport",
     "IIDExperiment",
     "LeCam3Report",

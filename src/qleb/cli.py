@@ -241,8 +241,6 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
     horizon = args.horizon
     if args.preset is not None:
         return _named(_PRESETS, args.preset, "preset")(args), None
-    if args.spec is None:
-        raise QlebError("either --preset or --spec is required")
     spec = load_json(args.spec)
     kind = spec.get("kind")
     if kind == "constant-pair":
@@ -464,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("contiguity", help="contiguity criteria on families of state pairs")
     p.add_argument("criterion", choices=("limit", "pure", "kakutani", "block"))
-    p.add_argument("--preset", help="named built-in family")
-    p.add_argument("--spec", help="inline family description (JSON file)")
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--preset", help="named built-in family")
+    family.add_argument("--spec", help="inline family description (JSON file)")
     p.add_argument("--horizon", type=lambda s: int(float(s)), default=None)
     p.add_argument("--grid", help="comma-separated sample indices")
     p.add_argument("--g", help="scaling for the spin-overlap preset (sqrt|quarter|linear)")

@@ -105,15 +105,6 @@ def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     return True
 
 
-def validate_extended(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the enlarged covariance block matrix is Hermitian PSD."""
-    try:
-        _valid_enlarged(ext, tol)
-    except InvalidParams:
-        return False
-    return True
-
-
 def _valid_enlarged(ext: ExtendedGaussianParams, tol: ToleranceConfig) -> GaussianParams:
     """``ext.enlarged()``, built and validated once, or :class:`InvalidParams` if its
     covariance is not Hermitian PSD."""

@@ -63,10 +63,6 @@ class DensityMatrix:
         _check_trace(mat, subnormalized)
         self.mat = mat
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 #: Absolute slack of a state's trace about 1 (rounding of entries read from documents).
 _TRACE_TOL = 1e-10
@@ -251,13 +247,14 @@ def is_singular(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """``a << b``: H1 of ``b`` relative to ``a`` is empty (the excision is strictly positive)."""
+    """``a << b``: H1 of ``b`` relative to ``a`` is empty (the excision is strictly positive).
+
+    When True and ``b`` has a kernel, ``lebesgue_decompose(a, b).perp`` is
+    bounded by ``eq_rel (1 + ||a||) + rank_rel lam_max(a) (1 + ||E||^2)``, not
+    0: ``E`` is a's H2-H3 block over its H2 block, and the second term is the
+    part of ``a`` that the rank rule reads as 0 (README, "Numerical notes").
+    """
     return all(_pair_split(b, a, tol).h2)
-
-
-def is_mutually_ac(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Both ``rho << sigma`` and ``sigma << rho``."""
-    return is_abs_continuous(rho, sigma, tol) and is_abs_continuous(sigma, rho, tol)
 
 
 @dataclass

@@ -20,8 +20,8 @@ a yes/no answer for a block (in real arithmetic when the block is real),
 blocks (an outer block declared by its diagonal, as a vector, is never
 assembled: only a Schur complement is factored), and
 :func:`_certified_full_rank`, which proves that the rank rule calls an
-operand full rank so that the decomposition can skip its eigensolve.  Matrix functions (square root,
-pseudo-inverse, logarithm, exponential) are applied on the validated
+operand full rank so that the decomposition can skip its eigensolve.  Matrix functions (logarithm
+on the support, exponential) are applied on the validated
 spectrum; ``exp(iH)`` at size 2 is closed-form on the entries
 (:func:`_expi2`, which the qubit ordered products call directly).  The
 Hermitian part is formed from halves once a sum of entries could
@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,11 +311,6 @@ def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     return SpectralDecomposition(w, _phase_fix(V) if V.ndim == 2 else V)
 
 
-def eig_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition with ascending eigenvalues and deterministic phases."""
-    return _eigh(check_hermitian(A, tol))
-
-
 class PSDSpectrum(NamedTuple):
     """A validated PSD matrix: its Hermitian part and clamped spectrum (vectors optional)."""
 
@@ -409,49 +404,17 @@ def support_mask(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, lam_max: flo
     return w > tol.rank_rel * lam_max
 
 
-def support_projector(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of significantly-positive eigenvectors."""
-    return _spectral_apply(A, np.ones_like, tol, psd=True, on_support=True)
-
-
-def _spectral_apply(
-    A: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-    tol: ToleranceConfig,
-    psd: bool,
-    on_support: bool = False,
-) -> np.ndarray:
-    """Apply a scalar function through the (single) spectral code path."""
-    if psd:
-        _, w, V = psd_spectrum(A, tol)
-    else:
-        w, V = eig_hermitian(A, tol)
-    if on_support:
-        mask = support_mask(w, tol)
-        fw = np.where(mask, fn(np.where(mask, w, 1.0)), 0.0)
-    else:
-        fw = fn(w)
-    return hermitian_part((V * fw) @ V.conj().T)
-
-
-def psd_sqrt(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Positive square root of a PSD matrix."""
-    return _spectral_apply(A, np.sqrt, tol, psd=True)
-
-
-def psd_pinv(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix with the relative rank cutoff."""
-    return _spectral_apply(A, lambda w: 1.0 / w, tol, psd=True, on_support=True)
-
-
 def psd_log_on_support(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Logarithm on the support of a PSD matrix; the kernel is mapped to 0."""
-    return _spectral_apply(A, np.log, tol, psd=True, on_support=True)
+    _, w, V = psd_spectrum(A, tol)
+    mask = support_mask(w, tol)
+    return hermitian_part((V * np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)) @ V.conj().T)
 
 
 def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Exponential of a Hermitian matrix."""
-    return _spectral_apply(A, np.exp, tol, psd=False)
+    w, V = _eigh(check_hermitian(A, tol))
+    return hermitian_part((V * np.exp(w)) @ V.conj().T)
 
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -749,14 +712,6 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_
     _same_shape(a.mat, b.mat)
     V = a.eigenvectors
     return hermitian_part(V @ _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V) @ V.conj().T)
-
-
-def trace_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """``Tr(A B)`` for same-dimension square matrices."""
-    A = check_square(A)
-    B = check_square(B)
-    _same_shape(A, B)
-    return complex(np.trace(A @ B))
 
 
 def mat_close(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -159,7 +159,6 @@ class LeCam3Report:
     limit_mean: np.ndarray
     limit_cov: np.ndarray
     tau: np.ndarray
-    sigma_mat: np.ndarray
     deviations: list[dict]
     decreasing: bool
 
@@ -188,9 +187,8 @@ def lecam3_numeric_check(
     L = slds(model, theta0, tol)
     B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
     matcore._same_shape(rho0, *B)
-    sigma_mat = _trace_matrix(rho0, B, B)
     tau = _trace_matrix(rho0, B, L)
-    limit = GaussianParams(h=tau.real @ h, J=sigma_mat)
+    limit = GaussianParams(h=tau.real @ h, J=_trace_matrix(rho0, B, B))
 
     if any(len(q) > 3 for q in xi_grid):
         raise ValueError("query grid is limited to r <= 3 factors")
@@ -209,7 +207,7 @@ def lecam3_numeric_check(
         deviations.append({"n": int(n), "max_deviation": worst})
     devs = [row["max_deviation"] for row in deviations]
     return LeCam3Report(
-        limit_mean=limit.h, limit_cov=limit.J, tau=tau, sigma_mat=sigma_mat,
+        limit_mean=limit.h, limit_cov=limit.J, tau=tau,
         deviations=deviations, decreasing=all(b < a for a, b in zip(devs, devs[1:])),
     )
 

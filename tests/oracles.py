@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
-These deliberately avoid the library's code paths: matrix square roots come
-from scipy's Schur-based ``sqrtm``, pseudo-inverses from ``np.linalg.pinv``,
-and the geometric mean from the similarity formula ``A (A^{-1}B)^{1/2}``.
-The faithful-pair ratio is also evaluated in mpmath at 40 digits, by two
-independent formulations, with the problem's own sensitivity to eps-relative
-input perturbations as the yardstick for a float result.
+These deliberately avoid the library's code paths: square roots and support
+projectors of Hermitian PSD matrices come from ``scipy.linalg.eigh`` (a LAPACK
+driver other than numpy's), square roots with the eigenvalues clamped at 0;
+pseudo-inverses come from ``np.linalg.pinv``, and the geometric mean from the
+similarity formula ``A (A^{-1}B)^{1/2}`` (scipy's Schur-based ``sqrtm``).  The
+singular part of a decomposition is checked against the shorted operator, a
+pseudo-inverse Schur complement in rho's eigenbasis.  The faithful-pair
+ratio is also evaluated in mpmath at 40 digits, by two independent
+formulations, with the problem's own sensitivity to eps-relative input
+perturbations as the yardstick for a float result.
 """
 
 from __future__ import annotations
@@ -19,6 +23,20 @@ def herm(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
+def psd_sqrt(A: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix through ``scipy.linalg.eigh``, eigenvalues clamped at 0."""
+    w, V = scipy.linalg.eigh(herm(A))
+    return herm((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T)
+
+
+def support_projector(A: np.ndarray, rank_rel: float = 1e-9) -> np.ndarray:
+    """Projector onto the eigenvectors (``scipy.linalg.eigh``) of a PSD matrix whose
+    eigenvalues exceed ``rank_rel * lam_max``."""
+    w, V = scipy.linalg.eigh(herm(A))
+    P = V[:, w > rank_rel * w[-1]]
+    return P @ P.conj().T
+
+
 def closed_form_sqrt_lr(sigma: np.ndarray, rho: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """Canonical ratio via the closed form ``sqrt(sigma) (sqrt(sqrt(sigma) rho
     sqrt(sigma)))^+ sqrt(sigma)``.
@@ -27,7 +45,7 @@ def closed_form_sqrt_lr(sigma: np.ndarray, rho: np.ndarray, atol: float = 1e-12)
     below the absolute floor ``atol`` count as kernel (a relative cutoff would
     invert roundoff noise when the pair is mutually singular).
     """
-    sq = herm(np.asarray(scipy.linalg.sqrtm(herm(sigma))))
+    sq = psd_sqrt(sigma)
     w, V = np.linalg.eigh(herm(sq @ rho @ sq))
     inv_sqrt = np.where(w > atol, 1.0 / np.sqrt(np.where(w > atol, w, 1.0)), 0.0)
     pinv_root = (V * inv_sqrt) @ V.conj().T
@@ -39,6 +57,26 @@ def closed_form_decomposition(sigma: np.ndarray, rho: np.ndarray, atol: float = 
     R = closed_form_sqrt_lr(sigma, rho, atol)
     ac = herm(R @ rho @ R)
     return ac, herm(sigma - ac), R
+
+
+def shorted_to_kernel(sigma: np.ndarray, rho: np.ndarray, rank_rel: float = 1e-9) -> np.ndarray:
+    """``sigma`` shorted to ``ker rho`` (Anderson & Trapp, SIAM J. Appl. Math. 28 (1975)).
+
+    ``Q sigma Q - Q sigma P (P sigma P)^+ P sigma Q`` in rho's eigenbasis
+    (``scipy.linalg.eigh``), with ``P`` the projector onto supp rho, the
+    eigenvalues above ``rank_rel * lam_max``, and ``Q = I - P``; the
+    pseudo-inverse is ``np.linalg.pinv`` with the cutoff ``rank_rel`` relative
+    to the block's largest eigenvalue.  It is
+    the largest ``X`` with ``0 <= X <= sigma`` and range in ``ker rho``.
+    """
+    w, V = scipy.linalg.eigh(herm(rho))
+    supp = w > rank_rel * w[-1]
+    S = herm(V.conj().T @ sigma @ V)
+    coupling = S[np.ix_(supp, ~supp)]
+    short = S[np.ix_(~supp, ~supp)] - coupling.conj().T @ np.linalg.pinv(
+        S[np.ix_(supp, supp)], rcond=rank_rel, hermitian=True) @ coupling
+    Q = V[:, ~supp]
+    return herm(Q @ short @ Q.conj().T)
 
 
 def geometric_mean_similarity(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -269,6 +269,18 @@ def test_contiguity_unknown_preset_exits_2(capsys):
     assert code == 2 and "unknown preset" in err
 
 
+def test_contiguity_takes_exactly_one_of_preset_and_spec(tmp_path, capsys, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"spec {path} was opened")
+
+    monkeypatch.setattr(qleb.cli, "load_json", refuse)
+    spec = write_json(tmp_path / "bad.json", {"kind": "constant-pair"})
+    code, out, err = run(capsys, ["contiguity", "limit", "--preset", "example-4.1", "--spec", spec])
+    assert code == 2 and out == "" and "not allowed with" in err
+    code, out, err = run(capsys, ["contiguity", "limit"])
+    assert code == 2 and out == "" and "--preset --spec is required" in err
+
+
 def test_contiguity_wrong_family_kind_exits_2(capsys):
     code, _, err = run(capsys, ["contiguity", "kakutani", "--preset", "example-4.1"])
     assert code == 2

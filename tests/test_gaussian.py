@@ -9,7 +9,6 @@ from qleb import (
     lecam_shift,
     sandwiched_gaussian_qcf,
     validate,
-    validate_extended,
 )
 from qleb.errors import InvalidParams
 
@@ -147,7 +146,6 @@ def test_lecam_shift_qlan_case():
     candidate = ExtendedGaussianParams(
         mu=np.zeros(2), Sigma=sigma_big, kappa=kappa, s2=schur + 0.1,
     )
-    assert validate_extended(candidate)
     shifted = lecam_shift(candidate)
     assert np.allclose(shifted.h, (tau @ h).real)
 
@@ -180,7 +178,7 @@ def test_sandwich_spin_specialization():
     ext = ExtendedGaussianParams(
         mu=np.zeros(2), Sigma=SPIN_J, kappa=SPIN_J @ h, s2=float(h @ SPIN_J.real @ h)
     )
-    assert validate_extended(ext)
+    lecam_shift(ext)  # valid: no InvalidParams
     params = GaussianParams(h=h, J=SPIN_J)
     for xi in [np.array([1.0, 0.0]), np.array([0.3, -1.2])]:
         lhs = sandwiched_gaussian_qcf(ext, [xi])
@@ -202,7 +200,9 @@ def test_degenerate_s2_zero_allowed():
     Sigma = (G @ G.T).astype(complex)
     ext = ExtendedGaussianParams(mu=np.array([0.3, -0.2]), Sigma=Sigma,
                                  kappa=np.zeros(2), s2=0.0)
-    assert validate_extended(ext)
+    lecam_shift(ext)  # valid: no InvalidParams
+    with pytest.raises(InvalidParams):
+        lecam_shift(ExtendedGaussianParams(mu=ext.mu, Sigma=Sigma, kappa=np.ones(2), s2=0.0))
     xi = np.array([0.4, 0.7])
     lhs = sandwiched_gaussian_qcf(ext, [xi])
     rhs = gaussian_qcf(GaussianParams(h=ext.mu, J=Sigma), [xi])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qleb import (
     DEFAULT_TOL,
@@ -13,12 +14,10 @@ from qleb import (
     DensityMatrix,
     excision,
     is_abs_continuous,
-    is_mutually_ac,
     is_singular,
     lebesgue_decompose,
     quantum_log_likelihood,
     sqrt_likelihood_ratio,
-    support_projector,
 )
 from qleb.errors import NotPSD, NotStrictlyPositive, NumericCheckFailure, ValidationError, ZeroState
 from qleb.presets import (
@@ -31,7 +30,9 @@ from qleb.presets import (
 
 from qleb import lebesgue
 from oracles import (block_construction_decomposition, closed_form_decomposition,
-                     mp_faithful_sqrt_lr, mp_perturbation_bound)
+                     mp_faithful_sqrt_lr, mp_perturbation_bound, shorted_to_kernel,
+                     support_projector)
+from test_rank_rule import operand_near_cutoff
 from util import (
     rand_density,
     rand_density_bounded,
@@ -111,10 +112,12 @@ def test_mutual_ac_examples():
     rng = np.random.default_rng(4)
     rho = rand_spd(3, rng)
     rho = rho / np.trace(rho).real
-    assert is_mutually_ac(rho, rho)
+    assert is_abs_continuous(rho, rho)
     rho_inf, sigma_inf = faithful_to_pure_limits()
-    assert is_mutually_ac(rho_inf, sigma_inf)  # non-orthogonal pure states
-    assert not is_mutually_ac(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    # non-orthogonal pure states
+    assert is_abs_continuous(rho_inf, sigma_inf) and is_abs_continuous(sigma_inf, rho_inf)
+    a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    assert not is_abs_continuous(a, b) and not is_abs_continuous(b, a)
 
 
 def test_decompose_equal_faithful_states():
@@ -146,7 +149,7 @@ def test_decompose_case1_ac_part_mutually_continuous():
         rho = rand_density_bounded(d, rng, rank=int(rng.integers(1, d + 1)))
         dec = lebesgue_decompose(sigma, rho)
         assert dec.split.dims[0] == 0
-        assert is_mutually_ac(dec.ac, rho)
+        assert is_abs_continuous(dec.ac, rho) and is_abs_continuous(rho, dec.ac)
 
 
 def test_decompose_singular_pair():
@@ -261,17 +264,72 @@ def test_pure_direction_ac_despite_support_leak():
     assert np.linalg.norm(R @ b @ R - a) < 1e-8
 
 
-def test_unitary_covariance():
-    rng = np.random.default_rng(14)
-    for _ in range(30):
-        d = int(rng.integers(2, 6))
-        rho = rand_density(d, rng, rank=int(rng.integers(1, d + 1)))
-        sigma = rand_density(d, rng, rank=int(rng.integers(1, d + 1)))
-        U = rand_unitary(d, rng)
-        dec = lebesgue_decompose(sigma, rho)
-        dec_u = lebesgue_decompose(U @ sigma @ U.conj().T, U @ rho @ U.conj().T)
-        assert np.linalg.norm(dec_u.ac - U @ dec.ac @ U.conj().T) < 1e-9
-        assert np.linalg.norm(dec_u.perp - U @ dec.perp @ U.conj().T) < 1e-9
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([2, 3, 8]),
+       sigma_kind=st.sampled_from(["resolved", "zero", "above"]),
+       rho_kind=st.sampled_from(["resolved", "zero", "above"]),
+       profile=st.sampled_from(["default", "strict"]), diagonal=st.booleans())
+def test_unitary_covariance(seed, d, sigma_kind, rho_kind, profile, diagonal):
+    # Every eigenvalue is 0 or at least 10x the rank cutoff, so a unitary
+    # conjugation moves no eigenvalue across it: the split dims are equal and
+    # ac and perp are covariant within eq_rel (1 + ||.||).  So is R when every
+    # nonzero eigenvalue is resolved; with one near the cutoff R itself is
+    # ill-conditioned (under the strict profile the rounding of U rho U*
+    # alone moves the exact R by up to two thirds of its norm), so it is not
+    # compared there.
+    tol = TOL_PROFILES[profile]
+    rng = np.random.default_rng(seed)
+    sigma = operand_near_cutoff(rng, d, sigma_kind, tol, diagonal)
+    rho = operand_near_cutoff(rng, d, rho_kind, tol, diagonal)
+    U = rand_unitary(d, rng)
+    dec = lebesgue_decompose(sigma, rho, tol)
+    dec_u = lebesgue_decompose(U @ sigma @ U.conj().T, U @ rho @ U.conj().T, tol)
+    assert dec_u.split.dims == dec.split.dims
+    pairs = [(dec_u.ac, dec.ac), (dec_u.perp, dec.perp)]
+    if "above" not in (sigma_kind, rho_kind):
+        pairs.append((dec_u.sqrt_lr, dec.sqrt_lr))
+    for got, want in pairs:
+        want = U @ want @ U.conj().T
+        assert np.linalg.norm(got - want) <= tol.eq_rel * (1 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("route, d, ranks", [
+    ("qubit", 2, (2, 2)), ("qubit", 2, (1, 2)), ("qubit", 2, (2, 1)), ("qubit", 2, (1, 1)),
+    ("triangular", 3, (3, 3)), ("triangular", 8, (8, 8)),
+    ("deficient-sigma", 3, (2, 3)), ("deficient-sigma", 8, (5, 8)),
+    ("deficient-rho", 3, (3, 2)), ("deficient-rho", 8, (8, 5)),
+    ("both-deficient", 3, (2, 2)), ("both-deficient", 3, (2, 1)), ("both-deficient", 8, (5, 4)),
+    ("both-deficient", 8, (3, 6)),
+])
+def test_perp_is_sigma_shorted_to_the_kernel_of_rho(route, d, ranks):
+    # perp is the shorted operator of sigma to ker rho (Anderson & Trapp): the
+    # pseudo-inverse Schur complement of sigma's supp-rho block, and the
+    # largest X <= sigma with range in ker rho, so sigma - perp >= 0.  Draws
+    # keep every eigenvalue of sigma, rho and the excision 0 or >= 1e3 times
+    # away from the rank cutoff, so no rank decision is in doubt.
+    tol = DEFAULT_TOL
+    k, r = ranks
+    dims = (r - min(k, r), min(k, r), d - r)
+    rng = np.random.default_rng([d, k, r])
+    used = 0
+    for _ in range(50):
+        sigma = rand_density_bounded(d, rng, rank=k, floor=0.1)
+        rho = rand_density_bounded(d, rng, rank=r, floor=0.1)
+        w_r, V_r = np.linalg.eigh(rho)
+        supp = V_r[:, w_r > tol.rank_rel * w_r[-1]]
+        w_x = np.linalg.eigvalsh(supp.conj().T @ sigma @ supp) / np.linalg.eigvalsh(sigma)[-1]
+        if np.any((w_x > 1e-3 * tol.rank_rel) & (w_x < 1e3 * tol.rank_rel)):
+            continue
+        used += 1
+        dec = lebesgue_decompose(sigma, rho, tol)
+        assert dec.split.dims == dims
+        if route == "triangular":
+            assert np.array_equal(dec.split.basis_2, np.eye(d))
+        want = shorted_to_kernel(sigma, rho, tol.rank_rel)
+        assert np.linalg.norm(dec.perp - want) <= tol.eq_rel * (1 + np.linalg.norm(sigma))
+        lam = np.linalg.eigvalsh(sigma)
+        assert np.linalg.eigvalsh(sigma - dec.perp)[0] >= -tol.psd_floor * lam[-1]
+    assert used >= 45
 
 
 def test_quantum_log_likelihood_examples():

@@ -4,55 +4,57 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qleb import lebesgue_decompose, matcore
+from qleb import lebesgue_decompose, matcore, sqrt_likelihood_ratio
 from qleb.errors import (DimMismatch, NonHermitian, NotPSD, NotStrictlyPositive, NumericCheckFailure,
                          ValidationError)
 from qleb.matcore import (
     DEFAULT_TOL,
     TOL_PROFILES,
     ToleranceConfig,
-    eig_hermitian,
     geometric_mean,
     herm_exp,
     psd_log_on_support,
-    psd_pinv,
-    psd_sqrt,
-    support_projector,
-    trace_inner,
+    support_mask,
     unitary_exp,
 )
 
+from oracles import psd_sqrt
 from util import rand_psd, rand_spd, rand_unitary, rel_err
 
 
+def eig(A):
+    """The library's eigensolver on a validated Hermitian operand."""
+    return matcore._eigh(matcore.check_hermitian(A))
+
+
 def test_eig_diagonal():
-    w, V = eig_hermitian(np.diag([3.0, 1.0]))
+    w, V = eig(np.diag([3.0, 1.0]))
     assert np.allclose(w, [1.0, 3.0])
     assert np.allclose(np.abs(V), np.array([[0, 1], [1, 0]]))
 
 
 def test_eig_identity():
-    w, _ = eig_hermitian(np.eye(2))
+    w, _ = eig(np.eye(2))
     assert np.allclose(w, [1.0, 1.0])
 
 
 def test_eig_rank_one_projector():
     P = 0.5 * np.ones((2, 2))
-    w, V = eig_hermitian(P)
+    w, V = eig(P)
     assert np.allclose(w, [0.0, 1.0])
     assert np.allclose(V[:, 1], np.array([1.0, 1.0]) / np.sqrt(2))
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(3)
     for _ in range(50):
         A = rand_psd(5, rng) - rand_psd(5, rng)
-        w, V = eig_hermitian(A)
+        w, V = eig(A)
         assert np.linalg.norm((V * w) @ V.conj().T - A) <= DEFAULT_TOL.recon * (
             1 + np.linalg.norm(A)
         )
@@ -62,8 +64,8 @@ def test_eig_reconstruction_and_orthonormality():
 def test_eig_phase_fix_deterministic():
     rng = np.random.default_rng(4)
     A = rand_psd(4, rng)
-    w1, V1 = eig_hermitian(A)
-    w2, V2 = eig_hermitian(A.copy())
+    w1, V1 = eig(A)
+    w2, V2 = eig(A.copy())
     assert np.array_equal(V1, V2)
     for k in range(4):
         first = V1[np.argmax(np.abs(V1[:, k]) > 1e-12 * np.abs(V1[:, k]).max()), k]
@@ -71,47 +73,43 @@ def test_eig_phase_fix_deterministic():
 
 
 def test_support_projector_examples():
-    assert np.allclose(support_projector(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
+    # The support projector of a PSD operand is its ratio to itself, R(A, A).
+    assert np.allclose(sqrt_likelihood_ratio(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
     P = 0.5 * np.ones((2, 2))
-    assert np.allclose(support_projector(P), P)
-    assert np.allclose(support_projector(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
+    assert np.allclose(sqrt_likelihood_ratio(P, P), P)
+    P = np.diag([0.0, 2.0, 0.0])
+    assert np.allclose(sqrt_likelihood_ratio(P, P), np.diag([0.0, 1.0, 0.0]))
 
 
 def test_support_projector_rejects_indefinite():
     with pytest.raises(NotPSD):
-        support_projector(np.diag([1.0, -1.0]))
+        sqrt_likelihood_ratio(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(NotPSD):
+        sqrt_likelihood_ratio(np.diag([1.0, -1.0, 1.0]), np.eye(3))
 
 
 def test_support_projector_idempotent_and_reproducing():
     rng = np.random.default_rng(5)
     for _ in range(30):
         A = rand_psd(5, rng, rank=int(rng.integers(1, 6)))
-        P = support_projector(A)
+        P = sqrt_likelihood_ratio(A, A)
         assert rel_err(P @ P, P) < DEFAULT_TOL.eq_rel
         assert np.linalg.norm(P @ A - A) <= DEFAULT_TOL.eq_rel * (1 + np.linalg.norm(A))
 
 
-def test_psd_pinv_example():
-    assert np.allclose(psd_pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-
 def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-
-def test_pinv_residual_random():
-    rng = np.random.default_rng(6)
-    A = rand_psd(5, rng)
-    res = np.linalg.norm(A @ psd_pinv(A) @ A - A) / np.linalg.norm(A)
-    assert res <= 1e-10
+    # Relative to rho = I the ratio is the positive square root, R(A, I) = A^{1/2}.
+    assert np.allclose(sqrt_likelihood_ratio(np.eye(3), np.eye(3)), np.eye(3))
+    assert np.allclose(sqrt_likelihood_ratio(np.diag([4.0, 0.0]), np.eye(2)), np.diag([2.0, 0.0]))
 
 
 def test_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for _ in range(20):
         A = rand_psd(4, rng, rank=int(rng.integers(1, 5)))
-        S = psd_sqrt(A)
+        S = sqrt_likelihood_ratio(A, np.eye(4))
         assert rel_err(S @ S, A) < DEFAULT_TOL.eq_rel
+        assert np.linalg.eigvalsh(S)[0] >= -DEFAULT_TOL.psd_floor * np.linalg.norm(S, 2)
 
 
 def test_exp_log_roundtrip_on_support():
@@ -160,19 +158,6 @@ def test_geometric_mean_rejects_singular():
         geometric_mean(np.diag([1.0, 0.0]), np.eye(2))
 
 
-def test_trace_inner_examples():
-    assert trace_inner(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 0
-    assert trace_inner(np.eye(2) / 2, np.eye(2) / 2) == pytest.approx(0.5)
-    rho_inf = np.diag([1.0, 0.0])
-    sigma_inf = 0.5 * np.ones((2, 2))
-    assert trace_inner(rho_inf, sigma_inf) == pytest.approx(0.5)
-
-
-def test_trace_inner_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        trace_inner(np.eye(2), np.eye(3))
-
-
 def test_unitary_exp_is_unitary():
     rng = np.random.default_rng(12)
     H = rand_psd(3, rng) - rand_psd(3, rng)
@@ -183,9 +168,10 @@ def test_unitary_exp_is_unitary():
 
 def test_unitary_conjugation_covariance_of_functions():
     rng = np.random.default_rng(13)
-    A = rand_psd(4, rng)
+    A = rand_spd(4, rng)
     U = rand_unitary(4, rng)
-    assert rel_err(psd_sqrt(U @ A @ U.conj().T), U @ psd_sqrt(A) @ U.conj().T) < 1e-10
+    assert rel_err(psd_log_on_support(U @ A @ U.conj().T), U @ psd_log_on_support(A) @ U.conj().T) < 1e-10
+    assert rel_err(herm_exp(U @ A @ U.conj().T), U @ herm_exp(A) @ U.conj().T) < 1e-10
 
 
 def test_tolerance_config_validation():
@@ -197,11 +183,10 @@ def test_tolerance_config_validation():
 
 
 def test_rank_cutoff_is_relative():
-    A = np.diag([1e-3, 1e-15])
-    P = support_projector(A)
-    assert np.allclose(P, np.diag([1.0, 0.0]))
-    P2 = support_projector(A, matcore.ToleranceConfig(rank_rel=1e-15))
-    assert np.allclose(P2, np.eye(2))
+    w = np.array([1e-15, 1e-3])
+    assert support_mask(w).tolist() == [False, True]
+    assert support_mask(w, matcore.ToleranceConfig(rank_rel=1e-15)).tolist() == [True, True]
+    assert support_mask(1e-6 * w).tolist() == [False, True]
 
 
 def _phase_fix_reference(V):
@@ -553,7 +538,7 @@ def test_closed_form_eigensystem_makes_no_lapack_call(monkeypatch):
     rng = np.random.default_rng(7)
     for d in (1, 2):
         A = rand_psd(d, rng)
-        eig_hermitian(A)
+        eig(A)
         matcore.psd_spectrum(A, vectors=False)
         unitary_exp(A)
 

@@ -388,7 +388,7 @@ def test_lecam3_custom_observable_subset():
     queries = [[np.array([x])] for x in np.linspace(-2, 2, 9)]
     rep = lecam3_numeric_check(model, np.zeros(2), [SIGMA_X], h,
                                n_grid=[100, 10_000, 1_000_000], xi_grid=queries)
-    assert np.allclose(rep.sigma_mat, [[1.0]])
+    assert np.allclose(rep.limit_cov, [[1.0]])
     assert np.allclose(rep.tau, [[1.0, -1j]])
     assert rep.limit_mean == pytest.approx([1.0])
     devs = [row["max_deviation"] for row in rep.deviations]

@@ -250,7 +250,8 @@ def operand_near_cutoff(rng: np.random.Generator, d: int, kind: str, tol, diagon
     """A PSD operand with lam_max = 1 whose smallest eigenvalue is set by ``kind``.
 
     ``"resolved"``: in [0.1, 1]; ``"zero"``: exactly 0; ``"near"``: ``rank_rel``
-    times a factor log-uniform in [1/10, 10]; ``"margin"``: within 1e-3 relative
+    times a factor log-uniform in [1/10, 10]; ``"above"``: ``rank_rel`` times a
+    factor log-uniform in [10, 1e3]; ``"margin"``: within 1e-3 relative
     of the full-rank certificate's shift ``(rank_rel + c d eps) ||H||_inf``, on
     either side.  With ``diagonal`` the eigenbasis is a permutation, where
     ``||H||_inf = lam_max`` and the certificate's cutoff is tightest.
@@ -266,6 +267,8 @@ def operand_near_cutoff(rng: np.random.Generator, d: int, kind: str, tol, diagon
         w[0] = 0.0
     elif kind == "near":
         w[0] = tol.rank_rel * 10.0 ** rng.uniform(-1.0, 1.0)
+    elif kind == "above":
+        w[0] = tol.rank_rel * 10.0 ** rng.uniform(1.0, 3.0)
     elif kind == "margin":
         strict = tol.rank_rel + matcore._CERT_MARGIN * d * np.finfo(float).eps
         w[0] = 0.0
