@@ -21,7 +21,6 @@ Worked regression families live in :mod:`qleb.presets`.
 from .matcore import (
     DEFAULT_TOL,
     TOL_PROFILES,
-    SpectralDecomposition,
     ToleranceConfig,
     geometric_mean,
     herm_exp,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "TOL_PROFILES",
-    "SpectralDecomposition",
     "ToleranceConfig",
     "geometric_mean",
     "herm_exp",

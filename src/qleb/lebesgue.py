@@ -14,18 +14,9 @@ in which ``rho`` has no H3 component, ``sigma`` has no H1 component, and the
 H2 block of sigma is strictly positive.  ``R`` is assembled from the operator
 geometric mean ``sigma0 # rho0^{-1}`` of the H2 blocks, taken in the basis
 where one of them is diagonal (see :func:`matcore._diag_mean`).  The
-canonical choice sets the free kernel component of ``R`` to zero.
-
-At sizes 3 and up a shifted Cholesky certifies an operand full rank under
-the rank rule before any eigensolve (:func:`matcore._certified_full_rank`);
-a certified operand takes none.  When both are certified, H2 is the whole
-space in the standard basis, ``ac = sigma``, ``perp = 0``, and
-``R = rho^{-1} # sigma`` comes through rho's Cholesky factor with one
-eigensolve (:func:`matcore._tri_mean`, the triangular route).  A certified
-rho alone makes supp rho the whole space, so sigma's own eigenbasis splits
-H1 from H2; a certified sigma alone puts every excision eigenvalue above
-the cutoff.  Where a certificate fails, or ``rank_rel < d * eps``, the rank
-rule is decided on spectra.
+canonical choice sets the free kernel component of ``R`` to zero.  The
+routes at sizes 3 and up (full-rank certificates, the triangular route, and
+the assembly from factors in hand) are set out in README "Numerical notes".
 
 ``excision``, ``is_singular`` (H2 empty), ``is_abs_continuous`` (H1 empty),
 ``lebesgue_decompose`` and ``quantum_log_likelihood`` all read one split, in
@@ -128,19 +119,14 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
 
     Every zero/nonzero decision is the rank rule of
     :func:`matcore.support_mask`: rho's eigenvalues are measured against
-    rho's largest eigenvalue, the excision's against sigma's, so a
-    compression that is rounding noise never counts as a support.  At sizes
-    3 and up, with ``certify``, an operand whose shifted Cholesky proves the
-    rule's "full rank" (:func:`matcore._certified_full_rank`) takes no
-    eigensolve: a certified rho needs no eigenbasis, since supp rho is the
-    whole space, and a certified sigma needs no spectrum, since every
-    eigenvalue of a compression clears the cutoff (interlacing).  Otherwise,
-    or without ``certify`` (the eigen route, which :func:`excision` takes to
+    rho's largest eigenvalue, the excision's against sigma's.  At sizes 3 and
+    up, with ``certify``, an operand certified full rank
+    (:func:`matcore._certified_full_rank`) takes no eigensolve; otherwise, or
+    without ``certify`` (the eigen route, which :func:`excision` takes to
     return rho's eigenbasis), rho gets an eigensolve with vectors and sigma
     one without; sigma takes vectors too when rho is certified and
     ``vectors`` is set, and the excision takes its own only when rho has a
-    kernel (with vectors under ``vectors``).  Errors name the operands by
-    ``who``.
+    kernel (with vectors under ``vectors``).  Errors name the operands by ``who``.
     """
     s = matcore.check_hermitian(_mat(sigma), tol, who[0])
     r = matcore.check_hermitian(_mat(rho), tol, who[1])
@@ -249,10 +235,9 @@ def is_singular(rho, sigma, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """``a << b``: H1 of ``b`` relative to ``a`` is empty (the excision is strictly positive).
 
-    When True and ``b`` has a kernel, ``lebesgue_decompose(a, b).perp`` is
-    bounded by ``eq_rel (1 + ||a||) + rank_rel lam_max(a) (1 + ||E||^2)``, not
-    0: ``E`` is a's H2-H3 block over its H2 block, and the second term is the
-    part of ``a`` that the rank rule reads as 0 (README, "Numerical notes").
+    When True and ``b`` has a kernel, ``lebesgue_decompose(a, b).perp`` is bounded by
+    ``eq_rel (1 + ||a||) + rank_rel lam_max(a) (1 + ||E||^2)``, not 0, with ``E`` a's H2-H3 block
+    over its H2 block: the part of ``a`` that the rank rule reads as 0 (README, "Numerical notes").
     """
     return all(_pair_split(b, a, tol).h2)
 
@@ -283,28 +268,22 @@ class LebesgueDecomposition:
 def _decompose(sp: _Split) -> LebesgueDecomposition:
     s = sp.s
     empty = np.zeros((s.shape[0], 0), dtype=complex)
-    if not np.any(sp.h2):
-        # Mutually singular: ac = 0, perp = sigma, sqrt_lr = 0.
-        split = SupportSplit(basis_1=sp.supp_r, basis_2=empty, basis_3=sp.ker_r)
+    if not np.any(sp.h2):  # mutually singular: ac = 0, perp = sigma, sqrt_lr = 0
         zero = np.zeros_like(s)
-        return LebesgueDecomposition(ac=zero, perp=s.copy(), sqrt_lr=zero.copy(), split=split)
+        return LebesgueDecomposition(zero, s.copy(), zero.copy(), SupportSplit(sp.supp_r, empty, sp.ker_r))
 
-    if sp.supp_r is None and np.all(sp.h2):
-        # Triangular route: rho is certified full rank and H2 is the whole
-        # space in the standard basis, so ac = sigma and R = rho^{-1} # sigma
-        # comes through rho's Cholesky factor.
+    if sp.supp_r is None and np.all(sp.h2):  # the triangular route
         return LebesgueDecomposition(ac=s, perp=np.zeros_like(s), sqrt_lr=matcore._tri_mean(sp.r, s),
                                      split=SupportSplit(empty, np.eye(len(s), dtype=complex), empty))
     basis_3 = sp.ker_r
     if np.all(sp.h2):
-        # Full-rank excision: H2 is supp(rho) in rho's eigenbasis, so sigma0 is
-        # the excision itself and rho's block is exactly diagonal.
-        basis_1, basis_2, sigma0, w0 = empty, sp.supp_r, sp.ex, None
-        R0 = matcore._diag_mean(1.0 / sp.w_r, sigma0)
+        # H1 is empty: H2 is supp(rho) in rho's eigenbasis, sigma0 the excision, rho's block diagonal.
+        basis_1, basis_2, sigma0 = empty, sp.supp_r, sp.ex
+        mean = 1.0 / sp.w_r, sigma0, False
     else:
-        # In the excision eigenbasis sigma0 is diagonal; rho's block is not.
-        # The split fixed the H2 count; both spectra ascend, so h2 selects the
-        # same top segment of this eigensolve.
+        # In the excision eigenbasis sigma0 is diagonal, declared by its
+        # eigenvalues; rho's block is not.  The split fixed the H2 count; both
+        # spectra ascend, so h2 selects the same top segment of this eigensolve.
         wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else matcore._eigh(sp.ex)
         P = Vx[:, sp.h2]
         if sp.supp_r is None:  # rho certified: the excision is sigma itself
@@ -312,24 +291,24 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         else:
             basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
             rho0 = (P.conj().T * sp.w_r) @ P
-        w0 = wx[sp.h2]
-        sigma0 = np.diag(w0).astype(complex)
-        R0 = matcore._diag_mean(w0, rho0, inverse=True)
+        sigma0 = wx[sp.h2]
+        mean = sigma0, rho0, True
 
     # With alpha = sigma's H2-H3 block and E = sigma0^{-1} alpha, ac and R are
-    # [I, E]* X [I, E] in the H2 + H3 basis (X = sigma0, R0), i.e. F X F* with
-    # F = basis_2 + basis_3 E*; perp = beta - alpha* E lives on H3 alone.
+    # F X F* with F = basis_2 + basis_3 E* (X = sigma0, R0 = the mean);
+    # perp = beta - alpha* E lives on H3 alone.
     if basis_3.shape[1]:
-        alpha = basis_2.conj().T @ s @ basis_3
-        E = np.linalg.solve(sigma0, alpha) if w0 is None else alpha / w0[:, None]
-        schur = hermitian_part(basis_3.conj().T @ s @ basis_3 - alpha.conj().T @ E)
+        T = s @ basis_3
+        alpha = basis_2.conj().T @ T
+        E = alpha / sigma0[:, None] if sigma0.ndim == 1 else np.linalg.solve(sigma0, alpha)
+        schur = hermitian_part(basis_3.conj().T @ T - alpha.conj().T @ E)
         perp = hermitian_part(basis_3 @ schur @ basis_3.conj().T)
         F = basis_2 + basis_3 @ E.conj().T
     else:
         F, perp = basis_2, np.zeros_like(s)
-    F_h = F.conj().T
-    return LebesgueDecomposition(ac=hermitian_part(F @ sigma0 @ F_h), perp=perp,
-                                 sqrt_lr=hermitian_part(F @ R0 @ F_h),
+    # With H1 empty, F sigma0 F* = sigma - perp: both exactly Hermitian, and so is their difference.
+    ac = s - perp if not basis_1.shape[1] else hermitian_part((F * sigma0) @ F.conj().T)
+    return LebesgueDecomposition(ac=ac, perp=perp, sqrt_lr=matcore._diag_mean(*mean, F),
                                  split=SupportSplit(basis_1, basis_2, basis_3))
 
 
@@ -413,14 +392,9 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     construction applies; the kernel component of ``sqrt_lr`` is fixed to
     zero (canonical choice), so repeated calls are reproducible.
 
-    Two 2x2 operands are split and assembled on Python scalars
-    (:func:`_qubit_split`); larger ones by the array split, where a faithful
-    pair whose operands are both certified full rank takes the triangular
-    route: ``ac = sigma``, ``perp = 0``, H2 the whole space with
-    ``basis_2 = I``, and one eigensolve.  When the rank
-    cutoff ``rank_rel`` lies below ``d * eps``, where the eigensolver cannot
-    tell rounding from support, either route checks ``ac = R rho R`` and
-    raises :class:`NumericCheckFailure` if it fails beyond ``eq_rel``.
+    When the rank cutoff ``rank_rel`` lies below ``d * eps``, where the
+    eigensolver cannot tell rounding from support, it checks ``ac = R rho R``
+    and raises :class:`NumericCheckFailure` if that fails beyond ``eq_rel``.
     """
     sp = _pair_split(sigma, rho, tol, vectors=True)
     dec = sp.decompose()

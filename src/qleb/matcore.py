@@ -651,26 +651,35 @@ def _diag_mean2(c0: float, c1: float, m00: float, m01: complex, m11: float,
     return n00 * q / r * scale, n01 * q / r * scale, n11 * q / r * scale
 
 
-def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``C # M``, or ``C # M^{-1}`` when ``inverse``, for ``C = diag(c) > 0`` and ``M > 0``.
+def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool, F: np.ndarray) -> np.ndarray:
+    """``F (C # M) F*``, or ``F (C # M^{-1}) F*`` when ``inverse``, for ``C = diag(c) > 0`` and
+    ``M > 0``: ``(F Z) diag(f) (F Z)*`` with the factor of :func:`_diag_mean_factor`.
 
-    Scale, one eigensolve, scale: ``C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}``
-    (Cholesky mean with the diagonal factor ``C^{1/2}``).  The mean is jointly
-    homogeneous, ``(x C) # (y M)^{+-1} = sqrt(x y^{+-1}) C # M^{+-1}``, so it is
-    taken on ``C`` and ``M`` scaled by powers of 4 to unit size: exactly, and
-    nothing in between overflows or underflows wherever the result is
-    representable.  Sizes 1 and 2 use closed forms (:func:`_root`,
-    :func:`_diag_mean2`), with the adjugate for a 2x2 inverse; a 2x2 ``M`` whose
-    determinant is not positive at working precision raises
-    :class:`NumericCheckFailure` (the rank rule passed a block whose
-    positivity the entries cannot resolve).
+    Sizes 1 and 2 use closed forms (:func:`_root`, :func:`_diag_mean2`; the adjugate for a
+    2x2 inverse); a 2x2 ``M`` whose determinant is not positive at working precision
+    raises :class:`NumericCheckFailure`.
     """
+    if c.size > 2:
+        Z, f = _diag_mean_factor(c, M, inverse)
+        FZ = F @ Z
+        return hermitian_part((FZ * f) @ FZ.conj().T)
     if c.size == 1:
-        return np.array([[_root(float(c[0]), M.real.item(), inverse)]], dtype=complex)
-    if c.size == 2:
+        N = np.array([[_root(float(c[0]), M.real.item(), inverse)]], dtype=complex)
+    else:
         (m00, m01), (m10, m11) = M.tolist()
         n00, n01, n11 = _diag_mean2(*c.tolist(), m00.real, (m01 + m10.conjugate()) / 2, m11.real, inverse)
-        return np.array([[n00, n01], [n01.conjugate(), n11]], dtype=complex)
+        N = np.array([[n00, n01], [n01.conjugate(), n11]], dtype=complex)
+    return hermitian_part(F @ N @ F.conj().T)
+
+
+def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, f)`` with ``C # M^{+-1} = Z diag(f) Z*``, for ``C = diag(c) > 0`` and ``M > 0``.
+
+    ``C # M^{+-1} = C^{1/2} (C^{-+1/2} M C^{-+1/2})^{+-1/2} C^{1/2}`` (Cholesky mean with the
+    diagonal factor ``C^{1/2}``): with the inner ``V diag(w) V*``, ``Z = C^{1/2} V`` and
+    ``f = w^{+-1/2}``.  The mean is jointly homogeneous, so ``C`` and ``M`` are scaled by powers of
+    4 to unit size and the scale put back on ``f``: exact, and finite wherever the mean is.
+    """
     (c, kc), (M, km) = _scaled4(c), _scaled4(M)
     root = np.sqrt(c)
     scale = root if inverse else 1.0 / root
@@ -678,25 +687,42 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool = False) -> np.ndarra
     # Eigenvalues below eps * w_max are rounding (M > 0): the square root maps
     # them to 0, the inverse square root to that of the resolution limit.
     w = np.maximum(w, np.finfo(float).eps * w[-1] if inverse else 0.0)
-    X = (V * (w ** (-0.5 if inverse else 0.5))) @ V.conj().T
-    return _times2(hermitian_part(root[:, None] * X * root), kc - km if inverse else kc + km)
+    return root[:, None] * V, _times2(w ** (-0.5 if inverse else 0.5), kc - km if inverse else kc + km)
+
+
+#: Largest triangular block that :func:`_solve_upper` hands to ``np.linalg.solve`` whole.
+_SOLVE_LEAF = 64
+
+
+def _solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``U^{-1} B`` for an upper-triangular ``U`` by back-substitution by halves, ``X2 = U22^{-1} B2``
+    and ``X1 = U11^{-1} (B1 - U12 X2)``: the updates are products, and a block of at most
+    ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's)."""
+    n = len(U)
+    if n <= _SOLVE_LEAF:
+        return np.linalg.solve(U, B)
+    h = n // 2
+    X = np.empty(B.shape, dtype=np.result_type(U, B))
+    X[h:] = _solve_upper(U[h:, h:], B[h:])
+    X[:h] = _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:])
+    return X
 
 
 def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``rho^{-1} # sigma``, the ``R >= 0`` with ``R rho R = sigma``, for ``rho > 0`` and ``sigma >= 0``.
 
     Cholesky form with one eigensolve: ``rho = L L*``, ``L* sigma L = V diag(w) V*``
-    and ``R = Y diag(sqrt w) Y*`` with ``Y = L^{-*} V`` (a solve on the
-    triangular ``L*``).  No inverse or inverse square root of either operand
-    is formed, and ``R`` is as accurate as the pair's conditioning allows
-    (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).  Like
-    :func:`_diag_mean` it is taken on operands scaled by powers of 4.
+    and ``R = Y diag(sqrt w) Y*`` with ``Y = L^{-*} V``, by back-substitution on
+    the triangular ``L*`` (:func:`_solve_upper`).  No inverse or inverse square
+    root of either operand is formed, and ``R`` is as accurate as the pair's
+    conditioning allows (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).
+    Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.
     """
     (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
     L = np.linalg.cholesky(rho)
     L_h = L.conj().T
     w, V = np.linalg.eigh(hermitian_part(L_h @ sigma @ L))
-    Y = np.linalg.solve(L_h, V)
+    Y = _solve_upper(L_h, V)
     return _times2(hermitian_part((Y * np.sqrt(np.maximum(w, 0.0))) @ Y.conj().T), ks - kr)
 
 
@@ -711,7 +737,7 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_
     b = _check_strictly_positive(B, tol, "second operand")
     _same_shape(a.mat, b.mat)
     V = a.eigenvectors
-    return hermitian_part(V @ _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V) @ V.conj().T)
+    return _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V, inverse=False, F=V)
 
 
 def mat_close(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -32,7 +32,7 @@ from qleb import lebesgue
 from oracles import (block_construction_decomposition, closed_form_decomposition,
                      mp_faithful_sqrt_lr, mp_perturbation_bound, shorted_to_kernel,
                      support_projector)
-from test_rank_rule import operand_near_cutoff
+from test_rank_rule import operand_near_cutoff, orthogonal_pair
 from util import (
     rand_density,
     rand_density_bounded,
@@ -291,6 +291,59 @@ def test_unitary_covariance(seed, d, sigma_kind, rho_kind, profile, diagonal):
     for got, want in pairs:
         want = U @ want @ U.conj().T
         assert np.linalg.norm(got - want) <= tol.eq_rel * (1 + np.linalg.norm(want))
+
+
+def assert_decomposition_identities(sigma, rho, tol):
+    # sigma = ac + perp and ac = R rho R within eq_rel, Tr rho perp = 0, and
+    # is_singular iff ac = 0.  R rho R is read within eq_rel plus the rounding
+    # of its own evaluation, d eps ||R||^2 ||rho||: with an eigenvalue of rho
+    # near the cutoff, ||R||^2 reaches 1 / (10 rank_rel), and that rounding
+    # alone is eq_rel-sized.
+    size, d = np.linalg.norm, len(sigma)
+    dec = lebesgue_decompose(sigma, rho, tol)
+    R = dec.sqrt_lr
+    assert size(dec.ac + dec.perp - sigma) <= tol.eq_rel * (1 + size(sigma))
+    floor = d * np.finfo(float).eps * size(R, 2) ** 2 * size(rho, 2)
+    assert size(R @ rho @ R - dec.ac) <= tol.eq_rel * (1 + size(dec.ac)) + floor
+    assert abs(np.trace(rho @ dec.perp)) <= tol.eq_rel * size(rho) * (1 + size(sigma))
+    assert is_singular(rho, sigma, tol) == (not dec.ac.any())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([3, 8]),
+       sigma_kind=st.sampled_from(["resolved", "zero", "above", "orthogonal"]),
+       rho_kind=st.sampled_from(["resolved", "zero", "above"]),
+       profile=st.sampled_from(["default", "strict"]), diagonal=st.booleans())
+def test_decomposition_identities_on_every_route(seed, d, sigma_kind, rho_kind, profile, diagonal):
+    # Full rank (the triangular route), a kernel in sigma, in rho or in both,
+    # and orthogonal supports (mutually singular); eigenvalues 0 or down to
+    # 10x the rank cutoff.
+    tol = TOL_PROFILES[profile]
+    rng = np.random.default_rng(seed)
+    if sigma_kind == "orthogonal":
+        rho, sigma = orthogonal_pair(rng, d)
+    else:
+        sigma = operand_near_cutoff(rng, d, sigma_kind, tol, diagonal)
+        rho = operand_near_cutoff(rng, d, rho_kind, tol, diagonal)
+    assert_decomposition_identities(sigma, rho, tol)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("operands", [(96, 96), (60, 96), (96, 60), (60, 50), (96, 1), "orthogonal",
+                                      ("above", "above"), ("zero", "zero")])
+def test_decomposition_identities_above_the_solve_leaf(seed, operands):
+    # d = 96: the triangular back-substitution recurses (blocks of at most 64),
+    # and the H2 blocks of the deficient routes' geometric means exceed 2x2.
+    # Operands are given by their ranks or by operand_near_cutoff's kinds.
+    d, tol = 96, DEFAULT_TOL
+    rng = np.random.default_rng([d, seed])
+    if operands == "orthogonal":
+        rho, sigma = orthogonal_pair(rng, d)
+    elif isinstance(operands[0], str):
+        sigma, rho = (operand_near_cutoff(rng, d, kind, tol, False) for kind in operands)
+    else:
+        sigma, rho = (rand_density_bounded(d, rng, rank=k) for k in operands)
+    assert_decomposition_identities(sigma, rho, tol)
 
 
 @pytest.mark.parametrize("route, d, ranks", [
@@ -557,13 +610,23 @@ def test_extended_precision_oracle_routes_agree(d):
     assert rel_err(R @ rho @ R, sigma) <= 1e-6
 
 
+def test_triangular_route_above_the_solve_leaf_keeps_its_residual():
+    # d = 96 > 64: the back-substitution on L* recurses; the residual bound of
+    # the 40-digit oracle test above still holds at cond 1e8.
+    rng = np.random.default_rng([96, 2])
+    sigma, rho = conditioned_state(rng, 96, 1e8), conditioned_state(rng, 96, 1e8)
+    R = lebesgue_decompose(sigma, rho).sqrt_lr
+    assert rel_err(R @ rho @ R, sigma) <= 1e-6
+
+
 def test_decompose_does_not_load_scipy():
     # numpy only: importing scipy.linalg costs about 0.3 s and 29 MB per process.
     code = ("import sys, numpy as np, qleb\n"
             "rng = np.random.default_rng(0)\n"
-            "G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))\n"
-            "A = G @ G.conj().T\n"
-            "qleb.lebesgue_decompose(A / np.trace(A).real, np.eye(8) / 8)\n"
+            "for d in (8, 96):\n"
+            "    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))\n"
+            "    A = G @ G.conj().T\n"
+            "    qleb.lebesgue_decompose(A / np.trace(A).real, np.eye(d) / d)\n"
             "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -564,7 +564,7 @@ def test_two_by_two_mean_refuses_an_unresolved_determinant():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     for inverse in (False, True):
         with pytest.raises(NumericCheckFailure, match="2x2 geometric mean unresolved"):
-            matcore._diag_mean(np.array([1.0, 2.0]), singular, inverse=inverse)
+            matcore._diag_mean(np.array([1.0, 2.0]), singular, inverse, np.eye(2))
 
 
 def test_scaled_root_is_the_plain_root_wherever_that_is_in_range():
@@ -577,8 +577,32 @@ def test_scaled_root_is_the_plain_root_wherever_that_is_in_range():
     assert matcore._root(1e300, 1e-300, inverse=True) == pytest.approx(1e300, rel=1e-15)
     assert matcore._root(1e-300, 1e300, inverse=True) == pytest.approx(1e-300, rel=1e-15)
     assert matcore._root(1e300, 1e300) == pytest.approx(1e300, rel=1e-15)
-    mean = matcore._diag_mean(np.array([1e300]), np.array([[1e300]], dtype=complex))
+    mean = matcore._diag_mean(np.array([1e300]), np.array([[1e300]], dtype=complex), False, np.eye(1))
     assert mean[0, 0] == pytest.approx(1e300, rel=1e-15)
+
+
+def _upper_system(n: int, cond: float, rng: np.random.Generator):
+    """``L*`` of the Cholesky factor of a Hermitian matrix with eigenvalues log-spaced over
+    ``cond``, and ``n`` random complex right-hand sides, as :func:`matcore._tri_mean` meets them."""
+    U = rand_unitary(n, rng)
+    A = (U * np.logspace(0.0, -np.log10(cond), n)) @ U.conj().T
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.cholesky((A + A.conj().T) / 2).conj().T, B
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_upper_solve_is_lapacks_up_to_the_leaf(n):
+    U, B = _upper_system(n, 1e8, np.random.default_rng(n))
+    assert np.array_equal(matcore._solve_upper(U, B), np.linalg.solve(U, B))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e8])
+@pytest.mark.parametrize("n", [65, 100, 256])
+def test_upper_solve_by_halves_is_backward_stable(n, cond):
+    U, B = _upper_system(n, cond, np.random.default_rng([n, 1]))
+    X = matcore._solve_upper(U, B)
+    size = np.linalg.norm
+    assert size(U @ X - B) <= n * EPS * size(U) * size(X)
 
 
 # -- non-finite input ----------------------------------------------------------------------

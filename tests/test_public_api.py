@@ -3,7 +3,7 @@
 import qleb
 
 PUBLIC = {
-    "DEFAULT_TOL", "TOL_PROFILES", "SpectralDecomposition", "ToleranceConfig",
+    "DEFAULT_TOL", "TOL_PROFILES", "ToleranceConfig",
     "geometric_mean", "herm_exp", "psd_log_on_support", "unitary_exp",
     "DensityMatrix", "LebesgueDecomposition", "SupportSplit", "excision", "is_abs_continuous",
     "is_singular", "lebesgue_decompose", "quantum_log_likelihood", "sqrt_likelihood_ratio",
@@ -28,5 +28,5 @@ def test_public_names_are_pinned_and_resolve():
 
 def test_deleted_wrappers_are_gone():
     for name in ("psd_pinv", "psd_sqrt", "support_projector", "trace_inner", "eig_hermitian",
-                 "is_mutually_ac", "validate_extended"):
+                 "is_mutually_ac", "validate_extended", "SpectralDecomposition"):
         assert not hasattr(qleb, name)

@@ -127,11 +127,12 @@ def _state(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
 DECOMPOSE_EIGENSOLVES = {
     3: {"full": 1, "deficient-sigma": 1, "deficient-rho": 1, "rank1-rho": 1},
     8: {"full": 1, "deficient-sigma": 2, "deficient-rho": 2, "rank1-rho": 1},
+    96: {"full": 1, "deficient-sigma": 2, "deficient-rho": 2, "rank1-rho": 1},
 }
 
 
 @pytest.mark.parametrize("kind", ["full", "deficient-sigma", "deficient-rho", "rank1-rho"])
-@pytest.mark.parametrize("d, budget", [(2, 3), (3, 4), (8, 4)])
+@pytest.mark.parametrize("d, budget", [(2, 3), (3, 4), (8, 4), (96, 4)])
 def test_decompose_eigensolve_budget(counted, d, budget, kind):
     # ``budget`` bounds the eigensystems of the eigen route (validation of both
     # operands, the excision's eigh and the geometric mean's); with full-rank
