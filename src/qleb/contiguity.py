@@ -439,32 +439,34 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     summand sums ``sqrt(w)`` over the eigenvalues that rule keeps, so a
     rank-deficient product adds no root of rounding noise.
 
-    For ``d = 2`` the product's spectrum comes from its trace ``Tr(rho sigma)``
-    and determinant ``det(rho) det(sigma)`` (:func:`matcore._spectrum_2x2`),
-    as do the factors' own spectra, so no ``sqrt(sigma)``, eigenvector or
-    LAPACK call is needed; larger ``d`` takes one stacked ``eigh`` of sigma
-    and one ``eigvalsh`` of the product.
+    For ``d = 2`` the factors are entry arrays in units of powers of 4
+    (:func:`matcore._psd2_stack`), and the product's spectrum comes from
+    ``Tr(rho sigma)`` and ``det(rho) det(sigma)`` in the product of those
+    units, which the summand's root carries back: no LAPACK call.  Larger
+    ``d`` takes one stacked ``eigh`` of sigma and one ``eigvalsh`` of the product.
     """
-    d = stacked.shape[-1]
-    rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False,
-                                        labels=idx)
-    sigmas, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", vectors=d != 2,
-                                            labels=idx)
-    if d == 2:
-        w_m = matcore._spectrum_2x2(np.einsum("nij,nji->n", rhos, sigmas).real,
-                                    w_r.prod(axis=-1) * w_s.prod(axis=-1))
+    if stacked.shape[-1] == 2:
+        (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(stacked[:, 0], tol, "rho of factor", idx)
+        (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(stacked[:, 1], tol, "sigma of factor", idx)
+        x = b_re * q_re + b_im * q_im
+        # Tr(rho sigma) summed in the order of einsum("nij,nji->n"), which the summands once used.
+        w_m = matcore._spectrum_2x2((a * p + x) + (x + c * s), (lo_r * hi_r) * (lo_s * hi_s))
+        kept = [matcore.support_mask(w, tol, lam_max=hi_s * (a + c)) for w in w_m]
+        support = [matcore.support_mask(w, tol, lam_max=hi_s) for w in (lo_s, hi_s)]
+        # Each pair of masks is nested (lo <= hi), so the ranks compare place by place.
+        bad = (support[0] & ~kept[0]) | (support[1] & ~kept[1])
+        root = np.ldexp(sum(np.sqrt(np.where(keep, w, 0.0)) for w, keep in zip(w_m, kept)), k_r + k_s)
     else:
+        rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx).mat
+        _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
         sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
         w_m = np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma))
-    rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
-    scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
-    kept = matcore.support_mask(w_m, tol, lam_max=scale)
-    bad = np.nonzero(kept.sum(axis=-1) < rank_sigma)[0]
-    if bad.size:
-        raise FactorNotAC(
-            f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
-        )
-    return np.maximum(0.0, 1.0 - np.sqrt(np.where(kept, w_m, 0.0)).sum(axis=1))
+        kept = matcore.support_mask(w_m, tol, lam_max=w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None])
+        bad = kept.sum(axis=-1) < matcore.support_mask(w_s, tol).sum(axis=-1)
+        root = np.sqrt(np.where(kept, w_m, 0.0)).sum(axis=1)
+    if (hits := np.flatnonzero(bad)).size:
+        raise FactorNotAC(f"factor {int(idx[hits[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i")
+    return np.maximum(0.0, 1.0 - root)
 
 
 #: A fitted decay exponent ``p >= 1 + margin`` reads as a convergent series.

@@ -398,7 +398,7 @@ def lebesgue_decompose(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> Lebesg
     """
     sp = _pair_split(sigma, rho, tol, vectors=True)
     dec = sp.decompose()
-    if tol.rank_rel < len(dec.ac) * np.finfo(float).eps:
+    if tol.rank_rel < len(dec.ac) * matcore._EPS:
         _check_resolved(dec, sp.operands()[1], tol)
     return dec
 

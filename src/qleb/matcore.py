@@ -2,14 +2,14 @@
 
 Every PSD or strict-positivity check on an operand goes through one
 validation routine, :func:`psd_spectrum` (Hermiticity and finiteness check,
-eigensolve or, for stacks of 2x2 matrices, the trace-determinant closed
-form, phase fix, PSD floor, clamp), and every zero/nonzero decision through
-one rank rule, :func:`support_mask`; both are controlled by one
+eigensolve, phase fix, PSD floor, clamp), and every zero/nonzero decision
+through one rank rule, :func:`support_mask`; both are controlled by one
 :class:`ToleranceConfig`.  A single 2x2 matrix is validated on its four
-entries as Python scalars (:func:`_hermitian2`, :func:`_psd2`), by the same
-rules and with the same error messages, and handed on as the entries of its
-Hermitian part; large or non-finite norms and failed Hermiticity checks go
-on to the array code.  Every eigensolve of a single matrix goes
+entries as Python scalars (:func:`_hermitian2`, :func:`_psd2`), and a stack
+of them on entry arrays with the trace-determinant closed form
+(:func:`_psd2_stack`), by the same rules and with the same error messages;
+large or non-finite norms and failed Hermiticity checks go on to the array
+code.  Every eigensolve of a single matrix goes
 through one routine, :func:`_eigh`: closed forms at sizes 1 and 2, computed on
 entries scaled by a power of 2 so that nothing overflows or underflows, and
 LAPACK above (the geometric means' inner eigensolves, at sizes 3 and up and
@@ -156,6 +156,9 @@ def _abs2(z: complex) -> float:
 #: Below this Frobenius norm neither ``||A||^2`` nor ``||A - A*||^2 <= 4 ||A||^2``
 #: overflows.
 _FROB_SAFE = 2.0**510
+
+#: Machine epsilon of doubles, read once (``np.finfo`` is a lookup per call).
+_EPS = float(np.finfo(float).eps)
 
 
 def check_hermitian(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "matrix",
@@ -326,11 +329,11 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     Checks Hermiticity, diagonalises (with deterministic phases when
     ``vectors``), rejects eigenvalues below the PSD floor relative to
     ``lam_max`` and clamps the admissible negative ones to zero.  With
-    ``labels``, a stack as in :func:`check_hermitian` (phases not fixed);
-    the eigenvalues of a ``(N, 2, 2)`` stack without vectors come from
-    trace and determinant (:func:`_spectrum_2x2`), with no LAPACK call.  A
-    single matrix is diagonalised by :func:`_eigh`, in closed form up to
-    size 2, and one 2x2 matrix is validated on Python scalars (:func:`_psd2`).
+    ``labels``, a stack as in :func:`check_hermitian` (phases not fixed),
+    diagonalised by LAPACK; :func:`_psd2_stack` takes a stack of 2x2 matrices
+    with no LAPACK call.  A single matrix is diagonalised by :func:`_eigh`, in
+    closed form up to size 2, and one 2x2 matrix is validated on Python
+    scalars (:func:`_psd2`).
     """
     if labels is None and np.shape(A) == (2, 2):
         entries, w, V = _psd2(check_square(A), tol, who, vectors)
@@ -341,11 +344,7 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
 def _psd_spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool,
                   labels: np.ndarray | None = None) -> PSDSpectrum:
     """:func:`psd_spectrum` of ``H`` that :func:`check_hermitian` has validated."""
-    if labels is not None and H.shape[-1] == 2 and not vectors:
-        a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, np.abs(H[:, 0, 1])
-        w, V = _spectrum_2x2(a + c, a * c - b * b, np.hypot((a - c) / 2, b)), None
-    else:
-        w, V = _eigh(H, vectors)
+    w, V = _eigh(H, vectors)
     lo, hi = (w[..., 0], w[..., -1]) if w.shape[-1] else (np.zeros(w.shape[:-1]),) * 2
     floor = -tol.psd_floor * np.maximum(hi, -lo)
     if failure := _failure(lo < floor, who, labels):
@@ -374,8 +373,38 @@ def _psd2(A: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple
     return entries, (max(lo, 0.0), max(hi, 0.0)), V
 
 
-def _spectrum_2x2(tr: np.ndarray, det: np.ndarray, gap: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues ``tr/2 -+ gap`` of 2x2 Hermitian matrices from trace and determinant.
+def _psd2_stack(A: np.ndarray, tol: ToleranceConfig, who: str, labels: np.ndarray) -> tuple:
+    """:func:`_psd2` over a stack ``(N, 2, 2)``, on entry arrays: :func:`_hermitian2`'s rule (failures,
+    norms from ``2**510`` and non-finite entries go to the array rule, which names them), then, in
+    units of ``4**k`` by :func:`_unit4` of each largest entry (exact; no product of entries over- or
+    underflows), :func:`_spectrum_2x2`, PSD floor and clamp.  Returns the scaled entries
+    ``(a, Re b, Im b, c)`` of ``[[a, b], [conj b, c]]``, ``lo``, ``hi`` and ``k``."""
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    with np.errstate(over="ignore"):  # a square that overflows leaves a norm past _FROB_SAFE
+        size = np.sqrt(_abs2(a) + _abs2(b) + _abs2(c) + _abs2(d))
+    hermitian = (size < _FROB_SAFE).all()
+    if hermitian:  # finite entries only: inf - inf would warn
+        dev = np.sqrt(4.0 * (a.imag * a.imag + d.imag * d.imag) + 2.0 * _abs2(b - c.conj()))
+        hermitian = not (dev > tol.hermitian * (1.0 + size)).any()
+    if hermitian:
+        b = (b + c.conj()) * 0.5
+    else:
+        H = _check_hermitian(A, tol, who, labels)
+        a, b, d = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    a, c, b_abs, b_re, b_im = a.real, d.real, np.abs(b), b.real, b.imag
+    k = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), b_abs))[1] // 2
+    if k.any():  # units of 4**0 change nothing: no copies then
+        a, c, b_abs, b_re, b_im = (np.ldexp(x, -2 * k) for x in (a, c, b_abs, b_re, b_im))
+    lo, hi = _spectrum_2x2(a + c, a * c - b_abs * b_abs, np.hypot((a - c) / 2, b_abs))
+    floor = -tol.psd_floor * np.maximum(hi, -lo)
+    if failure := _failure(lo < floor, who, labels):
+        j, name = failure
+        raise _below_floor(name, *(math.ldexp(x[j], 2 * int(k[j])) for x in (lo, floor)))
+    return (a, b_re, b_im, c), np.maximum(lo, 0.0), np.maximum(hi, 0.0), k
+
+
+def _spectrum_2x2(tr: np.ndarray, det: np.ndarray, gap: np.ndarray | None = None) -> tuple:
+    """Eigenvalues ``(lo, hi) = tr/2 -+ gap`` of 2x2 Hermitian matrices from trace and determinant.
 
     ``gap`` defaults to ``sqrt(max(tr^2/4 - det, 0))``; with the entries at
     hand, ``hypot((a - c)/2, |b|)`` does not cancel for nearly equal
@@ -388,7 +417,7 @@ def _spectrum_2x2(tr: np.ndarray, det: np.ndarray, gap: np.ndarray | None = None
         gap = np.sqrt(np.maximum(half * half - det, 0.0))
     big = half + np.copysign(gap, half)
     small = np.divide(det, big, out=np.zeros_like(big), where=big != 0)
-    return np.sort(np.stack([small, big], axis=-1), axis=-1)
+    return np.minimum(small, big), np.maximum(small, big)
 
 
 def support_mask(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, lam_max: float | None = None) -> np.ndarray:
@@ -584,10 +613,9 @@ def _certified_full_rank(H: np.ndarray, tol: ToleranceConfig) -> bool:
     either.
     """
     d = H.shape[0]
-    eps = np.finfo(float).eps
-    if tol.rank_rel < d * eps:
+    if tol.rank_rel < d * _EPS:
         return False
-    return _shifted_cholesky(H.copy(), tol.rank_rel + _CERT_MARGIN * d * eps)
+    return _shifted_cholesky(H.copy(), tol.rank_rel + _CERT_MARGIN * d * _EPS)
 
 
 def _resolved_det2(a: float, c: float, b: complex) -> float:
@@ -686,7 +714,7 @@ def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.n
     w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))
     # Eigenvalues below eps * w_max are rounding (M > 0): the square root maps
     # them to 0, the inverse square root to that of the resolution limit.
-    w = np.maximum(w, np.finfo(float).eps * w[-1] if inverse else 0.0)
+    w = np.maximum(w, _EPS * w[-1] if inverse else 0.0)
     return root[:, None] * V, _times2(w ** (-0.5 if inverse else 0.5), kc - km if inverse else kc + km)
 
 

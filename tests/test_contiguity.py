@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -644,39 +645,112 @@ def test_closed_form_summands_match_the_lapack_reference(kind):
 
 
 @pytest.mark.parametrize("operand", [0, 1])
-@pytest.mark.parametrize("defect", ["indefinite", "non-hermitian"])
+@pytest.mark.parametrize("defect", ["indefinite", "non-hermitian", "nan", "inf", "huge-non-hermitian"])
 def test_closed_form_validation_fails_like_the_lapack_reference(operand, defect):
+    # Bad factors at positions 12 and 9000 of 10**4: the first is named.  NaN
+    # and infinite entries and norms from 2**510 on go to the array rule.
     rng = np.random.default_rng([operand, len(defect)])
-    stacked = np.array([RESOLVED_PAIRS["full"](rng) for _ in range(30)])
-    for k in (11, 17):
+    stacked = np.array([RESOLVED_PAIRS["full"](rng) for _ in range(30)])[rng.integers(0, 30, 10**4)]
+    for k in (11, 8999):
         if defect == "indefinite":
             neg = -10.0 ** rng.uniform(-6.0, -1.0)
             stacked[k, operand] = _qubit(rng, [neg, 1.0 - 2 * neg])
-        else:
+        elif defect == "non-hermitian":
             stacked[k, operand, 0, 1] += 1e-3
-    idx = np.arange(1, 31)
-    error = NotPSD if defect == "indefinite" else NonHermitian
+        elif defect == "huge-non-hermitian":
+            stacked[k, operand] *= 2.0**520
+            stacked[k, operand, 0, 1] += 2.0**510
+        else:
+            stacked[k, operand, 1, 0] = {"nan": np.nan, "inf": complex(0.0, -np.inf)}[defect]
+    idx = np.arange(1, 10**4 + 1)
+    error = {"indefinite": NotPSD, "nan": ValidationError, "inf": ValidationError}.get(defect, NonHermitian)
     with pytest.raises(error) as want:
         _stacked_summands_reference(stacked, idx)
     with pytest.raises(error) as got:
         _stacked_summands(stacked, idx, DEFAULT_TOL)
     assert str(got.value) == str(want.value)
-    assert "of factor 12 " in str(got.value)
+    assert f"{['rho', 'sigma'][operand]} of factor 12 " in str(got.value)
+
+
+def test_closed_form_summands_of_a_mixed_stack_match_the_lapack_reference():
+    # One call on 10**4 factors of every kind, so each mask must pick its own
+    # factor: the first non-AC factor is named, and without the non-AC ones
+    # (labels no longer contiguous) the summands agree factor by factor.
+    rng = np.random.default_rng(2024)
+    kinds = rng.choice(list(RESOLVED_PAIRS), size=10**4)
+    stacked = np.array([RESOLVED_PAIRS[kind](rng) for kind in kinds])
+    idx = np.arange(1, len(stacked) + 1)
+    ac = ~np.isin(kinds, ["rank1-rho", "orthogonal"])
+    got = _outcome(_stacked_summands, stacked, idx)
+    assert got == _outcome(_stacked_summands_reference, stacked, idx)
+    assert got.startswith(f"factor {idx[~ac][0]}: ")
+    got = _stacked_summands(stacked[ac], idx[ac], DEFAULT_TOL)
+    assert np.max(np.abs(got - _stacked_summands_reference(stacked[ac], idx[ac]))) <= 1e-14
+
+
+@pytest.mark.parametrize("operand", [0, 1])
+def test_closed_form_takes_factors_of_huge_norm_like_the_lapack_reference(operand):
+    # A norm from 2**510 on goes to the array rule, and the factor is then
+    # taken in units of a power of 4 like any other.
+    rng = np.random.default_rng([operand, 510])
+    stacked = np.array([RESOLVED_PAIRS["full"](rng) for _ in range(30)])
+    stacked[11, operand] *= 2.0**520
+    idx = np.arange(1, 31)
+    got = _stacked_summands(stacked, idx, DEFAULT_TOL)
+    assert got[11] == 0.0
+    assert np.max(np.abs(got - _stacked_summands_reference(stacked, idx))) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [2.0**-540, 2.0**-500, 1.0, 2.0**500, 1e150, 1e-160])
+def test_off_scale_2x2_factors_keep_the_ac_decision(scale):
+    # Each factor's closed forms are taken in units of a power of 4 near its
+    # largest entry, so a pair scaled out of the range where a * c or
+    # det(rho) det(sigma) is representable keeps is_abs_continuous's decision
+    # and gives no warning: a faithful pair scaled by 1e-160 once read as "not
+    # absolutely continuous", and one scaled by 1e150 overflowed.
+    rng = np.random.default_rng(1948)
+    for kind, make in RESOLVED_PAIRS.items():
+        rho, sigma = make(rng)
+        base = _outcome(_stacked_summands, np.array([(rho, sigma)]), np.array([1]))
+        for r, s in ((scale * rho, scale * sigma), (scale * rho, sigma), (rho, scale * sigma)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(_stacked_summands, np.array([(r, s)]), np.array([1]))
+            assert isinstance(got, str) == (not is_abs_continuous(s, r)), (kind, r, s)
+        if not isinstance(base, str):
+            # Tr rho R is homogeneous of degree 1 in the pair.
+            got = _stacked_summands(np.array([(scale * rho, scale * sigma)]), np.array([1]), DEFAULT_TOL)
+            assert got[0] == pytest.approx(max(0.0, 1.0 - scale * (1.0 - base[0])), rel=1e-14, abs=1e-15)
 
 
 def test_kakutani_on_2x2_factors_makes_no_lapack_call(monkeypatch):
     calls = []
-    for name in ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd", "solve", "inv", "det"):
-        original = getattr(np.linalg, name)
+    lapack = ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd", "solve", "inv", "det")
+    # np.sort too: the factors' spectra are a min and a max of two roots.
+    for module, name in [(np.linalg, name) for name in lapack] + [(np, "sort")]:
+        original = getattr(module, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     rep = kakutani_criterion(drifting_product_family("linear"))
     assert rep.verdict == CONTIGUOUS
     assert calls == []
+
+
+def test_kakutani_peak_memory_on_10_4_factors():
+    # Entry arrays of length 10**4 (80 KB each) in place of (N, 2, 2) temporaries
+    # and sorted (N, 2) stacks: the factors' own (N, 2, 2, 2) stack is 1.25 MiB.
+    family = drifting_product_family("sqrt")
+    tracemalloc.start()
+    try:
+        assert kakutani_criterion(family, 10**4).verdict == NOT_CONTIGUOUS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_kakutani_boundary_exponent_inconclusive():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qleb import (
@@ -29,7 +30,7 @@ from qleb.presets import (
 )
 
 from qleb import lebesgue
-from oracles import (block_construction_decomposition, closed_form_decomposition,
+from oracles import (block_construction_decomposition, closed_form_decomposition, herm,
                      mp_faithful_sqrt_lr, mp_perturbation_bound, shorted_to_kernel,
                      support_projector)
 from test_rank_rule import operand_near_cutoff, orthogonal_pair
@@ -383,6 +384,29 @@ def test_perp_is_sigma_shorted_to_the_kernel_of_rho(route, d, ranks):
         lam = np.linalg.eigvalsh(sigma)
         assert np.linalg.eigvalsh(sigma - dec.perp)[0] >= -tol.psd_floor * lam[-1]
     assert used >= 45
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       d_rank=st.sampled_from([3, 8]).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+       fraction=st.floats(min_value=0.0, max_value=1.0), profile=st.sampled_from(["default", "strict"]))
+def test_perp_lies_above_every_admissible_operator(seed, d_rank, fraction, profile):
+    # perp is the largest X with 0 <= X <= sigma and range in ker rho (Anderson
+    # & Trapp, SIAM J. Appl. Math. 28 (1975)).  X = t Q Z Q, with Q rho's kernel
+    # projector and Z a random PSD matrix, is such an operator for every t up
+    # to the largest that keeps sigma - X >= 0: the reciprocal of the top
+    # generalized eigenvalue of (Q Z Q, sigma).  Each lies below perp.
+    d, rank = d_rank
+    tol = TOL_PROFILES[profile]
+    rng = np.random.default_rng(seed)
+    sigma = rand_density_bounded(d, rng, floor=0.1)
+    rho = rand_density_bounded(d, rng, rank=rank, floor=0.1)
+    Q = np.eye(d) - support_projector(rho, tol.rank_rel)
+    Y = herm(Q @ rand_psd(d, rng) @ Q)
+    t_max = 1.0 / scipy.linalg.eigh(Y, sigma, eigvals_only=True)[-1]
+    X = fraction * t_max * Y
+    perp = lebesgue_decompose(sigma, rho, tol).perp
+    assert np.linalg.eigvalsh(herm(perp - X))[0] >= -tol.eq_rel * (1 + np.linalg.norm(sigma))
 
 
 def test_quantum_log_likelihood_examples():

@@ -423,10 +423,18 @@ def test_bordered_positive_refuses_blocks_that_do_not_border(shapes):
 # -- closed-form spectra of 2x2 stacks ----------------------------------------------------
 
 
+def _psd2_stack_spectrum(stack, who="matrix", labels=None):
+    """The closed-form spectra of a 2x2 stack (:func:`matcore._psd2_stack`), in the stack's units."""
+    labels = np.arange(len(stack)) if labels is None else labels
+    _, lo, hi, k = matcore._psd2_stack(stack, DEFAULT_TOL, who, labels)
+    return np.ldexp(np.stack([lo, hi], axis=1), 2 * k[:, None])
+
+
 def test_psd_spectrum_of_2x2_stacks_matches_eigvalsh():
-    # Trace and determinant replace LAPACK for (N, 2, 2) stacks without vectors
-    # (single matrices have their own closed form, tested below).  Eigenvalues
-    # agree to rounding of lam_max, including spectra down to 1e-12 and exact zeros.
+    # Trace and determinant replace LAPACK for (N, 2, 2) stacks (single
+    # matrices have their own closed form, tested below); psd_spectrum itself
+    # takes LAPACK's.  Eigenvalues agree to rounding of lam_max, including
+    # spectra down to 1e-12 and exact zeros, and in any units.
     rng = np.random.default_rng(5)
     lo = np.concatenate([np.zeros(50), 10.0 ** rng.uniform(-12.0, 0.0, size=250)])
     mats = []
@@ -434,15 +442,17 @@ def test_psd_spectrum_of_2x2_stacks_matches_eigvalsh():
         U = rand_unitary(2, rng)
         mats.append((U * [w, 1.0]) @ U.conj().T)
     stack = np.array(mats)
-    got = matcore.psd_spectrum(stack, labels=np.arange(len(mats)), vectors=False)
     want = np.maximum(np.linalg.eigvalsh(matcore.hermitian_part(stack)), 0.0)
-    assert np.all(np.abs(got.eigenvalues - want) <= 4 * np.finfo(float).eps)
+    assert np.all(np.abs(_psd2_stack_spectrum(stack) - want) <= 4 * np.finfo(float).eps)
+    got = matcore.psd_spectrum(stack, labels=np.arange(len(mats)), vectors=False)
+    assert np.array_equal(got.eigenvalues, want)
     assert got.eigenvectors is None
+    units = 4.0 ** rng.integers(-250, 250, size=len(lo))[:, None, None]
+    assert np.all(np.abs(_psd2_stack_spectrum(stack * units) / units[:, 0] - want) <= 4 * np.finfo(float).eps)
     # Diagonal stacks have exact spectra, which the closed form reproduces.
     diag = np.zeros((len(lo), 2, 2), dtype=complex)
     diag[:, 0, 0], diag[:, 1, 1] = 1.0, lo
-    w = matcore.psd_spectrum(diag, labels=np.arange(len(lo)), vectors=False).eigenvalues
-    assert np.array_equal(w, np.stack([lo, np.ones_like(lo)], axis=1))
+    assert np.array_equal(_psd2_stack_spectrum(diag), np.stack([lo, np.ones_like(lo)], axis=1))
 
 
 def test_psd_spectrum_of_2x2_stacks_rejects_what_eigvalsh_rejects():
@@ -451,8 +461,10 @@ def test_psd_spectrum_of_2x2_stacks_rejects_what_eigvalsh_rejects():
         U = rand_unitary(2, rng)
         bad = (U * [neg, 1.0 - neg]) @ U.conj().T
         stack = np.array([np.eye(2) / 2, bad, bad])
-        with pytest.raises(NotPSD, match=f"factor 2 has eigenvalue {neg:.3e} below the PSD floor"):
-            matcore.psd_spectrum(stack, who="factor", labels=np.array([1, 2, 3]), vectors=False)
+        for check in (lambda: _psd2_stack_spectrum(stack, "factor", np.array([1, 2, 3])),
+                      lambda: matcore.psd_spectrum(stack, who="factor", labels=np.array([1, 2, 3]), vectors=False)):
+            with pytest.raises(NotPSD, match=f"factor 2 has eigenvalue {neg:.3e} below the PSD floor"):
+                check()
         with pytest.raises(NotPSD, match=f"has eigenvalue {neg:.3e} below"):
             matcore.psd_spectrum(bad, vectors=False)
 
