@@ -445,7 +445,7 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     units, which the summand's root carries back: no LAPACK call.  Larger
     ``d`` takes one stacked ``eigh`` of sigma and one ``eigvalsh`` of the product.
     """
-    if stacked.shape[-1] == 2:
+    if stacked.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
         (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(stacked[:, 0], tol, "rho of factor", idx)
         (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(stacked[:, 1], tol, "sigma of factor", idx)
         x = b_re * q_re + b_im * q_im

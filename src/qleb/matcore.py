@@ -329,11 +329,10 @@ def psd_spectrum(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, who: str = "
     Checks Hermiticity, diagonalises (with deterministic phases when
     ``vectors``), rejects eigenvalues below the PSD floor relative to
     ``lam_max`` and clamps the admissible negative ones to zero.  With
-    ``labels``, a stack as in :func:`check_hermitian` (phases not fixed),
-    diagonalised by LAPACK; :func:`_psd2_stack` takes a stack of 2x2 matrices
-    with no LAPACK call.  A single matrix is diagonalised by :func:`_eigh`, in
-    closed form up to size 2, and one 2x2 matrix is validated on Python
-    scalars (:func:`_psd2`).
+    ``labels``, a stack as in :func:`check_hermitian` (phases not fixed), by
+    LAPACK (:func:`_psd2_stack` takes stacks of 2x2 matrices).  A single
+    matrix goes to :func:`_eigh`, in closed form up to size 2, and one 2x2
+    matrix is validated on Python scalars (:func:`_psd2`).
     """
     if labels is None and np.shape(A) == (2, 2):
         entries, w, V = _psd2(check_square(A), tol, who, vectors)
@@ -346,11 +345,16 @@ def _psd_spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool,
     """:func:`psd_spectrum` of ``H`` that :func:`check_hermitian` has validated."""
     w, V = _eigh(H, vectors)
     lo, hi = (w[..., 0], w[..., -1]) if w.shape[-1] else (np.zeros(w.shape[:-1]),) * 2
+    _psd_floor(lo, hi, tol, who, labels)
+    return PSDSpectrum(H, np.maximum(w, 0.0), V)
+
+
+def _psd_floor(lo, hi, tol: ToleranceConfig, who: str, labels: np.ndarray | None, k=0) -> None:
+    """Raise :class:`NotPSD` for the first ``lo < -psd_floor * max(hi, -lo)``, in units of ``4**k``."""
     floor = -tol.psd_floor * np.maximum(hi, -lo)
     if failure := _failure(lo < floor, who, labels):
-        k, name = failure
-        raise _below_floor(name, lo[k], floor[k])
-    return PSDSpectrum(H, np.maximum(w, 0.0), V)
+        j, name = failure
+        raise _below_floor(name, *(np.ldexp(x, 2 * k)[j] for x in (lo, floor)))
 
 
 def _below_floor(name: str, lo: float, floor: float) -> NotPSD:
@@ -363,7 +367,7 @@ def _psd2(A: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple
     Returns the entries ``(a, b, c)`` of the validated Hermitian part
     ``[[a, b], [conj b, c]]`` (:func:`_hermitian2`), the clamped eigenvalues
     ``(lo, hi)`` and the eigenvectors as :func:`_eig2` gives them; the PSD
-    floor and clamp are those of the array branch.
+    floor and clamp are :func:`_psd_floor`'s, on Python scalars.
     """
     entries = _hermitian2(A, tol, who)
     lo, hi, V = _eig2(*entries, vectors)
@@ -375,10 +379,9 @@ def _psd2(A: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple
 
 def _psd2_stack(A: np.ndarray, tol: ToleranceConfig, who: str, labels: np.ndarray) -> tuple:
     """:func:`_psd2` over a stack ``(N, 2, 2)``, on entry arrays: :func:`_hermitian2`'s rule (failures,
-    norms from ``2**510`` and non-finite entries go to the array rule, which names them), then, in
-    units of ``4**k`` by :func:`_unit4` of each largest entry (exact; no product of entries over- or
-    underflows), :func:`_spectrum_2x2`, PSD floor and clamp.  Returns the scaled entries
-    ``(a, Re b, Im b, c)`` of ``[[a, b], [conj b, c]]``, ``lo``, ``hi`` and ``k``."""
+    norms from ``2**510`` and non-finite entries go to the array rule, which names them), then, in units
+    of ``4**k`` by :func:`_unit4`'s rule on each largest entry (exact; no product over- or underflows),
+    :func:`_spectrum_2x2`, :func:`_psd_floor`, clamp.  Returns scaled ``(a, Re b, Im b, c)``, ``lo, hi, k``."""
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     with np.errstate(over="ignore"):  # a square that overflows leaves a norm past _FROB_SAFE
         size = np.sqrt(_abs2(a) + _abs2(b) + _abs2(c) + _abs2(d))
@@ -392,14 +395,11 @@ def _psd2_stack(A: np.ndarray, tol: ToleranceConfig, who: str, labels: np.ndarra
         H = _check_hermitian(A, tol, who, labels)
         a, b, d = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
     a, c, b_abs, b_re, b_im = a.real, d.real, np.abs(b), b.real, b.imag
-    k = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), b_abs))[1] // 2
+    k = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), b_abs))[1] // 2  # _unit4, per matrix
     if k.any():  # units of 4**0 change nothing: no copies then
         a, c, b_abs, b_re, b_im = (np.ldexp(x, -2 * k) for x in (a, c, b_abs, b_re, b_im))
     lo, hi = _spectrum_2x2(a + c, a * c - b_abs * b_abs, np.hypot((a - c) / 2, b_abs))
-    floor = -tol.psd_floor * np.maximum(hi, -lo)
-    if failure := _failure(lo < floor, who, labels):
-        j, name = failure
-        raise _below_floor(name, *(math.ldexp(x[j], 2 * int(k[j])) for x in (lo, floor)))
+    _psd_floor(lo, hi, tol, who, labels, k)
     return (a, b_re, b_im, c), np.maximum(lo, 0.0), np.maximum(hi, 0.0), k
 
 

@@ -502,12 +502,21 @@ def test_stack_route_names_the_same_non_ac_factor(d):
     ((10, 3, 2, 2), r"must have shape \(10, 2, d, d\)"),
     ((10, 2, 2), r"must have shape \(10, 2, d, d\)"),
     ((10, 2, 2, 3), "square"),
+    ((10, 2, 3, 2), "square"),
+    ((10, 2, 1, 2), "square"),
 ])
 def test_stack_of_the_wrong_shape_raises_dim_mismatch(shape, match):
     half = np.eye(2) / 2
     fam = ProductFamily(factors=lambda i: (half, half), stack=lambda idx: np.zeros(shape))
     with pytest.raises(DimMismatch, match=match):
         kakutani_criterion(fam, horizon=10)
+
+
+def test_non_square_factors_raise_dim_mismatch():
+    # 3x2 factors stack as (N, 2, 3, 2): their top 2x2 block is no factor.
+    top = np.vstack([np.eye(2) / 2, np.zeros((1, 2))])
+    with pytest.raises(DimMismatch, match="expected a stack of square matrices"):
+        kakutani_criterion(ProductFamily(factors=lambda i: (top, top)), horizon=10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
