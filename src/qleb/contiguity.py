@@ -31,6 +31,7 @@ from .errors import (
     MissingLimits,
     NotPure,
     ValidationError,
+    ZeroState,
 )
 from .lebesgue import _mat, _pair_split, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
@@ -399,9 +400,9 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
 def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Summands ``1 - Tr rho_i R_i`` for all factors, with the AC precondition check.
 
-    The family's ``stack``, or else uniform-dimension array factors, go
-    through :func:`_stacked_summands` as one stack; other factors
-    (DensityMatrix factors, varying dimensions) one at a time.
+    The family's ``stack``, or else the factors' arrays (a ``DensityMatrix``
+    gives its matrix), go through :func:`_stacked_summands` as one stack;
+    factors of varying dimensions one at a time.
     """
     if fam.stack is not None:
         # C order, as the factors are stacked: the layout sets numpy's
@@ -412,16 +413,15 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
                 f"stack of {len(idx)} factors must have shape ({len(idx)}, 2, d, d), "
                 f"got {stacked.shape}")
         return _stacked_summands(stacked, idx, tol)
-    pairs = [fam.factors(int(i)) for i in idx]
+    pairs = [(_mat(r), _mat(s)) for r, s in (fam.factors(int(i)) for i in idx)]
     try:
         stacked = np.asarray(pairs, dtype=complex)
-    except (TypeError, ValueError):  # DensityMatrix factors, or dimensions that vary
+    except ValueError:  # dimensions that vary
         stacked = None
     if stacked is not None and stacked.ndim == 4 and stacked.shape[1] == 2:
         return _stacked_summands(stacked, idx, tol)
     summands = []
     for k, (r, s) in enumerate(pairs):
-        r, s = _mat(r), _mat(s)
         if r.shape != s.shape:
             raise matcore.DimMismatch(
                 f"factor {int(idx[k])}: operand shapes differ: {r.shape} vs {s.shape}")
@@ -432,41 +432,57 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
 def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """The summands for a stack ``(N, 2, d, d)`` of pairs ``(rho_i, sigma_i)`` labelled ``idx``.
 
-    ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``, and ``sigma << rho``
-    iff that product has the rank of ``sigma``, measured against the operands'
-    scale ``lam_max(sigma) * Tr rho`` (an upper bound of its norm), so a
-    product that is rounding noise (orthogonal supports) has rank 0.  The
-    summand sums ``sqrt(w)`` over the eigenvalues that rule keeps, so a
+    ``sigma_i << rho_i`` is the split's rank rule: rho's excision onto supp
+    sigma (rho itself where sigma is faithful) clears ``rank_rel`` times rho's
+    largest eigenvalue.  ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``
+    sums the roots of the product's top ``rank(sigma)`` eigenvalues, so a
     rank-deficient product adds no root of rounding noise.
 
     For ``d = 2`` the factors are entry arrays in units of powers of 4
-    (:func:`matcore._psd2_stack`), and the product's spectrum comes from
-    ``Tr(rho sigma)`` and ``det(rho) det(sigma)`` in the product of those
-    units, which the summand's root carries back: no LAPACK call.  Larger
-    ``d`` takes one stacked ``eigh`` of sigma and one ``eigvalsh`` of the product.
+    (:func:`matcore._psd2_stack`).  A sigma with a kernel is ``lo + (hi - lo)
+    v v*``, so the excision is ``<v|rho|v> = (Tr(rho sigma) - lo Tr rho) / (hi
+    - lo)``, and the product's spectrum comes from ``Tr(rho sigma)`` and
+    ``det(rho) det(sigma)`` in the product of the units, which the summand's
+    root carries back: no LAPACK call.  Larger ``d`` takes stacked eigensolves
+    of rho, sigma and the product, and one of ``V* rho V`` (sigma's
+    eigenvectors, zero on ker sigma) for the factors whose sigma has a kernel.
     """
     if stacked.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
         (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(stacked[:, 0], tol, "rho of factor", idx)
         (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(stacked[:, 1], tol, "sigma of factor", idx)
+        _nonzero_factors(idx, hi_r, hi_s)
         x = b_re * q_re + b_im * q_im
         # Tr(rho sigma) summed in the order of einsum("nij,nji->n"), which the summands once used.
-        w_m = matcore._spectrum_2x2((a * p + x) + (x + c * s), (lo_r * hi_r) * (lo_s * hi_s))
-        kept = [matcore.support_mask(w, tol, lam_max=hi_s * (a + c)) for w in w_m]
-        support = [matcore.support_mask(w, tol, lam_max=hi_s) for w in (lo_s, hi_s)]
-        # Each pair of masks is nested (lo <= hi), so the ranks compare place by place.
-        bad = (support[0] & ~kept[0]) | (support[1] & ~kept[1])
-        root = np.ldexp(sum(np.sqrt(np.where(keep, w, 0.0)) for w, keep in zip(w_m, kept)), k_r + k_s)
+        tr = (a * p + x) + (x + c * s)
+        faithful = matcore.support_mask(lo_s, tol, lam_max=hi_s)
+        excision = np.divide(tr - lo_s * (a + c), hi_s - lo_s, out=lo_r.copy(), where=~faithful)
+        ac = matcore.support_mask(excision, tol, lam_max=hi_r)
+        w_lo, w_hi = matcore._spectrum_2x2(tr, (lo_r * hi_r) * (lo_s * hi_s))
+        # A factor refused below can have w_hi < 0 (orthogonal supports): no root of it.
+        root = np.ldexp(np.sqrt(np.where(faithful, w_lo, 0.0)) + np.sqrt(np.where(ac, w_hi, 0.0)), k_r + k_s)
     else:
-        rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx).mat
+        rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx)
         _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
+        _nonzero_factors(idx, w_r[:, -1], w_s[:, -1])
+        supp, excision = matcore.support_mask(w_s, tol), w_r
+        if (kernel := ~supp[:, 0]).any():
+            V = V_s[kernel] * supp[kernel, None, :]
+            excision = w_r.copy()
+            excision[kernel] = np.linalg.eigvalsh(hermitian_part(V.conj().swapaxes(1, 2) @ rhos[kernel] @ V))
+        ac = matcore.support_mask(excision, tol, lam_max=w_r[:, -1:]).sum(axis=-1) >= supp.sum(axis=-1)
         sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-        w_m = np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma))
-        kept = matcore.support_mask(w_m, tol, lam_max=w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None])
-        bad = kept.sum(axis=-1) < matcore.support_mask(w_s, tol).sum(axis=-1)
-        root = np.sqrt(np.where(kept, w_m, 0.0)).sum(axis=1)
-    if (hits := np.flatnonzero(bad)).size:
+        w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+        root = np.sqrt(np.where(supp, w_m, 0.0)).sum(axis=1)
+    if (hits := np.flatnonzero(~ac)).size:
         raise FactorNotAC(f"factor {int(idx[hits[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i")
     return np.maximum(0.0, 1.0 - root)
+
+
+def _nonzero_factors(idx: np.ndarray, top_r: np.ndarray, top_s: np.ndarray) -> None:
+    """Refuse the first zero rho_i, then the first zero sigma_i, by each one's largest eigenvalue."""
+    for who, top in (("rho of factor", top_r), ("sigma of factor", top_s)):
+        if failure := matcore._failure(top == 0, who, idx):
+            raise ZeroState(f"{failure[1]} is the zero operator")
 
 
 #: A fitted decay exponent ``p >= 1 + margin`` reads as a convergent series.

@@ -238,8 +238,9 @@ def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     When True and ``b`` has a kernel, ``lebesgue_decompose(a, b).perp`` is bounded by
     ``eq_rel (1 + ||a||) + rank_rel lam_max(a) (1 + ||E||^2)``, not 0, with ``E`` a's H2-H3 block
     over its H2 block: the part of ``a`` that the rank rule reads as 0 (README, "Numerical notes").
+    Errors name ``a`` "sigma" and ``b`` "rho", as in ``is_abs_continuous(sigma, rho)``.
     """
-    return all(_pair_split(b, a, tol).h2)
+    return all(_pair_split(b, a, tol, who=("rho", "sigma")).h2)
 
 
 @dataclass

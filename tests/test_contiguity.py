@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qleb import (
     BlockSequence,
@@ -23,7 +24,7 @@ from qleb import (
     tail_mass,
 )
 from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
-from qleb import matcore
+from qleb import contiguity, matcore
 from qleb.errors import (
     BlocksInconsistent, DimMismatch, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD,
     NotPure, ValidationError, ZeroState,
@@ -42,7 +43,7 @@ from qleb.presets import (
     three_block_blocks,
 )
 from qleb.contiguity import _assemble_blocks, _kakutani_summands, _stacked_summands
-from qleb.lebesgue import is_abs_continuous, lebesgue_decompose
+from qleb.lebesgue import DensityMatrix, is_abs_continuous, lebesgue_decompose
 from qleb.matcore import DEFAULT_TOL, hermitian_part
 
 from util import rand_density, rand_density_bounded, rand_unitary
@@ -392,13 +393,24 @@ def test_kakutani_validation_names_the_first_bad_factor(operand, bad, error):
         kakutani_criterion(ProductFamily(factors=factors), horizon=50)
 
 
-def _random_pair(kind: str, d: int, rng: np.random.Generator) -> tuple:
+def _random_pair(kind: str, d: int, rng: np.random.Generator, tol=DEFAULT_TOL) -> tuple:
     if kind == "full":
         return rand_density(d, rng), rand_density(d, rng)
     if kind == "deficient":
         r_rank, s_rank = rng.integers(1, d + 1, size=2)
         return (rand_density_bounded(d, rng, rank=int(r_rank)),
                 rand_density_bounded(d, rng, rank=int(s_rank)))
+    if kind == "near":
+        # Each operand has lam_max = 1 and up to d - 1 eigenvalues within 20x
+        # of the rank cutoff; the two share an eigenbasis or do not.
+        bases = [rand_unitary(d, rng)] * 2 if rng.integers(2) else [rand_unitary(d, rng) for _ in range(2)]
+        pair = []
+        for U in bases:
+            w = np.append(rng.uniform(0.2, 1.0, d - 1), 1.0)
+            near = int(rng.integers(0, d))
+            w[:near] = tol.rank_rel * 20.0 ** rng.uniform(-1.0, 1.0, near)
+            pair.append(hermitian_part((U * w) @ U.conj().T))
+        return tuple(pair)
     U = rand_unitary(d, rng)
     k = int(rng.integers(1, d))
     w = rng.uniform(0.2, 1.0, size=d)
@@ -407,33 +419,61 @@ def _random_pair(kind: str, d: int, rng: np.random.Generator) -> tuple:
     return rho / np.trace(rho).real, sigma / np.trace(sigma).real
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", ["full", "deficient", "orthogonal"])
-def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d):
-    rng = np.random.default_rng([d, ["full", "deficient", "orthogonal"].index(kind)])
-    verdicts = set()
-    for _ in range(40):
-        rho, sigma = _random_pair(kind, d, rng)
-        fam = ProductFamily(factors=lambda i: (rho, sigma))
-        try:
-            _kakutani_summands(fam, np.arange(1, 3), DEFAULT_TOL)
-            stacked = True
-        except FactorNotAC:
-            stacked = False
-        assert stacked == is_abs_continuous(sigma, rho)
-        verdicts.add(stacked)
-    assert verdicts == {"full": {True}, "deficient": {True, False}, "orthogonal": {False}}[kind]
+def _factor_ac(summands, rho, sigma, tol) -> bool:
+    """The Kakutani factor check: True iff ``summands`` takes the pair as one stacked factor."""
+    try:
+        summands(np.array([(rho, sigma)]), np.array([1]), tol)
+    except FactorNotAC:
+        return False
+    return True
 
 
-@pytest.mark.xfail(strict=True, raises=FactorNotAC, reason=(
-    "the stacked AC check measures sqrt(sigma) rho sqrt(sigma) against lam_max(sigma) Tr rho; "
-    "the split measures rho against its own spectrum, so they part near the rank cutoff"))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), profile=st.sampled_from(["default", "strict"]))
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["full", "deficient", "orthogonal", "near"])
+def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d, seed, profile):
+    # One rank rule decides sigma << rho everywhere: the predicate, the split
+    # of rho relative to sigma (H1 empty), the Kakutani factor check on the
+    # closed form (d = 2) and on LAPACK (the reference at d = 2, the route at
+    # d >= 3), and the limit criterion on constant declared limits.  "near"
+    # puts eigenvalues within 20x of the cutoff on both sides of it.
+    tol = matcore.TOL_PROFILES[profile]
+    rho, sigma = _random_pair(kind, d, np.random.default_rng(seed), tol)
+    ac = is_abs_continuous(sigma, rho, tol)
+    assert ac == {"full": True, "orthogonal": False}.get(kind, ac)
+    assert (lebesgue_decompose(rho, sigma, tol).split.dims[0] == 0) == ac
+    assert _factor_ac(_stacked_summands, rho, sigma, tol) == ac
+    assert _factor_ac(_stacked_summands_reference, rho, sigma, tol) == ac
+    seq = StateSequence(eval=lambda n: (rho, sigma), declared_limits=(rho, sigma), horizon=1)
+    assert (limit_criterion(seq, tol).verdict == CONTIGUOUS) == ac
+
+
 def test_kakutani_ac_check_agrees_with_the_split_near_the_cutoff():
     rho = np.diag([1 - 5e-9, 5e-9]).astype(complex)  # 5x the rank cutoff
     sigma = np.diag([0.9, 0.1]).astype(complex)
     assert is_abs_continuous(sigma, rho)
     assert not lebesgue_decompose(sigma, rho).perp.any()
     kakutani_criterion(ProductFamily(factors=lambda i: (rho, sigma)), horizon=20)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("operand", ["rho", "sigma"])
+def test_kakutani_refuses_a_zero_factor_as_the_split_does(d, operand):
+    # A zero sigma_i once gave the summand 1 with no error, a zero rho_i FactorNotAC.
+    good = np.eye(d, dtype=complex) / d
+
+    def factors(i):
+        x = np.zeros((d, d), dtype=complex) if i in (3, 7) else good
+        return (x, good) if operand == "rho" else (good, x)
+
+    pair = factors(3)
+    with pytest.raises(ZeroState, match=f"^{operand} is the zero operator"):
+        is_abs_continuous(pair[1], pair[0])
+    stacked = np.asarray([factors(i) for i in range(1, 11)])
+    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: stacked[idx - 1])):
+        with pytest.raises(ZeroState, match=f"^{operand} of factor 3 is the zero operator$"):
+            kakutani_criterion(fam, horizon=10)
 
 
 def test_kakutani_rejects_factors_of_mismatched_dimensions():
@@ -570,23 +610,27 @@ def test_rank1_sigma_summand_is_exact_to_rounding(d):
 def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAULT_TOL):
     """The LAPACK path for stacked summands, the reference for the 2x2 closed form.
 
-    Both stacks validated by ``eigh``, ``sqrt(sigma)`` from sigma's eigenbasis,
-    and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``, whose eigenvalues
-    enter the summand where the rank rule keeps them.
+    Both stacks validated by ``eigh``; ``sigma_i << rho_i`` by the split's rank
+    rule, on the eigenvalues of ``P rho P`` with ``P`` the projector onto supp
+    sigma (rho's excision, padded with zeros): at least ``rank(sigma)`` of
+    them clear ``rank_rel lam_max(rho)``.  Then ``sqrt(sigma)`` from sigma's
+    eigenbasis and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``, whose
+    top ``rank(sigma)`` eigenvalues enter the summand.
     """
-    rhos = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", labels=idx).mat
+    rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", labels=idx)
     _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
-    sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-    w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
-    rank_sigma = matcore.support_mask(w_s, tol).sum(axis=-1)
-    scale = w_s[:, -1:] * np.einsum("nii->n", rhos).real[:, None]
-    kept = matcore.support_mask(w_m, tol, lam_max=scale)
-    bad = np.nonzero(kept.sum(axis=-1) < rank_sigma)[0]
+    supp = matcore.support_mask(w_s, tol)
+    P = np.einsum("nik,nk,njk->nij", V_s, supp, V_s.conj())
+    w_x = np.linalg.eigvalsh(hermitian_part(P @ rhos @ P))
+    cleared = matcore.support_mask(w_x, tol, lam_max=w_r[:, -1:]).sum(axis=-1)
+    bad = np.nonzero(cleared < supp.sum(axis=-1))[0]
     if bad.size:
         raise FactorNotAC(
             f"factor {int(idx[bad[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i"
         )
-    return np.maximum(0.0, 1.0 - (np.sqrt(w_m) * kept).sum(axis=1))
+    sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
+    w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+    return np.maximum(0.0, 1.0 - (np.sqrt(w_m) * supp).sum(axis=1))
 
 
 def _qubit(rng: np.random.Generator, w, basis: bool = True) -> np.ndarray:
@@ -747,6 +791,48 @@ def test_kakutani_on_2x2_factors_makes_no_lapack_call(monkeypatch):
     rep = kakutani_criterion(drifting_product_family("linear"))
     assert rep.verdict == CONTIGUOUS
     assert calls == []
+
+
+def test_kakutani_on_faithful_3x3_factors_makes_three_stacked_eigensolves(monkeypatch):
+    # rho's eigvalsh, sigma's eigh and the product's eigvalsh: a faithful sigma's
+    # excision is rho, whose spectrum the validation already holds.  Only the
+    # factors whose sigma has a kernel take one more eigvalsh, of their excisions.
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd", "solve", "inv", "det"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(A, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, A.shape))
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    rng = np.random.default_rng(3)
+    pairs = np.array([(rand_density(3, rng), rand_density(3, rng)) for _ in range(50)])
+    stacked = pairs[rng.integers(0, 50, 10**4)]
+    fam = ProductFamily(factors=lambda i: tuple(stacked[i - 1]), stack=lambda idx: stacked[idx - 1])
+    kakutani_criterion(fam)
+    assert calls == [("eigvalsh", (10**4, 3, 3)), ("eigh", (10**4, 3, 3)), ("eigvalsh", (10**4, 3, 3))]
+    calls.clear()
+    stacked[::10, 1] = rand_density(3, rng, rank=2)
+    kakutani_criterion(fam)
+    assert [name for name, _ in calls] == ["eigvalsh", "eigh", "eigvalsh", "eigvalsh"]
+    assert calls[2][1] == (10**3, 3, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_matrix_factors_take_one_stack(monkeypatch, d):
+    # DensityMatrix factors once went through _stacked_summands one at a time.
+    rng = np.random.default_rng([d, 17])
+    states = [(DensityMatrix(rand_density(d, rng)), DensityMatrix(rand_density(d, rng))) for _ in range(20)]
+    arrays = [(r.mat, s.mat) for r, s in states]
+    idx = np.arange(1, 10**3 + 1)
+    want = _kakutani_summands(ProductFamily(lambda i: arrays[i % 20]), idx, DEFAULT_TOL)
+    sizes = []
+    original = contiguity._stacked_summands
+    monkeypatch.setattr(contiguity, "_stacked_summands", lambda s, i, t: sizes.append(len(i)) or original(s, i, t))
+    got = _kakutani_summands(ProductFamily(lambda i: states[i % 20]), idx, DEFAULT_TOL)
+    assert sizes == [10**3]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_kakutani_peak_memory_on_10_4_factors():

@@ -668,6 +668,19 @@ def test_non_finite_operand_is_rejected(bad, operand, d):
     ops[operand][1, 1] = bad
     for call in (lambda: lebesgue_decompose(ops["sigma"], ops["rho"]),
                  lambda: is_singular(ops["rho"], ops["sigma"]),
-                 lambda: is_abs_continuous(ops["rho"], ops["sigma"])):
+                 lambda: is_abs_continuous(ops["sigma"], ops["rho"])):
         with pytest.raises(ValidationError, match=f"^{operand} has a non-finite entry"):
             call()
+
+
+@pytest.mark.parametrize("defect", ["zero", "indefinite"])
+@pytest.mark.parametrize("operand", ["sigma", "rho"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_is_abs_continuous_names_the_operands_as_passed(defect, operand, d):
+    # is_abs_continuous(sigma, rho): a zero or indefinite first argument was once called "rho".
+    rng = np.random.default_rng([d, 29])
+    ops = {"sigma": rand_density(d, rng), "rho": rand_density(d, rng)}
+    ops[operand] = np.zeros((d, d)) if defect == "zero" else np.diag([-0.5] + [1.5 / (d - 1)] * (d - 1))
+    error, match = (ZeroState, "is the zero operator") if defect == "zero" else (NotPSD, "has eigenvalue")
+    with pytest.raises(error, match=f"^{operand} {match}"):
+        is_abs_continuous(ops["sigma"], ops["rho"])
