@@ -28,7 +28,7 @@ from . import __version__, contiguity, gaussian, lebesgue, presets, qlan
 from .errors import NumericCheckFailure, QlebError, ValidationError
 from .matcore import DEFAULT_TOL, TOL_PROFILES, ToleranceConfig, check_hermitian
 
-TOL_FIELDS = ("hermitian", "rank_rel", "psd_floor", "recon", "ortho", "eq_rel")
+TOL_FIELDS = tuple(f.name for f in dataclasses.fields(ToleranceConfig))
 
 
 # -- JSON <-> matrix helpers ---------------------------------------------------
@@ -256,13 +256,7 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
     if kind == "iid-product":
         rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
         sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
-        if rho.shape != sigma.shape:  # the factors raise DimMismatch for factor 1
-            return contiguity.ProductFamily(factors=lambda i: (rho, sigma)), spec
-        pair = np.stack([rho, sigma])
-        return contiguity.ProductFamily(
-            factors=lambda i: (rho, sigma),
-            stack=lambda idx: np.broadcast_to(pair, (len(idx),) + pair.shape),
-        ), spec
+        return contiguity.ProductFamily(factors=lambda i: (rho, sigma), stack=lambda idx: (rho, sigma)), spec
     raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
 
 

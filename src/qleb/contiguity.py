@@ -119,21 +119,19 @@ class ProductFamily:
     classification of the associated series, used for the verdict when the
     closed form is given.
 
-    ``stack`` optionally hands over many factors at once: ``stack(idx)``
-    returns the array ``(len(idx), 2, d, d)`` whose ``k``-th entry is the
-    pair ``factors(idx[k])``, all of one dimension ``d``.  When it is set,
-    the Kakutani criterion calls it once instead of ``factors`` per index,
-    and validates the stack as it validates the factors (shape, Hermiticity,
-    PSD floor, absolute continuity, errors naming the factor's index).  Any
-    layout will do, a read-only view (``np.broadcast_to``) included; it is
-    taken in C order, as the factors are, so both give the same summands bit
+    ``stack(idx)`` optionally hands over the factors ``idx`` at once, as the
+    pair ``(rho, sigma)``: each operand an ``(len(idx), d, d)`` stack, or one
+    ``(d, d)`` matrix that every factor shares.  The Kakutani criterion then
+    calls it once, validates it as it validates the factors (a shared
+    operand once; errors name the factor's index) and takes a stack of any
+    layout in C order, as the factors are: both give the same summands bit
     for bit.
     """
 
     factors: Callable[[int], tuple]
     summand_closed_form: Optional[Callable[[int], float]] = None
     series_converges: Optional[bool] = None
-    stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    stack: Optional[Callable[[np.ndarray], tuple]] = None
 
 
 @dataclass
@@ -401,37 +399,26 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
     """Summands ``1 - Tr rho_i R_i`` for all factors, with the AC precondition check.
 
     The family's ``stack``, or else the factors' arrays (a ``DensityMatrix``
-    gives its matrix), go through :func:`_stacked_summands` as one stack;
+    gives its matrix) stacked per operand, go through :func:`_stacked_summands`;
     factors of varying dimensions one at a time.
     """
     if fam.stack is not None:
-        # C order, as the factors are stacked: the layout sets numpy's
-        # summation order, and with it the summands' last bits.
-        stacked = np.ascontiguousarray(fam.stack(idx), dtype=complex)
-        if stacked.ndim != 4 or stacked.shape[:2] != (len(idx), 2):
-            raise matcore.DimMismatch(
-                f"stack of {len(idx)} factors must have shape ({len(idx)}, 2, d, d), "
-                f"got {stacked.shape}")
-        return _stacked_summands(stacked, idx, tol)
+        return _stacked_summands(*fam.stack(idx), idx, tol)
     pairs = [(_mat(r), _mat(s)) for r, s in (fam.factors(int(i)) for i in idx)]
     try:
-        stacked = np.asarray(pairs, dtype=complex)
+        rhos, sigmas = (np.array(x) for x in zip(*pairs))
     except ValueError:  # dimensions that vary
-        stacked = None
-    if stacked is not None and stacked.ndim == 4 and stacked.shape[1] == 2:
-        return _stacked_summands(stacked, idx, tol)
-    summands = []
-    for k, (r, s) in enumerate(pairs):
-        if r.shape != s.shape:
-            raise matcore.DimMismatch(
-                f"factor {int(idx[k])}: operand shapes differ: {r.shape} vs {s.shape}")
-        summands.append(_stacked_summands(np.stack([r, s])[None], idx[k:k + 1], tol)[0])
-    return np.array(summands)
+        rhos = sigmas = None
+    if rhos is not None and rhos.ndim == sigmas.ndim == 3:
+        return _stacked_summands(rhos, sigmas, idx, tol)
+    return np.array([_stacked_summands(r, s, idx[k:k + 1], tol)[0] for k, (r, s) in enumerate(pairs)])
 
 
-def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """The summands for a stack ``(N, 2, d, d)`` of pairs ``(rho_i, sigma_i)`` labelled ``idx``.
+def _stacked_summands(rhos: np.ndarray, sigmas: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The summands of the factors ``idx``, each operand a stack ``(len(idx), d, d)`` or one shared ``(d, d)``.
 
+    A shared operand is validated once, as a stack of one (errors name the
+    first factor), and its entries or spectrum broadcast.
     ``sigma_i << rho_i`` is the split's rank rule: rho's excision onto supp
     sigma (rho itself where sigma is faithful) clears ``rank_rel`` times rho's
     largest eigenvalue.  ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``
@@ -447,23 +434,36 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
     of rho, sigma and the product, and one of ``V* rho V`` (sigma's
     eigenvectors, zero on ker sigma) for the factors whose sigma has a kernel.
     """
-    if stacked.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
-        (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(stacked[:, 0], tol, "rho of factor", idx)
-        (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(stacked[:, 1], tol, "sigma of factor", idx)
+    n = len(idx)
+    # C order, as the factors are stacked: the layout sets numpy's
+    # summation order, and with it the summands' last bits.
+    rhos, sigmas = (np.ascontiguousarray(x, dtype=complex) for x in (rhos, sigmas))
+    for who, x in (("rho", rhos), ("sigma", sigmas)):
+        if x.shape[:-2] not in ((), (n,)):
+            raise matcore.DimMismatch(f"{who} of {n} factors must have shape ({n}, d, d) or (d, d), got {x.shape}")
+    if rhos.shape[-2:] != sigmas.shape[-2:]:
+        raise matcore.DimMismatch(
+            f"factor {idx[0]}: operand shapes differ: {rhos.shape[-2:]} vs {sigmas.shape[-2:]}")
+    rhos, sigmas = (x.reshape((-1,) + x.shape[-2:]) for x in (rhos, sigmas))  # shared: a stack of one
+    if rhos.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
+        (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(rhos, tol, "rho of factor", idx[:len(rhos)])
+        (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(sigmas, tol, "sigma of factor", idx[:len(sigmas)])
         _nonzero_factors(idx, hi_r, hi_s)
         x = b_re * q_re + b_im * q_im
         # Tr(rho sigma) summed in the order of einsum("nij,nji->n"), which the summands once used.
         tr = (a * p + x) + (x + c * s)
         faithful = matcore.support_mask(lo_s, tol, lam_max=hi_s)
-        excision = np.divide(tr - lo_s * (a + c), hi_s - lo_s, out=lo_r.copy(), where=~faithful)
+        excision = np.divide(tr - lo_s * (a + c), hi_s - lo_s, out=np.where(faithful, lo_r, 0.0), where=~faithful)
         ac = matcore.support_mask(excision, tol, lam_max=hi_r)
         w_lo, w_hi = matcore._spectrum_2x2(tr, (lo_r * hi_r) * (lo_s * hi_s))
         # A factor refused below can have w_hi < 0 (orthogonal supports): no root of it.
         root = np.ldexp(np.sqrt(np.where(faithful, w_lo, 0.0)) + np.sqrt(np.where(ac, w_hi, 0.0)), k_r + k_s)
     else:
-        rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", vectors=False, labels=idx)
-        _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
+        rhos, w_r, _ = matcore.psd_spectrum(rhos, tol, "rho of factor", vectors=False, labels=idx[:len(rhos)])
+        _, w_s, V_s = matcore.psd_spectrum(sigmas, tol, "sigma of factor", labels=idx[:len(sigmas)])
         _nonzero_factors(idx, w_r[:, -1], w_s[:, -1])
+        rhos, w_r, w_s, V_s = (np.ascontiguousarray(np.broadcast_to(x, (n,) + x.shape[1:]))
+                               for x in (rhos, w_r, w_s, V_s))
         supp, excision = matcore.support_mask(w_s, tol), w_r
         if (kernel := ~supp[:, 0]).any():
             V = V_s[kernel] * supp[kernel, None, :]
@@ -475,7 +475,7 @@ def _stacked_summands(stacked: np.ndarray, idx: np.ndarray, tol: ToleranceConfig
         root = np.sqrt(np.where(supp, w_m, 0.0)).sum(axis=1)
     if (hits := np.flatnonzero(~ac)).size:
         raise FactorNotAC(f"factor {int(idx[hits[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i")
-    return np.maximum(0.0, 1.0 - root)
+    return np.maximum(0.0, 1.0 - np.broadcast_to(root, (n,)))
 
 
 def _nonzero_factors(idx: np.ndarray, top_r: np.ndarray, top_s: np.ndarray) -> None:

@@ -159,7 +159,7 @@ def drifting_product_family(scaling: str = "linear", declare: bool = False) -> P
     fall like ``i^-1``: divergent).  With ``declare=True`` the known series
     classification is attached alongside the closed-form summand.  The
     family's ``stack`` builds all its factors with one :func:`drifting_site`
-    call.
+    call, and every factor shares its ``rho = I/2``.
     """
     if scaling not in ("linear", "sqrt"):
         raise ValueError("scaling must be 'linear' or 'sqrt'")
@@ -170,15 +170,14 @@ def drifting_product_family(scaling: str = "linear", declare: bool = False) -> P
 
     rho = np.eye(2, dtype=complex) / 2
 
-    def stack(idx: np.ndarray) -> np.ndarray:
-        sites = drifting_site(drift(idx))
-        return np.stack([np.broadcast_to(rho, sites.shape), sites], axis=1)
+    def factors(i):  # an index or an array of them
+        return rho, drifting_site(drift(i))
 
     return ProductFamily(
-        factors=lambda i: (rho, drifting_site(drift(i))),
+        factors=factors,
         summand_closed_form=(lambda i: drifting_summand(drift(i))) if declare else None,
         series_converges=(scaling == "linear") if declare else None,
-        stack=stack,
+        stack=factors,
     )
 
 

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import matcore
-from .contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product, _tail
+from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product,
+                         _sample_grid, _tail)
 from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams
 from .lebesgue import _mat, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
@@ -295,7 +296,8 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
 
 @dataclass
 class RateScan:
-    """Perturbation rate data: local defect ``f``, scaling ``g``, direction ``h``."""
+    """Perturbation rate data: local defect ``f``, scaling ``g``, direction ``h``; ``grid``
+    is checked as a sample grid is (non-empty, strictly increasing, from 1 up)."""
 
     f: Callable[[np.ndarray], float]
     g: Callable[[int], float]
@@ -305,8 +307,7 @@ class RateScan:
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=float).reshape(-1)
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
+        self.grid = _sample_grid(list(self.grid), float("inf"), "grid")  # None is refused, not defaulted
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,11 +174,13 @@ def test_contiguity_kakutani_iid_product_spec(tmp_path, capsys, d):
     })
     fam, _ = _contiguity_input(argparse.Namespace(preset=None, spec=spec, horizon=None, grid=None),
                                DEFAULT_TOL)
-    stacked = fam.stack(np.arange(1, 10**4 + 1))
-    assert stacked.shape == (10**4, 2, d, d) and not stacked.flags.writeable
+    # Both operands are shared by every factor: one matrix each, no copy per factor.
+    shared = fam.stack(np.arange(1, 10**4 + 1))
+    assert [x.shape for x in shared] == [(d, d), (d, d)]
+    assert all(x is y for x, y in zip(shared, fam.factors(1)))
     code, out, _ = run(capsys, ["contiguity", "kakutani", "--spec", spec])
     assert code == 0
-    # The broadcast stack gives the factors' report, bit for bit.
+    # The shared operands give the factors' report, bit for bit.
     want = kakutani_criterion(ProductFamily(factors=fam.factors))
     assert report_values(out)["evidence"] == want.evidence
     assert report_values(out)["details"] == want.details
@@ -397,6 +400,19 @@ def test_qlan_rate_scan(capsys):
     code, out, _ = run(capsys, ["qlan", "rate-scan", "--f", "quadratic", "--g", "sqrt"])
     assert code == 0
     assert report_values(out)["verdict"] == "NotContiguous"
+
+
+@pytest.mark.parametrize("grid, match", [
+    ("100,10,1", "grid must be non-empty and strictly increasing"),
+    ("1,10,10", "grid must be non-empty and strictly increasing"),
+    ("0,5,10", r"grid must lie within \[1, horizon\]"),
+])
+def test_qlan_rate_scan_refuses_a_bad_grid(capsys, grid, match):
+    # A decreasing grid once gave a NotContiguous report, and n = 0 a ZeroDivisionError traceback.
+    code, out, err = run(capsys, ["qlan", "rate-scan", "--grid", grid])
+    assert code == 2
+    assert out == ""
+    assert re.search(f"^error: {match}", err)
 
 
 def test_qlan_unknown_model_exits_2(capsys):

@@ -1,10 +1,11 @@
 """CLI reports of the paper's criteria and of generated decompositions, against stored reports.
 
-The README's commands are pinned, the inline ``--spec`` family aside.  The
+The README's commands are pinned, and ``kakutani --spec`` on an
+``iid-product`` pair at d = 2 and 3.  The
 reports of ``decompose`` (d = 2 and 8, full rank and a kernel on either
 side), of the ``limit``, ``pure`` and ``block`` criteria, of ``gaussian`` (on
 generated parameter files) and of ``qlan`` must equal the stored ones
-exactly.  The Kakutani presets must give the same verdict and report keys,
+exactly.  The Kakutani reports must give the same verdict and report keys,
 with every summand within 1e-14 of the stored one (and so every partial sum
 up to ``i`` within ``i * 1e-14``): their summands are rounding-level
 differences of numbers near 1, and a change of the arithmetic moves them.
@@ -46,6 +47,13 @@ def commands(workdir: Path) -> dict[str, list[str]]:
         "kakutani.sec-7.2-n": ["contiguity", "kakutani", "--preset", "sec-7.2-n"],
         "kakutani.sec-7.2-sqrt-n": ["contiguity", "kakutani", "--preset", "sec-7.2-sqrt-n"],
     }
+    rng = np.random.default_rng([20261018, 4])
+    for d in (2, 3):
+        path = workdir / f"iid-product-d{d}.json"
+        path.write_text(json.dumps({"kind": "iid-product",
+                                    "rho": matrix_document(_state(rng, d, d)),
+                                    "sigma": matrix_document(_state(rng, d, d))}), encoding="utf-8")
+        cmds[f"kakutani.iid-product.d{d}"] = ["contiguity", "kakutani", "--spec", str(path)]
     rng = np.random.default_rng(20261018)
     for kind, (sigma_rank, rho_rank) in {"full": (8, 8), "deficient-sigma": (5, 8),
                                          "deficient-rho": (8, 5)}.items():
@@ -147,7 +155,8 @@ def test_report_matches_exactly(reports, expected, name):
     assert reports[name] == expected[name]
 
 
-@pytest.mark.parametrize("name", ["kakutani.sec-7.2-n", "kakutani.sec-7.2-sqrt-n"])
+@pytest.mark.parametrize("name", ["kakutani.sec-7.2-n", "kakutani.sec-7.2-sqrt-n",
+                                  "kakutani.iid-product.d2", "kakutani.iid-product.d3"])
 def test_kakutani_report_matches_to_summand_rounding(reports, expected, name):
     got, want = reports[name], expected[name]
     assert got["exit_code"] == want["exit_code"] == 0

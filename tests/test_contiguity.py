@@ -422,7 +422,7 @@ def _random_pair(kind: str, d: int, rng: np.random.Generator, tol=DEFAULT_TOL) -
 def _factor_ac(summands, rho, sigma, tol) -> bool:
     """The Kakutani factor check: True iff ``summands`` takes the pair as one stacked factor."""
     try:
-        summands(np.array([(rho, sigma)]), np.array([1]), tol)
+        summands(rho[None], sigma[None], np.array([1]), tol)
     except FactorNotAC:
         return False
     return True
@@ -470,8 +470,8 @@ def test_kakutani_refuses_a_zero_factor_as_the_split_does(d, operand):
     pair = factors(3)
     with pytest.raises(ZeroState, match=f"^{operand} is the zero operator"):
         is_abs_continuous(pair[1], pair[0])
-    stacked = np.asarray([factors(i) for i in range(1, 11)])
-    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: stacked[idx - 1])):
+    rhos, sigmas = (np.array(x) for x in zip(*map(factors, range(1, 11))))
+    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: (rhos[idx - 1], sigmas[idx - 1]))):
         with pytest.raises(ZeroState, match=f"^{operand} of factor 3 is the zero operator$"):
             kakutani_criterion(fam, horizon=10)
 
@@ -491,12 +491,14 @@ def test_kakutani_rejects_factors_of_mismatched_dimensions():
 
 @pytest.mark.parametrize("scaling", ["linear", "sqrt"])
 def test_drifting_stack_equals_the_factors_bit_for_bit(scaling):
+    # rho = I/2 is one matrix that every factor shares; the sites are one stack.
     fam = drifting_product_family(scaling)
     idx = np.arange(1, 10**4 + 1)
-    stacked = np.ascontiguousarray(fam.stack(idx), dtype=complex)
-    by_factor = np.asarray([fam.factors(int(i)) for i in idx], dtype=complex)
-    assert stacked.shape == (10**4, 2, 2, 2)
-    assert stacked.tobytes() == by_factor.tobytes()
+    rho, sites = fam.stack(idx)
+    rhos, by_factor = (np.array(x) for x in zip(*(fam.factors(int(i)) for i in idx)))
+    assert rho.shape == (2, 2) and np.array_equal(rhos, np.broadcast_to(rho, rhos.shape))
+    assert sites.shape == (10**4, 2, 2)
+    assert sites.tobytes() == by_factor.tobytes()
     factors_only = ProductFamily(factors=fam.factors)
     assert np.array_equal(_kakutani_summands(fam, idx, DEFAULT_TOL),
                           _kakutani_summands(factors_only, idx, DEFAULT_TOL))
@@ -527,9 +529,9 @@ def test_stack_route_names_the_same_non_ac_factor(d):
     def factors(i):
         return orthogonal if i == 37 else good
 
-    stacked = np.asarray([factors(i) for i in range(1, 101)])
+    rhos, sigmas = (np.array(x) for x in zip(*map(factors, range(1, 101))))
     messages = []
-    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: stacked[idx - 1])):
+    for fam in (ProductFamily(factors), ProductFamily(factors, stack=lambda idx: (rhos[idx - 1], sigmas[idx - 1]))):
         with pytest.raises(FactorNotAC) as exc:
             kakutani_criterion(fam, horizon=100)
         messages.append(str(exc.value))
@@ -538,18 +540,28 @@ def test_stack_route_names_the_same_non_ac_factor(d):
 
 
 @pytest.mark.parametrize("shape, match", [
-    ((9, 2, 2, 2), r"stack of 10 factors must have shape \(10, 2, d, d\), got \(9, 2, 2, 2\)"),
-    ((10, 3, 2, 2), r"must have shape \(10, 2, d, d\)"),
-    ((10, 2, 2), r"must have shape \(10, 2, d, d\)"),
-    ((10, 2, 2, 3), "square"),
-    ((10, 2, 3, 2), "square"),
-    ((10, 2, 1, 2), "square"),
+    (((9, 2, 2), (2, 2)), "rho of 10 factors"),
+    (((2, 2), (10, 2, 2, 2)), "sigma of 10"),
+    (((2, 10, 2, 2), (2, 2)), "rho of 10"),
+    (((10, 2, 3), (10, 2, 3)), "square"),
+    (((10, 3, 2), (3, 2)), "square"),
+    (((10, 1, 2), (10, 1, 2)), "square"),
+    (((10, 2, 2), (3, 3)), r"^factor 1: operand shapes differ: \(2, 2\) vs \(3, 3\)$"),
 ])
 def test_stack_of_the_wrong_shape_raises_dim_mismatch(shape, match):
+    # shape: the operands' shapes (rho, sigma), each (N, d, d) or (d, d).
     half = np.eye(2) / 2
-    fam = ProductFamily(factors=lambda i: (half, half), stack=lambda idx: np.zeros(shape))
+    fam = ProductFamily(factors=lambda i: (half, half), stack=lambda idx: tuple(map(np.zeros, shape)))
     with pytest.raises(DimMismatch, match=match):
         kakutani_criterion(fam, horizon=10)
+
+
+def test_a_stack_of_the_wrong_length_is_named_with_its_shape():
+    half = np.eye(2) / 2
+    fam = ProductFamily(factors=lambda i: (half, half), stack=lambda idx: (np.zeros((9, 2, 2)), half))
+    with pytest.raises(DimMismatch) as exc:
+        kakutani_criterion(fam, horizon=10)
+    assert str(exc.value) == "rho of 10 factors must have shape (10, d, d) or (d, d), got (9, 2, 2)"
 
 
 def test_non_square_factors_raise_dim_mismatch():
@@ -564,17 +576,18 @@ def test_stacks_of_any_layout_give_the_factors_summands(d):
     # numpy's summation order follows the layout, so a stack is taken in C
     # order, as the factors are, whatever layout the family hands over.
     rng = np.random.default_rng([d, 5])
-    pair = np.stack([rand_density(d, rng), rand_density(d, rng)])
-    view = np.broadcast_to(pair, (50,) + pair.shape)
-    assert not view.flags.writeable
+    pair = (rand_density(d, rng), rand_density(d, rng))
+    views = [np.broadcast_to(x, (50, d, d)) for x in pair]
+    assert not any(v.flags.writeable for v in views)
     idx = np.arange(1, 51)
-    want = _kakutani_summands(ProductFamily(lambda i: tuple(pair)), idx, DEFAULT_TOL)
-    for layout in (view, np.array(view), np.asfortranarray(view)):
-        fam = ProductFamily(lambda i: tuple(pair), stack=lambda idx, s=layout: s)
+    want = _kakutani_summands(ProductFamily(lambda i: pair), idx, DEFAULT_TOL)
+    for layout in (np.array, np.asfortranarray, lambda v: v, lambda v: v[0]):
+        operands = tuple(map(layout, views))
+        fam = ProductFamily(lambda i: pair, stack=lambda idx, s=operands: s)
         assert np.array_equal(_kakutani_summands(fam, idx, DEFAULT_TOL), want)
-    # The read-only view itself is read, not written.
-    assert np.max(np.abs(_stacked_summands(view, idx, DEFAULT_TOL) - want)) <= 1e-15
-    assert np.array_equal(view, np.broadcast_to(pair, view.shape))
+    # The read-only views themselves are read, not written.
+    assert np.array_equal(_stacked_summands(*views, idx, DEFAULT_TOL), want)
+    assert all(np.array_equal(v, np.broadcast_to(x, v.shape)) for v, x in zip(views, pair))
 
 
 def test_drifting_site_matches_the_scalar_formula_bit_for_bit():
@@ -600,14 +613,14 @@ def test_rank1_sigma_summand_is_exact_to_rounding(d):
         rho = rand_density(d, rng)
         pairs.append((rho, np.outer(v, v.conj())))
         exact.append(1.0 - np.sqrt((v.conj() @ rho @ v).real))
-    got = _stacked_summands(np.array(pairs), np.arange(1, 101), DEFAULT_TOL)
+    got = _stacked_summands(*map(np.array, zip(*pairs)), np.arange(1, 101), DEFAULT_TOL)
     assert np.max(np.abs(got - np.array(exact))) <= 1e-14
 
 
 # -- the 2x2 closed form against the LAPACK stacked path --------------------------------
 
 
-def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAULT_TOL):
+def _stacked_summands_reference(rhos: np.ndarray, sigmas: np.ndarray, idx: np.ndarray, tol=DEFAULT_TOL):
     """The LAPACK path for stacked summands, the reference for the 2x2 closed form.
 
     Both stacks validated by ``eigh``; ``sigma_i << rho_i`` by the split's rank
@@ -617,8 +630,8 @@ def _stacked_summands_reference(stacked: np.ndarray, idx: np.ndarray, tol=DEFAUL
     eigenbasis and one ``eigvalsh`` of ``sqrt(sigma) rho sqrt(sigma)``, whose
     top ``rank(sigma)`` eigenvalues enter the summand.
     """
-    rhos, w_r, _ = matcore.psd_spectrum(stacked[:, 0], tol, "rho of factor", labels=idx)
-    _, w_s, V_s = matcore.psd_spectrum(stacked[:, 1], tol, "sigma of factor", labels=idx)
+    rhos, w_r, _ = matcore.psd_spectrum(rhos, tol, "rho of factor", labels=idx)
+    _, w_s, V_s = matcore.psd_spectrum(sigmas, tol, "sigma of factor", labels=idx)
     supp = matcore.support_mask(w_s, tol)
     P = np.einsum("nik,nk,njk->nij", V_s, supp, V_s.conj())
     w_x = np.linalg.eigvalsh(hermitian_part(P @ rhos @ P))
@@ -665,9 +678,10 @@ UNRESOLVED_PAIRS = {
 }
 
 
-def _outcome(fn, stacked, idx):
+def _outcome(fn, pairs, idx):
+    """``fn`` on the stacks ``pairs[:, 0]`` (rho) and ``pairs[:, 1]`` (sigma), or its FactorNotAC message."""
     try:
-        return fn(stacked, idx, DEFAULT_TOL)
+        return fn(pairs[:, 0], pairs[:, 1], idx, DEFAULT_TOL)
     except FactorNotAC as exc:
         return str(exc)
 
@@ -718,9 +732,9 @@ def test_closed_form_validation_fails_like_the_lapack_reference(operand, defect)
     idx = np.arange(1, 10**4 + 1)
     error = {"indefinite": NotPSD, "nan": ValidationError, "inf": ValidationError}.get(defect, NonHermitian)
     with pytest.raises(error) as want:
-        _stacked_summands_reference(stacked, idx)
+        _stacked_summands_reference(stacked[:, 0], stacked[:, 1], idx)
     with pytest.raises(error) as got:
-        _stacked_summands(stacked, idx, DEFAULT_TOL)
+        _stacked_summands(stacked[:, 0], stacked[:, 1], idx, DEFAULT_TOL)
     assert str(got.value) == str(want.value)
     assert f"{['rho', 'sigma'][operand]} of factor 12 " in str(got.value)
 
@@ -737,8 +751,8 @@ def test_closed_form_summands_of_a_mixed_stack_match_the_lapack_reference():
     got = _outcome(_stacked_summands, stacked, idx)
     assert got == _outcome(_stacked_summands_reference, stacked, idx)
     assert got.startswith(f"factor {idx[~ac][0]}: ")
-    got = _stacked_summands(stacked[ac], idx[ac], DEFAULT_TOL)
-    assert np.max(np.abs(got - _stacked_summands_reference(stacked[ac], idx[ac]))) <= 1e-14
+    assert np.max(np.abs(_outcome(_stacked_summands, stacked[ac], idx[ac])
+                         - _outcome(_stacked_summands_reference, stacked[ac], idx[ac]))) <= 1e-14
 
 
 @pytest.mark.parametrize("operand", [0, 1])
@@ -749,9 +763,9 @@ def test_closed_form_takes_factors_of_huge_norm_like_the_lapack_reference(operan
     stacked = np.array([RESOLVED_PAIRS["full"](rng) for _ in range(30)])
     stacked[11, operand] *= 2.0**520
     idx = np.arange(1, 31)
-    got = _stacked_summands(stacked, idx, DEFAULT_TOL)
+    got = _outcome(_stacked_summands, stacked, idx)
     assert got[11] == 0.0
-    assert np.max(np.abs(got - _stacked_summands_reference(stacked, idx))) <= 1e-14
+    assert np.max(np.abs(got - _outcome(_stacked_summands_reference, stacked, idx))) <= 1e-14
 
 
 @pytest.mark.parametrize("scale", [2.0**-540, 2.0**-500, 1.0, 2.0**500, 1e150, 1e-160])
@@ -772,7 +786,7 @@ def test_off_scale_2x2_factors_keep_the_ac_decision(scale):
             assert isinstance(got, str) == (not is_abs_continuous(s, r)), (kind, r, s)
         if not isinstance(base, str):
             # Tr rho R is homogeneous of degree 1 in the pair.
-            got = _stacked_summands(np.array([(scale * rho, scale * sigma)]), np.array([1]), DEFAULT_TOL)
+            got = _outcome(_stacked_summands, np.array([(scale * rho, scale * sigma)]), np.array([1]))
             assert got[0] == pytest.approx(max(0.0, 1.0 - scale * (1.0 - base[0])), rel=1e-14, abs=1e-15)
 
 
@@ -809,7 +823,8 @@ def test_kakutani_on_faithful_3x3_factors_makes_three_stacked_eigensolves(monkey
     rng = np.random.default_rng(3)
     pairs = np.array([(rand_density(3, rng), rand_density(3, rng)) for _ in range(50)])
     stacked = pairs[rng.integers(0, 50, 10**4)]
-    fam = ProductFamily(factors=lambda i: tuple(stacked[i - 1]), stack=lambda idx: stacked[idx - 1])
+    fam = ProductFamily(factors=lambda i: tuple(stacked[i - 1]),
+                        stack=lambda idx: (stacked[idx - 1, 0], stacked[idx - 1, 1]))
     kakutani_criterion(fam)
     assert calls == [("eigvalsh", (10**4, 3, 3)), ("eigh", (10**4, 3, 3)), ("eigvalsh", (10**4, 3, 3))]
     calls.clear()
@@ -829,15 +844,96 @@ def test_density_matrix_factors_take_one_stack(monkeypatch, d):
     want = _kakutani_summands(ProductFamily(lambda i: arrays[i % 20]), idx, DEFAULT_TOL)
     sizes = []
     original = contiguity._stacked_summands
-    monkeypatch.setattr(contiguity, "_stacked_summands", lambda s, i, t: sizes.append(len(i)) or original(s, i, t))
+    monkeypatch.setattr(contiguity, "_stacked_summands",
+                        lambda r, s, i, t: sizes.append(len(i)) or original(r, s, i, t))
     got = _kakutani_summands(ProductFamily(lambda i: states[i % 20]), idx, DEFAULT_TOL)
     assert sizes == [10**3]
     assert got.tobytes() == want.tobytes()
 
 
+# -- operands that every factor shares ------------------------------------------------------
+
+
+def _shared_family(d: int, shared: str, seed: int) -> tuple:
+    """A family whose ``shared`` operand ("rho", "sigma" or "both") is one matrix, and the
+    same factors given one by one.  Every other sigma_i and the shared sigma have a kernel."""
+    rng = np.random.default_rng([d, seed])
+    one = (rand_density(d, rng), rand_density(d, rng, rank=d - 1))
+    many = (np.array([rand_density(d, rng) for _ in range(30)]),
+            np.array([rand_density(d, rng, rank=d - k % 2) for k in range(30)]))
+
+    def factors(i):  # an index or an array of them
+        return tuple(one[k] if shared in (who, "both") else many[k][i % 30]
+                     for k, who in enumerate(("rho", "sigma")))
+
+    return ProductFamily(factors, stack=factors), ProductFamily(factors)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shared", ["rho", "sigma", "both"])
+def test_a_shared_operand_gives_the_factors_summands_bit_for_bit(d, shared):
+    fam, by_factor = _shared_family(d, shared, 23)
+    idx = np.arange(1, 1001)
+    got = _kakutani_summands(fam, idx, DEFAULT_TOL)
+    assert got.shape == (1000,)
+    assert got.tobytes() == _kakutani_summands(by_factor, idx, DEFAULT_TOL).tobytes()
+
+
+@pytest.mark.parametrize("scaling", ["linear", "sqrt"])
+def test_the_presets_shared_rho_is_validated_once(monkeypatch, scaling):
+    calls = []
+    original = matcore._psd2_stack
+
+    def counted(A, tol, who, labels):
+        calls.append((who, len(A), labels.tolist()[:2]))
+        return original(A, tol, who, labels)
+
+    monkeypatch.setattr(matcore, "_psd2_stack", counted)
+    kakutani_criterion(drifting_product_family(scaling))
+    assert calls == [("rho of factor", 1, [1]), ("sigma of factor", 10**4, [1, 2])]
+
+
+@pytest.mark.parametrize("shared", ["rho", "sigma", "both"])
+def test_a_shared_operand_at_d3_takes_one_spectrum(monkeypatch, shared):
+    calls = []
+    original = matcore.psd_spectrum
+    monkeypatch.setattr(matcore, "psd_spectrum",
+                        lambda A, tol, who, **kw: calls.append((who, len(A))) or original(A, tol, who, **kw))
+    kakutani_criterion(_shared_family(3, shared, 29)[0], horizon=100)
+    assert calls == [("rho of factor", 1 if shared in ("rho", "both") else 100),
+                     ("sigma of factor", 1 if shared in ("sigma", "both") else 100)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("operand, bad, error, match", [
+    ("rho", "non-hermitian", NonHermitian, "^rho of factor 1 is not Hermitian"),
+    ("sigma", "indefinite", NotPSD, "^sigma of factor 1 has eigenvalue"),
+    ("sigma", "zero", ZeroState, "^sigma of factor 1 is the zero operator$"),
+    ("sigma", "orthogonal", FactorNotAC, "^factor 1: sigma_i is not absolutely continuous"),
+])
+def test_a_bad_shared_operand_is_refused_as_the_first_factor(d, operand, bad, error, match):
+    # A shared operand is validated as a stack of one, which names factor 1, as the factors do.
+    rng = np.random.default_rng([d, 31])
+    top = np.diag(np.append(np.ones(d - 1), 0.0)).astype(complex) / (d - 1)
+    shared = {"non-hermitian": np.triu(rand_density(d, rng)),
+              "indefinite": np.diag(np.append(np.ones(d - 1), -0.1)).astype(complex),
+              "zero": np.zeros((d, d), dtype=complex),
+              "orthogonal": np.eye(d, dtype=complex) - top * (d - 1)}[bad]  # supported on ker top
+    others = np.array([top if bad == "orthogonal" else rand_density(d, rng) for _ in range(20)])
+
+    def factors(i):  # an index or an array of them
+        return (shared, others[i % 20]) if operand == "rho" else (others[i % 20], shared)
+
+    for fam in (ProductFamily(factors), ProductFamily(factors, stack=factors)):
+        with pytest.raises(error, match=match):
+            kakutani_criterion(fam, horizon=20)
+
+
 def test_kakutani_peak_memory_on_10_4_factors():
     # Entry arrays of length 10**4 (80 KB each) in place of (N, 2, 2) temporaries
-    # and sorted (N, 2) stacks: the factors' own (N, 2, 2, 2) stack is 1.25 MiB.
+    # and sorted (N, 2) stacks, and the shared rho = I/2 declared once: the
+    # sites' own (N, 2, 2) stack is 0.61 MiB.  (A copy of rho per factor, in
+    # an (N, 2, 2, 2) pair stack, peaked at 2.77 MiB.)
     family = drifting_product_family("sqrt")
     tracemalloc.start()
     try:
@@ -845,7 +941,7 @@ def test_kakutani_peak_memory_on_10_4_factors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2**20
+    assert peak <= 2.25 * 2**20
 
 
 def test_kakutani_boundary_exponent_inconclusive():
@@ -1114,7 +1210,7 @@ def test_verdicts_invariant_under_unitary_conjugation():
     fam = drifting_product_family("linear")
     rotated_fam = ProductFamily(factors=lambda i: conj(fam.factors(i)))
     rotated_stack = ProductFamily(factors=rotated_fam.factors,
-                                  stack=lambda idx: U @ fam.stack(idx) @ U.conj().T)
+                                  stack=lambda idx: tuple(U @ x @ U.conj().T for x in fam.stack(idx)))
     reports = [kakutani_criterion(f, horizon=2000) for f in (fam, rotated_fam, rotated_stack)]
     assert {rep.verdict for rep in reports} == {CONTIGUOUS}
     idx = np.arange(1, 2001)

@@ -499,3 +499,14 @@ def test_rate_scan_declared_bound():
     scan = RateScan(f=lambda th: 0.0, g=sqrt_scaling, h=np.array([1.0]),
                     grid=[10, 100, 1000], g2_bound=2.0)
     assert rate_scan(scan).verdict == CONTIGUOUS
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([], "must be non-empty and strictly increasing"),
+    ([100, 10, 1], "must be non-empty and strictly increasing"),
+    ([1, 10, 10, 100], "must be non-empty and strictly increasing"),
+    ([0, 5, 10], r"must lie within \[1, horizon\]"),
+])
+def test_rate_scan_grid_is_checked_as_a_sample_grid(grid, match):
+    with pytest.raises(ValueError, match=f"^grid {match}$"):
+        RateScan(f=lambda th: 0.0, g=sqrt_scaling, h=np.array([1.0]), grid=grid)
