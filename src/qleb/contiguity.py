@@ -34,7 +34,7 @@ from .errors import (
     ZeroState,
 )
 from .lebesgue import _mat, _pair_split, lebesgue_decompose
-from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
+from .matcore import DEFAULT_TOL, ToleranceConfig
 
 CONTIGUOUS = "Contiguous"
 NOT_CONTIGUOUS = "NotContiguous"
@@ -468,10 +468,13 @@ def _stacked_summands(rhos: np.ndarray, sigmas: np.ndarray, idx: np.ndarray, tol
         if (kernel := ~supp[:, 0]).any():
             V = V_s[kernel] * supp[kernel, None, :]
             excision = w_r.copy()
-            excision[kernel] = np.linalg.eigvalsh(hermitian_part(V.conj().swapaxes(1, 2) @ rhos[kernel] @ V))
+            X = V.conj().swapaxes(1, 2) @ rhos[kernel] @ V
+            excision[kernel] = np.linalg.eigvalsh(matcore._hermitian_part(X, out=X))
         ac = matcore.support_mask(excision, tol, lam_max=w_r[:, -1:]).sum(axis=-1) >= supp.sum(axis=-1)
         sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-        w_m = np.maximum(np.linalg.eigvalsh(hermitian_part(sqrt_sigma @ rhos @ sqrt_sigma)), 0.0)
+        X = sqrt_sigma @ rhos @ sqrt_sigma
+        del sqrt_sigma
+        w_m = np.maximum(np.linalg.eigvalsh(matcore._hermitian_part(X, out=X)), 0.0)
         root = np.sqrt(np.where(supp, w_m, 0.0)).sum(axis=1)
     if (hits := np.flatnonzero(~ac)).size:
         raise FactorNotAC(f"factor {int(idx[hits[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotStrictlyPositive, NumericCheckFailure, ZeroState
-from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
+from .matcore import DEFAULT_TOL, ToleranceConfig
 
 
 class DensityMatrix:
@@ -77,7 +77,8 @@ class _Split(NamedTuple):
     """``sigma`` and ``rho`` validated once each, split into H1 + H2 + H3.
 
     ``s``/``r`` are the operands' validated Hermitian parts, ``supp_r``/``ker_r``
-    rho's support and kernel bases (H1 + H2 and H3), ``w_r`` rho's support
+    rho's support and kernel bases (H1 + H2 and H3; column slices of its
+    eigenbasis, see :func:`_segments`), ``w_r`` rho's support
     eigenvalues, ``ex`` the excision of sigma onto supp rho in the ``supp_r``
     basis, ``wx`` its ascending eigenvalues, and ``h2`` marks those spanning
     H2 (a top segment); the others span H1.  ``Vx`` holds the excision's
@@ -139,10 +140,11 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
         supp_r, ker_r, w_r, ex, wx, Vx = None, np.zeros((len(s), 0), dtype=complex), None, s, w_s, V_s
     else:
         w, V = _spectrum(r, tol, who[1], True)
-        supp = matcore.support_mask(w, tol)
-        supp_r, ker_r, w_r = V[:, supp], V[:, ~supp], w[supp]
-        ex = hermitian_part(supp_r.conj().T @ s @ supp_r)
-        wx, Vx = (None, None) if s_pd else (w_s, None) if supp.all() else matcore._eigh(ex, vectors)
+        k = _zeros(matcore.support_mask(w, tol))
+        (ker_r, supp_r), w_r = _segments(V, k, 1 in (k, len(w) - k)), w[k:]
+        ex = supp_r.conj().T @ s @ supp_r
+        ex = matcore._hermitian_part(ex, out=ex)
+        wx, Vx = (None, None) if s_pd else (w_s, None) if not k else matcore._eigh(ex, vectors)
     h2 = np.ones(len(ex), dtype=bool) if s_pd else matcore.support_mask(wx, tol, lam_max=w_s[-1])
     return _Split(s, r, supp_r, ker_r, w_r, ex, wx, Vx, h2)
 
@@ -152,6 +154,26 @@ def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> m
     _, w, V = matcore._psd_spectrum(H, tol, who, vectors)
     _nonzero(w, who)
     return matcore.SpectralDecomposition(w, V)
+
+
+def _zeros(mask: np.ndarray) -> int:
+    """The number of eigenvalues that a rank-rule ``mask`` over an ascending spectrum calls zero:
+    its bottom segment (see :func:`_segments`)."""
+    return len(mask) - int(np.count_nonzero(mask))
+
+
+def _segments(V: np.ndarray, k: int, copy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(V[:, :k], V[:, k:])``: the eigenvectors of the bottom ``k`` and of the other eigenvalues.
+
+    A support is the top segment of an ascending spectrum, so both are column
+    slices, views of ``V``.  With ``copy`` they are column-major copies, the
+    layout that boolean indexing gives: a split with a block of dimension 1
+    has products whose result is a vector, and BLAS sums those in an order
+    set by the operands' layout (a product of matrices is packed first, and
+    its bits do not depend on it).
+    """
+    segments = V[:, :k], V[:, k:]
+    return tuple(np.asfortranarray(X) for X in segments) if copy else segments
 
 
 def _nonzero(w, who: str) -> None:
@@ -274,7 +296,8 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         return LebesgueDecomposition(zero, s.copy(), zero.copy(), SupportSplit(sp.supp_r, empty, sp.ker_r))
 
     if sp.supp_r is None and np.all(sp.h2):  # the triangular route
-        return LebesgueDecomposition(ac=s, perp=np.zeros_like(s), sqrt_lr=matcore._tri_mean(sp.r, s),
+        R = matcore._tri_mean(sp.r, s)
+        return LebesgueDecomposition(ac=s, perp=np.zeros_like(s), sqrt_lr=R,
                                      split=SupportSplit(empty, np.eye(len(s), dtype=complex), empty))
     basis_3 = sp.ker_r
     if np.all(sp.h2):
@@ -284,33 +307,56 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
     else:
         # In the excision eigenbasis sigma0 is diagonal, declared by its
         # eigenvalues; rho's block is not.  The split fixed the H2 count; both
-        # spectra ascend, so h2 selects the same top segment of this eigensolve.
+        # spectra ascend, so H2 is the same top segment of this eigensolve.
         wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else matcore._eigh(sp.ex)
-        P = Vx[:, sp.h2]
+        n1 = _zeros(sp.h2)
+        lone = 1 in (n1, len(Vx) - n1)
+        Q, P = _segments(Vx, n1, lone)
         if sp.supp_r is None:  # rho certified: the excision is sigma itself
-            basis_1, basis_2, rho0 = Vx[:, ~sp.h2], P, P.conj().T @ sp.r @ P
+            basis_1, basis_2, rho0 = Q, P, P.conj().T @ sp.r @ P
         else:
-            basis_1, basis_2 = sp.supp_r @ Vx[:, ~sp.h2], sp.supp_r @ P
+            supp_r = sp.supp_r
+            if lone:  # products with Q or P, and with E* below, are vectors (see _segments)
+                supp_r, basis_3 = np.asfortranarray(supp_r), np.asfortranarray(basis_3)
+            basis_1, basis_2 = supp_r @ Q, supp_r @ P
             rho0 = (P.conj().T * sp.w_r) @ P
-        sigma0 = wx[sp.h2]
+        sigma0 = wx[n1:]
         mean = sigma0, rho0, True
 
     # With alpha = sigma's H2-H3 block and E = sigma0^{-1} alpha, ac and R are
     # F X F* with F = basis_2 + basis_3 E* (X = sigma0, R0 = the mean);
-    # perp = beta - alpha* E lives on H3 alone.
+    # perp = beta - alpha* E lives on H3 alone.  R is formed first, then ac
+    # and perp, each after the temporaries of the one before are released.
     if basis_3.shape[1]:
         T = s @ basis_3
         alpha = basis_2.conj().T @ T
         E = alpha / sigma0[:, None] if sigma0.ndim == 1 else np.linalg.solve(sigma0, alpha)
-        schur = hermitian_part(basis_3.conj().T @ T - alpha.conj().T @ E)
-        perp = hermitian_part(basis_3 @ schur @ basis_3.conj().T)
-        F = basis_2 + basis_3 @ E.conj().T
+        schur = basis_3.conj().T @ T
+        del T
+        schur -= alpha.conj().T @ E
+        del alpha
+        schur = matcore._hermitian_part(schur, out=schur)
+        F = basis_3 @ E.conj().T
+        del E
+        F += basis_2
     else:
-        F, perp = basis_2, np.zeros_like(s)
-    # With H1 empty, F sigma0 F* = sigma - perp: both exactly Hermitian, and so is their difference.
-    ac = s - perp if not basis_1.shape[1] else hermitian_part((F * sigma0) @ F.conj().T)
-    return LebesgueDecomposition(ac=ac, perp=perp, sqrt_lr=matcore._diag_mean(*mean, F),
-                                 split=SupportSplit(basis_1, basis_2, basis_3))
+        F = basis_2
+    R = matcore._diag_mean(*mean, F)
+    del mean
+    if basis_1.shape[1]:
+        ac = (F * sigma0) @ F.conj().T
+        del F
+        ac = matcore._hermitian_part(ac, out=ac)
+    if basis_3.shape[1]:
+        perp = basis_3 @ schur @ basis_3.conj().T
+        del schur
+        perp = matcore._hermitian_part(perp, out=perp)
+    else:
+        perp = np.zeros_like(s)
+    if not basis_1.shape[1]:
+        # With H1 empty, F sigma0 F* = sigma - perp: both exactly Hermitian, and so is their difference.
+        ac = s - perp
+    return LebesgueDecomposition(ac=ac, perp=perp, sqrt_lr=R, split=SupportSplit(basis_1, basis_2, basis_3))
 
 
 def _form(S: tuple, x, y) -> complex:

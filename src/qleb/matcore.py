@@ -25,7 +25,8 @@ on the support, exponential) are applied on the validated
 spectrum; ``exp(iH)`` at size 2 is closed-form on the entries
 (:func:`_expi2`, which the qubit ordered products call directly).  The
 Hermitian part is formed from halves once a sum of entries could
-overflow, so no finite entry overflows.
+overflow, so no finite entry overflows; of an array the library has just
+formed, it is taken in that array's buffer (:func:`_hermitian_part`).
 Eigenbases are made
 deterministic by ordering eigenvalues ascending and fixing the phase of
 each eigenvector (first significant component real positive).
@@ -107,14 +108,32 @@ def hermitian_part(A: np.ndarray) -> np.ndarray:
     wherever the halves are normal numbers, and at most ``2**-1075`` off in
     an entry whose half is subnormal, against a norm above ``2**510``.
     """
-    return _hermitian_part(A, A.conj().swapaxes(-1, -2), _frob(A, False) < _FROB_SAFE)
+    return _hermitian_part(A)
 
 
-def _hermitian_part(A: np.ndarray, A_star: np.ndarray, summable: bool) -> np.ndarray:
-    """:func:`hermitian_part` given ``A*`` and whether no sum of two entries of ``A``
-    overflows (a norm below ``2**510``), which :func:`check_hermitian` has already
-    measured: scanning a ``(10**4, 2, 2)`` stack again cost a tenth of a Kakutani op."""
-    return (A + A_star) / 2 if summable else A / 2 + A_star / 2
+def _hermitian_part(A: np.ndarray, out: np.ndarray | None = None, A_star: np.ndarray | None = None,
+                    summable: bool | None = None) -> np.ndarray:
+    """The one implementation of :func:`hermitian_part`, written into ``out`` when given: ``A``
+    itself when the caller has just formed ``A`` and reads it no more, or a spent temporary of
+    ``A``'s shape and dtype (:func:`check_hermitian`'s ``A - A*``).
+
+    The operations are those of ``(A + A*) / 2`` below norm ``2**510`` and
+    ``A / 2 + A* / 2`` from there on, each written into the buffer of the one
+    before, so the bits are those of the out-of-place forms.  ``A_star`` (a
+    fresh conjugate by default) and ``summable`` (a norm below ``2**510``) may
+    be passed when :func:`check_hermitian` has them: scanning a ``(10**4, 2,
+    2)`` stack again cost a tenth of a Kakutani op.
+    """
+    if A_star is None:
+        A_star = A.conj().swapaxes(-1, -2)
+    if summable is None:
+        summable = _frob(A, False) < _FROB_SAFE
+    if summable:
+        H = np.add(A, A_star, out=out)
+        return np.true_divide(H, 2, out=H)
+    half_star = A_star / 2  # before ``out`` is written: for a real ``A``, ``A*`` is a view of it
+    H = np.true_divide(A, 2, out=out)
+    return np.add(H, half_star, out=H)
 
 
 def check_square(A: np.ndarray, stack: bool = False, dtype=complex) -> np.ndarray:
@@ -206,7 +225,7 @@ def _check_hermitian(A: np.ndarray, tol: ToleranceConfig, who: str, labels: np.n
             f"{name} is not Hermitian: entry [{i}][{j}]={a[i, j]:.6g} vs "
             f"conj([{j}][{i}])={np.conj(a[j, i]):.6g} (deviation {dev:.3e})"
         )
-    return _hermitian_part(A, A_star, not large)
+    return _hermitian_part(A, out=diff, A_star=A_star, summable=not large)  # in the spent A - A*
 
 
 def _hermitian2(A: np.ndarray, tol: ToleranceConfig, who: str) -> tuple[float, complex, float]:
@@ -234,11 +253,16 @@ def _matrix2(a: float, b: complex, c: float) -> np.ndarray:
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
+    return V * _phases(V)
+
+
+def _phases(V: np.ndarray) -> np.ndarray:
+    """The unit factor of each column that :func:`_phase_fix` multiplies it by."""
     mags = np.abs(V)
     first = (mags > 1e-12 * mags.max(axis=0, initial=0.0)).argmax(axis=0)
     pivot = V[first, np.arange(V.shape[1])]
     # Eigenvector columns are unit vectors, so no pivot is zero.
-    return V * (pivot.conj() / np.abs(pivot))
+    return pivot.conj() / np.abs(pivot)
 
 
 def _ldexp(z: complex, k: int) -> complex:
@@ -303,15 +327,19 @@ def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     """The one eigensolver: ascending eigenvalues, and eigenvectors when ``vectors``.
 
     One matrix gets deterministic phases (:func:`_phase_fix`'s rule), in
-    closed form at sizes 1 and 2 (:func:`_eigh2`, no LAPACK call); a stack
-    keeps LAPACK's phases.  Without ``vectors`` the eigenvectors are ``None``.
+    closed form at sizes 1 and 2 (:func:`_eigh2`, no LAPACK call); above, the
+    phases are written into LAPACK's fresh eigenvector array, which nothing
+    else holds.  A stack keeps LAPACK's phases.  Without ``vectors`` the
+    eigenvectors are ``None``.
     """
     if H.ndim == 2 and H.shape[0] <= 2:
         return _eigh2(H, vectors)
     if not vectors:
         return SpectralDecomposition(np.linalg.eigvalsh(H), None)
     w, V = np.linalg.eigh(H)
-    return SpectralDecomposition(w, _phase_fix(V) if V.ndim == 2 else V)
+    if V.ndim == 2:
+        V *= _phases(V)
+    return SpectralDecomposition(w, V)
 
 
 class PSDSpectrum(NamedTuple):
@@ -437,13 +465,15 @@ def psd_log_on_support(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     """Logarithm on the support of a PSD matrix; the kernel is mapped to 0."""
     _, w, V = psd_spectrum(A, tol)
     mask = support_mask(w, tol)
-    return hermitian_part((V * np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)) @ V.conj().T)
+    L = (V * np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)) @ V.conj().T
+    return _hermitian_part(L, out=L)
 
 
 def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Exponential of a Hermitian matrix."""
     w, V = _eigh(check_hermitian(A, tol))
-    return hermitian_part((V * np.exp(w)) @ V.conj().T)
+    E = (V * np.exp(w)) @ V.conj().T
+    return _hermitian_part(E, out=E)
 
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -515,8 +545,9 @@ def _finite_bound(bound: float) -> float:
     return bound
 
 
-def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
-    """:func:`is_positive_definite` of a Hermitian ``H``, which it overwrites.
+def _shifted_cholesky(H: np.ndarray, strict: float, restore: bool = False) -> bool:
+    """:func:`is_positive_definite` of a Hermitian ``H``, which it overwrites unless ``restore``
+    (see :func:`_factors`).
 
     When ``||H||_inf`` lies outside ``2**-500 ... 2**500`` (or a row sum
     overflows), ``H`` is first scaled by a power of 4 near its largest entry,
@@ -529,16 +560,22 @@ def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
     if not 2.0**-500 < bound < 2.0**500:
         H = _scaled4(H)[0]
         bound = _finite_bound(float(np.abs(H).sum(axis=1).max(initial=0.0)))
-    return _factors(H, strict * bound)
+    return _factors(H, strict * bound, restore)
 
 
-def _factors(H: np.ndarray, shift: float) -> bool:
-    """Whether ``H - shift * I`` (formed in ``H``) has a Cholesky factor."""
-    H.flat[:: len(H) + 1] -= shift
+def _factors(H: np.ndarray, shift: float, restore: bool = False) -> bool:
+    """Whether ``H - shift * I`` (formed in ``H``) has a Cholesky factor; with ``restore``,
+    ``H``'s diagonal is put back, bit for bit, before it returns or raises."""
+    step = len(H) + 1
+    diagonal = H.flat[::step]  # a copy
+    H.flat[::step] = diagonal - shift
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        if restore:
+            H.flat[::step] = diagonal
     return True
 
 
@@ -610,12 +647,14 @@ def _certified_full_rank(H: np.ndarray, tol: ToleranceConfig) -> bool:
     eigensolver computes all clear ``rank_rel * lam_max``, and ``H`` clears
     the PSD floor.  False means "decide by the spectrum": the factorisation
     failed, or ``rank_rel < d eps``, where no eigensolver resolves the cutoff
-    either.
+    either.  The shift is written into ``H``'s own diagonal (unless ``H`` is
+    rescaled first, into a copy), and the diagonal is put back, bit for bit,
+    before it returns or raises.
     """
     d = H.shape[0]
     if tol.rank_rel < d * _EPS:
         return False
-    return _shifted_cholesky(H.copy(), tol.rank_rel + _CERT_MARGIN * d * _EPS)
+    return _shifted_cholesky(H, tol.rank_rel + _CERT_MARGIN * d * _EPS, restore=True)
 
 
 def _resolved_det2(a: float, c: float, b: complex) -> float:
@@ -642,12 +681,18 @@ def _root(x: float, y: float, inverse: bool = False) -> float:
     return math.ldexp(math.sqrt(x / y if inverse else x * y), kx - ky if inverse else kx + ky)
 
 
-def _times2(A: np.ndarray, k: int) -> np.ndarray:
-    """``A * 2**k`` in two factors that are normal floats: exact wherever the result is normal."""
+def _times2(A: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``A * 2**k`` in two factors that are normal floats: exact wherever the result is normal.
+
+    Both products are written into one buffer: ``out`` when given (``A``
+    itself, when the caller has just formed ``A`` and reads it no more), else
+    one new array.  ``k = 0`` returns ``A`` itself.
+    """
     if not k:
         return A
     h = k // 2
-    return A * math.ldexp(1.0, h) * math.ldexp(1.0, k - h)
+    P = np.multiply(A, math.ldexp(1.0, h), out=out)
+    return np.multiply(P, math.ldexp(1.0, k - h), out=P)
 
 
 def _scaled4(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -690,14 +735,20 @@ def _diag_mean(c: np.ndarray, M: np.ndarray, inverse: bool, F: np.ndarray) -> np
     if c.size > 2:
         Z, f = _diag_mean_factor(c, M, inverse)
         FZ = F @ Z
-        return hermitian_part((FZ * f) @ FZ.conj().T)
+        del Z
+        FZ_h = FZ.conj().T
+        FZ *= f
+        R = FZ @ FZ_h
+        del FZ, FZ_h
+        return _hermitian_part(R, out=R)
     if c.size == 1:
         N = np.array([[_root(float(c[0]), M.real.item(), inverse)]], dtype=complex)
     else:
         (m00, m01), (m10, m11) = M.tolist()
         n00, n01, n11 = _diag_mean2(*c.tolist(), m00.real, (m01 + m10.conjugate()) / 2, m11.real, inverse)
         N = np.array([[n00, n01], [n01.conjugate(), n11]], dtype=complex)
-    return hermitian_part(F @ N @ F.conj().T)
+    R = F @ N @ F.conj().T
+    return _hermitian_part(R, out=R)
 
 
 def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -711,7 +762,11 @@ def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.n
     (c, kc), (M, km) = _scaled4(c), _scaled4(M)
     root = np.sqrt(c)
     scale = root if inverse else 1.0 / root
-    w, V = np.linalg.eigh(hermitian_part(scale[:, None] * M * scale))
+    S = scale[:, None] * M
+    del M
+    S *= scale
+    w, V = np.linalg.eigh(_hermitian_part(S, out=S))
+    del S
     # Eigenvalues below eps * w_max are rounding (M > 0): the square root maps
     # them to 0, the inverse square root to that of the resolution limit.
     w = np.maximum(w, _EPS * w[-1] if inverse else 0.0)
@@ -744,14 +799,27 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     the triangular ``L*`` (:func:`_solve_upper`).  No inverse or inverse square
     root of either operand is formed, and ``R`` is as accurate as the pair's
     conditioning allows (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).
-    Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.
+    Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.  Each
+    d x d temporary is released after its last reader, and ``R``'s Hermitian
+    part and scale are written into the product that forms it.
     """
     (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
     L = np.linalg.cholesky(rho)
+    del rho
     L_h = L.conj().T
-    w, V = np.linalg.eigh(hermitian_part(L_h @ sigma @ L))
+    M = L_h @ sigma
+    del sigma
+    M = M @ L
+    del L
+    w, V = np.linalg.eigh(_hermitian_part(M, out=M))
+    del M
     Y = _solve_upper(L_h, V)
-    return _times2(hermitian_part((Y * np.sqrt(np.maximum(w, 0.0))) @ Y.conj().T), ks - kr)
+    del L_h, V
+    Y_h = Y.conj().T
+    Y *= np.sqrt(np.maximum(w, 0.0))
+    R = Y @ Y_h
+    del Y, Y_h
+    return _times2(_hermitian_part(R, out=R), ks - kr, out=R)
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -10,8 +10,14 @@ with every summand within 1e-14 of the stored one (and so every partial sum
 up to ``i`` within ``i * 1e-14``): their summands are rounding-level
 differences of numbers near 1, and a change of the arithmetic moves them.
 
-Regenerate ``data/cli_reports.json`` only for an intended change of report
-contents, with ``PYTHONPATH=src python tests/test_cli_reports.py``.
+Regenerate an entry of ``data/cli_reports.json`` only for an intended change
+of its report contents, by naming it:
+``PYTHONPATH=src python tests/test_cli_reports.py KEY...`` rewrites the named
+entries alone (and adds a newly pinned one), and exits 2, writing nothing, on
+a key that names no pinned command.  With no key it writes nothing: it lists
+the entries whose regenerated report differs from the stored one, so that a
+regeneration never rewrites an entry by the way (the Kakutani reports move
+in their last bits whenever the summand arithmetic does).
 """
 
 from __future__ import annotations
@@ -109,10 +115,12 @@ def _gaussian_commands(rng: np.random.Generator, workdir: Path) -> dict[str, lis
     }
 
 
-def cli_reports(workdir: Path) -> dict[str, dict]:
-    """Exit code and parsed report of every pinned command."""
+def cli_reports(workdir: Path, names=None) -> dict[str, dict]:
+    """Exit code and parsed report of every pinned command, or of the commands ``names``."""
     reports = {}
     for name, argv in commands(workdir).items():
+        if names is not None and name not in names:
+            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -169,8 +177,45 @@ def test_kakutani_report_matches_to_summand_rounding(reports, expected, name):
         assert abs(row["partial_sum"] - ref["partial_sum"]) <= row["i"] * SUMMAND_TOL
 
 
-if __name__ == "__main__":
+def regenerate(keys: list[str], path: Path = EXPECTED) -> int:
+    """Rewrite the stored reports ``keys`` in ``path``; with no key, list those that differ.
+
+    Returns the exit code: 2, with nothing written, when a key names no
+    pinned command.
+    """
+    stored = json.loads(path.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        EXPECTED.write_text(json.dumps(cli_reports(Path(tmp)), indent=1, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    sys.stdout.write(f"wrote {EXPECTED}\n")
+        pinned = commands(Path(tmp))
+        if unknown := [k for k in keys if k not in pinned]:
+            sys.stderr.write(f"unknown key(s): {', '.join(unknown)}; pinned: {', '.join(sorted(pinned))}\n")
+            return 2
+        reports = cli_reports(Path(tmp), set(keys) if keys else None)
+    if not keys:
+        for name in sorted(set(reports) | set(stored)):
+            if reports.get(name) != stored.get(name):
+                sys.stdout.write(f"{name}\n")
+        return 0
+    stored.update(reports)
+    path.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {', '.join(keys)} to {path}\n")
+    return 0
+
+
+def test_regeneration_rewrites_only_the_named_entries(tmp_path, expected, capsys):
+    path = tmp_path / "cli_reports.json"
+    stored = dict(expected, **{"pure.spin-overlap": {"exit_code": 0, "report": {}}})
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    before = path.read_bytes()
+    assert regenerate(["pure.spin-overlap", "no.such-entry"], path) == 2
+    assert path.read_bytes() == before
+    assert "no.such-entry" in capsys.readouterr().err
+    assert regenerate([], path) == 0
+    assert path.read_bytes() == before
+    listed = capsys.readouterr().out.split()
+    assert "pure.spin-overlap" in listed and "limit.example-4.1" not in listed
+    assert regenerate(["pure.spin-overlap"], path) == 0
+    assert json.loads(path.read_text(encoding="utf-8")) == expected
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
