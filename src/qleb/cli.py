@@ -15,9 +15,11 @@ consistency check beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -198,11 +200,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # -- contiguity ------------------------------------------------------------------
 
-def _grid_from_arg(arg: str | None, horizon: int) -> list[int] | None:
-    if arg is None:
-        return None
-    grid = [int(x) for x in arg.split(",") if x.strip()]
-    return grid or contiguity.default_grid(horizon)
+def _count(text: str) -> int:
+    """A count written as an integer or in e-notation (``1e6``); anything else raises ValueError."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        x = float(text)
+        if math.isfinite(x) and x.is_integer():
+            return int(x)
+    raise ValueError(f"expected a whole number, got {text!r}")
+
+
+def _counts(arg: str | None) -> list[int] | None:
+    """The comma-separated counts of ``arg``; ``None``, the caller's default, when it names none."""
+    return [_count(x) for x in (arg or "").split(",") if x.strip()] or None
 
 
 def _named(table: dict, name: str, what: str):
@@ -219,15 +230,15 @@ def _scaling_by_name(name: str):
 
 def _sequence_range(args: argparse.Namespace) -> dict:
     """``horizon`` (default 10**6) and ``sample_grid`` of a state-sequence preset."""
-    horizon = args.horizon or 10**6
-    return {"horizon": horizon, "sample_grid": _grid_from_arg(args.grid, horizon)}
+    horizon = 10**6 if args.horizon is None else args.horizon
+    return {"horizon": horizon, "sample_grid": _counts(args.grid)}
 
 
 #: ``--preset`` name -> the family it builds from the parsed arguments.
 _PRESETS = {
     "example-4.1": lambda args: presets.faithful_to_pure_family(**_sequence_range(args)),
     "example-4.3": lambda args: presets.orthogonal_limit_family(**_sequence_range(args)),
-    "sec-7.1": lambda args: presets.three_block_family(grid=_grid_from_arg(args.grid, 512)),
+    "sec-7.1": lambda args: presets.three_block_family(grid=_counts(args.grid)),
     "sec-7.2-n": lambda args: presets.drifting_product_family("linear"),
     "sec-7.2-sqrt-n": lambda args: presets.drifting_product_family("sqrt"),
     "spin-overlap": lambda args: presets.spin_overlap_family(
@@ -238,7 +249,6 @@ _PRESETS = {
 
 def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
     """The family of ``--preset`` or ``--spec``, and the spec document read (``None`` for a preset)."""
-    horizon = args.horizon
     if args.preset is not None:
         return _named(_PRESETS, args.preset, "preset")(args), None
     spec = load_json(args.spec)
@@ -246,12 +256,12 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
     if kind == "constant-pair":
         rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
         sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
-        horizon = int(spec.get("horizon", horizon or 1000))
+        horizon = _count(str(spec.get("horizon", 1000 if args.horizon is None else args.horizon)))
         return contiguity.StateSequence(
             eval=lambda n: (rho, sigma),
             declared_limits=(rho, sigma),
             horizon=horizon,
-            sample_grid=_grid_from_arg(args.grid, horizon),
+            sample_grid=_counts(args.grid),
         ), spec
     if kind == "iid-product":
         rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
@@ -275,7 +285,8 @@ def cmd_contiguity(args: argparse.Namespace) -> int:
     elif sub == "kakutani":
         if not isinstance(family, contiguity.ProductFamily):
             raise QlebError("kakutani criterion expects a product family")
-        rep = contiguity.kakutani_criterion(family, horizon=args.horizon or 10**4, tol=tol)
+        rep = contiguity.kakutani_criterion(
+            family, horizon=10**4 if args.horizon is None else args.horizon, tol=tol)
     elif sub == "block":
         if not isinstance(family, contiguity.BlockSequence):
             raise QlebError("block criterion expects a block-structured family")
@@ -382,7 +393,7 @@ def cmd_qlan(args: argparse.Namespace) -> int:
               "h": args.h, "n": args.n, "f": args.f, "g": args.g, "grid": args.grid}
 
     if sub == "rate-scan":
-        grid = _grid_from_arg(args.grid, 10**7) or contiguity.default_grid(10**7, points=15)
+        grid = _counts(args.grid) or contiguity.default_grid(10**7, points=15)
         scan = qlan.RateScan(
             f=_defect_by_name(args.f or "cubic"),
             g=_scaling_by_name(args.g or "sqrt"),
@@ -402,7 +413,7 @@ def cmd_qlan(args: argparse.Namespace) -> int:
         rho0 = model.state_at(theta0)
         values = {"qfi": matrix_document(qlan.qfi_matrix(rho0, qlan.slds(model, theta0, tol), tol))}
     elif sub == "clt-check":
-        n_grid = [int(float(x)) for x in (args.n or "100,10000,1000000").split(",")]
+        n_grid = _counts(args.n) or [100, 10000, 1000000]
         xi_grid = [[np.array([x, 0.3 * x])] for x in np.linspace(-2.0, 2.0, _CLT_XI_COUNT)]
         rep = qlan.lecam3_numeric_check(model, theta0, None, h, n_grid, xi_grid, tol)
         values = {
@@ -459,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     family = p.add_mutually_exclusive_group(required=True)
     family.add_argument("--preset", help="named built-in family")
     family.add_argument("--spec", help="inline family description (JSON file)")
-    p.add_argument("--horizon", type=lambda s: int(float(s)), default=None)
+    p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--grid", help="comma-separated sample indices")
     p.add_argument("--g", help="scaling for the spin-overlap preset (sqrt|quarter|linear)")
     p.add_argument("--h", help="shift direction, comma-separated")

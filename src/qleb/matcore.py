@@ -53,16 +53,12 @@ class ToleranceConfig:
     rank_rel  : eigenvalue ``lam`` counts as zero iff ``lam <= rank_rel * lam_max``.
     psd_floor : most negative admissible eigenvalue, relative to ``lam_max``;
                 eigenvalues between that floor and 0 are clamped to 0.
-    recon     : spectral reconstruction residual bound (relative).
-    ortho     : eigenvector Gram-matrix deviation bound.
     eq_rel    : relative Frobenius tolerance for matrix equality checks.
     """
 
     hermitian: float = 1e-10
     rank_rel: float = 1e-9
     psd_floor: float = 1e-10
-    recon: float = 1e-12
-    ortho: float = 1e-12
     eq_rel: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -80,10 +76,7 @@ DEFAULT_TOL = ToleranceConfig()
 #: span ~18 orders of magnitude are still treated as full rank.
 TOL_PROFILES: dict[str, ToleranceConfig] = {
     "default": DEFAULT_TOL,
-    "strict": ToleranceConfig(
-        hermitian=1e-12, rank_rel=1e-12, psd_floor=1e-12,
-        recon=1e-13, ortho=1e-13, eq_rel=1e-10,
-    ),
+    "strict": ToleranceConfig(hermitian=1e-12, rank_rel=1e-12, psd_floor=1e-12, eq_rel=1e-10),
     "extreme-scale": ToleranceConfig(rank_rel=1e-30),
 }
 

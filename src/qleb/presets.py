@@ -197,6 +197,8 @@ def _spin_pure_entries(theta: np.ndarray) -> tuple[float, complex, float]:
     norm as ``sqrt(theta . theta)``, as ``np.linalg.norm`` takes it, so the
     entries are the same bit for bit.
     """
+    if theta.shape != (2,):
+        raise ValueError(f"the spin model takes 2 parameters, got an array of shape {theta.shape}")
     t = math.sqrt(theta.dot(theta))
     if t == 0.0:
         return 1.0, 0j, 0.0
@@ -227,6 +229,8 @@ def _tilt_coefficients(t: float) -> tuple[float, float, float]:
 
 def spin_pure_deriv(theta, i: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2,):
+        raise ValueError(f"the spin model takes 2 parameters, got an array of shape {theta.shape}")
     t = float(np.linalg.norm(theta))
     a, da_over_t, db_over_t = _tilt_coefficients(t)
     drive = theta[0] * SIGMA_X + theta[1] * SIGMA_Y
@@ -263,9 +267,10 @@ def spin_perturbed_state(theta, defect=cubic_defect) -> np.ndarray:
 def spin_perturbed_model(defect=cubic_defect, defect_grad=cubic_defect_grad) -> ParametricModel:
     def deriv(theta, i):
         theta = np.asarray(theta, dtype=float)
+        pure = spin_pure_deriv(theta, i)  # refuses a theta of other than 2 parameters first
         weight = float(np.exp(-defect(theta)))
         g = defect_grad(theta)[i]
-        return weight * (spin_pure_deriv(theta, i) + g * (EXCITED - spin_pure_state(theta)))
+        return weight * (pure + g * (EXCITED - spin_pure_state(theta)))
 
     return ParametricModel(
         state_at=lambda th: spin_perturbed_state(th, defect),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 import qleb
 from qleb import ProductFamily, kakutani_criterion
 from qleb.cli import _contiguity_input, complex_pair, main, matrix_document, parse_matrix_document
-from qleb.matcore import DEFAULT_TOL
+from qleb.matcore import DEFAULT_TOL, ToleranceConfig
 from qleb.presets import faithful_to_pure_pair, faithful_to_pure_sqrt_lr
 
 from util import rand_density
@@ -420,6 +421,93 @@ def test_qlan_unknown_model_exits_2(capsys):
     assert code == 2 and "unknown model" in err
 
 
+def _half_spec(path, **fields) -> str:
+    half = matrix_document(np.eye(2) / 2)
+    return write_json(path, {"kind": "constant-pair", "rho": half, "sigma": half, **fields})
+
+
+@pytest.mark.parametrize("argv", [
+    ["contiguity", "kakutani", "--preset", "sec-7.2-n", "--horizon", "inf"],
+    ["contiguity", "kakutani", "--preset", "sec-7.2-n", "--horizon", "1e400"],
+    ["contiguity", "limit", "--preset", "example-4.1", "--horizon", "2.5"],
+    ["qlan", "clt-check", "--n", "inf"],
+    ["contiguity", "block", "--preset", "sec-7.1", "--grid", "4,8.5"],
+    ["qlan", "rate-scan", "--grid", "1,1e400"],
+])
+def test_a_count_that_is_not_a_finite_whole_number_exits_2(capsys, argv):
+    # inf and 1e400 once ended in an OverflowError traceback with exit 1,
+    # and --horizon 2.5 ran the horizon 2.
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon", ["1e400", "Infinity", "2.5", '"ten"', "true"])
+def test_a_spec_horizon_that_is_not_a_finite_whole_number_exits_2(tmp_path, capsys, horizon):
+    spec = _half_spec(tmp_path / "spec.json", horizon=0)
+    Path(spec).write_text(Path(spec).read_text().replace('"horizon": 0', f'"horizon": {horizon}'))
+    code, out, err = run(capsys, ["contiguity", "limit", "--spec", spec])
+    assert code == 2 and out == "" and err.startswith("error: expected a whole number")
+
+
+@pytest.mark.parametrize("argv", [
+    ["contiguity", "kakutani", "--preset", "sec-7.2-n"],
+    ["contiguity", "limit", "--preset", "example-4.1"],
+    ["contiguity", "pure", "--preset", "spin-overlap"],
+])
+def test_horizon_0_is_refused_not_read_as_absent(capsys, argv):
+    # --horizon 0 once ran the default horizon (10^4 or 10^6) and exited 0.
+    code, out, err = run(capsys, argv + ["--horizon", "0"])
+    assert code == 2 and out == "" and err == "error: horizon must be >= 1\n"
+
+
+def test_counts_take_e_notation_everywhere(tmp_path, capsys):
+    # --horizon and --n took 1e6 while --grid took plain integers only.
+    for plain, scientific in [
+        (["contiguity", "block", "--preset", "sec-7.1", "--grid", "4,8,16,32"],
+         ["contiguity", "block", "--preset", "sec-7.1", "--grid", "4,8,1.6e1,3.2E1"]),
+        (["contiguity", "limit", "--preset", "example-4.1", "--horizon", "1000", "--grid", "1,10,100"],
+         ["contiguity", "limit", "--preset", "example-4.1", "--horizon", "1e3", "--grid", "1,1e1,1e2"]),
+        (["contiguity", "limit", "--spec", _half_spec(tmp_path / "int.json", horizon=100)],
+         ["contiguity", "limit", "--spec", _half_spec(tmp_path / "float.json", horizon=1e2)]),
+        (["qlan", "clt-check", "--n", "100,10000"], ["qlan", "clt-check", "--n", "1e2,1e4"]),
+    ]:
+        code, want, _ = run(capsys, plain)
+        assert code == 0
+        code, got, _ = run(capsys, scientific)
+        assert code == 0 and report_values(got) == report_values(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["contiguity", "block", "--preset", "sec-7.1"],
+    ["contiguity", "limit", "--preset", "example-4.1"],
+    ["qlan", "rate-scan"],
+    ["qlan", "clt-check"],
+])
+def test_a_grid_that_names_no_count_is_no_grid(capsys, argv):
+    # "--grid ," once gave default_grid(512) for sec-7.1 instead of the preset's grid,
+    # and 13 rate-scan rows instead of 15.
+    flag = "--n" if argv[1] == "clt-check" else "--grid"
+    code, want, _ = run(capsys, argv)
+    assert code == 0
+    code, got, _ = run(capsys, argv + [flag, ","])
+    assert code == 0 and report_values(got) == report_values(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlan", "sld", "--theta", "0.1"],
+    ["qlan", "qfi", "--theta", "0.1,0.2,0.3"],
+    ["qlan", "expansion", "--model", "spin-perturbed:f=cubic", "--theta", "0.1,0.2,0.3"],
+    ["contiguity", "pure", "--preset", "spin-overlap", "--h", "1"],
+])
+def test_the_spin_models_take_exactly_two_parameters(capsys, argv):
+    # One parameter once ended in an IndexError traceback, and three gave a 3x3 QFI.
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert re.match(r"error: the spin model takes 2 parameters, got an array of shape \((1|3),\)\n$",
+                    err)
+
+
 def test_tolerance_flags_override(pair_files, capsys):
     sigma_path, rho_path = pair_files
     code, out, _ = run(capsys, [
@@ -438,6 +526,37 @@ def test_tolerance_profile_env(pair_files, capsys, monkeypatch):
     monkeypatch.setenv("QLEB_TOL_PROFILE", "no-such-profile")
     code, _, err = run(capsys, ["decompose", sigma_path, rho_path])
     assert code == 2
+
+
+def test_the_tolerance_surface_is_one_list(pair_files, tmp_path, capsys):
+    # ToleranceConfig's fields, each subcommand's --tol-* flags, a report's
+    # tolerances and the README's Tolerances paragraph name the same four.
+    fields = sorted(f.name for f in dataclasses.fields(ToleranceConfig))
+    assert fields == ["eq_rel", "hermitian", "psd_floor", "rank_rel"]
+    params = write_json(tmp_path / "params.json", {"h": [0.1, 0.2], "J": matrix_document(SPIN_J)})
+    query = write_json(tmp_path / "query.json", {"xis": [[0.3, -0.1]]})
+    argvs = {"decompose": ["decompose", *pair_files],
+             "contiguity": ["contiguity", "limit", "--preset", "example-4.1"],
+             "gaussian": ["gaussian", "qcf", "--params", params, "--query", query],
+             "qlan": ["qlan", "sld"]}
+    for command, argv in argvs.items():
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and sorted(json.loads(out)["tolerances"]) == fields, command
+        code, out, _ = run(capsys, [command, "--help"])
+        assert code == 0
+        flags = dict.fromkeys(re.findall(r"--tol-([a-z-]+)", out))
+        assert sorted(flag.replace("-", "_") for flag in flags) == fields, command
+        for name in ("recon", "ortho"):
+            code, out, err = run(capsys, argv + [f"--tol-{name}", "1e-3"])
+            assert code == 2 and out == "", command
+            assert f"unrecognized arguments: --tol-{name}" in err, command
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^\*\*Tolerances\*\*.*?\n\n", readme, re.M | re.S).group()
+    assert sorted(f.replace("-", "_") for f in re.findall(r"--tol-([a-z-]+)", paragraph)) == fields
+    with pytest.raises(TypeError):
+        ToleranceConfig(recon=1e-12)
+    with pytest.raises(TypeError):
+        ToleranceConfig(ortho=1e-12)
 
 
 def test_output_file_and_pretty(pair_files, tmp_path, capsys):
@@ -464,6 +583,19 @@ def test_exit_code_contract_numeric_failure(tmp_path, capsys):
     assert "numeric check failed" in err
     # the report is still emitted, with the offending residual inside
     assert "reconstruction" in out
+
+
+def test_exit_code_contract_numeric_failure_inside_the_library(tmp_path, capsys, monkeypatch):
+    # Orthogonal pure states: under a 1e-30 rank cutoff lebesgue_decompose
+    # refuses the split it cannot resolve, and no report is written.
+    v, w = np.array([np.cos(0.3), np.sin(0.3)]), np.array([-np.sin(0.3), np.cos(0.3)])
+    sigma_path = write_json(tmp_path / "s.json", matrix_document(np.outer(v, v)))
+    rho_path = write_json(tmp_path / "r.json", matrix_document(np.outer(w, w)))
+    monkeypatch.setenv("QLEB_TOL_PROFILE", "extreme-scale")
+    code, out, err = run(capsys, ["decompose", sigma_path, rho_path])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric check failed: decomposition unresolved")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 
 import numpy as np
@@ -325,7 +326,8 @@ def spin_pure_state_reference(theta):
 
 def test_spin_states_are_the_array_formula_bit_for_bit():
     # The scalar entries use the array formula's operations and numpy ufuncs,
-    # so every byte agrees, the signs of zeros included.
+    # so every byte agrees, the signs of zeros included; a theta of three
+    # parameters is refused.
     rng = np.random.default_rng(61)
     thetas = [np.zeros(2), np.zeros(3), np.array([-0.0, 0.0]), np.array([1.0, 0.0]),
               np.array([0.0, -1.0]), np.array([3e-5, -2e-5]), np.array([0.3, -0.2, 0.7])]
@@ -337,12 +339,29 @@ def test_spin_states_are_the_array_formula_bit_for_bit():
             theta = -np.abs(theta)
         thetas.append(theta)
     for theta in thetas:
+        if theta.shape != (2,):
+            for state in (spin_pure_state, presets.spin_perturbed_state):
+                with pytest.raises(ValueError, match=r"takes 2 parameters, got an array of shape \(3,\)"):
+                    state(theta)
+            continue
         pure = spin_pure_state_reference(theta)
         assert spin_pure_state(theta).tobytes() == pure.tobytes()
         for defect in (cubic_defect, quadratic_defect):
             weight = float(np.exp(-defect(theta)))
             want = weight * pure + (1.0 - weight) * presets.EXCITED
             assert presets.spin_perturbed_state(theta, defect).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta", [[], [0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1])
+def test_the_spin_models_take_exactly_two_parameters(theta):
+    # One parameter once ended in an IndexError, and a third one was ignored.
+    shape = np.shape(theta)
+    message = rf"the spin model takes 2 parameters, got an array of shape {re.escape(str(shape))}"
+    for model in (spin_pure_model(), spin_perturbed_model()):
+        with pytest.raises(ValueError, match=message):
+            model.state_at(theta)
+        with pytest.raises(ValueError, match=message):
+            model.deriv_at(theta, 0)
 
 
 # -- quantum Le Cam third lemma at desk scale -----------------------------------------
