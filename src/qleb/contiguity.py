@@ -11,7 +11,8 @@ Quasi-characteristic functions over observables are one ordered product,
 :func:`_ordered_product`; with 2x2 operands its generators are formed from
 the observables' entries and exponentiated in closed form, with no array
 round-trip per factor.  The declared limits of :func:`limit_criterion` are
-validated once, by the split that decides the verdict.
+validated once, by the split that decides the verdict.  ``sigma << rho`` is
+decided in :mod:`qleb.lebesgue`, for one pair or a stack of Kakutani factors.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .errors import (
     MissingLimits,
     NotPure,
     ValidationError,
-    ZeroState,
 )
-from .lebesgue import _mat, _pair_split, lebesgue_decompose
+from .lebesgue import _mat, _pair_split, _stacked_fidelity, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig
 
 CONTIGUOUS = "Contiguous"
@@ -415,25 +415,8 @@ def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig
 
 
 def _stacked_summands(rhos: np.ndarray, sigmas: np.ndarray, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """The summands of the factors ``idx``, each operand a stack ``(len(idx), d, d)`` or one shared ``(d, d)``.
-
-    A shared operand is validated once, as a stack of one (errors name the
-    first factor), and its entries or spectrum broadcast.
-    ``sigma_i << rho_i`` is the split's rank rule: rho's excision onto supp
-    sigma (rho itself where sigma is faithful) clears ``rank_rel`` times rho's
-    largest eigenvalue.  ``Tr rho R = Tr sqrt(sqrt(sigma) rho sqrt(sigma))``
-    sums the roots of the product's top ``rank(sigma)`` eigenvalues, so a
-    rank-deficient product adds no root of rounding noise.
-
-    For ``d = 2`` the factors are entry arrays in units of powers of 4
-    (:func:`matcore._psd2_stack`).  A sigma with a kernel is ``lo + (hi - lo)
-    v v*``, so the excision is ``<v|rho|v> = (Tr(rho sigma) - lo Tr rho) / (hi
-    - lo)``, and the product's spectrum comes from ``Tr(rho sigma)`` and
-    ``det(rho) det(sigma)`` in the product of the units, which the summand's
-    root carries back: no LAPACK call.  Larger ``d`` takes stacked eigensolves
-    of rho, sigma and the product, and one of ``V* rho V`` (sigma's
-    eigenvectors, zero on ker sigma) for the factors whose sigma has a kernel.
-    """
+    """The summands of the factors ``idx``, each operand a stack ``(len(idx), d, d)`` or one shared
+    ``(d, d)``: ``sigma_i << rho_i`` and ``Tr rho_i R_i`` are :func:`lebesgue._stacked_fidelity`'s."""
     n = len(idx)
     # C order, as the factors are stacked: the layout sets numpy's
     # summation order, and with it the summands' last bits.
@@ -444,48 +427,10 @@ def _stacked_summands(rhos: np.ndarray, sigmas: np.ndarray, idx: np.ndarray, tol
     if rhos.shape[-2:] != sigmas.shape[-2:]:
         raise matcore.DimMismatch(
             f"factor {idx[0]}: operand shapes differ: {rhos.shape[-2:]} vs {sigmas.shape[-2:]}")
-    rhos, sigmas = (x.reshape((-1,) + x.shape[-2:]) for x in (rhos, sigmas))  # shared: a stack of one
-    if rhos.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
-        (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(rhos, tol, "rho of factor", idx[:len(rhos)])
-        (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(sigmas, tol, "sigma of factor", idx[:len(sigmas)])
-        _nonzero_factors(idx, hi_r, hi_s)
-        x = b_re * q_re + b_im * q_im
-        # Tr(rho sigma) summed in the order of einsum("nij,nji->n"), which the summands once used.
-        tr = (a * p + x) + (x + c * s)
-        faithful = matcore.support_mask(lo_s, tol, lam_max=hi_s)
-        excision = np.divide(tr - lo_s * (a + c), hi_s - lo_s, out=np.where(faithful, lo_r, 0.0), where=~faithful)
-        ac = matcore.support_mask(excision, tol, lam_max=hi_r)
-        w_lo, w_hi = matcore._spectrum_2x2(tr, (lo_r * hi_r) * (lo_s * hi_s))
-        # A factor refused below can have w_hi < 0 (orthogonal supports): no root of it.
-        root = np.ldexp(np.sqrt(np.where(faithful, w_lo, 0.0)) + np.sqrt(np.where(ac, w_hi, 0.0)), k_r + k_s)
-    else:
-        rhos, w_r, _ = matcore.psd_spectrum(rhos, tol, "rho of factor", vectors=False, labels=idx[:len(rhos)])
-        _, w_s, V_s = matcore.psd_spectrum(sigmas, tol, "sigma of factor", labels=idx[:len(sigmas)])
-        _nonzero_factors(idx, w_r[:, -1], w_s[:, -1])
-        rhos, w_r, w_s, V_s = (np.ascontiguousarray(np.broadcast_to(x, (n,) + x.shape[1:]))
-                               for x in (rhos, w_r, w_s, V_s))
-        supp, excision = matcore.support_mask(w_s, tol), w_r
-        if (kernel := ~supp[:, 0]).any():
-            V = V_s[kernel] * supp[kernel, None, :]
-            excision = w_r.copy()
-            X = V.conj().swapaxes(1, 2) @ rhos[kernel] @ V
-            excision[kernel] = np.linalg.eigvalsh(matcore._hermitian_part(X, out=X))
-        ac = matcore.support_mask(excision, tol, lam_max=w_r[:, -1:]).sum(axis=-1) >= supp.sum(axis=-1)
-        sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
-        X = sqrt_sigma @ rhos @ sqrt_sigma
-        del sqrt_sigma
-        w_m = np.maximum(np.linalg.eigvalsh(matcore._hermitian_part(X, out=X)), 0.0)
-        root = np.sqrt(np.where(supp, w_m, 0.0)).sum(axis=1)
+    ac, fidelity = _stacked_fidelity(rhos, sigmas, idx, tol, ("rho of factor", "sigma of factor"))
     if (hits := np.flatnonzero(~ac)).size:
         raise FactorNotAC(f"factor {int(idx[hits[0]])}: sigma_i is not absolutely continuous w.r.t. rho_i")
-    return np.maximum(0.0, 1.0 - np.broadcast_to(root, (n,)))
-
-
-def _nonzero_factors(idx: np.ndarray, top_r: np.ndarray, top_s: np.ndarray) -> None:
-    """Refuse the first zero rho_i, then the first zero sigma_i, by each one's largest eigenvalue."""
-    for who, top in (("rho of factor", top_r), ("sigma of factor", top_s)):
-        if failure := matcore._failure(top == 0, who, idx):
-            raise ZeroState(f"{failure[1]} is the zero operator")
+    return np.maximum(0.0, 1.0 - np.broadcast_to(fidelity, (n,)))
 
 
 #: A fitted decay exponent ``p >= 1 + margin`` reads as a convergent series.

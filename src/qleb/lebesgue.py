@@ -21,11 +21,13 @@ the assembly from factors in hand) are set out in README "Numerical notes".
 ``excision``, ``is_singular`` (H2 empty), ``is_abs_continuous`` (H1 empty),
 ``lebesgue_decompose`` and ``quantum_log_likelihood`` all read one split, in
 which each operand is validated once and every zero/nonzero decision is the
-rank rule of :func:`matcore.support_mask`, so they cannot disagree.  Two 2x2
-operands are split and assembled on Python scalars (:func:`_qubit_split`,
-:func:`_qubit_decompose`), with numpy arrays only for the returned values;
-the array split (:func:`_split`, :func:`_decompose`) takes every other size
-and is the reference for the scalar route.
+rank rule of :func:`matcore.support_mask`, so they cannot disagree; a stack
+of pairs (Kakutani's factors) takes the same rule in
+:func:`_stacked_fidelity`.  Two 2x2 operands are split and assembled on
+Python scalars (:func:`_qubit_split`, :func:`_qubit_decompose`), with numpy
+arrays only for the returned values; the array split (:func:`_split`,
+:func:`_decompose`) takes every other size and is the reference for the
+scalar route.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
 def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> matcore.SpectralDecomposition:
     """The clamped spectrum of a validated Hermitian operand, checked PSD and nonzero."""
     _, w, V = matcore._psd_spectrum(H, tol, who, vectors)
-    _nonzero(w, who)
+    _nonzero(w.max(initial=0.0), who)
     return matcore.SpectralDecomposition(w, V)
 
 
@@ -176,9 +178,10 @@ def _segments(V: np.ndarray, k: int, copy: bool) -> tuple[np.ndarray, np.ndarray
     return tuple(np.asfortranarray(X) for X in segments) if copy else segments
 
 
-def _nonzero(w, who: str) -> None:
-    if not any(w):
-        raise ZeroState(f"{who} is the zero operator")
+def _nonzero(top, who: str, labels: np.ndarray | None = None) -> None:
+    """Refuse a zero operator by its largest eigenvalue ``top``; with ``labels``, the first of a stack."""
+    if failure := matcore._failure(top == 0, who, labels):
+        raise ZeroState(f"{failure[1]} is the zero operator")
 
 
 class _QubitSplit(NamedTuple):
@@ -217,9 +220,9 @@ def _qubit_split(sigma: np.ndarray, rho: np.ndarray, tol: ToleranceConfig,
                  who: tuple[str, str] = ("sigma", "rho")) -> _QubitSplit:
     """:func:`_split` of two 2x2 complex arrays, with the same validation and rank rule."""
     sig, w_s, _ = matcore._psd2(sigma, tol, who[0], vectors=False)
-    _nonzero(w_s, who[0])
+    _nonzero(w_s[1], who[0])
     r, w_r, ((u0, v0), (u1, v1)) = matcore._psd2(rho, tol, who[1], vectors=True)
-    _nonzero(w_r, who[1])
+    _nonzero(w_r[1], who[1])
     u, v = (u0, u1), (v0, v1)
     faithful = w_r[0] > tol.rank_rel * w_r[1]
     if faithful:
@@ -238,6 +241,62 @@ def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify
     if s.shape == r.shape == (2, 2):
         return _qubit_split(s, r, tol, who)
     return _split(s, r, tol, vectors, certify, who)
+
+
+def _stacked_fidelity(rhos: np.ndarray, sigmas: np.ndarray, labels: np.ndarray, tol: ToleranceConfig,
+                      who: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_i << rho_i`` and ``Tr rho_i R_i = Tr sqrt(sqrt(sigma_i) rho_i sqrt(sigma_i))`` for the pairs
+    ``labels``, each operand a C-order complex stack ``(len(labels), d, d)`` or one shared ``(d, d)``.
+
+    Errors name the operands by ``who`` and the pair by its label; a shared operand is validated
+    once, as a stack of one (named by the first label), and its entries or spectrum broadcast.
+    ``sigma_i << rho_i`` is the split's rank rule: rho's excision onto supp sigma (rho itself where
+    sigma is faithful) clears ``rank_rel`` times rho's largest eigenvalue.  ``Tr rho R`` sums the
+    roots of the product's top ``rank(sigma)`` eigenvalues, so a rank-deficient product adds no root
+    of rounding noise.  Both results have ``len(labels)`` entries, or one if both are shared at d = 2.
+
+    For ``d = 2`` the pairs are entry arrays in units of powers of 4 (:func:`matcore._psd2_stack`).
+    A sigma with a kernel is ``lo + (hi - lo) v v*``, so the excision is ``<v|rho|v> = (Tr(rho
+    sigma) - lo Tr rho) / (hi - lo)``, and the product's spectrum comes from ``Tr(rho sigma)`` and
+    ``det(rho) det(sigma)`` in the product of the units, which the root carries back: no LAPACK
+    call.  Larger ``d`` takes stacked eigensolves of rho, sigma and the product, and one of ``V*
+    rho V`` (sigma's eigenvectors, zero on ker sigma) for the pairs whose sigma has a kernel.
+    """
+    rhos, sigmas = (x.reshape((-1,) + x.shape[-2:]) for x in (rhos, sigmas))  # shared: a stack of one
+    if rhos.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
+        (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(rhos, tol, who[0], labels[:len(rhos)])
+        (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(sigmas, tol, who[1], labels[:len(sigmas)])
+        _nonzero(hi_r, who[0], labels)
+        _nonzero(hi_s, who[1], labels)
+        x = b_re * q_re + b_im * q_im
+        # Tr(rho sigma) summed in the order of einsum("nij,nji->n"), which the summands once used.
+        tr = (a * p + x) + (x + c * s)
+        faithful = matcore.support_mask(lo_s, tol, lam_max=hi_s)
+        excision = np.divide(tr - lo_s * (a + c), hi_s - lo_s, out=np.where(faithful, lo_r, 0.0), where=~faithful)
+        ac = matcore.support_mask(excision, tol, lam_max=hi_r)
+        w_lo, w_hi = matcore._spectrum_2x2(tr, (lo_r * hi_r) * (lo_s * hi_s))
+        # A pair that is not AC can have w_hi < 0 (orthogonal supports): no root of it.
+        root = np.ldexp(np.sqrt(np.where(faithful, w_lo, 0.0)) + np.sqrt(np.where(ac, w_hi, 0.0)), k_r + k_s)
+    else:
+        rhos, w_r, _ = matcore.psd_spectrum(rhos, tol, who[0], vectors=False, labels=labels[:len(rhos)])
+        _, w_s, V_s = matcore.psd_spectrum(sigmas, tol, who[1], labels=labels[:len(sigmas)])
+        _nonzero(w_r[:, -1], who[0], labels)
+        _nonzero(w_s[:, -1], who[1], labels)
+        rhos, w_r, w_s, V_s = (np.ascontiguousarray(np.broadcast_to(x, (len(labels),) + x.shape[1:]))
+                               for x in (rhos, w_r, w_s, V_s))
+        supp, excision = matcore.support_mask(w_s, tol), w_r
+        if (kernel := ~supp[:, 0]).any():
+            V = V_s[kernel] * supp[kernel, None, :]
+            excision = w_r.copy()
+            X = V.conj().swapaxes(1, 2) @ rhos[kernel] @ V
+            excision[kernel] = np.linalg.eigvalsh(matcore._hermitian_part(X, out=X))
+        ac = matcore.support_mask(excision, tol, lam_max=w_r[:, -1:]).sum(axis=-1) >= supp.sum(axis=-1)
+        sqrt_sigma = np.einsum("nik,nk,njk->nij", V_s, np.sqrt(w_s), V_s.conj())
+        X = sqrt_sigma @ rhos @ sqrt_sigma
+        del sqrt_sigma
+        w_m = np.maximum(np.linalg.eigvalsh(matcore._hermitian_part(X, out=X)), 0.0)
+        root = np.sqrt(np.where(supp, w_m, 0.0)).sum(axis=1)
+    return ac, root
 
 
 def excision(sigma, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
