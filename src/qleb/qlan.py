@@ -65,19 +65,20 @@ def sld(
     """Symmetric logarithmic derivative: solves ``rho L + L rho = 2 d_i rho``.
 
     In the eigenbasis of ``rho`` the solution is ``L_jk = 2 (drho)_jk /
-    (lam_j + lam_k)`` wherever the denominator is significant; the
-    kernel-kernel block is set to zero (minimal-norm convention).  Derivative
-    components inside the kernel-kernel block cannot be reproduced by any
-    solution; they are projected away with a warning.
+    (lam_j + lam_k)`` wherever ``lam_j`` or ``lam_k`` is in the support by the
+    rank rule of :func:`matcore.support_mask`; the kernel-kernel block is set
+    to zero (minimal-norm convention).  Derivative components inside the
+    kernel-kernel block cannot be reproduced by any solution; they are
+    projected away with a warning.
     """
     rho = _mat(model.state_at(np.asarray(theta0, dtype=float)))
     drho = model_derivative(model, theta0, i)
     matcore._same_shape(rho, drho)
     _, w, V = matcore.psd_spectrum(rho, tol, "state")
-    lam_max = float(w.max(initial=0.0))
     D = V.conj().T @ drho @ V
     denom = w[:, None] + w[None, :]
-    reachable = denom > tol.rank_rel * lam_max
+    supp = matcore.support_mask(w, tol)
+    reachable = supp[:, None] | supp[None, :]
     lost = matcore.frob(np.where(reachable, 0.0, D))
     if lost > tol.eq_rel * (1.0 + matcore.frob(drho)):
         warnings.warn(
@@ -90,8 +91,16 @@ def sld(
 
 def slds(model: ParametricModel, theta0: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """All symmetric logarithmic derivatives at ``theta0``."""
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _parameters(theta0)
     return [sld(model, theta0, i, tol) for i in range(theta0.shape[0])]
+
+
+def _parameters(theta0) -> np.ndarray:
+    """``theta0`` as a float array, refused unless it is 1-D with at least one entry."""
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.ndim != 1 or not theta0.size:
+        raise ValueError(f"theta0 must be a 1-D array with at least one entry, got shape {theta0.shape}")
+    return theta0
 
 
 def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
@@ -182,8 +191,10 @@ def lecam3_numeric_check(
     """
     from .gaussian import GaussianParams, QcfQuery, _qcf, validate
 
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _parameters(theta0)
     h = np.asarray(h, dtype=float).reshape(-1)
+    if h.size != theta0.size:
+        raise ValueError(f"h has {h.size} entries, but the model has {theta0.size} parameters")
     rho0 = _mat(model.state_at(theta0))
     L = slds(model, theta0, tol)
     B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
@@ -248,7 +259,7 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
     ``|Tr rho R_h^2 - 1|`` (must exceed 2) and of the residual against the
     predicted quadratic.
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _parameters(theta0)
     d = theta0.shape[0]
     rho0 = _mat(model.state_at(theta0))
     L = slds(model, theta0, tol)

@@ -508,6 +508,13 @@ def test_the_spin_models_take_exactly_two_parameters(capsys, argv):
                     err)
 
 
+def test_clt_check_refuses_a_shift_of_the_wrong_length(capsys):
+    # --h 1 once exited 2 with numpy's matmul message.
+    code, out, err = run(capsys, ["qlan", "clt-check", "--h", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: h has 1 entries, but the model has 2 parameters\n"
+
+
 def test_tolerance_flags_override(pair_files, capsys):
     sigma_path, rho_path = pair_files
     code, out, _ = run(capsys, [

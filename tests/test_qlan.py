@@ -85,14 +85,32 @@ def test_sld_lyapunov_residual_random_faithful():
 
 
 def test_sld_projects_unreachable_components():
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    bad = np.diag([0.5, -0.5]).astype(complex)  # kernel-kernel component -0.5
-    model = ParametricModel(state_at=lambda th: rho, deriv_at=lambda th, i: bad)
-    with pytest.warns(InconsistentDerivativeWarning):
-        L = sld(model, np.zeros(1), 0)
-    assert L[1, 1] == 0.0
-    # the reachable part is still solved
-    assert (rho @ L + L @ rho)[0, 0] == pytest.approx(2 * bad[0, 0])
+    for rho, bad in [
+        (np.diag([1.0, 0.0]), np.diag([0.5, -0.5])),  # kernel-kernel component -0.5
+        # 7e-10 is below the rank cutoff 1e-9, so support_mask reads it as kernel; as
+        # lam_j + lam_k > 1e-9 it once counted as support, and L_11 came out at 1.4e8.
+        (np.diag([1 - 7e-10, 7e-10]), np.array([[-0.1, 0.2], [0.2, 0.1]])),
+    ]:
+        rho, bad = rho.astype(complex), bad.astype(complex)
+        model = ParametricModel(state_at=lambda th, rho=rho: rho, deriv_at=lambda th, i, bad=bad: bad)
+        with pytest.warns(InconsistentDerivativeWarning):
+            L = sld(model, np.zeros(1), 0)
+        assert L[1, 1] == 0.0
+        # the reachable part is still solved
+        assert (rho @ L + L @ rho)[0, 0] == pytest.approx(2 * bad[0, 0])
+        assert (rho @ L + L @ rho)[0, 1] == pytest.approx(2 * bad[0, 1])
+
+
+@pytest.mark.parametrize("theta", [0.1, [], [[0.0, 0.0]]])
+def test_slds_and_the_expansion_refuse_theta_that_is_not_a_nonempty_vector(theta):
+    # A scalar theta once raised a bare IndexError, and an empty one gave no SLD
+    # without calling the model.
+    calls = []
+    model = ParametricModel(state_at=lambda th: calls.append(th) or spin_pure_state(th))
+    for check in (slds, sqrt_expansion_check):
+        with pytest.raises(ValueError, match=r"^theta0 must be a 1-D array with at least one entry, got shape "):
+            check(model, theta)
+    assert calls == []
 
 
 # -- QFI ------------------------------------------------------------------------------
@@ -412,6 +430,12 @@ def test_lecam3_custom_observable_subset():
     assert rep.limit_mean == pytest.approx([1.0])
     devs = [row["max_deviation"] for row in rep.deviations]
     assert rep.decreasing and devs[-1] <= 1e-3
+
+
+def test_lecam3_refuses_a_shift_of_the_wrong_length():
+    # A one-entry h for the two-parameter spin model once failed inside numpy's matmul.
+    with pytest.raises(ValueError, match=r"^h has 1 entries, but the model has 2 parameters$"):
+        lecam3_numeric_check(spin_pure_model(), np.zeros(2), None, [1.0], [10], [[[1.0, 0.3]]])
 
 
 def test_lecam3_zero_shift():
