@@ -519,16 +519,15 @@ class BlockSequence:
     criterion decides without forming it.  ``grid`` is checked as a sample
     grid is (non-empty, strictly increasing, from 1 up) before any block is
     evaluated.  ``full_eval`` optionally supplies the assembled states for a
-    consistency check at the indices in ``consistency_ns``.  The normalized
-    inner pair ``(rho0/Tr, sigma0/Tr)`` is judged by the limit criterion
-    against ``inner_limits``.
+    consistency check at the first two grid points.  The normalized inner
+    pair ``(rho0/Tr, sigma0/Tr)`` is judged by the limit criterion against
+    ``inner_limits``.
     """
 
     blocks: Callable[[int], tuple]
     grid: list[int]
     inner_limits: Optional[tuple] = None
     full_eval: Optional[Callable[[int], tuple]] = None
-    consistency_ns: Optional[list[int]] = None
 
     def __post_init__(self) -> None:
         self.grid = _sample_grid(list(self.grid), math.inf, "grid")  # None is refused, not defaulted
@@ -594,7 +593,7 @@ def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFA
     evidence = []
     hypotheses_ok = True
     flags = []
-    check_ns = (bseq.consistency_ns or bseq.grid[:2]) if bseq.full_eval is not None else []
+    check_ns = bseq.grid[:2] if bseq.full_eval is not None else []
     kept = {}  # blocks at the grid points the consistency check reads
     inner_pairs = {}
     for n in bseq.grid:
@@ -621,7 +620,7 @@ def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFA
 
     for n in check_ns:
         got_rho, got_sigma = bseq.full_eval(n)
-        exp_rho, exp_sigma = _assemble_blocks(kept[n] if n in kept else bseq.blocks(n))
+        exp_rho, exp_sigma = _assemble_blocks(kept[n])
         if not (matcore.mat_close(_mat(got_rho), exp_rho, tol)
                 and matcore.mat_close(_mat(got_sigma), exp_sigma, tol)):
             raise BlocksInconsistent(f"reassembled blocks differ from supplied states at n={n}")

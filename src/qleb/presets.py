@@ -126,7 +126,6 @@ def three_block_family(grid: list[int] | None = None) -> BlockSequence:
         grid=grid,
         inner_limits=faithful_to_pure_limits(),
         full_eval=lambda n: _assemble_blocks(three_block_blocks(n)),
-        consistency_ns=grid[:2],
     )
 
 
@@ -295,22 +294,21 @@ def spin_overlap_family(
     h=(1.0, 0.5),
     horizon: int = 10**6,
     sample_grid: list[int] | None = None,
-    declared_overlap_limit: float | None = None,
     perturbed: bool = False,
 ) -> PurePowerFamily:
     """n-copy pure-reference family at local parameter ``h / g(n)``.
 
     For ``g = sqrt`` the overlap converges to ``exp(-|h|^2/4)``; for faster
     shrinking scalings it converges to the same value, for slower ones (for
-    example ``g(n) = n^(1/4)``) it collapses to zero.  The declared overlap
-    limit defaults to those known values for the two shipped scalings.
+    example ``g(n) = n^(1/4)``) it collapses to zero.  The overlap limit is
+    declared for those two scalings, and left undeclared for any other.
     """
     h = np.asarray(h, dtype=float)
-    if declared_overlap_limit is None:
-        if g is sqrt_scaling:
-            declared_overlap_limit = float(np.exp(-np.dot(h, h) / 4.0))
-        elif g is quarter_scaling:
-            declared_overlap_limit = 0.0
+    declared_overlap_limit = None
+    if g is sqrt_scaling:
+        declared_overlap_limit = float(np.exp(-np.dot(h, h) / 4.0))
+    elif g is quarter_scaling:
+        declared_overlap_limit = 0.0
     state = spin_perturbed_state if perturbed else spin_pure_state
     return PurePowerFamily(
         site=lambda n: (GROUND.copy(), state(h / g(n))),

@@ -43,7 +43,7 @@ from qleb.presets import (
     three_block_blocks,
 )
 from qleb.contiguity import _assemble_blocks, _kakutani_summands, _stacked_summands
-from qleb.lebesgue import DensityMatrix, is_abs_continuous, lebesgue_decompose
+from qleb.lebesgue import DensityMatrix, _stacked_fidelity, is_abs_continuous, lebesgue_decompose
 from qleb.matcore import DEFAULT_TOL, hermitian_part
 
 from util import rand_density, rand_density_bounded, rand_unitary
@@ -447,6 +447,34 @@ def test_kakutani_stacked_ac_check_agrees_with_is_abs_continuous(kind, d, seed, 
     assert _factor_ac(_stacked_summands_reference, rho, sigma, tol) == ac
     seq = StateSequence(eval=lambda n: (rho, sigma), declared_limits=(rho, sigma), horizon=1)
     assert (limit_criterion(seq, tol).verdict == CONTIGUOUS) == ac
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), size=st.integers(min_value=1, max_value=12),
+       profile=st.sampled_from(["default", "strict"]))
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shared", ["rho", "sigma"])
+def test_stacks_with_a_shared_operand_decide_as_the_predicate_does(shared, d, seed, size, profile):
+    # Stacks of `size` pairs, one operand shared, drawn by _random_pair: kernels
+    # on either side and eigenvalues within 20x of the rank cutoff.
+    tol = matcore.TOL_PROFILES[profile]
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["full", "deficient", "orthogonal", "near"], size=size + 1)
+    pairs = [_random_pair(kind, d, rng, tol) for kind in kinds]
+    operands = [np.array([pair[k] for pair in pairs[1:]], dtype=complex) for k in range(2)]
+    k = ("rho", "sigma").index(shared)
+    operands[k] = np.array(pairs[0][k], dtype=complex)
+    rhos, sigmas = operands
+    idx = np.arange(1, size + 1)
+    want = [is_abs_continuous(s, r, tol)
+            for r, s in zip(*(np.broadcast_to(x, (size, d, d)) for x in operands))]
+    ac, _ = _stacked_fidelity(rhos, sigmas, idx, tol, ("rho of factor", "sigma of factor"))
+    assert ac.tolist() == want
+    if all(want):
+        assert _stacked_summands(rhos, sigmas, idx, tol).shape == (size,)
+    else:
+        with pytest.raises(FactorNotAC, match=f"^factor {want.index(False) + 1}: "):
+            _stacked_summands(rhos, sigmas, idx, tol)
 
 
 def test_kakutani_ac_check_agrees_with_the_split_near_the_cutoff():
@@ -993,7 +1021,7 @@ def test_block_criterion_consistency_check():
     bseq = BlockSequence(
         blocks=three_block_blocks, grid=[4, 8, 16, 32, 64],
         inner_limits=presets.faithful_to_pure_limits(),
-        full_eval=wrong_eval, consistency_ns=[4],
+        full_eval=wrong_eval,
     )
     with pytest.raises(BlocksInconsistent):
         block_criterion_diagnostics(bseq)
@@ -1032,11 +1060,10 @@ def test_block_criterion_evaluates_blocks_once_per_grid_point():
 
     grid = three_block_family().grid
     bseq = BlockSequence(blocks=blocks, grid=grid, inner_limits=presets.faithful_to_pure_limits(),
-                         full_eval=lambda n: _assemble_blocks(three_block_blocks(n)),
-                         consistency_ns=[4, 8, 5])
+                         full_eval=lambda n: _assemble_blocks(three_block_blocks(n)))
     assert block_criterion_diagnostics(bseq).verdict == CONTIGUOUS
-    # Grid points once each; 5 is checked for consistency but is off the grid.
-    assert calls == grid + [5]
+    # Grid points once each; the consistency check at the first two reads the blocks in hand.
+    assert calls == grid
 
 
 def test_block_criterion_positivity_needs_no_eigensolve(monkeypatch):
