@@ -7,17 +7,17 @@ reference sequence, tensor-product structure, or a declared three-block
 structure.  Anything else yields ``Inconclusive`` or a diagnostics-only
 report.
 
-Quasi-characteristic functions over observables are one ordered product,
-:func:`_ordered_product`; with 2x2 operands its generators are formed from
-the observables' entries and exponentiated in closed form, with no array
-round-trip per factor.  The declared limits of :func:`limit_criterion` are
-validated once, by the split that decides the verdict.  ``sigma << rho`` is
+Quasi-characteristic functions over observables are one evaluation of
+ordered products, :func:`_ordered_products`, over a whole grid of queries;
+with 2x2 operands the generators of all factors are formed from the
+observables' entries and exponentiated by one stacked closed form.  The
+declared limits of :func:`limit_criterion` are validated once, by the split
+that decides the verdict.  ``sigma << rho`` is
 decided in :mod:`qleb.lebesgue`, for one pair or a stack of Kakutani factors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -173,55 +173,66 @@ def finite_qcf(rho, observables: Sequence[np.ndarray], xis: Sequence[Sequence[fl
 
 def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
                      tol: ToleranceConfig, n: int = 1) -> complex:
-    """``(Tr rho prod_t exp(i xi_t . X / sqrt(n)))^n`` for observables ``X`` validated by
-    :func:`matcore.check_hermitian`: the one evaluation of an ordered exponential product
-    (``n > 1`` gives the n-copy value of collective observables, see :func:`qlan.iid_qcf`).
+    """The one query ``xis`` of :func:`_ordered_products`."""
+    return complex(_ordered_products(rho, obs, [xis], tol, n)[0])
 
-    When rho and every observable are 2x2, each generator ``H = scale sum_k xi_k X_k``
-    is formed from the observables' entries, read once, with numpy's operations
-    in numpy's order (complex times complex, whatever the Python version), and
-    exponentiated by the closed form :func:`matcore._expi2`.
-    A real combination of exactly Hermitian observables is exactly Hermitian,
-    so only finiteness is checked; a generator with a NaN or infinite entry
-    (a non-finite or overflowing ``xi``) goes to :func:`matcore.check_hermitian`,
-    which names the entry.  The factors and ``rho`` are multiplied as arrays
-    (BLAS rounding), and the trace is summed as ``np.trace`` sums it.
+
+def _ordered_products(rho: np.ndarray, obs: Sequence[np.ndarray], queries: Sequence[Sequence[Sequence[float]]],
+                      tol: ToleranceConfig, n: int = 1) -> np.ndarray:
+    """``(Tr rho prod_t exp(i xi_t . X / sqrt(n)))^n`` for each query ``(xi_1, ..., xi_r)`` of ``queries``,
+    for observables ``X`` validated by :func:`matcore.check_hermitian`: the one evaluation of ordered
+    exponential products (``n > 1`` gives the n-copy value of collective observables, see
+    :func:`qlan.iid_qcf`).
+
+    The factors of all queries are formed first.  When rho and every observable are 2x2, the
+    generators ``H = scale sum_k xi_k X_k`` of all factors are formed at once from the observables'
+    entries, by numpy's operations in the order of that sum, and exponentiated by one call of the
+    stacked closed form :func:`matcore._expi2`.  A real combination of exactly Hermitian observables
+    is exactly Hermitian, so only finiteness is checked; the first generator with a NaN or infinite
+    entry (a non-finite or overflowing ``xi``) goes to :func:`matcore.check_hermitian`, which names
+    the entry.  Other sizes take one :func:`matcore.unitary_exp` per factor.  The queries are then
+    grouped by their factor count ``r``, and each group multiplied as stacks, ``U @ F`` for each
+    factor and then ``rho @ U``, with the trace summed as ``np.trace`` sums it: a stacked product
+    rounds as a single one does, so each value has the bits of a one-query call.
     """
     scale = 1.0 / math.sqrt(n)
-    cscale = complex(scale)
-    qubit = rho.shape == (2, 2) and len(obs) > 0 and all(X.shape == (2, 2) for X in obs)
-    entries = [X.tolist() for X in obs] if qubit else None
-    U = None
+    xis = [np.asarray(xi, dtype=float) for query in queries for xi in query]
     for xi in xis:
-        xi = np.asarray(xi, dtype=float)
         if xi.shape != (len(obs),):
-            raise matcore.DimMismatch(
-                f"query vector length {xi.shape} does not match {len(obs)} observables"
-            )
-        if qubit:
-            # Complex arithmetic throughout, as numpy casts a real scalar that meets a
-            # complex array (Python 3.14 drops the 0 * imag terms of float * complex).
-            a = b = c = 0j
-            for x, ((x00, x01), (_, x11)) in zip(map(complex, xi.tolist()), entries):
-                a, b, c = a + x * x00, b + x * x01, c + x * x11
-            a, b, c = a * cscale, b * cscale, c * cscale
-            if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
-                with np.errstate(all="ignore"):  # the error names the entry; no warning first
-                    H = sum(x * X for x, X in zip(xi, obs)) * scale
-                matcore.check_hermitian(H, tol)
-            factor = matcore._expi2(a.real, b, c.real)
-        else:
-            factor = matcore.unitary_exp(sum(x * X for x, X in zip(xi, obs)) * scale, tol)
-        U = factor if U is None else U @ factor
-    P = rho if U is None else rho @ U
-    if qubit:
-        (p0, _), (_, p1) = P.tolist()
-        z = 0j + p0 + p1
+            raise matcore.DimMismatch(f"query vector length {xi.shape} does not match {len(obs)} observables")
+    coeffs = np.array(xis).reshape(len(xis), len(obs))
+    if obs and rho.shape == (2, 2) and all(X.shape == (2, 2) for X in obs):
+        entries = np.array([[X[0, 0], X[0, 1], X[1, 1]] for X in obs])
+        with np.errstate(all="ignore"):  # the error names the entry; no warning first
+            G = sum(x[:, None] * e for x, e in zip(coeffs.T, entries)) * scale
+            if not np.isfinite(G).all():
+                bad = np.flatnonzero(~np.isfinite(G).all(axis=1))[0]
+                matcore.check_hermitian(sum(x * X for x, X in zip(coeffs[bad], obs)) * scale, tol)
+        F = matcore._expi2(G[:, 0].real, G[:, 1], G[:, 2].real)
     else:
-        z = complex(np.trace(P))
-    if n == 1 or z == 0:
-        return z
-    return complex(np.exp(n * np.log(z)))
+        F = np.empty((len(xis),) + rho.shape, dtype=complex)
+        for f, xi in enumerate(coeffs):
+            F[f] = matcore.unitary_exp(sum(x * X for x, X in zip(xi, obs)) * scale, tol)
+    counts = [len(query) for query in queries]
+    first = np.cumsum([0] + counts[:-1])  # each query's first factor
+    z = np.empty(len(queries), dtype=complex)
+    for k in set(counts):
+        if counts.count(k) == len(counts):  # one group: its factors are F in order
+            sel, stack = slice(None), F.reshape((len(counts), k) + rho.shape)
+        else:
+            sel = np.flatnonzero(np.equal(counts, k))
+            stack = F[first[sel, None] + np.arange(k)]
+        P = rho
+        if k:
+            U = stack[:, 0]
+            for t in range(1, k):
+                U = U @ stack[:, t]
+            P = rho @ U
+        z[sel] = np.trace(P, axis1=-2, axis2=-1)
+    if n > 1:
+        nonzero = z != 0
+        z[nonzero] = np.exp(n * np.log(z[nonzero]))
+    return z
 
 
 def d_infinitesimal_diagnostic(
@@ -245,20 +256,19 @@ def d_infinitesimal_diagnostic(
         raise ValueError("diagnostic grids are limited to r <= 3 factors per query")
     if len(xi_grid) != len(eta_grid):
         raise ValueError("xi_grid and eta_grid must pair up")
+    if any(len(xis) != len(etas) for xis, etas in zip(xi_grid, eta_grid)):
+        raise ValueError("each xi query must pair with an eta query of equal length")
+    base_queries = [[[x] for x in xis] for xis in xi_grid]
+    mixed_queries = [[[x, e] for x, e in zip(xis, etas)] for xis, etas in zip(xi_grid, eta_grid)]
     evidence = []
     for n in grid:
         rho, Z, O = triples(n)
         r = _mat(rho)
         Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
         matcore._same_shape(r, Z, O)
-        worst = 0.0
-        for xis, etas in zip(xi_grid, eta_grid):
-            if len(xis) != len(etas):
-                raise ValueError("each xi query must pair with an eta query of equal length")
-            base = _ordered_product(r, [Z], [[x] for x in xis], tol)
-            mixed = _ordered_product(r, [Z, O], [[x, e] for x, e in zip(xis, etas)], tol)
-            worst = max(worst, abs(mixed - base))
-        evidence.append({"n": int(n), "max_qcf_deviation": worst})
+        base = _ordered_products(r, [Z], base_queries, tol)
+        gaps = _ordered_products(r, [Z, O], mixed_queries, tol) - base
+        evidence.append({"n": int(n), "max_qcf_deviation": max([0.0, *map(abs, gaps.tolist())])})
     return ContiguityReport(
         verdict=INCONCLUSIVE,
         criterion_used="DiagnosticsOnly",

@@ -262,7 +262,7 @@ def _stacked_fidelity(rhos: np.ndarray, sigmas: np.ndarray, labels: np.ndarray, 
     call.  Larger ``d`` takes stacked eigensolves of rho, sigma and the product, and one of ``V*
     rho V`` (sigma's eigenvectors, zero on ker sigma) for the pairs whose sigma has a kernel.
     """
-    rhos, sigmas = (x.reshape((-1,) + x.shape[-2:]) for x in (rhos, sigmas))  # shared: a stack of one
+    rhos, sigmas = (x if x.ndim == 3 else x[None] for x in (rhos, sigmas))  # shared: a stack of one
     if rhos.shape[-2:] == (2, 2):  # any other shape goes on to psd_spectrum's checks
         (a, b_re, b_im, c), lo_r, hi_r, k_r = matcore._psd2_stack(rhos, tol, who[0], labels[:len(rhos)])
         (p, q_re, q_im, s), lo_s, hi_s, k_s = matcore._psd2_stack(sigmas, tol, who[1], labels[:len(sigmas)])

@@ -22,8 +22,8 @@ assembled: only a Schur complement is factored), and
 :func:`_certified_full_rank`, which proves that the rank rule calls an
 operand full rank so that the decomposition can skip its eigensolve.  Matrix functions (logarithm
 on the support, exponential) are applied on the validated
-spectrum; ``exp(iH)`` at size 2 is closed-form on the entries
-(:func:`_expi2`, which the qubit ordered products call directly).  The
+spectrum; ``exp(iH)`` at size 2 is closed-form on the entries, over a
+stack (:func:`_expi2`, which the qubit ordered products call once per grid).  The
 Hermitian part is formed from halves once a sum of entries could
 overflow, so no finite entry overflows; of an array the library has just
 formed, it is taken in that array's buffer (:func:`_hermitian_part`).
@@ -130,11 +130,11 @@ def _hermitian_part(A: np.ndarray, out: np.ndarray | None = None, A_star: np.nda
 
 
 def check_square(A: np.ndarray, stack: bool = False, dtype=complex) -> np.ndarray:
-    """``A`` as an array of ``dtype`` (``None`` keeps its own), checked to be square."""
+    """``A`` as an array of ``dtype`` (``None`` keeps its own), checked to be square and not empty."""
     A = np.asarray(A, dtype=dtype)
-    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2]:
+    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2] or not A.size:
         what = "a stack of square matrices" if stack else "a square matrix"
-        raise DimMismatch(f"expected {what}, got shape {A.shape}")
+        raise DimMismatch(f"expected {what}{'' if A.size else ' with no empty dimension'}, got shape {A.shape}")
     return A
 
 
@@ -365,8 +365,7 @@ def _psd_spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool,
                   labels: np.ndarray | None = None) -> PSDSpectrum:
     """:func:`psd_spectrum` of ``H`` that :func:`check_hermitian` has validated."""
     w, V = _eigh(H, vectors)
-    lo, hi = (w[..., 0], w[..., -1]) if w.shape[-1] else (np.zeros(w.shape[:-1]),) * 2
-    _psd_floor(lo, hi, tol, who, labels)
+    _psd_floor(w[..., 0], w[..., -1], tol, who, labels)
     return PSDSpectrum(H, np.maximum(w, 0.0), V)
 
 
@@ -471,27 +470,35 @@ def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian); closed-form
-    at size 2 (:func:`_expi2`)."""
+    at size 2 (:func:`_expi2`, on a stack of one)."""
     if np.shape(H) == (2, 2):
-        return _expi2(*_hermitian2(check_square(H), tol, "matrix"))
+        a, b, c = _hermitian2(check_square(H), tol, "matrix")
+        return _expi2(np.array([a]), np.array([b]), np.array([c]))[0]
     w, V = _eigh(check_hermitian(H, tol))
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
-def _expi2(a: float, b: complex, c: float) -> np.ndarray:
-    """``exp(iH)`` of ``H = [[a, b], [conj b, c]]``, with no eigenvector.
+def _expi2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``exp(iH)`` of each ``H = [[a, b], [conj b, c]]`` of a stack given by its entry arrays
+    (``a``, ``c`` real, ``b`` complex, all of length ``N``), as an ``(N, 2, 2)`` array; no eigenvector.
 
     With ``t = Tr H / 2`` and ``g = hypot((a - c)/2, |b|)``,
     ``exp(iH) = e^{it} (cos g I + i (sin g / g) (H - t I))``; ``t`` and
     ``(a - c)/2`` are formed from halves, so no finite entry overflows.
+    ``|b|`` is ``hypot(Re b, Im b)``, which rounds as Python's ``abs`` does.
     """
-    t, delta = a / 2 + c / 2, a / 2 - c / 2
-    g = math.hypot(delta, abs(b))
-    cos_g, sinc_g = math.cos(g), (math.sin(g) / g if g else 1.0)
-    phase = cmath.exp(1j * t)
-    off = 1j * sinc_g * phase
-    return np.array([[(cos_g + 1j * sinc_g * delta) * phase, off * b],
-                     [off * b.conjugate(), (cos_g - 1j * sinc_g * delta) * phase]])
+    a2, c2 = a / 2, c / 2
+    t, delta = a2 + c2, a2 - c2
+    g = np.hypot(delta, np.hypot(b.real, b.imag))
+    cos_g, isinc_g = np.cos(g), 1j * np.divide(np.sin(g), g, out=np.ones_like(g), where=g != 0)
+    phase = np.exp(1j * t)
+    off, idelta = isinc_g * phase, isinc_g * delta
+    U = np.empty(a.shape + (2, 2), dtype=complex)
+    np.multiply(cos_g + idelta, phase, out=U[:, 0, 0])
+    np.multiply(off, b, out=U[:, 0, 1])
+    np.multiply(off, b.conj(), out=U[:, 1, 0])
+    np.multiply(cos_g - idelta, phase, out=U[:, 1, 1])
+    return U
 
 
 def _check_strictly_positive(A: np.ndarray, tol: ToleranceConfig, who: str) -> PSDSpectrum:
@@ -770,22 +777,29 @@ def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.n
 _SOLVE_LEAF = 64
 
 
-def _solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _solve_upper(U: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``U^{-1} B`` for an upper-triangular ``U`` by back-substitution by halves, ``X2 = U22^{-1} B2``
     and ``X1 = U11^{-1} (B1 - U12 X2)``: the updates are products, and a block of at most
-    ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's)."""
+    ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's).
+    The result is written into ``out`` when given, which may be ``B`` itself: each block of ``B``
+    is read before the rows of the result that it shares are written."""
     n = len(U)
     if n <= _SOLVE_LEAF:
-        return np.linalg.solve(U, B)
+        X = np.linalg.solve(U, B)
+        if out is None:
+            return X
+        out[...] = X
+        return out
     h = n // 2
-    X = np.empty(B.shape, dtype=np.result_type(U, B))
-    X[h:] = _solve_upper(U[h:, h:], B[h:])
-    X[:h] = _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:])
+    X = np.empty(B.shape, dtype=np.result_type(U, B)) if out is None else out
+    _solve_upper(U[h:, h:], B[h:], out=X[h:])
+    _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:], out=X[:h])
     return X
 
 
 def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``rho^{-1} # sigma``, the ``R >= 0`` with ``R rho R = sigma``, for ``rho > 0`` and ``sigma >= 0``.
+    """``rho^{-1} # sigma``, the ``R >= 0`` with ``R rho R = sigma``, for ``rho > 0`` and ``sigma >= 0``
+    (complex arrays).
 
     Cholesky form with one eigensolve: ``rho = L L*``, ``L* sigma L = V diag(w) V*``
     and ``R = Y diag(sqrt w) Y*`` with ``Y = L^{-*} V``, by back-substitution on
@@ -793,26 +807,28 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     root of either operand is formed, and ``R`` is as accurate as the pair's
     conditioning allows (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).
     Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.  Each
-    d x d temporary is released after its last reader, and ``R``'s Hermitian
-    part and scale are written into the product that forms it.
+    d x d temporary is released after its last reader or written over once
+    dead: the conjugates that the Hermitian parts and ``Y*`` need go into spent
+    buffers, ``Y`` into ``V``, and ``R``'s Hermitian part and scale into the
+    product that forms it.  Besides the eigensolve's, the only new d x d arrays
+    are ``L``, its conjugate, the two products and ``R``.
     """
     (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
     L = np.linalg.cholesky(rho)
     del rho
-    L_h = L.conj().T
-    M = L_h @ sigma
+    L_c = L.conj()  # L* is its transpose
+    M = L_c.T @ sigma
     del sigma
-    M = M @ L
+    P = M @ L
     del L
-    w, V = np.linalg.eigh(_hermitian_part(M, out=M))
-    del M
-    Y = _solve_upper(L_h, V)
-    del L_h, V
-    Y_h = Y.conj().T
+    w, V = np.linalg.eigh(_hermitian_part(P, out=P, A_star=np.conjugate(P.T, out=M)))
+    del M, P
+    Y = _solve_upper(L_c.T, V, out=V)
+    Y_h = np.conjugate(Y, out=L_c).T
     Y *= np.sqrt(np.maximum(w, 0.0))
     R = Y @ Y_h
-    del Y, Y_h
-    return _times2(_hermitian_part(R, out=R), ks - kr, out=R)
+    R = _hermitian_part(R, out=R, A_star=np.conjugate(R.T, out=Y))
+    return _times2(R, ks - kr, out=R)
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -10,6 +10,8 @@ n-copy expectation is an exact n-th power of a single-site trace.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import matcore
 from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product,
-                         _sample_grid, _tail)
+                         _ordered_products, _sample_grid, _tail)
 from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams
 from .lebesgue import _mat, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
@@ -103,6 +105,14 @@ def _parameters(theta0) -> np.ndarray:
     return theta0
 
 
+def _copy_count(n, who: str) -> int:
+    """``n`` as an int, refused unless it is a finite whole number >= 1 (a bool is not a count)."""
+    if isinstance(n, numbers.Real) and not isinstance(n, bool):
+        if (isinstance(n, numbers.Integral) or (math.isfinite(n) and float(n).is_integer())) and n >= 1:
+            return int(n)
+    raise ValueError(f"copy count {who} must be a finite whole number >= 1, got {n!r}")
+
+
 def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
     """``M[i, j] = Tr rho right_j left_i``."""
     M = [[np.trace(rho @ b @ a) for b in right] for a in left]
@@ -137,7 +147,8 @@ class IIDExperiment:
     base state); queries couple to the collective ``(1/sqrt(n)) sum_k B_i``.
     The observables are validated once, here, as :func:`contiguity.finite_qcf`
     validates its own (Hermitian under the default tolerances, of the base
-    state's shape, centred: ``|Tr base B_i| <= 1e-8``).
+    state's shape, centred: ``|Tr base B_i| <= 1e-8``).  The copy count ``n``
+    must be a finite whole number >= 1.
     """
 
     base: np.ndarray
@@ -147,8 +158,7 @@ class IIDExperiment:
     def __post_init__(self) -> None:
         self.base = _mat(self.base)
         self.obs = [matcore.check_hermitian(B) for B in self.obs]
-        if self.n < 1:
-            raise ValueError("copy count n must be >= 1")
+        self.n = _copy_count(self.n, "n")
         matcore._same_shape(self.base, *self.obs)
         _check_centered(self.base, self.obs, "obs")
 
@@ -187,11 +197,17 @@ def lecam3_numeric_check(
     For each ``n`` the maximum over the query grid of ``|qcf under the
     shifted product state - Gaussian qcf of N((Re tau) h, Sigma)|`` is
     recorded, where ``Sigma[i, j] = Tr rho B_j B_i`` and ``tau[i, j] =
-    Tr rho L_j B_i`` are computed at ``theta0``.
+    Tr rho L_j B_i`` are computed at ``theta0``.  Neither grid may be empty,
+    and each ``n`` must be a finite whole number >= 1; the whole query grid
+    is evaluated in one call per ``n``.
     """
     from .gaussian import GaussianParams, QcfQuery, _qcf, validate
 
     theta0 = _parameters(theta0)
+    ns = [_copy_count(n, f"n_grid[{k}]") for k, n in enumerate(n_grid)]
+    for name, grid in (("n_grid", ns), ("xi_grid", xi_grid)):
+        if not len(grid):
+            raise ValueError(f"{name} must have at least one entry")
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.size != theta0.size:
         raise ValueError(f"h has {h.size} entries, but the model has {theta0.size} parameters")
@@ -209,14 +225,10 @@ def lecam3_numeric_check(
     # The limit law does not depend on n: one value per query.
     wants = [_qcf(limit, QcfQuery([np.asarray(x, dtype=float) for x in query])) for query in xi_grid]
     deviations = []
-    for n in n_grid:
-        if n < 1:
-            raise ValueError("copy count n must be >= 1")
+    for n in ns:
         shifted = _mat(model.state_at(theta0 + h / np.sqrt(n)))
-        worst = 0.0
-        for query, want in zip(xi_grid, wants):
-            worst = max(worst, abs(_ordered_product(shifted, B, query, tol, int(n)) - want))
-        deviations.append({"n": int(n), "max_deviation": worst})
+        gaps = (z - want for z, want in zip(_ordered_products(shifted, B, xi_grid, tol, n).tolist(), wants))
+        deviations.append({"n": n, "max_deviation": max([0.0, *map(abs, gaps)])})
     devs = [row["max_deviation"] for row in deviations]
     return LeCam3Report(
         limit_mean=limit.h, limit_cov=limit.J, tau=tau,
@@ -274,16 +286,14 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
             directions.append((np.eye(d)[i] + np.eye(d)[j]) / np.sqrt(2.0))
 
     scales = np.asarray(_EXPANSION_SCALES)
-    values = np.empty((len(directions), scales.size))
-    trr2_gap = np.zeros(scales.size)
-    identity = np.eye(rho0.shape[0])
-    for k, u in enumerate(directions):
-        for m, s in enumerate(scales):
-            hvec = s * u
-            dec = lebesgue_decompose(model.state_at(theta0 + hvec), rho0, tol)
-            B = dec.sqrt_lr - identity - 0.5 * sum(hvec[i] * L[i] for i in range(d))
-            values[k, m] = float(np.trace(rho0 @ B).real)
-            trr2_gap[m] = max(trr2_gap[m], abs(float(np.trace(dec.ac).real) - 1.0))
+    # Row k * len(scales) + m is step scales[m] along directions[k].
+    steps = (np.asarray(directions)[:, None, :] * scales[:, None]).reshape(-1, d)
+    decs = [lebesgue_decompose(model.state_at(theta0 + hvec), rho0, tol) for hvec in steps]
+    B = (np.array([dec.sqrt_lr for dec in decs]) - np.eye(rho0.shape[0])
+         - 0.5 * sum(steps[:, i, None, None] * L[i] for i in range(d)))
+    values = np.trace((rho0 @ B).real, axis1=1, axis2=2).reshape(len(directions), scales.size)
+    trr2 = np.abs(np.trace(np.array([dec.ac for dec in decs]), axis1=1, axis2=2).real - 1.0)
+    trr2_gap = trr2.reshape(len(directions), scales.size).max(axis=0, initial=0.0)
 
     coeffs = values @ (scales**2) / float(np.sum(scales**4))
     C = np.zeros((d, d))
@@ -293,10 +303,8 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
         C[i, j] = C[j, i] = coeffs[k] - 0.5 * (coeffs[i] + coeffs[j])
 
     rel_error = matcore.frob(C - target) / max(matcore.frob(target), 1e-300)
-    quad_residual = np.max(
-        np.abs(values - np.array([[u @ target @ u * s**2 for s in scales] for u in directions])),
-        axis=0,
-    )
+    predicted = np.outer([u @ target @ u for u in directions], scales**2)
+    quad_residual = np.max(np.abs(values - predicted), axis=0)
     residual_order, _ = _order_estimate(scales, quad_residual)
     trr2_order, trr2_exact = _order_estimate(scales, trr2_gap)
     return ExpansionReport(

@@ -24,7 +24,7 @@ from qleb import (
     tail_mass,
 )
 from qleb.contiguity import CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS
-from qleb import contiguity, matcore
+from qleb import contiguity, lebesgue_decompose, matcore
 from qleb.errors import (
     BlocksInconsistent, DimMismatch, DimVaries, FactorNotAC, MissingLimits, NonHermitian, NotPSD,
     NotPure, ValidationError, ZeroState,
@@ -597,6 +597,23 @@ def test_non_square_factors_raise_dim_mismatch():
     top = np.vstack([np.eye(2) / 2, np.zeros((1, 2))])
     with pytest.raises(DimMismatch, match="expected a stack of square matrices"):
         kakutani_criterion(ProductFamily(factors=lambda i: (top, top)), horizon=10)
+
+
+def test_empty_operands_are_refused_as_a_shape():
+    # A 0x0 operand is no state: it is refused where its shape is checked,
+    # before a zero-operator or reshape error can speak for it.
+    empty = np.zeros((0, 0))
+    with pytest.raises(DimMismatch, match=r"square matrix with no empty dimension, got shape \(0, 0\)"):
+        matcore.check_square(empty)
+    with pytest.raises(DimMismatch, match=r"got shape \(3, 0, 0\)"):
+        matcore.check_hermitian(np.zeros((3, 0, 0)), labels=np.arange(3))
+    with pytest.raises(DimMismatch, match=r"got shape \(0, 0\)"):
+        lebesgue_decompose(empty, empty)
+    with pytest.raises(DimMismatch, match=r"got shape \(10, 0, 0\)"):
+        kakutani_criterion(ProductFamily(factors=lambda i: (empty, empty)), horizon=10)
+    with pytest.raises(DimMismatch, match=r"got shape \(10, 0, 0\)"):
+        kakutani_criterion(ProductFamily(factors=lambda i: (empty, empty),
+                                         stack=lambda idx: (np.zeros((len(idx), 0, 0)), empty)), horizon=10)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -242,8 +242,9 @@ def test_iid_experiment_rejects_what_finite_qcf_rejects():
 
 def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
     # Every quasi-characteristic function over observables goes through
-    # contiguity._ordered_product, the only caller of unitary_exp and of its
-    # 2x2 closed form _expi2 in the package.
+    # contiguity._ordered_products, the only caller of unitary_exp and of the
+    # stacked 2x2 closed form _expi2 in the package: one _expi2 call per grid
+    # of qubit queries, one unitary_exp call per factor at other sizes.
     sources = [inspect.getsource(m) for m in (cli, contiguity, gaussian, lebesgue, presets, qlan)]
     assert sum(src.count("unitary_exp(") for src in sources) == 1
     assert sum(src.count("_expi2(") for src in sources) == 1
@@ -261,13 +262,15 @@ def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
     model = spin_perturbed_model()
     lecam3_numeric_check(model, np.zeros(2), None, np.array([1.0, 0.5]),
                          n_grid=[100, 10_000, 1_000_000], xi_grid=single_xi_grid())
-    assert constructed == [] and len(callers) == 60
+    assert constructed == [] and len(callers) == 3  # one per n, not one per query
     iid_qcf(IIDExperiment(base=GROUND, obs=[SIGMA_X], n=9), [[0.3], [0.1]])
     contiguity.finite_qcf(GROUND, [SIGMA_X], [[0.3]])
     contiguity.d_infinitesimal_diagnostic(lambda n: (GROUND, SIGMA_X, SIGMA_Y / n),
-                                          [[0.3, 0.1]], [[0.2, 0.4]], [1, 10])
-    assert len(callers) == 60 + 2 + 1 + 8
-    assert set(callers) == {"_ordered_product"}
+                                          [[0.3, 0.1], [0.2]], [[0.2, 0.4], [0.5]], [1, 10])
+    assert len(callers) == 3 + 1 + 1 + 4
+    contiguity.finite_qcf(np.eye(3) / 3, [np.diag([1.0, 0.0, -1.0])], [[0.3], [0.1]])
+    assert len(callers) == 3 + 1 + 1 + 4 + 2
+    assert set(callers) == {"_ordered_products"}
 
 
 def ordered_product_reference(rho, obs, xis, n=1):
@@ -330,6 +333,80 @@ def test_qubit_ordered_product_refuses_a_non_finite_generator(xi):
         with np.errstate(all="ignore"), pytest.raises(ValidationError,
                                                       match=r"matrix has a non-finite entry \[0\]\[0\]"):
             call()
+
+
+def _query_grid(rng, k: int) -> list:
+    """Queries of 1 to 3 factors, mixed in one grid, over ``k`` observables."""
+    return [[rng.uniform(-3.0, 3.0, size=k) * 10.0 ** rng.uniform(-4.0, 1.0) for _ in range(r)]
+            for r in rng.integers(1, 4, size=12)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 10**6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_stacked_grid_gives_each_query_the_reference_value(d, n):
+    # One call over a grid with mixed factor counts: query by query the bits
+    # of the array route, which multiplies one identity-seeded query at a time.
+    rng = np.random.default_rng([d, n, 24])
+    for trial in range(40):
+        rho = rand_density(d, rng)
+        obs = [matcore.check_hermitian(rand_herm(d, rng) * 10.0 ** rng.uniform(-3, 2))
+               for _ in range(1 + trial % 3)]
+        grid = _query_grid(rng, len(obs))
+        got = contiguity._ordered_products(rho, obs, grid, matcore.DEFAULT_TOL, n)
+        assert got.shape == (len(grid),)
+        for z, xis in zip(got.tolist(), grid):
+            assert bits(z) == bits(ordered_product_reference(rho, obs, xis, n))
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.1], [0.1, np.inf], [1e308, 1e308]])
+def test_a_stacked_grid_names_the_first_non_finite_generator(bad):
+    # The first query with a bad factor is refused with the message of that
+    # query alone; the bad factors of later queries are not reached.
+    from qleb.errors import ValidationError
+
+    obs = [presets.SIGMA_Z, presets.SIGMA_Z]
+    good = [np.array([0.2, 0.1])]
+    grid = [good, [good[0], bad], [[-1e308, -1e308]]]
+    with np.errstate(all="ignore"), pytest.raises(ValidationError) as stacked:
+        contiguity._ordered_products(GROUND, obs, grid, matcore.DEFAULT_TOL)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError) as single:
+        ordered_product_reference(GROUND, obs, grid[1])
+    assert str(stacked.value) == str(single.value) != "matrix has a non-finite entry [0][0]=(-inf+nanj)"
+
+
+@pytest.mark.parametrize("n", [2.5, 100.7, np.inf, np.nan, 0, -3, True, np.bool_(True), "4", None])
+def test_a_copy_count_is_a_finite_whole_number_of_at_least_one(n):
+    # Refused where it enters, naming the entry, before any state is formed:
+    # 2.5 would shift by h / sqrt(2.5) and raise the product to the power 2.
+    calls = []
+    model = spin_perturbed_model()
+    probe = ParametricModel(lambda theta: calls.append(theta) or model.state_at(theta), model.deriv_at)
+    with pytest.raises(ValueError, match=r"^copy count n must be a finite whole number >= 1, got "):
+        IIDExperiment(base=GROUND, obs=[SIGMA_X], n=n)
+    with pytest.raises(ValueError, match=r"^copy count n_grid\[1\] must be a finite whole number >= 1, got "):
+        lecam3_numeric_check(probe, np.zeros(2), None, np.array([1.0, 0.5]),
+                             n_grid=[100, n], xi_grid=single_xi_grid())
+    assert calls == []
+
+
+def test_whole_copy_counts_of_any_type_read_as_ints():
+    model = spin_perturbed_model()
+    want = lecam3_numeric_check(model, np.zeros(2), None, np.array([1.0, 0.5]),
+                                n_grid=[100, 10_000], xi_grid=single_xi_grid())
+    got = lecam3_numeric_check(model, np.zeros(2), None, np.array([1.0, 0.5]),
+                               n_grid=[1e2, np.int64(10_000)], xi_grid=single_xi_grid())
+    assert got.deviations == want.deviations
+    assert [type(row["n"]) for row in got.deviations] == [int, int]
+    exp = IIDExperiment(base=GROUND, obs=[SIGMA_X], n=9.0)
+    assert type(exp.n) is int and iid_qcf(exp, [[0.3]]) == iid_qcf(IIDExperiment(GROUND, [SIGMA_X], 9), [[0.3]])
+
+
+@pytest.mark.parametrize("n_grid, xi_grid, name", [([], None, "n_grid"), ([100], [], "xi_grid")])
+def test_empty_grids_are_refused(n_grid, xi_grid, name):
+    xi_grid = single_xi_grid() if xi_grid is None else xi_grid
+    with pytest.raises(ValueError, match=f"^{name} must have at least one entry$"):
+        lecam3_numeric_check(spin_perturbed_model(), np.zeros(2), None, np.array([1.0, 0.5]),
+                             n_grid=n_grid, xi_grid=xi_grid)
 
 
 def spin_pure_state_reference(theta):
