@@ -154,7 +154,7 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
 def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> matcore.SpectralDecomposition:
     """The clamped spectrum of a validated Hermitian operand, checked PSD and nonzero."""
     _, w, V = matcore._psd_spectrum(H, tol, who, vectors)
-    _nonzero(w.max(initial=0.0), who)
+    _nonzero(w[-1], who)
     return matcore.SpectralDecomposition(w, V)
 
 
