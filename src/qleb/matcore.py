@@ -821,8 +821,10 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     del sigma
     P = M @ L
     del L
-    w, V = np.linalg.eigh(_hermitian_part(P, out=P, A_star=np.conjugate(P.T, out=M)))
-    del M, P
+    P = _hermitian_part(P, out=P, A_star=np.conjugate(P.T, out=M))
+    del M  # before the eigensolve's workspace is allocated
+    w, V = np.linalg.eigh(P)
+    del P
     Y = _solve_upper(L_c.T, V, out=V)
     Y_h = np.conjugate(Y, out=L_c).T
     Y *= np.sqrt(np.maximum(w, 0.0))
