@@ -190,38 +190,37 @@ def _ordered_products(rho: np.ndarray, obs: Sequence[np.ndarray], queries: Seque
     stacked closed form :func:`matcore._expi2`.  A real combination of exactly Hermitian observables
     is exactly Hermitian, so only finiteness is checked; the first generator with a NaN or infinite
     entry (a non-finite or overflowing ``xi``) goes to :func:`matcore.check_hermitian`, which names
-    the entry.  Other sizes take one :func:`matcore.unitary_exp` per factor.  The queries are then
-    grouped by their factor count ``r``, and each group multiplied as stacks, ``U @ F`` for each
-    factor and then ``rho @ U``, with the trace summed as ``np.trace`` sums it: a stacked product
-    rounds as a single one does, so each value has the bits of a one-query call.
+    the entry.  Other sizes take one :func:`matcore.unitary_exp` per factor.  Factors are refused in
+    grid order: a vector of the wrong length only after the factors before it are checked.  The
+    queries are then grouped by their factor count ``r``, and each group multiplied as stacks,
+    ``U @ F`` for each factor and then ``rho @ U``, with the trace summed as ``np.trace`` sums it:
+    a stacked product rounds as a single one does, so each value has the bits of a one-query call.
     """
     scale = 1.0 / math.sqrt(n)
     xis = [np.asarray(xi, dtype=float) for query in queries for xi in query]
-    for xi in xis:
-        if xi.shape != (len(obs),):
-            raise matcore.DimMismatch(f"query vector length {xi.shape} does not match {len(obs)} observables")
-    coeffs = np.array(xis).reshape(len(xis), len(obs))
+    m = next((f for f, xi in enumerate(xis) if xi.shape != (len(obs),)), len(xis))
+    coeffs = np.array(xis[:m]).reshape(m, len(obs))  # the factors before the first of the wrong length
     if obs and rho.shape == (2, 2) and all(X.shape == (2, 2) for X in obs):
         entries = np.array([[X[0, 0], X[0, 1], X[1, 1]] for X in obs])
         with np.errstate(all="ignore"):  # the error names the entry; no warning first
             G = sum(x[:, None] * e for x, e in zip(coeffs.T, entries)) * scale
-            if not np.isfinite(G).all():
-                bad = np.flatnonzero(~np.isfinite(G).all(axis=1))[0]
-                matcore.check_hermitian(sum(x * X for x, X in zip(coeffs[bad], obs)) * scale, tol)
+            bad = np.flatnonzero(~np.isfinite(G).all(axis=1))
+            H = sum(x * X for x, X in zip(coeffs[bad[0]], obs)) * scale if bad.size else None
+        if H is not None:
+            matcore.check_hermitian(H, tol)
         F = matcore._expi2(G[:, 0].real, G[:, 1], G[:, 2].real)
     else:
-        F = np.empty((len(xis),) + rho.shape, dtype=complex)
+        F = np.empty((m,) + rho.shape, dtype=complex)
         for f, xi in enumerate(coeffs):
             F[f] = matcore.unitary_exp(sum(x * X for x, X in zip(xi, obs)) * scale, tol)
+    if m < len(xis):
+        raise matcore.DimMismatch(f"query vector length {xis[m].shape} does not match {len(obs)} observables")
     counts = [len(query) for query in queries]
     first = np.cumsum([0] + counts[:-1])  # each query's first factor
     z = np.empty(len(queries), dtype=complex)
     for k in set(counts):
-        if counts.count(k) == len(counts):  # one group: its factors are F in order
-            sel, stack = slice(None), F.reshape((len(counts), k) + rho.shape)
-        else:
-            sel = np.flatnonzero(np.equal(counts, k))
-            stack = F[first[sel, None] + np.arange(k)]
+        sel = np.flatnonzero(np.equal(counts, k))
+        stack = F[first[sel, None] + np.arange(k)]
         P = rho
         if k:
             U = stack[:, 0]
@@ -268,7 +267,7 @@ def d_infinitesimal_diagnostic(
         matcore._same_shape(r, Z, O)
         base = _ordered_products(r, [Z], base_queries, tol)
         gaps = _ordered_products(r, [Z, O], mixed_queries, tol) - base
-        evidence.append({"n": int(n), "max_qcf_deviation": max([0.0, *map(abs, gaps.tolist())])})
+        evidence.append({"n": int(n), "max_qcf_deviation": float(np.hypot(gaps.real, gaps.imag).max(initial=0.0))})
     return ContiguityReport(
         verdict=INCONCLUSIVE,
         criterion_used="DiagnosticsOnly",

@@ -115,7 +115,8 @@ def _hermitian_part(A: np.ndarray, out: np.ndarray | None = None, A_star: np.nda
     before, so the bits are those of the out-of-place forms.  ``A_star`` (a
     fresh conjugate by default) and ``summable`` (a norm below ``2**510``) may
     be passed when :func:`check_hermitian` has them: scanning a ``(10**4, 2,
-    2)`` stack again cost a tenth of a Kakutani op.
+    2)`` stack again cost a tenth of a Kakutani op.  :func:`_tri_mean` passes
+    ``A_star`` written into a spent buffer of its own.
     """
     if A_star is None:
         A_star = A.conj().swapaxes(-1, -2)
@@ -781,19 +782,15 @@ def _solve_upper(U: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) ->
     """``U^{-1} B`` for an upper-triangular ``U`` by back-substitution by halves, ``X2 = U22^{-1} B2``
     and ``X1 = U11^{-1} (B1 - U12 X2)``: the updates are products, and a block of at most
     ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's).
-    The result is written into ``out`` when given, which may be ``B`` itself: each block of ``B``
-    is read before the rows of the result that it shares are written."""
+    A leaf returns LAPACK's own array; above it the result is written into ``out`` when given,
+    which may be ``B`` itself: each block of ``B`` is read before the rows that it shares are written."""
     n = len(U)
     if n <= _SOLVE_LEAF:
-        X = np.linalg.solve(U, B)
-        if out is None:
-            return X
-        out[...] = X
-        return out
+        return np.linalg.solve(U, B)
     h = n // 2
     X = np.empty(B.shape, dtype=np.result_type(U, B)) if out is None else out
-    _solve_upper(U[h:, h:], B[h:], out=X[h:])
-    _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:], out=X[:h])
+    X[h:] = _solve_upper(U[h:, h:], B[h:], out=X[h:])  # no copy when the block wrote into X
+    X[:h] = _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:], out=X[:h])
     return X
 
 
@@ -809,9 +806,10 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.  Each
     d x d temporary is released after its last reader or written over once
     dead: the conjugates that the Hermitian parts and ``Y*`` need go into spent
-    buffers, ``Y`` into ``V``, and ``R``'s Hermitian part and scale into the
-    product that forms it.  Besides the eigensolve's, the only new d x d arrays
-    are ``L``, its conjugate, the two products and ``R``.
+    buffers, ``Y`` above :data:`_SOLVE_LEAF` rows into ``V``, and ``R``'s
+    Hermitian part and scale into the product that forms it.  Besides the
+    eigensolve's and the solve's leaves, the only new d x d arrays are ``L``,
+    its conjugate, the two products and ``R``.
     """
     (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
     L = np.linalg.cholesky(rho)
@@ -826,6 +824,7 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(P)
     del P
     Y = _solve_upper(L_c.T, V, out=V)
+    del V
     Y_h = np.conjugate(Y, out=L_c).T
     Y *= np.sqrt(np.maximum(w, 0.0))
     R = Y @ Y_h

@@ -227,8 +227,8 @@ def lecam3_numeric_check(
     deviations = []
     for n in ns:
         shifted = _mat(model.state_at(theta0 + h / np.sqrt(n)))
-        gaps = (z - want for z, want in zip(_ordered_products(shifted, B, xi_grid, tol, n).tolist(), wants))
-        deviations.append({"n": n, "max_deviation": max([0.0, *map(abs, gaps)])})
+        gaps = _ordered_products(shifted, B, xi_grid, tol, n) - wants
+        deviations.append({"n": n, "max_deviation": float(np.hypot(gaps.real, gaps.imag).max(initial=0.0))})
     devs = [row["max_deviation"] for row in deviations]
     return LeCam3Report(
         limit_mean=limit.h, limit_cov=limit.J, tau=tau,

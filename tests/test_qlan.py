@@ -374,6 +374,20 @@ def test_a_stacked_grid_names_the_first_non_finite_generator(bad):
     assert str(stacked.value) == str(single.value) != "matrix has a non-finite entry [0][0]=(-inf+nanj)"
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_stacked_grid_refuses_its_factors_in_grid_order(d):
+    # A non-finite factor before a vector of the wrong length is named first,
+    # and a wrong length before a non-finite factor is refused first.
+    from qleb.errors import DimMismatch, ValidationError
+
+    rho, obs = np.eye(d, dtype=complex) / d, [np.diag(np.arange(d, dtype=complex))] * 2
+    nan, short = [np.array([np.nan, 0.0])], [np.array([0.1])]
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        contiguity._ordered_products(rho, obs, [nan, short], matcore.DEFAULT_TOL)
+    with pytest.raises(DimMismatch, match="query vector length"):
+        contiguity._ordered_products(rho, obs, [short, nan], matcore.DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("n", [2.5, 100.7, np.inf, np.nan, 0, -3, True, np.bool_(True), "4", None])
 def test_a_copy_count_is_a_finite_whole_number_of_at_least_one(n):
     # Refused where it enters, naming the entry, before any state is formed:
