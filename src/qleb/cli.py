@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, contiguity, gaussian, lebesgue, presets, qlan
+from . import __version__, contiguity, gaussian, lebesgue, matcore, presets, qlan
 from .errors import NumericCheckFailure, QlebError, ValidationError
 from .matcore import DEFAULT_TOL, TOL_PROFILES, ToleranceConfig, check_hermitian
 
@@ -168,10 +168,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
     dec = lebesgue.lebesgue_decompose(sigma, rho, tol)
     singular = dec.split.dims[1] == 0  # is_singular(rho, sigma): H2 is empty
-    recon = float(np.linalg.norm(dec.ac + dec.perp - sigma) / (1.0 + np.linalg.norm(sigma)))
-    ac_rec = float(
-        np.linalg.norm(dec.ac - dec.sqrt_lr @ rho @ dec.sqrt_lr) / (1.0 + np.linalg.norm(dec.ac))
-    )
+    recon = matcore._rel_residual(dec.ac + dec.perp, sigma, 1.0)
+    ac_rec = matcore._rel_residual(dec.sqrt_lr @ rho @ dec.sqrt_lr, dec.ac, 1.0)
     perp_overlap = float(np.trace(rho @ dec.perp).real)
     ac_predicate = None if singular else bool(lebesgue.is_abs_continuous(dec.ac, rho, tol))
     checks = {
@@ -393,12 +391,8 @@ def cmd_qlan(args: argparse.Namespace) -> int:
               "h": args.h, "n": args.n, "f": args.f, "g": args.g, "grid": args.grid}
 
     if sub == "rate-scan":
-        grid = _counts(args.grid) or contiguity.default_grid(10**7, points=15)
-        scan = qlan.RateScan(
-            f=_defect_by_name(args.f or "cubic"),
-            g=_scaling_by_name(args.g or "sqrt"),
-            h=h, grid=grid,
-        )
+        scan = presets.spin_rate_scan(defect=_defect_by_name(args.f or "cubic"),
+                                      g=_scaling_by_name(args.g or "sqrt"), h=h, grid=_counts(args.grid))
         rep = qlan.rate_scan(scan)
         values = {"rows": rep.rows, "verdict": rep.verdict, "notes": rep.notes}
         report = make_report("qlan rate-scan", inputs, values, tol)

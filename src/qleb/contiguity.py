@@ -19,6 +19,7 @@ decided in :mod:`qleb.lebesgue`, for one pair or a stack of Kakutani factors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +34,7 @@ from .errors import (
     NotPure,
     ValidationError,
 )
-from .lebesgue import _mat, _pair_split, _stacked_fidelity, lebesgue_decompose
+from .lebesgue import _mat, _pair_split, _psd_state, _stacked_fidelity, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig
 
 CONTIGUOUS = "Contiguous"
@@ -42,11 +43,18 @@ INCONCLUSIVE = "Inconclusive"
 
 
 def default_grid(horizon: int, points: int = 13) -> list[int]:
-    """Strictly increasing integer grid, roughly log-spaced over [1, horizon]."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    """Strictly increasing integer grid, roughly log-spaced over [1, horizon] (a finite whole number >= 1)."""
+    horizon = _whole_count(horizon, "horizon")
     # A set, not np.unique: numpy imports numpy.ma (about 1.2 MB) on its first call.
     return sorted(set(np.geomspace(1, horizon, num=points).astype(int).tolist()))
+
+
+def _whole_count(n, who: str) -> int:
+    """``n`` as an int, refused unless it is a finite whole number >= 1 (a bool is not a count)."""
+    if isinstance(n, numbers.Real) and not isinstance(n, bool):
+        if (isinstance(n, numbers.Integral) or (math.isfinite(n) and float(n).is_integer())) and n >= 1:
+            return int(n)
+    raise ValueError(f"{who} must be a finite whole number >= 1, got {n!r}")
 
 
 def _tail(values: Sequence, frac: float = 0.25) -> list:
@@ -147,7 +155,7 @@ def tail_mass(rho, R: np.ndarray, M: float, tol: ToleranceConfig = DEFAULT_TOL) 
     """``Tr rho R^2 P`` where ``P`` projects onto eigenvalues of ``R`` above ``M``."""
     if not M > 0:
         raise ValueError("threshold M must be positive")
-    r = _mat(rho)
+    r = _psd_state(rho, tol, "rho")
     R, w, V = matcore.psd_spectrum(R, tol, "R")
     matcore._same_shape(r, R)
     diag = np.einsum("ik,ij,jk->k", V.conj(), r, V).real
@@ -156,7 +164,7 @@ def tail_mass(rho, R: np.ndarray, M: float, tol: ToleranceConfig = DEFAULT_TOL) 
 
 def l2_norm_sq(rho, O: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """``Tr rho O^2`` for a Hermitian observable ``O`` (always >= 0)."""
-    r = _mat(rho)
+    r = _psd_state(rho, tol, "rho")
     o = matcore.check_hermitian(O, tol)
     matcore._same_shape(r, o)
     return float(max(0.0, np.trace(r @ o @ o).real))
@@ -165,7 +173,7 @@ def l2_norm_sq(rho, O: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 def finite_qcf(rho, observables: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
                tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Expectation of the ordered product ``prod_t exp(i xi_t . X)`` under rho."""
-    r = _mat(rho)
+    r = _psd_state(rho, tol, "rho")
     obs = [matcore.check_hermitian(X, tol) for X in observables]
     matcore._same_shape(r, *obs)
     return _ordered_product(r, obs, xis, tol)
@@ -249,8 +257,14 @@ def d_infinitesimal_diagnostic(
         | Tr rho prod_t exp(i (xi_t Z + eta_t O)) - Tr rho prod_t exp(i xi_t Z) |
 
     is reported.  This is a diagnostic only: the definition quantifies over
-    all finite grids, so no verdict is ever issued.
+    all finite grids, so no verdict is ever issued.  ``xi_grid`` may not be
+    empty, and ``grid`` is checked as a sample grid is (non-empty, strictly
+    increasing, from 1 up) before any triple is evaluated; each ``rho`` is
+    validated as a state.
     """
+    if not len(xi_grid):
+        raise ValueError("xi_grid must have at least one entry")
+    grid = _sample_grid(list(grid), math.inf, "grid")
     if any(len(q) > 3 for q in xi_grid):
         raise ValueError("diagnostic grids are limited to r <= 3 factors per query")
     if len(xi_grid) != len(eta_grid):
@@ -262,7 +276,7 @@ def d_infinitesimal_diagnostic(
     evidence = []
     for n in grid:
         rho, Z, O = triples(n)
-        r = _mat(rho)
+        r = _psd_state(rho, tol, "rho")
         Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
         matcore._same_shape(r, Z, O)
         base = _ordered_products(r, [Z], base_queries, tol)
@@ -448,6 +462,8 @@ _KAKUTANI_MARGIN = 0.15
 _KAKUTANI_BOUNDARY_SLACK = 0.02
 #: Summands at or below this are numerically zero and stay out of the fit.
 _SUMMAND_FLOOR = 1e-15
+#: Tail summands that a decay fit, or the verdict that the tail is zero, needs.
+_KAKUTANI_TAIL_MIN = 8
 
 
 def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
@@ -459,9 +475,12 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
     factor range, on the summands above 1e-15: ``p >= 1.15`` reads as
     convergent, while fits at or below the divergence boundary
     (``p <= 1.02``) read as divergent; anything between is Inconclusive.  A
-    user-supplied closed form with a declared series classification overrides
-    the fit-based verdict.
+    fit needs 8 such summands, and a tail read as zero (trivially convergent)
+    needs 8 summands too, all at or below 1e-15.  A user-supplied closed form
+    with a declared series classification overrides the fit-based verdict.
+    ``horizon`` must be a finite whole number >= 1.
     """
+    horizon = _whole_count(horizon, "horizon")
     idx = np.arange(1, horizon + 1)
     summands = _kakutani_summands(fam, idx, tol)
     partial = np.cumsum(summands)
@@ -479,13 +498,13 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
     fit_mask = tail_mask & (summands > _SUMMAND_FLOOR)
     p_fit = None
     notes = []
-    if np.count_nonzero(fit_mask) >= 8:
+    if np.count_nonzero(fit_mask) >= _KAKUTANI_TAIL_MIN:
         x = np.log(idx[fit_mask].astype(float))
         y = np.log(summands[fit_mask])
         slope, _ = np.polyfit(x, y, 1)
         p_fit = float(-slope)
         notes.append(f"fitted decay exponent p={p_fit:.4f} on the last half of the factors")
-    elif np.all(summands[tail_mask] <= _SUMMAND_FLOOR):
+    elif np.count_nonzero(tail_mask) >= _KAKUTANI_TAIL_MIN and np.all(summands[tail_mask] <= _SUMMAND_FLOOR):
         # All tail summands vanish; the series is trivially summable.
         p_fit = float("inf")
         notes.append("tail summands are numerically zero; series trivially convergent")

@@ -75,6 +75,12 @@ def _mat(x) -> np.ndarray:
     return x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
 
 
+def _psd_state(x, tol: ToleranceConfig, who: str) -> np.ndarray:
+    """A state validated where it enters (Hermitian, finite, above the PSD floor; see
+    :func:`matcore.psd_spectrum`), as its Hermitian part; a :class:`DensityMatrix` was validated when made."""
+    return x.mat if isinstance(x, DensityMatrix) else matcore.psd_spectrum(x, tol, who, vectors=False).mat
+
+
 class _Split(NamedTuple):
     """``sigma`` and ``rho`` validated once each, split into H1 + H2 + H3.
 
@@ -143,7 +149,7 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
     else:
         w, V = _spectrum(r, tol, who[1], True)
         k = _zeros(matcore.support_mask(w, tol))
-        (ker_r, supp_r), w_r = _segments(V, k, 1 in (k, len(w) - k)), w[k:]
+        (ker_r, supp_r), w_r = _segments(V, k), w[k:]
         ex = supp_r.conj().T @ s @ supp_r
         ex = matcore._hermitian_part(ex, out=ex)
         wx, Vx = (None, None) if s_pd else (w_s, None) if not k else matcore._eigh(ex, vectors)
@@ -151,11 +157,11 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
     return _Split(s, r, supp_r, ker_r, w_r, ex, wx, Vx, h2)
 
 
-def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> matcore.SpectralDecomposition:
-    """The clamped spectrum of a validated Hermitian operand, checked PSD and nonzero."""
+def _spectrum(H: np.ndarray, tol: ToleranceConfig, who: str, vectors: bool) -> tuple:
+    """``(w, V)``, the clamped spectrum of a validated Hermitian operand, checked PSD and nonzero."""
     _, w, V = matcore._psd_spectrum(H, tol, who, vectors)
     _nonzero(w[-1], who)
-    return matcore.SpectralDecomposition(w, V)
+    return w, V
 
 
 def _zeros(mask: np.ndarray) -> int:
@@ -164,18 +170,10 @@ def _zeros(mask: np.ndarray) -> int:
     return len(mask) - int(np.count_nonzero(mask))
 
 
-def _segments(V: np.ndarray, k: int, copy: bool) -> tuple[np.ndarray, np.ndarray]:
+def _segments(V: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(V[:, :k], V[:, k:])``: the eigenvectors of the bottom ``k`` and of the other eigenvalues.
-
-    A support is the top segment of an ascending spectrum, so both are column
-    slices, views of ``V``.  With ``copy`` they are column-major copies, the
-    layout that boolean indexing gives: a split with a block of dimension 1
-    has products whose result is a vector, and BLAS sums those in an order
-    set by the operands' layout (a product of matrices is packed first, and
-    its bits do not depend on it).
-    """
-    segments = V[:, :k], V[:, k:]
-    return tuple(np.asfortranarray(X) for X in segments) if copy else segments
+    A support is the top segment of an ascending spectrum, so both are column slices, views of ``V``."""
+    return V[:, :k], V[:, k:]
 
 
 def _nonzero(top, who: str, labels: np.ndarray | None = None) -> None:
@@ -369,15 +367,11 @@ def _decompose(sp: _Split) -> LebesgueDecomposition:
         # spectra ascend, so H2 is the same top segment of this eigensolve.
         wx, Vx = (sp.wx, sp.Vx) if sp.Vx is not None else matcore._eigh(sp.ex)
         n1 = _zeros(sp.h2)
-        lone = 1 in (n1, len(Vx) - n1)
-        Q, P = _segments(Vx, n1, lone)
+        Q, P = _segments(Vx, n1)
         if sp.supp_r is None:  # rho certified: the excision is sigma itself
             basis_1, basis_2, rho0 = Q, P, P.conj().T @ sp.r @ P
         else:
-            supp_r = sp.supp_r
-            if lone:  # products with Q or P, and with E* below, are vectors (see _segments)
-                supp_r, basis_3 = np.asfortranarray(supp_r), np.asfortranarray(basis_3)
-            basis_1, basis_2 = supp_r @ Q, supp_r @ P
+            basis_1, basis_2 = sp.supp_r @ Q, sp.supp_r @ P
             rho0 = (P.conj().T * sp.w_r) @ P
         sigma0 = wx[n1:]
         mean = sigma0, rho0, True
@@ -475,15 +469,14 @@ def _qubit_decompose(sp: _QubitSplit) -> LebesgueDecomposition:
 
 
 def _check_resolved(dec: LebesgueDecomposition, rho: np.ndarray, tol: ToleranceConfig) -> None:
-    """Refuse a decomposition whose ``ac = R rho R`` fails beyond ``eq_rel``: ``||R rho R - ac||
-    <= eq_rel (1 + ||ac||)``, in units of a power of 4 near ac's largest entry when that
+    """Refuse a decomposition whose ``ac = R rho R`` fails beyond ``eq_rel``: the relative residual
+    of :func:`matcore._rel_residual`, in units of a power of 4 near ac's largest entry when that
     exceeds 1, so that entries near 1e300 neither overflow nor warn."""
     k = max(matcore._unit4(float(np.abs(dec.ac).max(initial=0.0))), 0)
     half = 0.5**k  # R is in units of 2**k
-    R, ac, unit = dec.sqrt_lr * half, dec.ac * half * half, half * half
-    diff, size = matcore.frob(R @ rho @ R - ac), matcore.frob(ac)
-    if not diff <= tol.eq_rel * (unit + size):  # NaN is refused too
-        resid = diff / (unit + size)
+    R = dec.sqrt_lr * half
+    resid = matcore._rel_residual(R @ rho @ R, dec.ac * half * half, half * half)
+    if not resid <= tol.eq_rel:  # NaN is refused too
         raise NumericCheckFailure(
             f"decomposition unresolved: ||R rho R - ac|| / (1 + ||ac||) = {resid:.3e} exceeds "
             f"eq_rel {tol.eq_rel:.1e} (rank cutoff {tol.rank_rel:.1e} is below the eigensolver's "

@@ -81,13 +81,6 @@ TOL_PROFILES: dict[str, ToleranceConfig] = {
 }
 
 
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and a phase-fixed orthonormal eigenbasis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def frob(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
@@ -113,10 +106,8 @@ def _hermitian_part(A: np.ndarray, out: np.ndarray | None = None, A_star: np.nda
     The operations are those of ``(A + A*) / 2`` below norm ``2**510`` and
     ``A / 2 + A* / 2`` from there on, each written into the buffer of the one
     before, so the bits are those of the out-of-place forms.  ``A_star`` (a
-    fresh conjugate by default) and ``summable`` (a norm below ``2**510``) may
-    be passed when :func:`check_hermitian` has them: scanning a ``(10**4, 2,
-    2)`` stack again cost a tenth of a Kakutani op.  :func:`_tri_mean` passes
-    ``A_star`` written into a spent buffer of its own.
+    fresh conjugate by default) and ``summable`` (a norm below ``2**510``) are
+    passed by :func:`check_hermitian`, which has formed both to judge ``A``.
     """
     if A_star is None:
         A_star = A.conj().swapaxes(-1, -2)
@@ -307,18 +298,17 @@ def _eig2(a: float, b: complex, c: float, vectors: bool) -> tuple:
     return lo, hi, ([v0, u0], [v1, u1])
 
 
-def _eigh2(H: np.ndarray, vectors: bool) -> SpectralDecomposition:
+def _eigh2(H: np.ndarray, vectors: bool) -> tuple:
     """Closed-form eigensystem of one Hermitian matrix of size at most 2 (see :func:`_eig2`)."""
     if H.shape[0] < 2:
-        return SpectralDecomposition(H.diagonal().real.copy(),
-                                     np.eye(H.shape[0], dtype=complex) if vectors else None)
+        return H.diagonal().real.copy(), np.eye(H.shape[0], dtype=complex) if vectors else None
     (a, b), (_, c) = H.tolist()
     lo, hi, V = _eig2(a.real, b, c.real, vectors)
-    return SpectralDecomposition(np.array([lo, hi]), np.array(V, dtype=complex) if vectors else None)
+    return np.array([lo, hi]), np.array(V, dtype=complex) if vectors else None
 
 
-def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
-    """The one eigensolver: ascending eigenvalues, and eigenvectors when ``vectors``.
+def _eigh(H: np.ndarray, vectors: bool = True) -> tuple:
+    """The one eigensolver: ``(w, V)``, ascending eigenvalues and eigenvectors when ``vectors``.
 
     One matrix gets deterministic phases (:func:`_phase_fix`'s rule), in
     closed form at sizes 1 and 2 (:func:`_eigh2`, no LAPACK call); above, the
@@ -329,11 +319,11 @@ def _eigh(H: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     if H.ndim == 2 and H.shape[0] <= 2:
         return _eigh2(H, vectors)
     if not vectors:
-        return SpectralDecomposition(np.linalg.eigvalsh(H), None)
+        return np.linalg.eigvalsh(H), None
     w, V = np.linalg.eigh(H)
     if V.ndim == 2:
         V *= _phases(V)
-    return SpectralDecomposition(w, V)
+    return w, V
 
 
 class PSDSpectrum(NamedTuple):
@@ -778,19 +768,17 @@ def _diag_mean_factor(c: np.ndarray, M: np.ndarray, inverse: bool) -> tuple[np.n
 _SOLVE_LEAF = 64
 
 
-def _solve_upper(U: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``U^{-1} B`` for an upper-triangular ``U`` by back-substitution by halves, ``X2 = U22^{-1} B2``
     and ``X1 = U11^{-1} (B1 - U12 X2)``: the updates are products, and a block of at most
-    ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's).
-    A leaf returns LAPACK's own array; above it the result is written into ``out`` when given,
-    which may be ``B`` itself: each block of ``B`` is read before the rows that it shares are written."""
+    ``_SOLVE_LEAF`` rows goes to ``np.linalg.solve`` whole (so up to that size it is LAPACK's)."""
     n = len(U)
     if n <= _SOLVE_LEAF:
         return np.linalg.solve(U, B)
     h = n // 2
-    X = np.empty(B.shape, dtype=np.result_type(U, B)) if out is None else out
-    X[h:] = _solve_upper(U[h:, h:], B[h:], out=X[h:])  # no copy when the block wrote into X
-    X[:h] = _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:], out=X[:h])
+    X = np.empty(B.shape, dtype=np.result_type(U, B))
+    X[h:] = _solve_upper(U[h:, h:], B[h:])
+    X[:h] = _solve_upper(U[:h, :h], B[:h] - U[:h, h:] @ X[h:])
     return X
 
 
@@ -804,32 +792,26 @@ def _tri_mean(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     root of either operand is formed, and ``R`` is as accurate as the pair's
     conditioning allows (Iannazzo, Numer. Linear Algebra Appl. 23 (2016)).
     Like :func:`_diag_mean` it is taken on operands scaled by powers of 4.  Each
-    d x d temporary is released after its last reader or written over once
-    dead: the conjugates that the Hermitian parts and ``Y*`` need go into spent
-    buffers, ``Y`` above :data:`_SOLVE_LEAF` rows into ``V``, and ``R``'s
-    Hermitian part and scale into the product that forms it.  Besides the
-    eigensolve's and the solve's leaves, the only new d x d arrays are ``L``,
-    its conjugate, the two products and ``R``.
+    d x d temporary is released after its last reader, and the Hermitian parts
+    and ``R``'s scale are written into the products that form them.
     """
     (rho, kr), (sigma, ks) = _scaled4(rho), _scaled4(sigma)
     L = np.linalg.cholesky(rho)
     del rho
-    L_c = L.conj()  # L* is its transpose
-    M = L_c.T @ sigma
+    L_h = L.conj().T
+    M = L_h @ sigma
     del sigma
     P = M @ L
-    del L
-    P = _hermitian_part(P, out=P, A_star=np.conjugate(P.T, out=M))
-    del M  # before the eigensolve's workspace is allocated
-    w, V = np.linalg.eigh(P)
+    del L, M  # before the eigensolve's workspace is allocated
+    w, V = np.linalg.eigh(_hermitian_part(P, out=P))
     del P
-    Y = _solve_upper(L_c.T, V, out=V)
-    del V
-    Y_h = np.conjugate(Y, out=L_c).T
+    Y = _solve_upper(L_h, V)
+    del L_h, V
+    Y_h = Y.conj().T
     Y *= np.sqrt(np.maximum(w, 0.0))
     R = Y @ Y_h
-    R = _hermitian_part(R, out=R, A_star=np.conjugate(R.T, out=Y))
-    return _times2(R, ks - kr, out=R)
+    del Y, Y_h
+    return _times2(_hermitian_part(R, out=R), ks - kr, out=R)
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -846,6 +828,12 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_
     return _diag_mean(a.eigenvalues, V.conj().T @ b.mat @ V, inverse=False, F=V)
 
 
+def _rel_residual(A: np.ndarray, B: np.ndarray, unit: float) -> float:
+    """``||A - B|| / (unit + ||B||)``, the relative residual that ``eq_rel`` bounds: ``unit`` is 1,
+    or ``4**-k`` for operands that the caller has scaled by it (then it is the same ratio)."""
+    return frob(A - B) / (unit + frob(B))
+
+
 def mat_close(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Relative Frobenius equality test at ``tol.eq_rel``."""
-    return frob(np.asarray(A) - np.asarray(B)) <= tol.eq_rel * (1.0 + frob(np.asarray(B)))
+    """Relative Frobenius equality test at ``tol.eq_rel`` (:func:`_rel_residual`)."""
+    return _rel_residual(np.asarray(A), np.asarray(B), 1.0) <= tol.eq_rel

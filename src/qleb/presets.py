@@ -82,10 +82,10 @@ def orthogonal_limit_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
-def orthogonal_limit_sqrt_lr(n: int, gamma: float = 0.0) -> np.ndarray:
-    """Ratio versions for the pair above; ``gamma`` is the free kernel weight."""
+def orthogonal_limit_sqrt_lr(n: int) -> np.ndarray:
+    """The canonical ratio for the pair above (its free kernel weight set to 0)."""
     m = float(n)
-    return np.array([[1, m], [m, m**2 + gamma]], dtype=complex) / np.sqrt(1 + m**2)
+    return np.array([[1, m], [m, m**2]], dtype=complex) / np.sqrt(1 + m**2)
 
 
 def orthogonal_limit_family(horizon: int = 10**6, sample_grid: list[int] | None = None) -> StateSequence:
@@ -150,34 +150,25 @@ def drifting_summand(t: float) -> float:
     return 1.0 - np.sqrt(2 * t**2 / (2 * t**2 + 1))
 
 
-def drifting_product_family(scaling: str = "linear", declare: bool = False) -> ProductFamily:
+def drifting_product_family(scaling: str = "linear") -> ProductFamily:
     """Tensor-product family with factors drifting to I/2.
 
     ``scaling="linear"`` uses drift parameter ``t = i`` (summands fall like
     ``i^-2``: convergent); ``scaling="sqrt"`` uses ``t = sqrt(i)`` (summands
-    fall like ``i^-1``: divergent).  With ``declare=True`` the known series
-    classification is attached alongside the closed-form summand.  The
-    family's ``stack`` builds all its factors with one :func:`drifting_site`
-    call, and every factor shares its ``rho = I/2``.
+    fall like ``i^-1``: divergent); :func:`drifting_summand` is the summand's
+    closed form.  The family's ``stack`` builds all its factors with one
+    :func:`drifting_site` call, and every factor shares its ``rho = I/2``.
     """
     if scaling not in ("linear", "sqrt"):
         raise ValueError("scaling must be 'linear' or 'sqrt'")
 
-    def drift(i):
-        t = np.asarray(i, dtype=float)
-        return t if scaling == "linear" else np.sqrt(t)
-
     rho = np.eye(2, dtype=complex) / 2
 
     def factors(i):  # an index or an array of them
-        return rho, drifting_site(drift(i))
+        t = np.asarray(i, dtype=float)
+        return rho, drifting_site(t if scaling == "linear" else np.sqrt(t))
 
-    return ProductFamily(
-        factors=factors,
-        summand_closed_form=(lambda i: drifting_summand(drift(i))) if declare else None,
-        series_converges=(scaling == "linear") if declare else None,
-        stack=factors,
-    )
+    return ProductFamily(factors=factors, stack=factors)
 
 
 # -- spin-1/2 models -------------------------------------------------------------
@@ -254,27 +245,25 @@ def quadratic_defect(theta) -> float:
     return float(np.linalg.norm(theta) ** 2)
 
 
-def spin_perturbed_state(theta, defect=cubic_defect) -> np.ndarray:
+def spin_perturbed_state(theta) -> np.ndarray:
     """Rank-dropping perturbation: pure tilt mixed with the orthogonal pole,
-    ``w rho_pure + (1 - w) |1><1|`` with ``w = exp(-defect(theta))``."""
+    ``w rho_pure + (1 - w) |1><1|`` with ``w = exp(-|theta|^3)`` (:func:`cubic_defect`)."""
     theta = np.asarray(theta, dtype=float)
-    weight = float(np.exp(-defect(theta)))
+    weight = float(np.exp(-cubic_defect(theta)))
     a, b, c = _spin_pure_entries(theta)
     return _qubit(weight * a, weight * b, weight * c + (1.0 - weight))
 
 
-def spin_perturbed_model(defect=cubic_defect, defect_grad=cubic_defect_grad) -> ParametricModel:
+def spin_perturbed_model() -> ParametricModel:
+    """:func:`spin_perturbed_state` with its analytic derivatives."""
     def deriv(theta, i):
         theta = np.asarray(theta, dtype=float)
         pure = spin_pure_deriv(theta, i)  # refuses a theta of other than 2 parameters first
-        weight = float(np.exp(-defect(theta)))
-        g = defect_grad(theta)[i]
+        weight = float(np.exp(-cubic_defect(theta)))
+        g = cubic_defect_grad(theta)[i]
         return weight * (pure + g * (EXCITED - spin_pure_state(theta)))
 
-    return ParametricModel(
-        state_at=lambda th: spin_perturbed_state(th, defect),
-        deriv_at=deriv,
-    )
+    return ParametricModel(state_at=spin_perturbed_state, deriv_at=deriv)
 
 
 def sqrt_scaling(n: int) -> float:
@@ -294,7 +283,6 @@ def spin_overlap_family(
     h=(1.0, 0.5),
     horizon: int = 10**6,
     sample_grid: list[int] | None = None,
-    perturbed: bool = False,
 ) -> PurePowerFamily:
     """n-copy pure-reference family at local parameter ``h / g(n)``.
 
@@ -309,9 +297,8 @@ def spin_overlap_family(
         declared_overlap_limit = float(np.exp(-np.dot(h, h) / 4.0))
     elif g is quarter_scaling:
         declared_overlap_limit = 0.0
-    state = spin_perturbed_state if perturbed else spin_pure_state
     return PurePowerFamily(
-        site=lambda n: (GROUND.copy(), state(h / g(n))),
+        site=lambda n: (GROUND.copy(), spin_pure_state(h / g(n))),
         declared_trr2_limit=1.0,
         declared_overlap_limit=declared_overlap_limit,
         horizon=horizon,

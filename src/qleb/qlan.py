@@ -10,8 +10,6 @@ n-copy expectation is an exact n-th power of a single-site trace.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -20,9 +18,9 @@ import numpy as np
 
 from . import matcore
 from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product,
-                         _ordered_products, _sample_grid, _tail)
+                         _ordered_products, _sample_grid, _tail, _whole_count)
 from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams
-from .lebesgue import _mat, lebesgue_decompose
+from .lebesgue import _mat, _psd_state, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
 
@@ -105,14 +103,6 @@ def _parameters(theta0) -> np.ndarray:
     return theta0
 
 
-def _copy_count(n, who: str) -> int:
-    """``n`` as an int, refused unless it is a finite whole number >= 1 (a bool is not a count)."""
-    if isinstance(n, numbers.Real) and not isinstance(n, bool):
-        if (isinstance(n, numbers.Integral) or (math.isfinite(n) and float(n).is_integer())) and n >= 1:
-            return int(n)
-    raise ValueError(f"copy count {who} must be a finite whole number >= 1, got {n!r}")
-
-
 def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
     """``M[i, j] = Tr rho right_j left_i``."""
     M = [[np.trace(rho @ b @ a) for b in right] for a in left]
@@ -132,11 +122,15 @@ def _check_centered(rho: np.ndarray, ops: Sequence[np.ndarray], who: str) -> Non
 
 def qfi_matrix(rho, sld_list: Sequence[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Quantum Fisher information matrix ``J[i, j] = Tr rho L_j L_i`` of SLDs with ``|Tr rho L_i| <= 1e-8``."""
-    r = _mat(rho)
+    return _qfi_matrix(_psd_state(rho, tol, "state"), sld_list, tol)
+
+
+def _qfi_matrix(rho: np.ndarray, sld_list: Sequence[np.ndarray], tol: ToleranceConfig) -> np.ndarray:
+    """:func:`qfi_matrix` at a validated state."""
     ops = [matcore.check_hermitian(L, tol) for L in sld_list]
-    matcore._same_shape(r, *ops)
-    _check_centered(r, ops, "sld")
-    return _trace_matrix(r, ops, ops)
+    matcore._same_shape(rho, *ops)
+    _check_centered(rho, ops, "sld")
+    return _trace_matrix(rho, ops, ops)
 
 
 @dataclass
@@ -145,10 +139,11 @@ class IIDExperiment:
 
     ``obs`` carries the single-site observables ``B_i`` (zero mean under the
     base state); queries couple to the collective ``(1/sqrt(n)) sum_k B_i``.
-    The observables are validated once, here, as :func:`contiguity.finite_qcf`
-    validates its own (Hermitian under the default tolerances, of the base
-    state's shape, centred: ``|Tr base B_i| <= 1e-8``).  The copy count ``n``
-    must be a finite whole number >= 1.
+    The base state and the observables are validated once, here, as
+    :func:`contiguity.finite_qcf` validates its own (a state and Hermitian
+    observables under the default tolerances, of the base state's shape,
+    centred: ``|Tr base B_i| <= 1e-8``).  The copy count ``n`` must be a
+    finite whole number >= 1.
     """
 
     base: np.ndarray
@@ -156,9 +151,9 @@ class IIDExperiment:
     n: int = 1
 
     def __post_init__(self) -> None:
-        self.base = _mat(self.base)
+        self.base = _psd_state(self.base, DEFAULT_TOL, "base")
         self.obs = [matcore.check_hermitian(B) for B in self.obs]
-        self.n = _copy_count(self.n, "n")
+        self.n = _whole_count(self.n, "copy count n")
         matcore._same_shape(self.base, *self.obs)
         _check_centered(self.base, self.obs, "obs")
 
@@ -204,7 +199,7 @@ def lecam3_numeric_check(
     from .gaussian import GaussianParams, QcfQuery, _qcf, validate
 
     theta0 = _parameters(theta0)
-    ns = [_copy_count(n, f"n_grid[{k}]") for k, n in enumerate(n_grid)]
+    ns = [_whole_count(n, f"copy count n_grid[{k}]") for k, n in enumerate(n_grid)]
     for name, grid in (("n_grid", ns), ("xi_grid", xi_grid)):
         if not len(grid):
             raise ValueError(f"{name} must have at least one entry")
@@ -226,7 +221,7 @@ def lecam3_numeric_check(
     wants = [_qcf(limit, QcfQuery([np.asarray(x, dtype=float) for x in query])) for query in xi_grid]
     deviations = []
     for n in ns:
-        shifted = _mat(model.state_at(theta0 + h / np.sqrt(n)))
+        shifted = _psd_state(model.state_at(theta0 + h / np.sqrt(n)), tol, f"shifted state at n={n}")
         gaps = _ordered_products(shifted, B, xi_grid, tol, n) - wants
         deviations.append({"n": n, "max_deviation": float(np.hypot(gaps.real, gaps.imag).max(initial=0.0))})
     devs = [row["max_deviation"] for row in deviations]
@@ -275,7 +270,7 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
     d = theta0.shape[0]
     rho0 = _mat(model.state_at(theta0))
     L = slds(model, theta0, tol)
-    J = qfi_matrix(rho0, L, tol)
+    J = _qfi_matrix(rho0, L, tol)  # rho0 was validated by slds
     target = -0.125 * J.real
 
     directions = [np.eye(d)[i] for i in range(d)]

@@ -458,7 +458,14 @@ def test_a_spec_horizon_that_is_not_a_finite_whole_number_exits_2(tmp_path, caps
 def test_horizon_0_is_refused_not_read_as_absent(capsys, argv):
     # --horizon 0 once ran the default horizon (10^4 or 10^6) and exited 0.
     code, out, err = run(capsys, argv + ["--horizon", "0"])
-    assert code == 2 and out == "" and err == "error: horizon must be >= 1\n"
+    assert code == 2 and out == "" and err == "error: horizon must be a finite whole number >= 1, got 0\n"
+
+
+def test_kakutani_at_horizon_1_gives_no_verdict(capsys):
+    # It once printed Contiguous for this divergent family: an empty tail read as zero.
+    code, out, err = run(capsys, ["contiguity", "kakutani", "--preset", "sec-7.2-sqrt-n", "--horizon", "1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["values"]["verdict"] == "Inconclusive"
 
 
 def test_counts_take_e_notation_everywhere(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qleb import (
     BlockSequence,
+    IIDExperiment,
     ParametricModel,
     ProductFamily,
     PurePowerFamily,
@@ -137,6 +138,44 @@ def test_shape_mismatch_raises_dim_mismatch_where_input_enters(call):
         call()
 
 
+_NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
+_NAN_STATE = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+_D13 = np.diag([1.0, 3.0]).astype(complex)  # centred under _NOT_PSD: Tr = 1.5 - 1.5
+
+
+def _linear_model() -> ParametricModel:
+    """``diag(1/2 + t, 1/2 - t)``: a state for |t| <= 1/2, and not PSD beyond."""
+    return ParametricModel(state_at=lambda th: np.diag([0.5 + th[0], 0.5 - th[0]]).astype(complex),
+                           deriv_at=lambda th, i: np.diag([1.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("bad, error", [(_NOT_PSD, NotPSD), (_NAN_STATE, ValidationError)],
+                         ids=["not-psd", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda rho: finite_qcf(rho, [_SX], [[0.5]]),
+    lambda rho: qfi_matrix(rho, [_D13]),
+    lambda rho: l2_norm_sq(rho, _D13),
+    lambda rho: tail_mass(rho, _D13, 0.5),
+    lambda rho: IIDExperiment(base=rho, obs=[_D13]),
+    lambda rho: d_infinitesimal_diagnostic(lambda n: (rho, _SX, _SX), [[0.5]], [[0.5]], [1]),
+], ids=["finite_qcf", "qfi_matrix", "l2_norm_sq", "tail_mass", "IIDExperiment", "d_infinitesimal_diagnostic"])
+def test_a_state_is_validated_where_it_enters(call, bad, error):
+    # Each once read rho unvalidated: qfi_matrix gave [[-3]] and l2_norm_sq 0.0 for
+    # diag(1.5, -0.5), and finite_qcf nan+nanj for a NaN entry.
+    with pytest.raises(error):
+        call(bad)
+
+
+def test_the_shifted_states_of_the_clt_check_are_validated():
+    # At theta0 = 0.1 the state is diag(0.6, 0.4); the shift h / sqrt(n) = 1 leaves the
+    # state space, which once gave a deviation from a matrix with eigenvalue -0.6.
+    model = _linear_model()
+    with pytest.raises(NotPSD, match="^shifted state at n=1 has eigenvalue"):
+        lecam3_numeric_check(model, np.array([0.1]), None, np.array([1.0]), [100, 1], [[np.array([0.5])]])
+    rep = lecam3_numeric_check(model, np.array([0.1]), None, np.array([1.0]), [100], [[np.array([0.5])]])
+    assert rep.deviations[0]["n"] == 100
+
+
 # -- quasi-characteristic diagnostics ----------------------------------------------
 
 
@@ -175,6 +214,25 @@ def test_d_infinitesimal_diagnostic_detects_bad_modification():
 def test_d_infinitesimal_rejects_long_queries():
     with pytest.raises(ValueError):
         d_infinitesimal_diagnostic(lambda n: None, [[1, 2, 3, 4]], [[0, 0, 0, 0]], [1])
+
+
+def test_d_infinitesimal_refuses_an_empty_query_grid():
+    # It once reported max_qcf_deviation 0.0 with nothing compared.
+    with pytest.raises(ValueError, match="^xi_grid must have at least one entry"):
+        d_infinitesimal_diagnostic(lambda n: (_RHO2, _SX, _SX), [], [], [1])
+
+
+@pytest.mark.parametrize("grid", [[], [8, 2, 2], [0], [4, 2]])
+def test_d_infinitesimal_checks_its_grid_before_evaluating_triples(grid):
+    calls = []
+
+    def triples(n):
+        calls.append(n)
+        return _RHO2, _SX, _SX
+
+    with pytest.raises(ValueError, match="^grid must"):
+        d_infinitesimal_diagnostic(triples, [[0.5]], [[0.5]], grid)
+    assert calls == []
 
 
 # -- limit criterion ---------------------------------------------------------------
@@ -269,7 +327,10 @@ def test_pure_criterion_orthogonal_limit_family():
 def test_pure_criterion_perturbed_sites():
     # rank-dropping perturbation with a cubic defect: the n-copy mass on the
     # reachable part decays like exp(-n f(h/g(n))) but still reaches 1
-    fam = spin_overlap_family(presets.sqrt_scaling, perturbed=True, horizon=10**7)
+    h = np.array([1.0, 0.5])
+    fam = PurePowerFamily(site=lambda n: (presets.GROUND.copy(), presets.spin_perturbed_state(h / np.sqrt(n))),
+                          declared_trr2_limit=1.0, declared_overlap_limit=float(np.exp(-h @ h / 4.0)),
+                          horizon=10**7)
     rep = pure_criterion(fam)
     assert rep.verdict == CONTIGUOUS
     final = rep.evidence[-1]
@@ -321,8 +382,19 @@ def test_kakutani_drifting_families():
     assert 0.8 <= rep.details["fitted_exponent"] <= 1.2
 
 
+def _declared_drifting_family(scaling: str) -> ProductFamily:
+    """The drifting family with its closed-form summand and known series classification."""
+    def closed_form(i):
+        t = np.asarray(i, dtype=float)
+        return drifting_summand(t if scaling == "linear" else np.sqrt(t))
+
+    fam = drifting_product_family(scaling)
+    return ProductFamily(factors=fam.factors, stack=fam.stack, summand_closed_form=closed_form,
+                         series_converges=scaling == "linear")
+
+
 def test_kakutani_summands_match_closed_form():
-    rep = kakutani_criterion(drifting_product_family("linear", declare=True))
+    rep = kakutani_criterion(_declared_drifting_family("linear"))
     assert rep.verdict == CONTIGUOUS
     assert rep.details["closed_form_deviation"] < 1e-12
     for row in rep.evidence:
@@ -332,7 +404,7 @@ def test_kakutani_summands_match_closed_form():
 def test_kakutani_declared_and_fitted_verdicts_agree():
     for scaling in ("linear", "sqrt"):
         fit = kakutani_criterion(drifting_product_family(scaling), horizon=2000)
-        declared = kakutani_criterion(drifting_product_family(scaling, declare=True), horizon=2000)
+        declared = kakutani_criterion(_declared_drifting_family(scaling), horizon=2000)
         assert fit.verdict == declared.verdict
 
 
@@ -343,6 +415,35 @@ def test_kakutani_identical_factors_trivially_contiguous():
     rep = kakutani_criterion(fam, horizon=500)
     assert rep.verdict == CONTIGUOUS
     assert "trivially convergent" in rep.notes
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 10, 12])
+def test_a_tail_of_fewer_than_8_summands_gives_no_verdict(horizon):
+    # horizon 1 once read the divergent sqrt family as Contiguous ("tail summands are
+    # numerically zero"): np.all over an empty tail is True.  A zero tail, like a fit,
+    # needs 8 tail summands.
+    rng = np.random.default_rng(7)
+    rho = rand_density(2, rng)
+    for fam in (drifting_product_family("sqrt"), ProductFamily(factors=lambda i: (rho, rho))):
+        rep = kakutani_criterion(fam, horizon=horizon)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.details["fitted_exponent"] is None
+    assert kakutani_criterion(ProductFamily(factors=lambda i: (rho, rho)), horizon=13).verdict == CONTIGUOUS
+
+
+@pytest.mark.parametrize("horizon", [0, -3, 2.5, float("nan"), float("inf"), True, "10"])
+def test_a_kakutani_horizon_is_a_finite_whole_number_of_at_least_one(horizon):
+    # 2.5 once ran 3 factors.
+    with pytest.raises(ValueError, match="^horizon must be a finite whole number >= 1, got "):
+        kakutani_criterion(drifting_product_family("linear"), horizon=horizon)
+
+
+def test_whole_kakutani_horizons_of_any_type_read_as_ints():
+    fam = drifting_product_family("linear")
+    want = kakutani_criterion(fam, horizon=100)
+    for horizon in (100.0, np.int64(100), np.float64(100.0)):
+        rep = kakutani_criterion(fam, horizon=horizon)
+        assert (rep.verdict, rep.evidence, rep.details) == (want.verdict, want.evidence, want.details)
 
 
 def test_kakutani_rejects_non_ac_factor():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -499,7 +500,7 @@ def test_closed_form_eigensystem_matches_lapack():
 
 def _check_closed_form_eigensystem(H: np.ndarray) -> None:
     w, V = matcore._eigh(H)
-    assert np.array_equal(matcore._eigh(H, vectors=False).eigenvalues, w)
+    assert np.array_equal(matcore._eigh(H, vectors=False)[0], w)
     w_ref, V_ref = _eigh_reference(H)
     # Norms in units of the largest entry, so that 1e300 does not overflow.
     unit = np.abs(H).max()
@@ -526,7 +527,7 @@ def test_closed_form_small_eigenvalue_keeps_its_relative_accuracy():
         s = 10.0 ** -k
         b = 1e-2 * np.sqrt(s) * np.exp(2j * np.pi * rng.uniform())
         H = np.array([[1.0, b], [np.conj(b), s]])
-        w = matcore._eigh(H, vectors=False).eigenvalues
+        w = matcore._eigh(H, vectors=False)[0]
         det = Fraction(1.0) * Fraction(s) - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2
         want = float(det / Fraction(w[1]))
         assert abs(w[0] - want) <= 4 * EPS * want, k
@@ -613,6 +614,25 @@ def test_upper_solve_by_halves_is_backward_stable(n, cond):
     X = matcore._solve_upper(U, B)
     size = np.linalg.norm
     assert size(U @ X - B) <= n * EPS * size(U) * size(X)
+
+
+def test_one_relative_residual_rule():
+    # mat_close, the decomposition's resolution check and the CLI's checks read one
+    # ratio ||A - B|| / (1 + ||B||); operands scaled by 4**-k with unit 4**-k give it too,
+    # bit for bit, and entries near 1e300 neither overflow nor warn.
+    rng = np.random.default_rng(12)
+    B = rand_psd(4, rng)
+    A = B + 1e-9 * rand_psd(4, rng)
+    want = np.linalg.norm(A - B) / (1.0 + np.linalg.norm(B))
+    assert matcore._rel_residual(A, B, 1.0) == want
+    assert matcore._rel_residual(A * 4.0**-3, B * 4.0**-3, 4.0**-3) == want
+    assert matcore.mat_close(A, B, ToleranceConfig(eq_rel=want)) and not matcore.mat_close(
+        A, B, ToleranceConfig(eq_rel=want * (1 - 1e-12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = 250
+        got = matcore._rel_residual(A * 1e300 * 4.0**-k, B * 1e300 * 4.0**-k, 4.0**-k)
+    assert got == pytest.approx(np.linalg.norm(A - B) / np.linalg.norm(B), rel=1e-12)
 
 
 # -- non-finite input ----------------------------------------------------------------------

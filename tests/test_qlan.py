@@ -455,10 +455,9 @@ def test_spin_states_are_the_array_formula_bit_for_bit():
             continue
         pure = spin_pure_state_reference(theta)
         assert spin_pure_state(theta).tobytes() == pure.tobytes()
-        for defect in (cubic_defect, quadratic_defect):
-            weight = float(np.exp(-defect(theta)))
-            want = weight * pure + (1.0 - weight) * presets.EXCITED
-            assert presets.spin_perturbed_state(theta, defect).tobytes() == want.tobytes()
+        weight = float(np.exp(-cubic_defect(theta)))
+        want = weight * pure + (1.0 - weight) * presets.EXCITED
+        assert presets.spin_perturbed_state(theta).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("theta", [[], [0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1])
