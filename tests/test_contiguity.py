@@ -438,14 +438,6 @@ def test_a_kakutani_horizon_is_a_finite_whole_number_of_at_least_one(horizon):
         kakutani_criterion(drifting_product_family("linear"), horizon=horizon)
 
 
-def test_whole_kakutani_horizons_of_any_type_read_as_ints():
-    fam = drifting_product_family("linear")
-    want = kakutani_criterion(fam, horizon=100)
-    for horizon in (100.0, np.int64(100), np.float64(100.0)):
-        rep = kakutani_criterion(fam, horizon=horizon)
-        assert (rep.verdict, rep.evidence, rep.details) == (want.verdict, want.evidence, want.details)
-
-
 def test_kakutani_rejects_non_ac_factor():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
