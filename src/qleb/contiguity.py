@@ -10,10 +10,14 @@ report.
 Quasi-characteristic functions over observables are one evaluation of
 ordered products, :func:`_ordered_products`, over a whole grid of queries;
 with 2x2 operands the generators of all factors are formed from the
-observables' entries and exponentiated by one stacked closed form.  The
-declared limits of :func:`limit_criterion` are validated once, by the split
-that decides the verdict.  ``sigma << rho`` is
-decided in :mod:`qleb.lebesgue`, for one pair or a stack of Kakutani factors.
+observables' entries and exponentiated by one stacked closed form.  Each
+caller state is read once, by the check that validates it: a criterion's
+declared limits once per call, before any pair is sampled (by the split that
+decides the verdict in :func:`limit_criterion`); the sampled pairs of
+:func:`limit_criterion` as one stack per operand over the grid; a pure pair
+by its decomposition; Kakutani factors by :func:`lebesgue._stacked_fidelity`.
+Errors name the operand and the grid point.  ``sigma << rho`` is decided in
+:mod:`qleb.lebesgue`, for one pair or a stack of Kakutani factors.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     NotPure,
     ValidationError,
 )
-from .lebesgue import _mat, _pair_split, _psd_state, _stacked_fidelity, lebesgue_decompose
+from .lebesgue import _pair_split, _psd_state, _stacked_fidelity, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig
 
 CONTIGUOUS = "Contiguous"
@@ -276,7 +280,7 @@ def d_infinitesimal_diagnostic(
     evidence = []
     for n in grid:
         rho, Z, O = triples(n)
-        r = _psd_state(rho, tol, "rho")
+        r = _psd_state(rho, tol, f"rho at n={n}")
         Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
         matcore._same_shape(r, Z, O)
         base = _ordered_products(r, [Z], base_queries, tol)
@@ -300,27 +304,28 @@ def limit_criterion(seq: StateSequence, tol: ToleranceConfig = DEFAULT_TOL) -> C
     Contiguous iff ``sigma_inf << rho_inf``, provided the sampled sequences
     confirm the declared limits (Frobenius residual at the horizon at most
     1e-3); otherwise the report is inconclusive.  Each declared limit is
-    validated once, by the split that decides ``sigma_inf << rho_inf``.
+    validated once, by the split that decides ``sigma_inf << rho_inf``,
+    before any pair is sampled.  The sampled pairs are checked for shape in
+    grid order (:class:`DimVaries`); then each operand is validated as one
+    stack over the grid, an error naming it and the first failing ``n``, and
+    the residuals are read from the validated arrays.
     """
     if seq.declared_limits is None:
         raise MissingLimits("limit_criterion requires declared_limits")
     # sigma_inf << rho_inf iff the split of rho_inf relative to sigma_inf has no H1.
     split = _pair_split(*seq.declared_limits, tol, who=("declared rho limit", "declared sigma limit"))
     rho_inf, sigma_inf = split.operands()
-    evidence = []
+    pairs = []
     for n in seq.sample_grid:
-        rho_n, sigma_n = seq.eval(n)
-        rho_n, sigma_n = _mat(rho_n), _mat(sigma_n)
-        if rho_n.shape != rho_inf.shape or sigma_n.shape != sigma_inf.shape:
-            raise DimVaries(
-                f"dimension at n={n} ({rho_n.shape[0]}) differs from the declared "
-                f"limit dimension ({rho_inf.shape[0]})"
-            )
-        evidence.append({
-            "n": int(n),
-            "rho_limit_residual": matcore.frob(rho_n - rho_inf),
-            "sigma_limit_residual": matcore.frob(sigma_n - sigma_inf),
-        })
+        pairs.append(seq.eval(n))
+        if (shapes := tuple(map(np.shape, pairs[-1]))) != (rho_inf.shape,) * 2:
+            raise DimVaries(f"shapes at n={n} {shapes} differ from the declared limits' {rho_inf.shape}")
+    labels = np.array([f"at n={n}" for n in seq.sample_grid])
+    rhos, sigmas = (_psd_state(np.array(x, dtype=complex), tol, f"sampled {who}", labels)
+                    for x, who in zip(zip(*pairs), ("rho", "sigma")))
+    evidence = [{"n": int(n), "rho_limit_residual": matcore.frob(rho_n - rho_inf),
+                 "sigma_limit_residual": matcore.frob(sigma_n - sigma_inf)}
+                for n, rho_n, sigma_n in zip(seq.sample_grid, rhos, sigmas)]
     last = evidence[-1]
     confirmed = (
         last["rho_limit_residual"] <= _LIMIT_CHECK_TOL
@@ -346,16 +351,24 @@ def limit_criterion(seq: StateSequence, tol: ToleranceConfig = DEFAULT_TOL) -> C
     )
 
 
-def _pure_stats(grid, pair_at: Callable, power: Callable, who: str, tol: ToleranceConfig) -> list[dict]:
+def _pure_stats(grid, pair_at: Callable, power: Callable, who: str, tol: ToleranceConfig, shape=None) -> list[dict]:
     """``Tr rho R^2`` and the overlap at each grid point, one decomposition each.
 
-    ``power(n, x)`` turns a per-pair statistic into the row's value.  The
+    ``power(n, x)`` turns a per-pair statistic into the row's value.  Each
+    pair is read once, as arrays that the decomposition validates (an error
+    names ``n``) before the overlap reads them; with ``shape`` (the declared
+    limits'), a pair of another shape raises :class:`DimVaries`.  The
     reference's rank is read off the decomposition's split (H1 + H2).
     """
     rows = []
     for n in grid:
-        rho, sigma = (_mat(x) for x in pair_at(n))
-        dec = lebesgue_decompose(sigma, rho, tol)
+        rho, sigma = (np.asarray(x, dtype=complex) for x in pair_at(n))
+        if shape is not None and (rho.shape, sigma.shape) != (shape, shape):
+            raise DimVaries(f"shapes at n={n} {rho.shape, sigma.shape} differ from the declared limits' {shape}")
+        try:
+            dec = lebesgue_decompose(sigma, rho, tol)
+        except ValidationError as exc:
+            raise type(exc)(f"pair at n={n}: {exc}") from None
         if sum(dec.split.dims[:2]) != 1:
             raise NotPure(f"{who} at n={n} has rank != 1")
         rows.append({
@@ -392,12 +405,13 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
         declared_overlap = seq.declared_overlap_limit
         declared_trr2 = seq.declared_trr2_limit
     else:
-        rows = _pure_stats(seq.sample_grid, seq.eval, lambda n, x: x, "reference state", tol)
-        declared_overlap = declared_trr2 = None
-        if seq.declared_limits is not None:
-            lim_r = _mat(seq.declared_limits[0])
-            lim_s = _mat(seq.declared_limits[1])
-            declared_overlap = float(np.trace(lim_r @ lim_s).real)
+        declared_overlap = declared_trr2 = shape = None
+        if seq.declared_limits is not None:  # validated before any pair is sampled
+            lim_r, lim_s = (_psd_state(x, tol, f"declared {who} limit")
+                            for x, who in zip(seq.declared_limits, ("rho", "sigma")))
+            matcore._same_shape(lim_r, lim_s)
+            declared_overlap, shape = float(np.trace(lim_r @ lim_s).real), lim_r.shape
+        rows = _pure_stats(seq.sample_grid, seq.eval, lambda n, x: x, "reference state", tol, shape)
 
     trr2 = [row["tr_rho_R2"] for row in rows]
     overlap = [row["overlap"] for row in rows]
@@ -421,15 +435,15 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
 def _kakutani_summands(fam: ProductFamily, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Summands ``1 - Tr rho_i R_i`` for all factors, with the AC precondition check.
 
-    The family's ``stack``, or else the factors' arrays (a ``DensityMatrix``
-    gives its matrix) stacked per operand, go through :func:`_stacked_summands`;
-    factors of varying dimensions one at a time.
+    The family's ``stack``, or else the factors' arrays stacked per operand,
+    go through :func:`_stacked_summands`; factors of varying dimensions one
+    at a time.
     """
     if fam.stack is not None:
         return _stacked_summands(*fam.stack(idx), idx, tol)
-    pairs = [(_mat(r), _mat(s)) for r, s in (fam.factors(int(i)) for i in idx)]
+    pairs = [fam.factors(int(i)) for i in idx]
     try:
-        rhos, sigmas = (np.array(x) for x in zip(*pairs))
+        rhos, sigmas = (np.array(x, dtype=complex) for x in zip(*pairs))
     except ValueError:  # dimensions that vary
         rhos = sigmas = None
     if rhos is not None and rhos.ndim == sigmas.ndim == 3:
@@ -587,11 +601,18 @@ _BLOCK_STRICT = 1e-14
 _BLOCK_TRACE_EPS = 1e-3
 
 
-def _declared_positive(n: int, name: str, outer, coupling, inner) -> bool:
-    """Hypothesis (c) for the declared block ``[[outer, coupling], [coupling*, inner]]``
-    at ``n``; an error from its entries names the block and ``n``."""
+def _declared_positive(n: int, name: str, outer, coupling, inner, tol: ToleranceConfig) -> bool:
+    """Hypothesis (c) for the declared block ``[[outer, coupling], [coupling*, inner]]`` at ``n``,
+    whose square blocks must be Hermitian under ``tol`` (an outer diagonal, real by the same rule);
+    an error from its entries names the block and ``n``."""
     try:
-        return matcore._bordered_positive(outer, coupling, inner, _BLOCK_STRICT)
+        positive = matcore._bordered_positive(outer, coupling, inner, _BLOCK_STRICT)
+        for part, X in (("outer", outer), ("inner", inner)):
+            if X.ndim == 2:
+                matcore.check_hermitian(X, tol, f"{part} block")
+            elif not 2 * matcore._frob(X.imag, False) <= tol.hermitian * (1 + matcore._frob(X, False)):
+                raise matcore.NonHermitian(f"{part} diagonal is not real (imaginary part {abs(X.imag).max():.3e})")
+        return positive
     except ValidationError as exc:
         raise type(exc)(f"declared {name} block at n={n}: {exc}") from None
 
@@ -614,9 +635,12 @@ def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFA
     by its diagonal (1-D) only the inner-sized Schur complement is factored
     and nothing of the outer block's size is formed; a 2-D outer block is
     decided on the assembled block (:func:`matcore._bordered_positive`).
-    Blocks whose shapes do not fit raise :class:`DimMismatch`, and a NaN or
-    infinite entry :class:`ValidationError`, naming the block and ``n``.  The
-    blocks are evaluated once per grid point.
+    Blocks whose shapes do not fit raise :class:`DimMismatch`, a NaN or
+    infinite entry :class:`ValidationError` and a square block that is not
+    Hermitian under ``tol`` :class:`NonHermitian`, naming the block and
+    ``n``.  The blocks are evaluated once per grid point.  ``full_eval``'s
+    states pass :func:`matcore.check_hermitian` (their positivity is the
+    blocks', which they must equal) before the comparison.
     """
     evidence = []
     hypotheses_ok = True
@@ -631,8 +655,8 @@ def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFA
         tr_sigma0 = float(np.trace(sigma0).real)
         # A list, not ``and``: both sides are read, so a non-finite entry is
         # refused wherever it is.
-        pd_ok = all([_declared_positive(n, "rho", rho2, rho1, rho0),
-                     _declared_positive(n, "sigma", sigma2, sigma1.conj().T, sigma0)])
+        pd_ok = all([_declared_positive(n, "rho", rho2, rho1, rho0, tol),
+                     _declared_positive(n, "sigma", sigma2, sigma1.conj().T, sigma0, tol)])
         if not pd_ok:
             hypotheses_ok = False
             flags.append(f"declared blocks not strictly positive at n={n}")
@@ -647,11 +671,9 @@ def block_criterion_diagnostics(bseq: BlockSequence, tol: ToleranceConfig = DEFA
             kept[n] = parts
 
     for n in check_ns:
-        got_rho, got_sigma = bseq.full_eval(n)
-        exp_rho, exp_sigma = _assemble_blocks(kept[n])
-        if not (matcore.mat_close(_mat(got_rho), exp_rho, tol)
-                and matcore.mat_close(_mat(got_sigma), exp_sigma, tol)):
-            raise BlocksInconsistent(f"reassembled blocks differ from supplied states at n={n}")
+        for who, got, want in zip(("rho", "sigma"), bseq.full_eval(n), _assemble_blocks(kept[n])):
+            if not matcore.mat_close(matcore.check_hermitian(got, tol, f"full_eval {who} at n={n}"), want, tol):
+                raise BlocksInconsistent(f"full_eval {who} at n={n} differs from the reassembled blocks")
 
     tr0_tail = _tail([row["tr_rho0"] for row in evidence])
     gap_tail = _tail([row["tr_sigma0_gap"] for row in evidence])

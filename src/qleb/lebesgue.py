@@ -48,6 +48,8 @@ class DensityMatrix:
     ``subnormalized=True`` relaxes the trace constraint to ``0 < Tr <= 1``,
     which is needed for diagnostics on blocks of larger states.  The trace
     rule is :func:`_check_trace`, which the CLI applies to the arrays it reads.
+    Every entry point reads it as an array (``__array__``) and validates it
+    under the call's own tolerances.
     """
 
     def __init__(self, mat: np.ndarray, subnormalized: bool = False,
@@ -55,6 +57,9 @@ class DensityMatrix:
         mat = matcore.psd_spectrum(mat, tol, "state", vectors=False).mat
         _check_trace(mat, subnormalized)
         self.mat = mat
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
 
 #: Absolute slack of a state's trace about 1 (rounding of entries read from documents).
@@ -71,14 +76,14 @@ def _check_trace(mat: np.ndarray, subnormalized: bool = False) -> None:
         raise ZeroState(f"state trace {tr:.12g} differs from 1 beyond {_TRACE_TOL:.1e}")
 
 
-def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
-
-
-def _psd_state(x, tol: ToleranceConfig, who: str) -> np.ndarray:
+def _psd_state(x, tol: ToleranceConfig, who: str, labels: np.ndarray | None = None) -> np.ndarray:
     """A state validated where it enters (Hermitian, finite, above the PSD floor; see
-    :func:`matcore.psd_spectrum`), as its Hermitian part; a :class:`DensityMatrix` was validated when made."""
-    return x.mat if isinstance(x, DensityMatrix) else matcore.psd_spectrum(x, tol, who, vectors=False).mat
+    :func:`matcore.psd_spectrum`), as its Hermitian part; with ``labels``, a stack named as there,
+    whose 2x2 matrices are judged in closed form (:func:`matcore._psd2_stack`, no LAPACK call)."""
+    if labels is not None and np.shape(x)[-2:] == (2, 2):
+        matcore._psd2_stack(x := matcore.check_square(x, stack=True), tol, who, labels)
+        return matcore._hermitian_part(x)
+    return matcore.psd_spectrum(x, tol, who, vectors=False, labels=labels).mat
 
 
 class _Split(NamedTuple):
@@ -137,8 +142,8 @@ def _split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify: boo
     ``vectors`` is set, and the excision takes its own only when rho has a
     kernel (with vectors under ``vectors``).  Errors name the operands by ``who``.
     """
-    s = matcore.check_hermitian(_mat(sigma), tol, who[0])
-    r = matcore.check_hermitian(_mat(rho), tol, who[1])
+    s = matcore.check_hermitian(sigma, tol, who[0])
+    r = matcore.check_hermitian(rho, tol, who[1])
     matcore._same_shape(s, r)
     certify = certify and len(s) > 2
     s_pd = certify and matcore._certified_full_rank(s, tol)
@@ -235,7 +240,7 @@ def _pair_split(sigma, rho, tol: ToleranceConfig, vectors: bool = False, certify
                 who: tuple[str, str] = ("sigma", "rho")) -> _Split | _QubitSplit:
     """The split of ``sigma`` relative to ``rho``: :func:`_qubit_split` when both
     are 2x2, else :func:`_split`; errors name the operands by ``who``."""
-    s, r = _mat(sigma), _mat(rho)
+    s, r = np.asarray(sigma, dtype=complex), np.asarray(rho, dtype=complex)
     if s.shape == r.shape == (2, 2):
         return _qubit_split(s, r, tol, who)
     return _split(s, r, tol, vectors, certify, who)

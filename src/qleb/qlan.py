@@ -20,7 +20,7 @@ from . import matcore
 from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product,
                          _ordered_products, _sample_grid, _tail, _whole_count)
 from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams
-from .lebesgue import _mat, _psd_state, lebesgue_decompose
+from .lebesgue import _psd_state, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
 
@@ -42,15 +42,21 @@ _FD_STEP = 1e-5
 
 def model_derivative(model: ParametricModel, theta0: np.ndarray, i: int) -> np.ndarray:
     """Partial derivative of the state at ``theta0`` along parameter ``i``."""
-    theta0 = np.asarray(theta0, dtype=float)
+    return _derivative(model, np.asarray(theta0, dtype=float), i, DEFAULT_TOL)
+
+
+def _derivative(model: ParametricModel, theta0: np.ndarray, i: int, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`model_derivative` under ``tol``: the four finite-difference states, at ``theta0 +- step``
+    and ``theta0 +- step/2``, are validated as states (an error names the point)."""
     if model.deriv_at is not None:
         return hermitian_part(np.asarray(model.deriv_at(theta0, i), dtype=complex))
     e = np.zeros_like(theta0)
     e[i] = 1.0
 
     def central(step: float) -> np.ndarray:
-        return (_mat(model.state_at(theta0 + step * e))
-                - _mat(model.state_at(theta0 - step * e))) / (2 * step)
+        up, down = (_psd_state(model.state_at(theta0 + s * e), tol, f"state at theta0 {s:+.1e} e_{i}")
+                    for s in (step, -step))
+        return (up - down) / (2 * step)
 
     coarse, fine = central(_FD_STEP), central(_FD_STEP / 2)
     return hermitian_part((4.0 * fine - coarse) / 3.0)
@@ -71,28 +77,33 @@ def sld(
     kernel-kernel block cannot be reproduced by any solution; they are
     projected away with a warning.
     """
-    rho = _mat(model.state_at(np.asarray(theta0, dtype=float)))
-    drho = model_derivative(model, theta0, i)
-    matcore._same_shape(rho, drho)
-    _, w, V = matcore.psd_spectrum(rho, tol, "state")
-    D = V.conj().T @ drho @ V
-    denom = w[:, None] + w[None, :]
-    supp = matcore.support_mask(w, tol)
-    reachable = supp[:, None] | supp[None, :]
-    lost = matcore.frob(np.where(reachable, 0.0, D))
-    if lost > tol.eq_rel * (1.0 + matcore.frob(drho)):
-        warnings.warn(
-            f"derivative has kernel-kernel components of norm {lost:.3e}; projected away",
-            InconsistentDerivativeWarning,
-        )
-    L = np.where(reachable, 2.0 * D / np.where(reachable, denom, 1.0), 0.0)
-    return hermitian_part(V @ L @ V.conj().T)
+    return _slds(model, np.asarray(theta0, dtype=float), (i,), tol)[1][0]
 
 
 def slds(model: ParametricModel, theta0: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """All symmetric logarithmic derivatives at ``theta0``."""
     theta0 = _parameters(theta0)
-    return [sld(model, theta0, i, tol) for i in range(theta0.shape[0])]
+    return _slds(model, theta0, range(theta0.shape[0]), tol)[1]
+
+
+def _slds(model: ParametricModel, theta0: np.ndarray, indices, tol: ToleranceConfig) -> tuple:
+    """``(rho, [L_i for i in indices])``: the state at ``theta0``, read once and validated (its
+    Hermitian part), and the SLDs of :func:`sld` from its one spectrum."""
+    rho, w, V = matcore.psd_spectrum(model.state_at(theta0), tol, "state")
+    supp = matcore.support_mask(w, tol)
+    reachable = supp[:, None] | supp[None, :]
+    denom = np.where(reachable, w[:, None] + w[None, :], 1.0)
+    L = []
+    for i in indices:
+        drho = _derivative(model, theta0, i, tol)
+        matcore._same_shape(rho, drho)
+        D = V.conj().T @ drho @ V
+        lost = matcore.frob(np.where(reachable, 0.0, D))
+        if lost > tol.eq_rel * (1.0 + matcore.frob(drho)):
+            warnings.warn(f"derivative has kernel-kernel components of norm {lost:.3e}; projected away",
+                          InconsistentDerivativeWarning)
+        L.append(hermitian_part(V @ np.where(reachable, 2.0 * D / denom, 0.0) @ V.conj().T))
+    return rho, L
 
 
 def _parameters(theta0) -> np.ndarray:
@@ -206,8 +217,7 @@ def lecam3_numeric_check(
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.size != theta0.size:
         raise ValueError(f"h has {h.size} entries, but the model has {theta0.size} parameters")
-    rho0 = _mat(model.state_at(theta0))
-    L = slds(model, theta0, tol)
+    rho0, L = _slds(model, theta0, range(theta0.shape[0]), tol)
     B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
     matcore._same_shape(rho0, *B)
     tau = _trace_matrix(rho0, B, L)
@@ -268,10 +278,8 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
     """
     theta0 = _parameters(theta0)
     d = theta0.shape[0]
-    rho0 = _mat(model.state_at(theta0))
-    L = slds(model, theta0, tol)
-    J = _qfi_matrix(rho0, L, tol)  # rho0 was validated by slds
-    target = -0.125 * J.real
+    rho0, L = _slds(model, theta0, range(d), tol)
+    target = -0.125 * _qfi_matrix(rho0, L, tol).real
 
     directions = [np.eye(d)[i] for i in range(d)]
     pair_index = {}

@@ -297,6 +297,49 @@ def test_limit_criterion_unconfirmed_limits_inconclusive():
     assert "not confirmed" in rep.notes
 
 
+def test_limit_criterion_refuses_sampled_pairs_that_are_not_states():
+    # Each sampled operand is validated as one stack over the grid, an error
+    # naming it and the first failing n: a rho_n below the PSD floor once read
+    # Contiguous, and a NaN rho_n "declared limits not confirmed".
+    limits = presets.faithful_to_pure_limits()
+    below = StateSequence(eval=lambda n: (presets.GROUND + np.diag([0.0, -1.0 / n]), limits[1]),
+                          declared_limits=limits, horizon=10**5)
+    with pytest.raises(NotPSD, match="^sampled rho at n=1 has eigenvalue"):
+        limit_criterion(below)
+
+    def nan_late(n):
+        rho = faithful_to_pure_pair(n)[0].copy()
+        rho[0, 1] = np.nan if n >= 100 else 0.0
+        return rho, limits[1]
+
+    grid = [1, 10, 100, 1000]
+    with pytest.raises(ValidationError, match="^sampled rho at n=100 has a non-finite entry"):
+        limit_criterion(StateSequence(eval=nan_late, declared_limits=limits, horizon=1000, sample_grid=grid))
+    rng = np.random.default_rng(12)
+    rho = rand_density(3, rng)
+    upper = rho.copy()
+    upper[0, 2] += 0.3
+    seq = StateSequence(eval=lambda n: (rho, upper if n >= 10 else rho), declared_limits=(rho, rho),
+                        horizon=1000, sample_grid=grid)
+    with pytest.raises(NonHermitian, match="^sampled sigma at n=10 is not Hermitian"):
+        limit_criterion(seq)
+
+
+def test_limit_criterion_checks_shapes_in_grid_order_before_validating():
+    # A pair of the wrong shape is refused at its n, before a later pair that
+    # is not a state is validated.
+    limits = presets.faithful_to_pure_limits()
+
+    def pair(n):
+        if n == 10:
+            return np.eye(3) / 3, np.eye(3) / 3
+        return np.diag([1.0, -1.0]), limits[1]
+
+    seq = StateSequence(eval=pair, declared_limits=limits, horizon=100, sample_grid=[1, 10, 100])
+    with pytest.raises(DimVaries, match="^shapes at n=10"):
+        limit_criterion(seq)
+
+
 # -- pure criterion ----------------------------------------------------------------
 
 
@@ -357,6 +400,45 @@ def test_pure_criterion_without_declarations_is_inconclusive():
     fam = PurePowerFamily(site=site, horizon=10**6, declared_trr2_limit=1.0)
     rep = pure_criterion(fam)
     assert rep.verdict == INCONCLUSIVE
+
+
+def test_pure_criterion_validates_declared_limits_before_sampling():
+    # A declared sigma limit below the PSD floor once read NotContiguous.
+    calls = []
+
+    def pair(n):
+        calls.append(n)
+        return orthogonal_limit_family().eval(n)
+
+    for limits, error, match in (((presets.GROUND, np.diag([-0.5, 1.5])), NotPSD, "^declared sigma limit has"),
+                                 ((np.array([[0.5, 0.5], [0, 0.5]]), presets.EXCITED), NonHermitian,
+                                  "^declared rho limit is not Hermitian"),
+                                 ((presets.GROUND, np.eye(3) / 3), DimMismatch, "operand shapes differ")):
+        with pytest.raises(error, match=match):
+            pure_criterion(StateSequence(eval=pair, declared_limits=limits, horizon=10**4))
+    assert calls == []
+
+
+def test_pure_criterion_refuses_limits_that_do_not_fit_the_sequence():
+    # 3x3 limits on the 2x2 family once read NotContiguous.
+    limits = (np.diag([1.0, 0, 0]).astype(complex), np.diag([0, 1.0, 0]).astype(complex))
+    seq = StateSequence(eval=orthogonal_limit_family().eval, declared_limits=limits, horizon=10**4)
+    with pytest.raises(DimVaries, match=r"^shapes at n=1 \(\(2, 2\), \(2, 2\)\) differ"):
+        pure_criterion(seq)
+
+
+def test_pure_criterion_errors_name_the_pair_and_n():
+    def pair(n):
+        rho, sigma = orthogonal_limit_family().eval(n)
+        return rho, (sigma + np.diag([0.0, -1.0])) if n >= 10 else sigma
+
+    seq = StateSequence(eval=pair, horizon=100, sample_grid=[1, 10, 100])
+    with pytest.raises(NotPSD, match="^pair at n=10: sigma has eigenvalue"):
+        pure_criterion(seq)
+    site = PurePowerFamily(site=lambda n: (np.array([[1.0, np.nan], [np.nan, 0.0]]), presets.GROUND),
+                           horizon=100, sample_grid=[3, 100])
+    with pytest.raises(ValidationError, match="^pair at n=3: rho has a non-finite entry"):
+        pure_criterion(site)
 
 
 @pytest.mark.parametrize("grid", [[10**6, 1000, 10, 1], [5, 5], [], [0, 10], [1, 10**7]])
@@ -436,6 +518,14 @@ def test_a_kakutani_horizon_is_a_finite_whole_number_of_at_least_one(horizon):
     # 2.5 once ran 3 factors.
     with pytest.raises(ValueError, match="^horizon must be a finite whole number >= 1, got "):
         kakutani_criterion(drifting_product_family("linear"), horizon=horizon)
+
+
+def test_whole_kakutani_horizons_of_any_type_read_as_ints():
+    fam = drifting_product_family("linear")
+    want = kakutani_criterion(fam, horizon=100)
+    for horizon in (100.0, np.int64(100), np.float64(100.0)):
+        rep = kakutani_criterion(fam, horizon=horizon)
+        assert (rep.verdict, rep.evidence, rep.details) == (want.verdict, want.evidence, want.details)
 
 
 def test_kakutani_rejects_non_ac_factor():
@@ -1304,6 +1394,57 @@ def test_block_criterion_refuses_non_finite_declared_blocks(side, entry, value):
     bseq = BlockSequence(blocks=blocks, grid=three_block_family().grid,
                          inner_limits=presets.faithful_to_pure_limits())
     with pytest.raises(ValidationError, match=f"declared {side} block at n=4: .*non-finite entry"):
+        block_criterion_diagnostics(bseq)
+
+
+@pytest.mark.parametrize("side", ["rho", "sigma"])
+@pytest.mark.parametrize("part", ["outer matrix", "outer diagonal", "inner"])
+def test_block_criterion_refuses_declared_blocks_that_are_not_hermitian(side, part):
+    # A dense rho2 with [0, -1] += 0.3/n once read Contiguous ("all block
+    # hypotheses verified"): the positivity rule takes the Hermitian part.
+    def blocks(n):
+        parts = [np.array(b) for b in three_block_blocks(n)]
+        outer, inner = (0, 2) if side == "rho" else (5, 3)
+        if part == "outer matrix":
+            parts[outer] = np.diag(parts[outer])
+            parts[outer][0, -1] += 0.3 / n
+        elif part == "outer diagonal":
+            parts[outer] = parts[outer] + 0.3j / n
+        else:
+            parts[inner][0, 1] += 0.3 / n
+        return tuple(parts)
+
+    bseq = BlockSequence(blocks=blocks, grid=three_block_family().grid,
+                         inner_limits=presets.faithful_to_pure_limits())
+    with pytest.raises(NonHermitian, match=f"^declared {side} block at n=4: {part.split()[0]} "):
+        block_criterion_diagnostics(bseq)
+
+
+def test_block_hermiticity_is_judged_under_the_calls_tolerance():
+    def blocks(n):
+        parts = [np.array(b) for b in three_block_blocks(n)]
+        parts[2][0, 1] += 1e-11
+        return tuple(parts)
+
+    bseq = BlockSequence(blocks=blocks, grid=three_block_family().grid,
+                         inner_limits=presets.faithful_to_pure_limits())
+    assert block_criterion_diagnostics(bseq).verdict == CONTIGUOUS
+    with pytest.raises(NonHermitian, match="^declared rho block at n=4: inner block"):
+        block_criterion_diagnostics(bseq, matcore.TOL_PROFILES["strict"])
+
+
+@pytest.mark.parametrize("bad", ["nan", "non-hermitian"])
+def test_block_criterion_validates_the_full_eval_states(bad):
+    def full_eval(n):
+        rho, sigma = _assemble_blocks(three_block_blocks(n))
+        sigma = sigma.copy()
+        sigma[0, 1] = np.nan if bad == "nan" else 0.3
+        return rho, sigma
+
+    bseq = BlockSequence(blocks=three_block_blocks, grid=three_block_family().grid,
+                         inner_limits=presets.faithful_to_pure_limits(), full_eval=full_eval)
+    error = ValidationError if bad == "nan" else NonHermitian
+    with pytest.raises(error, match="^full_eval sigma at n=4 "):
         block_criterion_diagnostics(bseq)
 
 

@@ -53,6 +53,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_a_density_matrix_is_read_as_an_array_and_validated_under_the_calls_tolerance():
+    # diag(1 + 5e-11, -5e-11) clears the default PSD floor, so it makes a
+    # DensityMatrix, but not the strict floor; l2_norm_sq once returned
+    # 0.99999999985 for the DensityMatrix under the strict profile.
+    from qleb import TOL_PROFILES, is_singular, l2_norm_sq
+
+    strict = TOL_PROFILES["strict"]
+    for d in (2, 3):
+        A = np.diag([1 + 5e-11] + [0.0] * (d - 2) + [-5e-11])
+        dm = DensityMatrix(A)
+        assert np.asarray(dm) is dm.mat
+        assert np.array(dm, copy=True) is not dm.mat
+        calls = (lambda x: l2_norm_sq(x, np.eye(d), strict),
+                 lambda x: is_singular(x, np.eye(d) / d, strict),
+                 lambda x: lebesgue_decompose(np.eye(d) / d, x, strict))
+        for call in calls:
+            for x in (A, dm):
+                with pytest.raises(NotPSD, match="eigenvalue -5.000e-11 below the PSD floor"):
+                    call(x)
+        assert l2_norm_sq(dm, np.eye(d)) == l2_norm_sq(A, np.eye(d))
+
+
 def test_excision_full_rank_keeps_spectrum():
     rng = np.random.default_rng(0)
     rho = rand_density(3, rng)

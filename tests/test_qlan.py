@@ -19,7 +19,7 @@ from qleb import (
     sqrt_likelihood_ratio,
 )
 from qleb.contiguity import CONTIGUOUS, NOT_CONTIGUOUS
-from qleb.errors import CenteringViolated, InconsistentDerivativeWarning, NonHermitian
+from qleb.errors import CenteringViolated, InconsistentDerivativeWarning, NonHermitian, NotPSD
 from qleb.qlan import model_derivative
 from qleb import cli, contiguity, gaussian, lebesgue, matcore, presets, qlan
 from qleb.presets import (
@@ -111,6 +111,38 @@ def test_slds_and_the_expansion_refuse_theta_that_is_not_a_nonempty_vector(theta
         with pytest.raises(ValueError, match=r"^theta0 must be a 1-D array with at least one entry, got shape "):
             check(model, theta)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["non-hermitian", "below-floor"])
+def test_finite_difference_states_are_validated(bad):
+    # A state at theta0 +- step (or step/2) that is not a state once gave an SLD.
+    theta0 = np.array([0.3, 0.2])
+    defect = np.array([[0.0, 0.3], [0.0, 0.0]]) if bad == "non-hermitian" else np.diag([0.0, -0.5])
+
+    def state_at(theta):
+        state = presets.spin_perturbed_state(theta)
+        return state if np.array_equal(theta, theta0) else state + defect
+
+    error = NonHermitian if bad == "non-hermitian" else NotPSD
+    for check in (lambda m: sld(m, theta0, 1), lambda m: slds(m, theta0), lambda m: model_derivative(m, theta0, 0)):
+        with pytest.raises(error, match=r"^state at theta0 \+1\.0e-05 e_[01] "):
+            check(ParametricModel(state_at=state_at))
+
+
+def test_the_state_at_theta0_is_read_once_per_call():
+    # sqrt_expansion_check and lecam3_numeric_check read rho(theta0) once (it
+    # was 3 times, the first read unvalidated), plus one state per step or copy count.
+    calls = []
+    model = spin_perturbed_model()
+    counted = ParametricModel(state_at=lambda th: calls.append(th) or model.state_at(th), deriv_at=model.deriv_at)
+    sqrt_expansion_check(counted, np.zeros(2))
+    assert len(calls) == 1 + 24
+    calls.clear()
+    lecam3_numeric_check(counted, np.zeros(2), None, np.array([1.0, 0.5]), [10, 100, 1000], [[[0.3, 0.1]]])
+    assert len(calls) == 1 + 3
+    calls.clear()
+    slds(ParametricModel(state_at=counted.state_at), np.zeros(2))
+    assert len(calls) == 1 + 2 * 4
 
 
 # -- QFI ------------------------------------------------------------------------------

@@ -183,13 +183,22 @@ def test_cli_decompose_validates_each_operand_once(counted, monkeypatch, tmp_pat
                                                          "deficient-rho": 5}[kind])
 
 
-def test_limit_criterion_validates_each_declared_limit_once(counted):
+def test_limit_criterion_validates_each_declared_limit_once(counted, monkeypatch):
     # The split that decides sigma_inf << rho_inf validates both limits, and
-    # the residuals are read against its validated arrays: 2 checks, not 4.
+    # then each sampled operand is validated as one stack over the grid (a
+    # stack of 2x2 matrices on its entries, by matcore._psd2_stack): 2 + 2
+    # checks, the limits first, where a check per grid point would take 2 + 26.
     from qleb import StateSequence, limit_criterion, presets
 
+    stack_rule = matcore._psd2_stack
+
+    def counted_stack_rule(A, *args, **kwargs):
+        counted["hermitian"].append(A)
+        return stack_rule(A, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_psd2_stack", counted_stack_rule)
     assert limit_criterion(presets.faithful_to_pure_family()).verdict == "Contiguous"
-    assert len(counted["hermitian"]) == 2
+    assert len(counted["hermitian"]) == 2 + 2
     rng = np.random.default_rng(31)
     for d in (2, 3, 8):
         rho, sigma = _state(rng, d, d), _state(rng, d, (d + 1) // 2)
@@ -197,7 +206,8 @@ def test_limit_criterion_validates_each_declared_limit_once(counted):
             counted["hermitian"].clear()
             seq = StateSequence(eval=lambda n, pair=limits: pair, declared_limits=limits, horizon=50)
             assert limit_criterion(seq).verdict == verdict
-            assert [id(A) for A in counted["hermitian"]] == [id(A) for A in limits]
+            assert [id(A) for A in counted["hermitian"][:2]] == [id(A) for A in limits]
+            assert [A.shape for A in counted["hermitian"][2:]] == [(len(seq.sample_grid), d, d)] * 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
