@@ -126,10 +126,6 @@ class ProductFamily:
     """Factorwise family for tensor products ``rho_n = rho_1 x ... x rho_n``.
 
     ``factors(i)`` returns the pair ``(rho_i, sigma_i)``.
-    ``summand_closed_form`` optionally supplies the analytic value of
-    ``1 - Tr rho_i R_i``; ``series_converges`` is the user's declared
-    classification of the associated series, used for the verdict when the
-    closed form is given.
 
     ``stack(idx)`` optionally hands over the factors ``idx`` at once, as the
     pair ``(rho, sigma)``: each operand an ``(len(idx), d, d)`` stack, or one
@@ -141,8 +137,6 @@ class ProductFamily:
     """
 
     factors: Callable[[int], tuple]
-    summand_closed_form: Optional[Callable[[int], float]] = None
-    series_converges: Optional[bool] = None
     stack: Optional[Callable[[np.ndarray], tuple]] = None
 
 
@@ -490,9 +484,8 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
     convergent, while fits at or below the divergence boundary
     (``p <= 1.02``) read as divergent; anything between is Inconclusive.  A
     fit needs 8 such summands, and a tail read as zero (trivially convergent)
-    needs 8 summands too, all at or below 1e-15.  A user-supplied closed form
-    with a declared series classification overrides the fit-based verdict.
-    ``horizon`` must be a finite whole number >= 1.
+    needs 8 summands too, all at or below 1e-15.  The verdict comes from
+    these two rules only.  ``horizon`` must be a finite whole number >= 1.
     """
     horizon = _whole_count(horizon, "horizon")
     idx = np.arange(1, horizon + 1)
@@ -503,10 +496,6 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
         {"i": int(i), "summand": float(summands[i - 1]), "partial_sum": float(partial[i - 1])}
         for i in sample_at
     ]
-    closed_form_dev = None
-    if fam.summand_closed_form is not None:
-        closed = np.array([fam.summand_closed_form(int(i)) for i in idx])
-        closed_form_dev = float(np.max(np.abs(closed - summands)))
 
     tail_mask = idx >= max(2, horizon // 2)
     fit_mask = tail_mask & (summands > _SUMMAND_FLOOR)
@@ -523,13 +512,7 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
         p_fit = float("inf")
         notes.append("tail summands are numerically zero; series trivially convergent")
 
-    if fam.summand_closed_form is not None and fam.series_converges is not None:
-        verdict = CONTIGUOUS if fam.series_converges else NOT_CONTIGUOUS
-        notes.append(
-            f"verdict from the declared series classification "
-            f"(closed-form max deviation {closed_form_dev:.3e})"
-        )
-    elif p_fit is None:
+    if p_fit is None:
         verdict = INCONCLUSIVE
         notes.append("insufficient usable tail samples for a decay fit")
     elif p_fit >= 1.0 + _KAKUTANI_MARGIN:
@@ -543,7 +526,7 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
     return ContiguityReport(
         verdict=verdict, criterion_used="Kakutani", evidence=evidence,
         notes="; ".join(notes),
-        details={"fitted_exponent": p_fit, "closed_form_deviation": closed_form_dev},
+        details={"fitted_exponent": p_fit},
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonHermitian, NotPSD
+from .errors import InvalidParams, ValidationError
 from .matcore import DEFAULT_TOL, ToleranceConfig, psd_spectrum
 
 
@@ -94,13 +94,14 @@ class QcfQuery:
 
 
 def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff ``h`` is real of matching length and ``J`` is Hermitian PSD."""
+    """True iff ``h`` is real of matching length and ``J`` is Hermitian PSD (a non-finite
+    entry of ``J`` gives False)."""
     h, J = params.h, params.J
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] != h.shape[0]:
         return False
     try:
         psd_spectrum(J, tol, "J", vectors=False)
-    except (NonHermitian, NotPSD):
+    except ValidationError:
         return False
     return True
 

@@ -15,9 +15,11 @@ of its report contents, by naming it:
 ``PYTHONPATH=src python tests/test_cli_reports.py KEY...`` rewrites the named
 entries alone (and adds a newly pinned one), and exits 2, writing nothing, on
 a key that names no pinned command.  With no key it writes nothing: it lists
-the entries whose regenerated report differs from the stored one, so that a
-regeneration never rewrites an entry by the way (the Kakutani reports move
-in their last bits whenever the summand arithmetic does).
+the entries whose regenerated report differs from the stored one, each with
+the report keys added and removed, the values changed that are not numbers,
+and the largest absolute change of any number, so that a regeneration never
+rewrites an entry by the way (the Kakutani reports move in their last bits
+whenever the summand arithmetic does).
 """
 
 from __future__ import annotations
@@ -177,8 +179,50 @@ def test_kakutani_report_matches_to_summand_rounding(reports, expected, name):
         assert abs(row["partial_sum"] - ref["partial_sum"]) <= row["i"] * SUMMAND_TOL
 
 
+_MISSING = object()
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _changes(new, old, path: str, out: dict) -> None:
+    """Collect into ``out`` the paths ``new`` adds to or removes from ``old``, the paths of changed
+    values that are not both numbers, and the largest absolute change of a number in both."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        items = [(new.get(k, _MISSING), old.get(k, _MISSING), f"{path}.{k}" if path else k)
+                 for k in sorted(new.keys() | old.keys())]
+    elif isinstance(new, list) and isinstance(old, list):
+        items = [(new[i] if i < len(new) else _MISSING, old[i] if i < len(old) else _MISSING, f"{path}[{i}]")
+                 for i in range(max(len(new), len(old)))]
+    elif _is_number(new) and _is_number(old):
+        out["change"] = max(out["change"], abs(new - old))
+        return
+    else:
+        if new != old:
+            out["changed"].append(path)
+        return
+    for a, b, p in items:
+        if b is _MISSING:
+            out["added"].append(p)
+        elif a is _MISSING:
+            out["removed"].append(p)
+        else:
+            _changes(a, b, p, out)
+
+
+def describe_change(new: dict, old: dict) -> str:
+    """How the regenerated entry ``new`` differs from the stored entry ``old``, on one line."""
+    out = {"added": [], "removed": [], "changed": [], "change": 0.0}
+    _changes(new.get("report"), old.get("report"), "", out)
+    parts = [f"{', '.join(out[what])} {what}" for what in ("removed", "added", "changed") if out[what]]
+    if new.get("exit_code") != old.get("exit_code"):
+        parts.append(f"exit code {old.get('exit_code')} -> {new.get('exit_code')}")
+    return "; ".join(parts + [f"largest numeric change {out['change']:.3g}"])
+
+
 def regenerate(keys: list[str], path: Path = EXPECTED) -> int:
-    """Rewrite the stored reports ``keys`` in ``path``; with no key, list those that differ.
+    """Rewrite the stored reports ``keys`` in ``path``; with no key, list those that differ and how.
 
     Returns the exit code: 2, with nothing written, when a key names no
     pinned command.
@@ -192,8 +236,12 @@ def regenerate(keys: list[str], path: Path = EXPECTED) -> int:
         reports = cli_reports(Path(tmp), set(keys) if keys else None)
     if not keys:
         for name in sorted(set(reports) | set(stored)):
-            if reports.get(name) != stored.get(name):
-                sys.stdout.write(f"{name}\n")
+            if name not in reports:
+                sys.stdout.write(f"{name} stored but not pinned\n")
+            elif name not in stored:
+                sys.stdout.write(f"{name} pinned but not stored\n")
+            elif reports[name] != stored[name]:
+                sys.stdout.write(f"{name} {describe_change(reports[name], stored[name])}\n")
         return 0
     stored.update(reports)
     path.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -215,6 +263,18 @@ def test_regeneration_rewrites_only_the_named_entries(tmp_path, expected, capsys
     assert "pure.spin-overlap" in listed and "limit.example-4.1" not in listed
     assert regenerate(["pure.spin-overlap"], path) == 0
     assert json.loads(path.read_text(encoding="utf-8")) == expected
+
+
+def test_a_listed_entry_says_what_moved():
+    old = {"exit_code": 0, "report": {"values": {"details": {"gone": None, "p": 1.5}, "rows": [1, 2],
+                                                 "verdict": "Contiguous"}}}
+    new = {"exit_code": 0, "report": {"values": {"details": {"p": 1.25}, "rows": [1, 2, 3],
+                                                 "verdict": "Contiguous"}}}
+    assert describe_change(new, old) == ("values.details.gone removed; values.rows[2] added; "
+                                         "largest numeric change 0.25")
+    new["report"]["values"]["verdict"], new["exit_code"] = "NotContiguous", 2
+    assert describe_change(new, old) == ("values.details.gone removed; values.rows[2] added; values.verdict changed; "
+                                         "exit code 0 -> 2; largest numeric change 0.25")
 
 
 if __name__ == "__main__":

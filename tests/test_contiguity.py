@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from qleb import (
     ParametricModel,
     ProductFamily,
     PurePowerFamily,
+    RateScan,
     StateSequence,
     block_criterion_diagnostics,
     d_infinitesimal_diagnostic,
@@ -464,30 +466,39 @@ def test_kakutani_drifting_families():
     assert 0.8 <= rep.details["fitted_exponent"] <= 1.2
 
 
-def _declared_drifting_family(scaling: str) -> ProductFamily:
-    """The drifting family with its closed-form summand and known series classification."""
-    def closed_form(i):
-        t = np.asarray(i, dtype=float)
-        return drifting_summand(t if scaling == "linear" else np.sqrt(t))
-
-    fam = drifting_product_family(scaling)
-    return ProductFamily(factors=fam.factors, stack=fam.stack, summand_closed_form=closed_form,
-                         series_converges=scaling == "linear")
-
-
 def test_kakutani_summands_match_closed_form():
-    rep = kakutani_criterion(_declared_drifting_family("linear"))
+    idx = np.arange(1, 10**4 + 1)
+    summands = _kakutani_summands(drifting_product_family("linear"), idx, DEFAULT_TOL)
+    assert np.max(np.abs(summands - drifting_summand(idx.astype(float)))) < 1e-12
+    rep = kakutani_criterion(drifting_product_family("linear"))
     assert rep.verdict == CONTIGUOUS
-    assert rep.details["closed_form_deviation"] < 1e-12
     for row in rep.evidence:
         assert row["summand"] == pytest.approx(drifting_summand(float(row["i"])), abs=1e-12)
 
 
 def test_kakutani_declared_and_fitted_verdicts_agree():
-    for scaling in ("linear", "sqrt"):
-        fit = kakutani_criterion(drifting_product_family(scaling), horizon=2000)
-        declared = kakutani_criterion(_declared_drifting_family(scaling), horizon=2000)
-        assert fit.verdict == declared.verdict
+    # The fit reads the series as the drift's closed form says: summable for
+    # t = i, divergent for t = sqrt(i).
+    for scaling, want in (("linear", CONTIGUOUS), ("sqrt", NOT_CONTIGUOUS)):
+        assert kakutani_criterion(drifting_product_family(scaling), horizon=2000).verdict == want
+
+
+def test_verdicts_come_only_from_what_the_criteria_check():
+    # A declared series classification once overrode the Kakutani fit (the
+    # divergent sqrt family read Contiguous), and a declared bound on n/g^2 read
+    # "bound exceeded" as "unbounded".  Neither is an option any more.
+    assert [f.name for f in dataclasses.fields(ProductFamily)] == ["factors", "stack"]
+    assert [f.name for f in dataclasses.fields(RateScan)] == ["f", "g", "h", "grid"]
+    fam = drifting_product_family("sqrt")
+    with pytest.raises(TypeError):
+        ProductFamily(factors=fam.factors, stack=fam.stack, series_converges=True)
+    with pytest.raises(TypeError):
+        ProductFamily(factors=fam.factors, summand_closed_form=drifting_summand)
+    with pytest.raises(TypeError):
+        RateScan(f=lambda th: 0.0, g=presets.sqrt_scaling, h=[1.0], grid=[10, 100], g2_bound=0.5)
+    rep = kakutani_criterion(fam, horizon=2000)
+    assert rep.verdict == NOT_CONTIGUOUS
+    assert list(rep.details) == ["fitted_exponent"]
 
 
 def test_kakutani_identical_factors_trivially_contiguous():

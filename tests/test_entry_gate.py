@@ -208,7 +208,8 @@ OPERANDS = {
                        "sqrt_expansion_check",
     "RateScan": "scalar rate data",
     "RateScanReport": "a result",
-    "iid_qcf": "an IIDExperiment, whose base is validated when it is made",
+    "iid_qcf": "an IIDExperiment, whose base is validated when it is made and again under the call's "
+               "tolerances",
     "lecam3_numeric_check": {
         **model_rows(lambda m: qleb.lecam3_numeric_check(m, THETA0, None, [1.0, 0.5], [1, 10], [[[0.3, 0.1]]])),
         "shifted states": (lambda bad, d: lambda: qleb.lecam3_numeric_check(
@@ -221,9 +222,9 @@ OPERANDS = {
     "sqrt_expansion_check": {
         **model_rows(lambda m: qleb.sqrt_expansion_check(m, THETA0)),
         # The states at theta0 + h, steps of the fit and no caller's parameter, are
-        # named as the sigma of their decomposition.
+        # named by their step, as the sigma of their decomposition.
         "states at theta0 + h": (lambda bad, d: lambda: qleb.sqrt_expansion_check(model_at(bad, deriv=True), THETA0),
-                                 "sigma"),
+                                 "state at theta0 + h"),
     },
     "errors": "a module",
     "presets": "a module",

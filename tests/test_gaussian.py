@@ -35,6 +35,22 @@ def test_validate_shape_mismatch():
     assert not validate(GaussianParams(h=np.zeros(3), J=np.eye(2)))
 
 
+def test_a_nan_covariance_is_invalid_params():
+    # validate once raised ValidationError on a NaN, where it answers False for
+    # other invalid covariances.
+    nan = float("nan")
+    assert validate(GaussianParams(h=[0.0], J=[[nan]])) is False
+    with pytest.raises(InvalidParams):
+        gaussian_qcf(GaussianParams(h=[0.0], J=[[nan]]), [[1.0]])
+    good = dict(mu=[0.0, 0.0], Sigma=np.eye(2), kappa=[0.1, 0.2], s2=1.0)
+    for field, value in (("Sigma", [[1.0, nan], [nan, 1.0]]), ("kappa", [nan, 0.2]), ("s2", nan)):
+        ext = ExtendedGaussianParams(**dict(good, **{field: value}))
+        for call in (lambda: lecam_shift(ext), lambda: sandwiched_gaussian_qcf(ext, [[0.5, 0.5]])):
+            with pytest.raises(InvalidParams):
+                call()
+    assert sandwiched_gaussian_qcf(ExtendedGaussianParams(**good), [[0.5, 0.5]]) is not None
+
+
 def test_qcf_single_real_query_matches_classical():
     rng = np.random.default_rng(0)
     for _ in range(30):

@@ -79,7 +79,7 @@ OPTIONS = {
     "sqrt_likelihood_ratio": "tol=DEFAULT_TOL",
     "BlockSequence": "blocks, grid, inner_limits=None, full_eval=None",
     "ContiguityReport": "verdict, criterion_used, evidence=list(), notes='', details=dict()",
-    "ProductFamily": "factors, summand_closed_form=None, series_converges=None, stack=None",
+    "ProductFamily": "factors, stack=None",
     "PurePowerFamily": "site, declared_trr2_limit=None, declared_overlap_limit=None, horizon=1000000, "
                        "sample_grid=None",
     "StateSequence": "eval, declared_limits=None, horizon=1000, sample_grid=None",
@@ -103,7 +103,7 @@ OPTIONS = {
     "IIDExperiment": "base, obs=list(), n=1",
     "LeCam3Report": "limit_mean, limit_cov, tau, deviations, decreasing",
     "ParametricModel": "state_at, deriv_at=None",
-    "RateScan": "f, g, h, grid, g2_bound=None",
+    "RateScan": "f, g, h, grid",
     "RateScanReport": "rows, verdict, notes",
     "iid_qcf": "tol=DEFAULT_TOL",
     "lecam3_numeric_check": "tol=DEFAULT_TOL",

@@ -237,6 +237,19 @@ def test_iid_qcf_single_copy_equals_site_trace():
     assert iid_qcf(exp, [[xi]]) == pytest.approx(finite_qcf(rho, [B], [[xi]]), abs=1e-14)
 
 
+def test_iid_qcf_validates_the_base_under_the_calls_tolerances():
+    # The base passes the default floor when it is made; under strict it once
+    # answered 1.000000000006207-4.27e-11j where finite_qcf refuses it.
+    base = np.diag([1 + 5e-11, -5e-11]).astype(complex)
+    B = np.diag([0.0, 1.0])
+    exp = IIDExperiment(base=base, obs=[B], n=3)
+    strict = matcore.TOL_PROFILES["strict"]
+    for call in (lambda: iid_qcf(exp, [[0.5]], strict), lambda: contiguity.finite_qcf(base, [B], [[0.5]], strict)):
+        with pytest.raises(NotPSD, match="^base has eigenvalue|^rho has eigenvalue"):
+            call()
+    assert iid_qcf(exp, [[0.5]]) == contiguity._ordered_product(exp.base, exp.obs, [[0.5]], matcore.DEFAULT_TOL, 3)
+
+
 def test_iid_qcf_defining_identity_against_tensor_product():
     # materialize two and three copies explicitly and compare
     from qleb.matcore import unitary_exp
@@ -634,6 +647,20 @@ def test_expansion_perturbed_model_orders():
     assert rep.residual_order is not None and rep.residual_order > 2.0
 
 
+def test_expansion_names_a_stepped_state_by_its_step():
+    # A state that gains 0.3 off the diagonal away from theta0 once raised
+    # "sigma is not Hermitian", with no word of which state.
+    def state_at(theta):
+        rho = spin_pure_state(theta).astype(complex)
+        if np.linalg.norm(theta) > 5e-3:
+            rho[0, 1] += 0.3
+        return rho
+
+    model = ParametricModel(state_at=state_at, deriv_at=presets.spin_pure_deriv)
+    with pytest.raises(NonHermitian, match=r"^state at theta0 \+ h for h=\(0\.00518, 0\): sigma is not Hermitian"):
+        sqrt_expansion_check(model, np.zeros(2))
+
+
 # -- rate scans ------------------------------------------------------------------------
 
 
@@ -662,7 +689,7 @@ def test_rate_scan_slow_scaling_unbounded_second_column():
 
 def test_rate_scan_declared_bound():
     scan = RateScan(f=lambda th: 0.0, g=sqrt_scaling, h=np.array([1.0]),
-                    grid=[10, 100, 1000], g2_bound=2.0)
+                    grid=[10, 100, 1000])
     assert rate_scan(scan).verdict == CONTIGUOUS
 
 
