@@ -8,9 +8,10 @@ structure.  Anything else yields ``Inconclusive`` or a diagnostics-only
 report.
 
 Quasi-characteristic functions over observables are one evaluation of
-ordered products, :func:`_ordered_products`, over a whole grid of queries;
-with 2x2 operands the generators of all factors are formed from the
-observables' entries and exponentiated by one stacked closed form.  Each
+ordered products, :func:`_ordered_products`, over a whole grid of queries:
+the generators of all factors are formed as one stack and exponentiated by
+one call of :func:`matcore._expi`.  Observables are validated against their
+validated state by one gate, :func:`_observables`.  Each
 caller state is read once, by the check that validates it: a criterion's
 declared limits once per call, before any pair is sampled (by the split that
 decides the verdict in :func:`limit_criterion`); the sampled pairs of
@@ -61,13 +62,27 @@ def _whole_count(n, who: str) -> int:
     raise ValueError(f"{who} must be a finite whole number >= 1, got {n!r}")
 
 
-def _tail(values: Sequence, frac: float = 0.25) -> list:
-    k = max(2, int(np.ceil(len(values) * frac)))
+#: Share of a sampled sequence that its trend rules read: the last quarter, at least 2 values.
+_TAIL_FRAC = 0.25
+
+
+def _tail(values: Sequence) -> list:
+    k = max(2, int(np.ceil(len(values) * _TAIL_FRAC)))
     return list(values[-min(k, len(values)):])
 
 
 def _nonincreasing(xs: Sequence[float], slack: float = 1e-9) -> bool:
     return all(b <= a * (1 + slack) + slack for a, b in zip(xs, xs[1:]))
+
+
+def _loglog_slope(x: np.ndarray, y: np.ndarray, floor: float, least: int) -> Optional[float]:
+    """The one decay fit: the least-squares slope of ``log y`` on ``log x`` over the points with
+    ``y > floor``, or ``None`` when fewer than ``least`` points clear the floor."""
+    mask = y > floor
+    if np.count_nonzero(mask) < least:
+        return None
+    slope, _ = np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)
+    return float(slope)
 
 
 @dataclass
@@ -98,7 +113,6 @@ class PurePowerFamily:
     """
 
     site: Callable[[int], tuple]
-    declared_trr2_limit: Optional[float] = None
     declared_overlap_limit: Optional[float] = None
     horizon: int = 10**6
     sample_grid: Optional[list[int]] = None
@@ -163,18 +177,23 @@ def tail_mass(rho, R: np.ndarray, M: float, tol: ToleranceConfig = DEFAULT_TOL) 
 def l2_norm_sq(rho, O: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """``Tr rho O^2`` for a Hermitian observable ``O`` (always >= 0)."""
     r = _psd_state(rho, tol, "rho")
-    o = matcore.check_hermitian(O, tol)
-    matcore._same_shape(r, o)
+    o, = _observables(r, [O], tol)
     return float(max(0.0, np.trace(r @ o @ o).real))
+
+
+def _observables(rho: np.ndarray, ops: Sequence, tol: ToleranceConfig) -> list[np.ndarray]:
+    """The one gate for observables: each of ``ops`` checked by :func:`matcore.check_hermitian` under
+    the call's ``tol`` (its exactly Hermitian part kept) and of the validated state ``rho``'s shape."""
+    obs = [matcore.check_hermitian(X, tol) for X in ops]
+    matcore._same_shape(rho, *obs)
+    return obs
 
 
 def finite_qcf(rho, observables: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
                tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Expectation of the ordered product ``prod_t exp(i xi_t . X)`` under rho."""
     r = _psd_state(rho, tol, "rho")
-    obs = [matcore.check_hermitian(X, tol) for X in observables]
-    matcore._same_shape(r, *obs)
-    return _ordered_product(r, obs, xis, tol)
+    return _ordered_product(r, _observables(r, observables, tol), xis, tol)
 
 
 def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[Sequence[float]],
@@ -186,41 +205,32 @@ def _ordered_product(rho: np.ndarray, obs: Sequence[np.ndarray], xis: Sequence[S
 def _ordered_products(rho: np.ndarray, obs: Sequence[np.ndarray], queries: Sequence[Sequence[Sequence[float]]],
                       tol: ToleranceConfig, n: int = 1) -> np.ndarray:
     """``(Tr rho prod_t exp(i xi_t . X / sqrt(n)))^n`` for each query ``(xi_1, ..., xi_r)`` of ``queries``,
-    for observables ``X`` validated by :func:`matcore.check_hermitian`: the one evaluation of ordered
-    exponential products (``n > 1`` gives the n-copy value of collective observables, see
+    for observables ``X`` of rho's shape validated by :func:`_observables`: the one evaluation of
+    ordered exponential products (``n > 1`` gives the n-copy value of collective observables, see
     :func:`qlan.iid_qcf`).
 
-    The factors of all queries are formed first.  When rho and every observable are 2x2, the
-    generators ``H = scale sum_k xi_k X_k`` of all factors are formed at once from the observables'
-    entries, by numpy's operations in the order of that sum, and exponentiated by one call of the
-    stacked closed form :func:`matcore._expi2`.  A real combination of exactly Hermitian observables
-    is exactly Hermitian, so only finiteness is checked; the first generator with a NaN or infinite
-    entry (a non-finite or overflowing ``xi``) goes to :func:`matcore.check_hermitian`, which names
-    the entry.  Other sizes take one :func:`matcore.unitary_exp` per factor.  Factors are refused in
-    grid order: a vector of the wrong length only after the factors before it are checked.  The
-    queries are then grouped by their factor count ``r``, and each group multiplied as stacks,
-    ``U @ F`` for each factor and then ``rho @ U``, with the trace summed as ``np.trace`` sums it:
-    a stacked product rounds as a single one does, so each value has the bits of a one-query call.
+    The generators ``H = sum_k xi_k X_k * scale`` of the factors of all queries are formed at once,
+    as one ``(m, d, d)`` stack by numpy's operations in the order of that sum (so each entry has the
+    bits of one generator's), and exponentiated by one call of :func:`matcore._expi`.  A real
+    combination of exactly Hermitian observables is exactly Hermitian, so only finiteness is
+    checked; the first generator with a NaN or infinite entry (a non-finite or overflowing ``xi``)
+    goes to :func:`matcore.check_hermitian`, which names the entry.  Factors are refused in grid
+    order: a vector of the wrong length only after the factors before it are checked.  The queries
+    are then grouped by their factor count ``r``, and each group multiplied as stacks, ``U @ F`` for
+    each factor and then ``rho @ U``, with the trace summed as ``np.trace`` sums it: a stacked product
+    rounds as a single one does, so each value has the bits of a one-query call.
     """
     scale = 1.0 / math.sqrt(n)
     xis = [np.asarray(xi, dtype=float) for query in queries for xi in query]
     m = next((f for f, xi in enumerate(xis) if xi.shape != (len(obs),)), len(xis))
     coeffs = np.array(xis[:m]).reshape(m, len(obs))  # the factors before the first of the wrong length
-    if obs and rho.shape == (2, 2) and all(X.shape == (2, 2) for X in obs):
-        entries = np.array([[X[0, 0], X[0, 1], X[1, 1]] for X in obs])
-        with np.errstate(all="ignore"):  # the error names the entry; no warning first
-            G = sum(x[:, None] * e for x, e in zip(coeffs.T, entries)) * scale
-            bad = np.flatnonzero(~np.isfinite(G).all(axis=1))
-            H = sum(x * X for x, X in zip(coeffs[bad[0]], obs)) * scale if bad.size else None
-        if H is not None:
-            matcore.check_hermitian(H, tol)
-        F = matcore._expi2(G[:, 0].real, G[:, 1], G[:, 2].real)
-    else:
-        F = np.empty((m,) + rho.shape, dtype=complex)
-        for f, xi in enumerate(coeffs):
-            F[f] = matcore.unitary_exp(sum(x * X for x, X in zip(xi, obs)) * scale, tol)
+    with np.errstate(all="ignore"):  # the error names the entry; no warning first
+        G = sum((x[:, None, None] * X for x, X in zip(coeffs.T, obs)), np.zeros((m,) + rho.shape)) * scale
+    if (bad := np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))).size:
+        matcore.check_hermitian(G[bad[0]], tol)
     if m < len(xis):
         raise matcore.DimMismatch(f"query vector length {xis[m].shape} does not match {len(obs)} observables")
+    F = matcore._expi(G)
     counts = [len(query) for query in queries]
     first = np.cumsum([0] + counts[:-1])  # each query's first factor
     z = np.empty(len(queries), dtype=complex)
@@ -275,8 +285,7 @@ def d_infinitesimal_diagnostic(
     for n in grid:
         rho, Z, O = triples(n)
         r = _psd_state(rho, tol, f"rho at n={n}")
-        Z, O = matcore.check_hermitian(Z, tol), matcore.check_hermitian(O, tol)
-        matcore._same_shape(r, Z, O)
+        Z, O = _observables(r, (Z, O), tol)
         base = _ordered_products(r, [Z], base_queries, tol)
         gaps = _ordered_products(r, [Z, O], mixed_queries, tol) - base
         evidence.append({"n": int(n), "max_qcf_deviation": float(np.hypot(gaps.real, gaps.imag).max(initial=0.0))})
@@ -389,7 +398,8 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
     """Criterion for pure reference sequences.
 
     Contiguous when ``Tr rho_n R_n^2`` reaches 1 within 1e-3 at the
-    horizon (with a declared limit or a monotone trend) and the overlap
+    horizon, with ``|Tr rho_n R_n^2 - 1|`` non-increasing on the sampled
+    tail (no declared value stands in for that check), and the overlap
     ``Tr rho_n sigma_n`` stays at or above 1e-6; NotContiguous when the
     overlap is declared to vanish (at most 1e-6) and falls below 1e-6 on a
     non-increasing tail; Inconclusive otherwise.
@@ -397,9 +407,8 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
     if isinstance(seq, PurePowerFamily):
         rows = _pure_stats(seq.sample_grid, seq.site, _float_power, "site reference state", tol)
         declared_overlap = seq.declared_overlap_limit
-        declared_trr2 = seq.declared_trr2_limit
     else:
-        declared_overlap = declared_trr2 = shape = None
+        declared_overlap = shape = None
         if seq.declared_limits is not None:  # validated before any pair is sampled
             lim_r, lim_s = (_psd_state(x, tol, f"declared {who} limit")
                             for x, who in zip(seq.declared_limits, ("rho", "sigma")))
@@ -410,9 +419,7 @@ def pure_criterion(seq: StateSequence | PurePowerFamily,
     trr2 = [row["tr_rho_R2"] for row in rows]
     overlap = [row["overlap"] for row in rows]
     one_gap = [abs(t - 1.0) for t in trr2]
-    trr2_ok = one_gap[-1] <= _PURE_EPS_ONE and (
-        declared_trr2 == 1.0 or _nonincreasing(_tail(one_gap))
-    )
+    trr2_ok = one_gap[-1] <= _PURE_EPS_ONE and _nonincreasing(_tail(one_gap))
     overlap_positive = min(_tail(overlap)) >= _PURE_EPS_OVERLAP
     overlap_vanishes = overlap[-1] < _PURE_EPS_OVERLAP and _nonincreasing(_tail(overlap))
 
@@ -498,14 +505,10 @@ def kakutani_criterion(fam: ProductFamily, horizon: int = 10**4,
     ]
 
     tail_mask = idx >= max(2, horizon // 2)
-    fit_mask = tail_mask & (summands > _SUMMAND_FLOOR)
-    p_fit = None
+    slope = _loglog_slope(idx[tail_mask].astype(float), summands[tail_mask], _SUMMAND_FLOOR, _KAKUTANI_TAIL_MIN)
+    p_fit = None if slope is None else -slope
     notes = []
-    if np.count_nonzero(fit_mask) >= _KAKUTANI_TAIL_MIN:
-        x = np.log(idx[fit_mask].astype(float))
-        y = np.log(summands[fit_mask])
-        slope, _ = np.polyfit(x, y, 1)
-        p_fit = float(-slope)
+    if p_fit is not None:
         notes.append(f"fitted decay exponent p={p_fit:.4f} on the last half of the factors")
     elif np.count_nonzero(tail_mask) >= _KAKUTANI_TAIL_MIN and np.all(summands[tail_mask] <= _SUMMAND_FLOOR):
         # All tail summands vanish; the series is trivially summable.

@@ -95,44 +95,55 @@ class QcfQuery:
 
 def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``h`` is real of matching length and ``J`` is Hermitian PSD (a non-finite
-    entry of ``J`` gives False)."""
-    h, J = params.h, params.J
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] != h.shape[0]:
-        return False
+    entry of ``J`` gives False): :func:`_check_params` as a predicate."""
     try:
-        psd_spectrum(J, tol, "J", vectors=False)
-    except ValidationError:
+        _check_params(params, tol)
+    except InvalidParams:
         return False
     return True
 
 
+def _check_params(params: GaussianParams, tol: ToleranceConfig, who: str = "J") -> None:
+    """The one check of Gaussian parameters: :class:`InvalidParams` unless ``J`` is a square matrix
+    of ``h``'s length that :func:`matcore.psd_spectrum` accepts under ``tol`` as Hermitian PSD; the
+    message names the covariance ``who`` and, for a bad entry, the entry (psd_spectrum's message)."""
+    h, J = params.h, params.J
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] != h.shape[0]:
+        raise InvalidParams(f"{who} has shape {J.shape}, but the mean has {h.shape[0]} entries")
+    try:
+        psd_spectrum(J, tol, who, vectors=False)
+    except ValidationError as exc:
+        raise InvalidParams(str(exc)) from None
+
+
 def _valid_enlarged(ext: ExtendedGaussianParams, tol: ToleranceConfig) -> GaussianParams:
-    """``ext.enlarged()``, built and validated once, or :class:`InvalidParams` if its
-    covariance is not Hermitian PSD."""
-    if ext.Sigma.shape == (ext.dim, ext.dim) and ext.kappa.shape[0] == ext.dim:
-        enlarged = ext.enlarged()
-        if validate(enlarged, tol):
-            return enlarged
-    raise InvalidParams("extended Gaussian parameters failed validation")
+    """``ext.enlarged()``, built and validated once, or :class:`InvalidParams` if ``Sigma`` or
+    ``kappa`` does not fit ``mu`` or the enlarged covariance is not Hermitian PSD."""
+    if ext.Sigma.shape != (ext.dim, ext.dim) or ext.kappa.shape[0] != ext.dim:
+        raise InvalidParams(f"Sigma of shape {ext.Sigma.shape} and kappa of {ext.kappa.shape[0]} entries "
+                            f"do not fit a mean of {ext.dim} entries")
+    enlarged = ext.enlarged()
+    _check_params(enlarged, tol, "enlarged covariance [[Sigma, kappa], [kappa*, s2]]")
+    return enlarged
 
 
 def gaussian_qcf(params: GaussianParams, query, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Quasi-characteristic function of ``N(h, J)`` at an ordered query."""
-    if not validate(params, tol):
-        raise InvalidParams("Gaussian parameters failed validation (J must be Hermitian PSD)")
-    return _qcf(params, query if isinstance(query, QcfQuery) else QcfQuery(list(query)))
+    _check_params(params, tol)
+    return _qcf(params, (query if isinstance(query, QcfQuery) else QcfQuery(list(query))).xis)
 
 
-def _qcf(params: GaussianParams, q: QcfQuery) -> complex:
-    """The closed form for parameters that passed validation."""
-    if q.dim != params.dim:
-        raise InvalidParams(f"query dimension {q.dim} does not match parameter dimension {params.dim}")
+def _qcf(params: GaussianParams, xis: list) -> complex:
+    """The closed form, for parameters that passed validation, at the query vectors ``xis``
+    (1-D arrays; a vector whose length is not the dimension raises :class:`InvalidParams`)."""
+    if (bad := next((x for x in xis if x.shape != (params.dim,)), None)) is not None:
+        raise InvalidParams(f"query dimension {bad.size} does not match parameter dimension {params.dim}")
     J = params.J
     h = params.h.astype(complex)
     exponent = 0.0 + 0.0j
-    for t, xt in enumerate(q.xis):
+    for t, xt in enumerate(xis):
         exponent += 1j * xt @ h - 0.5 * (xt @ J.T @ xt)
-        for xu in q.xis[t + 1:]:
+        for xu in xis[t + 1:]:
             # cross term xi_t^i xi_u^j J_ji (no conjugation: analytic continuation)
             exponent -= xu @ J @ xt
     return complex(np.exp(exponent))
@@ -172,7 +183,7 @@ def sandwiched_gaussian_qcf(
             raise InvalidParams("sandwiched evaluation requires real query vectors")
         enlarged_query.append(np.concatenate([xi, [0.0]]))
     enlarged_query.append(end)
-    return _qcf(enlarged, QcfQuery(enlarged_query))
+    return _qcf(enlarged, enlarged_query)
 
 
 def _sandwich_and_shift_qcf(ext: ExtendedGaussianParams, query,
@@ -186,4 +197,4 @@ def _sandwich_and_shift_qcf(ext: ExtendedGaussianParams, query,
     if not query:
         return value, 1.0 + 0j
     shifted = GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma)
-    return value, _qcf(shifted, QcfQuery(list(query)))
+    return value, _qcf(shifted, QcfQuery(list(query)).xis)

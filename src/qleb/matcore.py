@@ -22,8 +22,9 @@ assembled: only a Schur complement is factored), and
 :func:`_certified_full_rank`, which proves that the rank rule calls an
 operand full rank so that the decomposition can skip its eigensolve.  Matrix functions (logarithm
 on the support, exponential) are applied on the validated
-spectrum; ``exp(iH)`` at size 2 is closed-form on the entries, over a
-stack (:func:`_expi2`, which the qubit ordered products call once per grid).  The
+spectrum; ``exp(iH)`` is one routine over a stack of generators (:func:`_expi`, which
+the ordered products call once per grid): closed-form on the entries at size 2
+(:func:`_expi2`), and one stacked LAPACK eigensolve above.  The
 Hermitian part is formed from halves once a sum of entries could
 overflow, so no finite entry overflows; of an array the library has just
 formed, it is taken in that array's buffer (:func:`_hermitian_part`).
@@ -460,13 +461,26 @@ def herm_exp(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitary_exp(H: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian); closed-form
-    at size 2 (:func:`_expi2`, on a stack of one)."""
-    if np.shape(H) == (2, 2):
-        a, b, c = _hermitian2(check_square(H), tol, "matrix")
-        return _expi2(np.array([a]), np.array([b]), np.array([c]))[0]
-    w, V = _eigh(check_hermitian(H, tol))
-    return (V * np.exp(1j * w)) @ V.conj().T
+    """``exp(iH)`` for Hermitian ``H`` (result is unitary, not Hermitian): :func:`_expi` on a stack of one."""
+    return _expi(check_hermitian(H, tol)[None])[0]
+
+
+def _expi(H: np.ndarray) -> np.ndarray:
+    """``exp(iH)`` of each matrix of an ``(m, d, d)`` stack of exactly Hermitian generators (read
+    as given: no check), the one implementation of ``exp(iH)``.
+
+    Size 2 is the closed form :func:`_expi2` on the entries and size 1 is
+    ``exp(i h)``, neither with a LAPACK call; above, one stacked
+    ``np.linalg.eigh`` gives ``V diag(exp(i w)) V*`` (LAPACK's phases, which
+    the product does not depend on).
+    """
+    d = H.shape[-1]
+    if d == 2:
+        return _expi2(H[:, 0, 0].real, H[:, 0, 1], H[:, 1, 1].real)
+    if d == 1:
+        return np.exp(1j * H.real)
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(1j * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _expi2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -536,8 +550,8 @@ def _finite_bound(bound: float) -> float:
     return bound
 
 
-def _shifted_cholesky(H: np.ndarray, strict: float, restore: bool = False) -> bool:
-    """:func:`is_positive_definite` of a Hermitian ``H``, which it overwrites unless ``restore``
+def _shifted_cholesky(H: np.ndarray, strict: float) -> bool:
+    """:func:`is_positive_definite` of a Hermitian ``H``, whose diagonal it shifts and puts back
     (see :func:`_factors`).
 
     When ``||H||_inf`` lies outside ``2**-500 ... 2**500`` (or a row sum
@@ -551,12 +565,12 @@ def _shifted_cholesky(H: np.ndarray, strict: float, restore: bool = False) -> bo
     if not 2.0**-500 < bound < 2.0**500:
         H = _scaled4(H)[0]
         bound = _finite_bound(float(np.abs(H).sum(axis=1).max(initial=0.0)))
-    return _factors(H, strict * bound, restore)
+    return _factors(H, strict * bound)
 
 
-def _factors(H: np.ndarray, shift: float, restore: bool = False) -> bool:
-    """Whether ``H - shift * I`` (formed in ``H``) has a Cholesky factor; with ``restore``,
-    ``H``'s diagonal is put back, bit for bit, before it returns or raises."""
+def _factors(H: np.ndarray, shift: float) -> bool:
+    """Whether ``H - shift * I`` (formed in ``H``) has a Cholesky factor; ``H``'s diagonal is put
+    back, bit for bit, before it returns or raises."""
     step = len(H) + 1
     diagonal = H.flat[::step]  # a copy
     H.flat[::step] = diagonal - shift
@@ -565,8 +579,7 @@ def _factors(H: np.ndarray, shift: float, restore: bool = False) -> bool:
     except np.linalg.LinAlgError:
         return False
     finally:
-        if restore:
-            H.flat[::step] = diagonal
+        H.flat[::step] = diagonal
     return True
 
 
@@ -645,7 +658,7 @@ def _certified_full_rank(H: np.ndarray, tol: ToleranceConfig) -> bool:
     d = H.shape[0]
     if tol.rank_rel < d * _EPS:
         return False
-    return _shifted_cholesky(H, tol.rank_rel + _CERT_MARGIN * d * _EPS, restore=True)
+    return _shifted_cholesky(H, tol.rank_rel + _CERT_MARGIN * d * _EPS)
 
 
 def _resolved_det2(a: float, c: float, b: complex) -> float:

@@ -299,7 +299,6 @@ def spin_overlap_family(
         declared_overlap_limit = 0.0
     return PurePowerFamily(
         site=lambda n: (GROUND.copy(), spin_pure_state(h / g(n))),
-        declared_trr2_limit=1.0,
         declared_overlap_limit=declared_overlap_limit,
         horizon=horizon,
         sample_grid=sample_grid,

@@ -17,9 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import matcore
-from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _nonincreasing, _ordered_product,
-                         _ordered_products, _sample_grid, _tail, _whole_count)
-from .errors import CenteringViolated, InconsistentDerivativeWarning, InvalidParams, ValidationError
+from .contiguity import (CONTIGUOUS, INCONCLUSIVE, NOT_CONTIGUOUS, _loglog_slope, _nonincreasing, _observables,
+                         _ordered_product, _ordered_products, _sample_grid, _tail, _whole_count)
+from .errors import CenteringViolated, InconsistentDerivativeWarning, ValidationError
 from .lebesgue import _psd_state, lebesgue_decompose
 from .matcore import DEFAULT_TOL, ToleranceConfig, hermitian_part
 
@@ -124,11 +124,15 @@ def _trace_matrix(rho: np.ndarray, left: Sequence[np.ndarray], right: Sequence[n
 _CENTERING_TOL = 1e-8
 
 
-def _check_centered(rho: np.ndarray, ops: Sequence[np.ndarray], who: str) -> None:
-    for k, op in enumerate(ops):
+def _centred(rho: np.ndarray, ops: Sequence, tol: ToleranceConfig, who: str) -> list[np.ndarray]:
+    """``ops`` through the observable gate :func:`contiguity._observables` at the validated state
+    ``rho``, refused (:class:`CenteringViolated`) unless each has ``|Tr rho op| <= 1e-8``."""
+    obs = _observables(rho, ops, tol)
+    for k, op in enumerate(obs):
         mean = abs(complex(np.trace(rho @ op)))
         if mean > _CENTERING_TOL:
             raise CenteringViolated(f"{who}[{k}] has mean {mean:.3e} under the base state")
+    return obs
 
 
 def qfi_matrix(rho, sld_list: Sequence[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -138,9 +142,7 @@ def qfi_matrix(rho, sld_list: Sequence[np.ndarray], tol: ToleranceConfig = DEFAU
 
 def _qfi_matrix(rho: np.ndarray, sld_list: Sequence[np.ndarray], tol: ToleranceConfig) -> np.ndarray:
     """:func:`qfi_matrix` at a validated state."""
-    ops = [matcore.check_hermitian(L, tol) for L in sld_list]
-    matcore._same_shape(rho, *ops)
-    _check_centered(rho, ops, "sld")
+    ops = _centred(rho, sld_list, tol, "sld")
     return _trace_matrix(rho, ops, ops)
 
 
@@ -150,12 +152,9 @@ class IIDExperiment:
 
     ``obs`` carries the single-site observables ``B_i`` (zero mean under the
     base state); queries couple to the collective ``(1/sqrt(n)) sum_k B_i``.
-    The base state and the observables are validated here, as
-    :func:`contiguity.finite_qcf` validates its own (a state and Hermitian
-    observables under the default tolerances, of the base state's shape,
-    centred: ``|Tr base B_i| <= 1e-8``); :func:`iid_qcf` validates the base
-    state again under its own tolerances.  The copy count ``n`` must be a
-    finite whole number >= 1.
+    Only the copy count ``n`` is checked here (a finite whole number >= 1):
+    the base state and the observables are kept as given, and
+    :func:`iid_qcf` validates them under its own tolerances.
     """
 
     base: np.ndarray
@@ -163,11 +162,7 @@ class IIDExperiment:
     n: int = 1
 
     def __post_init__(self) -> None:
-        self.base = _psd_state(self.base, DEFAULT_TOL, "base")
-        self.obs = [matcore.check_hermitian(B) for B in self.obs]
         self.n = _whole_count(self.n, "copy count n")
-        matcore._same_shape(self.base, *self.obs)
-        _check_centered(self.base, self.obs, "obs")
 
 
 def iid_qcf(exp: IIDExperiment, xis: Sequence[Sequence[float]], tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -175,10 +170,12 @@ def iid_qcf(exp: IIDExperiment, xis: Sequence[Sequence[float]], tol: ToleranceCo
 
     Exact identity: the value equals ``(Tr rho prod_t exp(i xi_t . B /
     sqrt(n)))^n`` because each collective exponential factorizes over sites.
-    The base state is validated under ``tol``, as :func:`contiguity.finite_qcf`
-    validates its state.
+    Under ``tol`` the base state is validated as :func:`contiguity.finite_qcf`
+    validates its state, and the observables by the same gate, then refused
+    unless centred: ``|Tr base B_i| <= 1e-8``.
     """
-    return _ordered_product(_psd_state(exp.base, tol, "base"), exp.obs, xis, tol, exp.n)
+    base = _psd_state(exp.base, tol, "base")
+    return _ordered_product(base, _centred(base, exp.obs, tol, "obs"), xis, tol, exp.n)
 
 
 @dataclass
@@ -207,10 +204,13 @@ def lecam3_numeric_check(
     shifted product state - Gaussian qcf of N((Re tau) h, Sigma)|`` is
     recorded, where ``Sigma[i, j] = Tr rho B_j B_i`` and ``tau[i, j] =
     Tr rho L_j B_i`` are computed at ``theta0``.  Neither grid may be empty,
-    and each ``n`` must be a finite whole number >= 1; the whole query grid
-    is evaluated in one call per ``n``.
+    each query has 1 to 3 factors, and each ``n`` must be a finite whole
+    number >= 1.  The observables pass :func:`contiguity._observables`, and
+    the limit law is validated once, by :func:`gaussian._check_params`; its
+    value at each query is one closed-form evaluation, and the whole query
+    grid is evaluated in one call per ``n``.
     """
-    from .gaussian import GaussianParams, QcfQuery, _qcf, validate
+    from .gaussian import GaussianParams, _check_params, _qcf
 
     theta0 = _parameters(theta0)
     ns = [_whole_count(n, f"copy count n_grid[{k}]") for k, n in enumerate(n_grid)]
@@ -221,17 +221,15 @@ def lecam3_numeric_check(
     if h.size != theta0.size:
         raise ValueError(f"h has {h.size} entries, but the model has {theta0.size} parameters")
     rho0, L = _slds(model, theta0, range(theta0.shape[0]), tol)
-    B = L if obs is None else [matcore.check_hermitian(np.asarray(o), tol) for o in obs]
-    matcore._same_shape(rho0, *B)
+    B = L if obs is None else _observables(rho0, obs, tol)
     tau = _trace_matrix(rho0, B, L)
     limit = GaussianParams(h=tau.real @ h, J=_trace_matrix(rho0, B, B))
 
-    if any(len(q) > 3 for q in xi_grid):
-        raise ValueError("query grid is limited to r <= 3 factors")
-    if not validate(limit, tol):
-        raise InvalidParams("Gaussian parameters failed validation (J must be Hermitian PSD)")
+    if any(not 1 <= len(q) <= 3 for q in xi_grid):
+        raise ValueError("query grid is limited to 1 <= r <= 3 factors")
+    _check_params(limit, tol)
     # The limit law does not depend on n: one value per query.
-    wants = [_qcf(limit, QcfQuery([np.asarray(x, dtype=float) for x in query])) for query in xi_grid]
+    wants = [_qcf(limit, [np.asarray(x, dtype=float) for x in query]) for query in xi_grid]
     deviations = []
     for n in ns:
         shifted = _psd_state(model.state_at(theta0 + h / np.sqrt(n)), tol, f"shifted state at n={n}")
@@ -256,12 +254,9 @@ class ExpansionReport:
     trr2_exact: bool
 
 
-def _order_estimate(scales: np.ndarray, residuals: np.ndarray, floor: float = 1e-14) -> tuple[Optional[float], bool]:
-    mask = residuals > floor
-    if np.count_nonzero(mask) < 3:
-        return None, True
-    slope, _ = np.polyfit(np.log(scales[mask]), np.log(residuals[mask]), 1)
-    return float(slope), False
+#: Values at or below this stay out of an order fit, and an order fit needs 3 values above it.
+_ORDER_FLOOR = 1e-14
+_ORDER_MIN = 3
 
 
 #: Step lengths ``|h|`` of the expansion fit: 8 log-spaced values over [1e-3, 1e-2].
@@ -317,11 +312,11 @@ def sqrt_expansion_check(model: ParametricModel, theta0: np.ndarray,
     rel_error = matcore.frob(C - target) / max(matcore.frob(target), 1e-300)
     predicted = np.outer([u @ target @ u for u in directions], scales**2)
     quad_residual = np.max(np.abs(values - predicted), axis=0)
-    residual_order, _ = _order_estimate(scales, quad_residual)
-    trr2_order, trr2_exact = _order_estimate(scales, trr2_gap)
+    trr2_order = _loglog_slope(scales, trr2_gap, _ORDER_FLOOR, _ORDER_MIN)
     return ExpansionReport(
         fitted_quadratic=C, target_quadratic=target, rel_error=float(rel_error),
-        residual_order=residual_order, trr2_order=trr2_order, trr2_exact=trr2_exact,
+        residual_order=_loglog_slope(scales, quad_residual, _ORDER_FLOOR, _ORDER_MIN),
+        trr2_order=trr2_order, trr2_exact=trr2_order is None,
     )
 
 

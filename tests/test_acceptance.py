@@ -269,7 +269,7 @@ def test_refusal_behavior_outside_theorem_hypotheses():
         return np.diag([1.0, 0.0]).astype(complex), np.outer(v, v).astype(complex)
 
     pure = qleb.pure_criterion(
-        qleb.PurePowerFamily(site=undecided_site, horizon=10**6, declared_trr2_limit=1.0)
+        qleb.PurePowerFamily(site=undecided_site, horizon=10**6)
     )
 
     rng = np.random.default_rng(9)

@@ -17,6 +17,7 @@ from qleb import (
     block_criterion_diagnostics,
     d_infinitesimal_diagnostic,
     finite_qcf,
+    iid_qcf,
     kakutani_criterion,
     l2_norm_sq,
     lecam3_numeric_check,
@@ -158,9 +159,9 @@ def _linear_model() -> ParametricModel:
     lambda rho: qfi_matrix(rho, [_D13]),
     lambda rho: l2_norm_sq(rho, _D13),
     lambda rho: tail_mass(rho, _D13, 0.5),
-    lambda rho: IIDExperiment(base=rho, obs=[_D13]),
+    lambda rho: iid_qcf(IIDExperiment(base=rho, obs=[_D13]), [[0.5]]),
     lambda rho: d_infinitesimal_diagnostic(lambda n: (rho, _SX, _SX), [[0.5]], [[0.5]], [1]),
-], ids=["finite_qcf", "qfi_matrix", "l2_norm_sq", "tail_mass", "IIDExperiment", "d_infinitesimal_diagnostic"])
+], ids=["finite_qcf", "qfi_matrix", "l2_norm_sq", "tail_mass", "iid_qcf", "d_infinitesimal_diagnostic"])
 def test_a_state_is_validated_where_it_enters(call, bad, error):
     # Each once read rho unvalidated: qfi_matrix gave [[-3]] and l2_norm_sq 0.0 for
     # diag(1.5, -0.5), and finite_qcf nan+nanj for a NaN entry.
@@ -374,7 +375,7 @@ def test_pure_criterion_perturbed_sites():
     # reachable part decays like exp(-n f(h/g(n))) but still reaches 1
     h = np.array([1.0, 0.5])
     fam = PurePowerFamily(site=lambda n: (presets.GROUND.copy(), presets.spin_perturbed_state(h / np.sqrt(n))),
-                          declared_trr2_limit=1.0, declared_overlap_limit=float(np.exp(-h @ h / 4.0)),
+                          declared_overlap_limit=float(np.exp(-h @ h / 4.0)),
                           horizon=10**7)
     rep = pure_criterion(fam)
     assert rep.verdict == CONTIGUOUS
@@ -399,7 +400,7 @@ def test_pure_criterion_without_declarations_is_inconclusive():
         v = np.array([c, s])
         return rho, np.outer(v, v).astype(complex)
 
-    fam = PurePowerFamily(site=site, horizon=10**6, declared_trr2_limit=1.0)
+    fam = PurePowerFamily(site=site, horizon=10**6)
     rep = pure_criterion(fam)
     assert rep.verdict == INCONCLUSIVE
 

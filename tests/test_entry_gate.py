@@ -202,14 +202,14 @@ OPERANDS = {
     "sandwiched_gaussian_qcf": "Gaussian parameters, whose covariance validate judges: not a state",
     "validate": "a predicate on Gaussian parameters",
     "ExpansionReport": "a result",
-    "IIDExperiment": {"base": (lambda bad, d: lambda: qleb.IIDExperiment(base=bad), "base")},
+    "IIDExperiment": "an experiment: its base and observables are iid_qcf's operands",
     "LeCam3Report": "a result",
     "ParametricModel": "a model: its states are the operands of sld, slds, lecam3_numeric_check and "
                        "sqrt_expansion_check",
     "RateScan": "scalar rate data",
     "RateScanReport": "a result",
-    "iid_qcf": "an IIDExperiment, whose base is validated when it is made and again under the call's "
-               "tolerances",
+    "iid_qcf": {"base": (lambda bad, d: lambda: qleb.iid_qcf(qleb.IIDExperiment(base=bad, obs=[np.zeros((d, d))]),
+                                                            [[0.5]]), "base")},
     "lecam3_numeric_check": {
         **model_rows(lambda m: qleb.lecam3_numeric_check(m, THETA0, None, [1.0, 0.5], [1, 10], [[[0.3, 0.1]]])),
         "shifted states": (lambda bad, d: lambda: qleb.lecam3_numeric_check(

@@ -259,3 +259,24 @@ def test_sandwich_builds_and_validates_the_enlarged_covariance_once(monkeypatch,
     values = json.loads(out.getvalue())["values"]
     assert values["agrees"] is True and complex(*values["value"]) == value
     assert complex(*values["shift_qcf"]) == gaussian_qcf(lecam_shift(ext), xis)
+
+
+def test_invalid_params_name_the_field_and_the_entry():
+    # InvalidParams once said only "failed validation"; it now carries the
+    # covariance check's message, naming J or the enlarged covariance.
+    with pytest.raises(InvalidParams, match=r"^J has a non-finite entry \[0\]\[0\]"):
+        gaussian_qcf(GaussianParams(h=[0.0], J=[[np.nan]]), [[1.0]])
+    nan_s2 = ExtendedGaussianParams(mu=[0, 0], Sigma=np.eye(2), kappa=[0.1, 0.2], s2=np.nan)
+    for call in (lambda: lecam_shift(nan_s2), lambda: sandwiched_gaussian_qcf(nan_s2, [[1.0, 0.0]])):
+        with pytest.raises(InvalidParams, match=r"^enlarged covariance \[\[Sigma, kappa\], \[kappa\*, s2\]\] "
+                                                r"has a non-finite entry \[2\]\[2\]"):
+            call()
+    with pytest.raises(InvalidParams, match=r"^J is not Hermitian: entry \[0\]\[1\]"):
+        gaussian_qcf(GaussianParams(h=[0.0, 0.0], J=[[1, 0.5], [0, 1]]), [[1.0, 0.0]])
+    with pytest.raises(InvalidParams, match="^enlarged covariance .* has eigenvalue"):
+        lecam_shift(ExtendedGaussianParams(mu=[0, 0], Sigma=np.eye(2), kappa=[0.1, 0.2], s2=-1.0))
+    with pytest.raises(InvalidParams, match=r"^J has shape \(1, 1\), but the mean has 2 entries"):
+        gaussian_qcf(GaussianParams(h=[0.0, 0.0], J=[[1.0]]), [[1.0, 0.0]])
+    with pytest.raises(InvalidParams, match=r"^Sigma of shape \(3, 3\) and kappa of 2 entries"):
+        lecam_shift(ExtendedGaussianParams(mu=[0, 0], Sigma=np.eye(3), kappa=[0.1, 0.2], s2=1.0))
+    assert validate(GaussianParams(h=[0.0], J=[[np.nan]])) is False

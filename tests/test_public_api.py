@@ -80,8 +80,7 @@ OPTIONS = {
     "BlockSequence": "blocks, grid, inner_limits=None, full_eval=None",
     "ContiguityReport": "verdict, criterion_used, evidence=list(), notes='', details=dict()",
     "ProductFamily": "factors, stack=None",
-    "PurePowerFamily": "site, declared_trr2_limit=None, declared_overlap_limit=None, horizon=1000000, "
-                       "sample_grid=None",
+    "PurePowerFamily": "site, declared_overlap_limit=None, horizon=1000000, sample_grid=None",
     "StateSequence": "eval, declared_limits=None, horizon=1000, sample_grid=None",
     "block_criterion_diagnostics": "tol=DEFAULT_TOL",
     "d_infinitesimal_diagnostic": "tol=DEFAULT_TOL",

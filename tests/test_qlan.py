@@ -212,6 +212,10 @@ def test_qfi_hermitian_psd_on_random_models():
 def test_iid_qcf_zero_query_is_one():
     exp = IIDExperiment(base=GROUND, obs=[SIGMA_X], n=1000)
     assert iid_qcf(exp, [[0.0], [0.0]]) == pytest.approx(1.0)
+    # With no observables every factor is exp(i 0) = I, at every size (such a
+    # factor once raised DimMismatch for a generator of shape ()).
+    for d in (1, 2, 3):
+        assert iid_qcf(IIDExperiment(base=np.eye(d) / d, n=7), [[], []]) == 1.0
 
 
 def test_iid_qcf_cosine_power_oracle():
@@ -273,49 +277,91 @@ def test_iid_qcf_defining_identity_against_tensor_product():
         assert got == pytest.approx(complex(want), abs=1e-12)
 
 
-def test_iid_experiment_rejects_what_finite_qcf_rejects():
+def test_iid_qcf_rejects_what_finite_qcf_rejects():
     # Both validate their observables once, by the same Hermiticity rule, so
-    # neither symmetrises a non-Hermitian observable silently.
+    # neither symmetrises a non-Hermitian observable silently.  The experiment
+    # keeps the observable as given; iid_qcf refuses it under its tolerances.
     from qleb import finite_qcf
 
     upper = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(NonHermitian):
         finite_qcf(GROUND, [upper], [[0.5]])
+    exp = IIDExperiment(base=GROUND, obs=[upper], n=4)
+    assert exp.obs[0] is upper
     with pytest.raises(NonHermitian):
-        IIDExperiment(base=GROUND, obs=[upper], n=4)
+        iid_qcf(exp, [[0.5]])
+
+
+def test_iid_qcf_refuses_under_strict_what_finite_qcf_refuses():
+    # The experiment once kept the Hermitian part taken under the default
+    # tolerances, so under strict iid_qcf answered 1+3.5e-17j for an
+    # observable 1.4e-11 off Hermitian, which strict (1e-12) refuses.
+    base, B = np.diag([1.0, 0.0]).astype(complex), np.array([[0, 1e-11], [0, 1]], dtype=complex)
+    strict = matcore.TOL_PROFILES["strict"]
+    for call in (lambda: iid_qcf(IIDExperiment(base=base, obs=[B], n=3), [[0.5]], strict),
+                 lambda: contiguity.finite_qcf(base, [B], [[0.5]], strict)):
+        with pytest.raises(NonHermitian, match="^matrix is not Hermitian"):
+            call()
+
+
+def test_iid_qcf_accepts_under_a_loose_rule_what_finite_qcf_accepts():
+    # The experiment once refused at construction, under the default
+    # tolerances, an observable that the call's hermitian=1e-6 accepts.
+    loose = matcore.ToleranceConfig(hermitian=1e-6)
+    B = np.array([[0, 1 + 1e-8], [1, 0]], dtype=complex)
+    rho = np.eye(2, dtype=complex) / 2
+    got = iid_qcf(IIDExperiment(base=rho, obs=[B], n=1), [[0.5]], loose)
+    assert got == contiguity.finite_qcf(rho, [B], [[0.5]], loose)
+    assert got == pytest.approx(np.cos(0.5 * (1 + 5e-9)), abs=1e-15)
+    with pytest.raises(NonHermitian):
+        iid_qcf(IIDExperiment(base=rho, obs=[B], n=1), [[0.5]])
 
 
 def test_one_loop_forms_the_ordered_exponential_product(monkeypatch):
     # Every quasi-characteristic function over observables goes through
-    # contiguity._ordered_products, the only caller of unitary_exp and of the
-    # stacked 2x2 closed form _expi2 in the package: one _expi2 call per grid
-    # of qubit queries, one unitary_exp call per factor at other sizes.
-    sources = [inspect.getsource(m) for m in (cli, contiguity, gaussian, lebesgue, presets, qlan)]
-    assert sum(src.count("unitary_exp(") for src in sources) == 1
-    assert sum(src.count("_expi2(") for src in sources) == 1
+    # contiguity._ordered_products, which exponentiates all generators of a
+    # grid by one call of matcore._expi, the one exp(iH) routine, at every
+    # size (d = 3 once made one unitary_exp call per factor).  Its only
+    # callers are _ordered_products and unitary_exp, which nothing in the
+    # package calls, and contiguity has no size test of its own.
+    sources = {m: inspect.getsource(m) for m in (cli, contiguity, gaussian, lebesgue, matcore, presets, qlan)}
+    assert sum(src.count("unitary_exp(") for m, src in sources.items() if m is not matcore) == 0
+    assert sum(src.count("_expi(") for src in sources.values()) == 3  # a definition and two calls
+    assert "(2, 2)" not in sources[contiguity]
     callers = []
-    for name in ("unitary_exp", "_expi2"):
-        def spy(*args, _exp=getattr(matcore, name), **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return _exp(*args, **kwargs)
 
-        monkeypatch.setattr(matcore, name, spy)
+    def spy(H, _expi=matcore._expi):
+        callers.append((sys._getframe(1).f_code.co_name, H.shape))
+        return _expi(H)
+
+    monkeypatch.setattr(matcore, "_expi", spy)
     constructed = []
     monkeypatch.setattr(IIDExperiment, "__post_init__",
                         lambda self, _init=IIDExperiment.__post_init__: constructed.append(self)
                         or _init(self))
-    model = spin_perturbed_model()
-    lecam3_numeric_check(model, np.zeros(2), None, np.array([1.0, 0.5]),
+    lecam3_numeric_check(spin_perturbed_model(), np.zeros(2), None, np.array([1.0, 0.5]),
                          n_grid=[100, 10_000, 1_000_000], xi_grid=single_xi_grid())
-    assert constructed == [] and len(callers) == 3  # one per n, not one per query
-    iid_qcf(IIDExperiment(base=GROUND, obs=[SIGMA_X], n=9), [[0.3], [0.1]])
-    contiguity.finite_qcf(GROUND, [SIGMA_X], [[0.3]])
-    contiguity.d_infinitesimal_diagnostic(lambda n: (GROUND, SIGMA_X, SIGMA_Y / n),
-                                          [[0.3, 0.1], [0.2]], [[0.2, 0.4], [0.5]], [1, 10])
-    assert len(callers) == 3 + 1 + 1 + 4
-    contiguity.finite_qcf(np.eye(3) / 3, [np.diag([1.0, 0.0, -1.0])], [[0.3], [0.1]])
-    assert len(callers) == 3 + 1 + 1 + 4 + 2
-    assert set(callers) == {"_ordered_products"}
+    assert constructed == [] and callers == [("_ordered_products", (20, 2, 2))] * 3  # one per n, not per query
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolve called")
+
+    for d in (1, 2, 3):
+        del callers[:]
+        rho, X, Y = np.eye(d) / d, np.diag(np.linspace(-1.0, 1.0, d)), np.ones((d, d))
+        with monkeypatch.context() as closed_form:
+            if d < 3:  # sizes 1 and 2 are closed forms throughout
+                closed_form.setattr(np.linalg, "eigh", refuse)
+                closed_form.setattr(np.linalg, "eigvalsh", refuse)
+            iid_qcf(IIDExperiment(base=rho, obs=[X - np.trace(X) / d * np.eye(d)], n=9), [[0.3], [0.1]])
+            contiguity.finite_qcf(rho, [X, Y], [[0.3, 0.2], [0.1, 0.0], [0.5, 1.0]])
+            contiguity.d_infinitesimal_diagnostic(lambda n: (rho, X, Y / n),
+                                                  [[0.3, 0.1], [0.2]], [[0.2, 0.4], [0.5]], [1, 10])
+        # One call per grid: 2 factors, 3 factors, then per n a base and a mixed grid of 3 each.
+        assert [shape for _, shape in callers] == [(2, d, d), (3, d, d)] + [(3, d, d)] * 4
+        assert {name for name, _ in callers} == {"_ordered_products"}
+    del callers[:]
+    matcore.unitary_exp(np.eye(3))
+    assert callers == [("unitary_exp", (1, 3, 3))]
 
 
 def ordered_product_reference(rho, obs, xis, n=1):
@@ -543,8 +589,8 @@ def test_lecam3_validates_the_limit_once(monkeypatch):
     from qleb import gaussian
 
     calls = []
-    validate = gaussian.validate
-    monkeypatch.setattr(gaussian, "validate", lambda *a, **k: calls.append(a) or validate(*a, **k))
+    check = gaussian._check_params
+    monkeypatch.setattr(gaussian, "_check_params", lambda *a, **k: calls.append(a) or check(*a, **k))
     lecam3_numeric_check(
         spin_pure_model(), np.zeros(2), None, np.array([1.0, 0.5]),
         n_grid=[100, 10_000, 1_000_000], xi_grid=single_xi_grid(),
