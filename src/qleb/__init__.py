@@ -57,7 +57,6 @@ from .contiguity import (
 from .gaussian import (
     ExtendedGaussianParams,
     GaussianParams,
-    QcfQuery,
     gaussian_qcf,
     lecam_shift,
     sandwiched_gaussian_qcf,
@@ -115,7 +114,6 @@ __all__ = [
     "tail_mass",
     "ExtendedGaussianParams",
     "GaussianParams",
-    "QcfQuery",
     "gaussian_qcf",
     "lecam_shift",
     "sandwiched_gaussian_qcf",

@@ -57,17 +57,24 @@ def parse_matrix_document(doc: Any, where: str = "matrix",
     if not isinstance(doc, dict) or "entries" not in doc:
         raise QlebError(f"{where}: expected an object with an 'entries' field")
     entries = doc["entries"]
-    dim = int(doc.get("dim", len(entries)))
+    if not isinstance(entries, list):
+        raise QlebError(f"{where}: entries must be a list of rows")
+    try:
+        dim = _count(str(doc.get("dim", len(entries))))
+    except ValueError:
+        raise QlebError(f"{where}: dim must be a whole number, got {doc['dim']!r}") from None
     if len(entries) != dim:
         raise QlebError(f"{where}: declared dim {dim} but {len(entries)} rows")
     A = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise QlebError(f"{where}: entries[{i}] must be a list of [re, im] pairs")
         if len(row) != dim:
             raise QlebError(f"{where}: entries[{i}] has {len(row)} columns, expected {dim}")
         for j, cell in enumerate(row):
-            if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
+            if (z := _pair(cell)) is None:
                 raise QlebError(f"{where}: entries[{i}][{j}] must be a [re, im] pair")
-            A[i, j] = complex(float(cell[0]), float(cell[1]))
+            A[i, j] = z
     try:
         check_hermitian(A, tol)
     except ValidationError as exc:
@@ -82,15 +89,30 @@ def real_vector(doc: Any, where: str) -> np.ndarray:
         raise QlebError(f"{where}: expected a list of real numbers") from exc
 
 
+def _real(x: Any, where: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise QlebError(f"{where}: expected a real number, got {x!r}") from None
+
+
+def _pair(cell: Any) -> complex | None:
+    """The complex number of a ``[re, im]`` pair of numbers, or None for anything else."""
+    if isinstance(cell, (list, tuple)) and len(cell) == 2:
+        with contextlib.suppress(TypeError, ValueError):
+            return complex(float(cell[0]), float(cell[1]))
+    return None
+
+
 def complex_vector(doc: Any, where: str) -> np.ndarray:
+    if not isinstance(doc, list):
+        raise QlebError(f"{where}: expected a list of numbers or [re, im] pairs")
     out = []
     for k, cell in enumerate(doc):
-        if isinstance(cell, (int, float)):
-            out.append(complex(cell))
-        elif isinstance(cell, (list, tuple)) and len(cell) == 2:
-            out.append(complex(float(cell[0]), float(cell[1])))
-        else:
+        z = complex(cell) if isinstance(cell, (int, float)) else _pair(cell)
+        if z is None:
             raise QlebError(f"{where}[{k}]: expected a number or a [re, im] pair")
+        out.append(z)
     return np.asarray(out, dtype=complex)
 
 
@@ -250,22 +272,16 @@ def _contiguity_input(args: argparse.Namespace, tol: ToleranceConfig) -> tuple:
     if args.preset is not None:
         return _named(_PRESETS, args.preset, "preset")(args), None
     spec = load_json(args.spec)
-    kind = spec.get("kind")
-    if kind == "constant-pair":
-        rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
-        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
-        horizon = _count(str(spec.get("horizon", 1000 if args.horizon is None else args.horizon)))
-        return contiguity.StateSequence(
-            eval=lambda n: (rho, sigma),
-            declared_limits=(rho, sigma),
-            horizon=horizon,
-            sample_grid=_counts(args.grid),
-        ), spec
-    if kind == "iid-product":
-        rho = parse_matrix_document(spec.get("rho"), "spec.rho", tol)
-        sigma = parse_matrix_document(spec.get("sigma"), "spec.sigma", tol)
+    if not isinstance(spec, dict):
+        raise QlebError(f"{args.spec}: expected an object with a 'kind' field")
+    if spec.get("kind") not in ("constant-pair", "iid-product"):
+        raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
+    rho, sigma = (parse_matrix_document(spec.get(name), f"{args.spec}.{name}", tol) for name in ("rho", "sigma"))
+    if spec["kind"] == "iid-product":
         return contiguity.ProductFamily(factors=lambda i: (rho, sigma), stack=lambda idx: (rho, sigma)), spec
-    raise QlebError(f"unknown family kind {spec.get('kind')!r} in {args.spec}")
+    horizon = _count(str(spec.get("horizon", 1000 if args.horizon is None else args.horizon)))
+    return contiguity.StateSequence(eval=lambda n: (rho, sigma), declared_limits=(rho, sigma),
+                                    horizon=horizon, sample_grid=_counts(args.grid)), spec
 
 
 def cmd_contiguity(args: argparse.Namespace) -> int:
@@ -317,13 +333,15 @@ def _parse_extended_params(doc: Any, where: str, tol: ToleranceConfig) -> gaussi
         mu=real_vector(doc["mu"], f"{where}.mu"),
         Sigma=parse_matrix_document(doc["Sigma"], f"{where}.Sigma", tol),
         kappa=complex_vector(doc["kappa"], f"{where}.kappa"),
-        s2=float(doc["s2"]),
+        s2=_real(doc["s2"], f"{where}.s2"),
     )
 
 
 def _parse_query(doc: Any, where: str) -> list[np.ndarray]:
     if not isinstance(doc, dict) or "xis" not in doc:
         raise QlebError(f"{where}: expected an object with 'xis'")
+    if not isinstance(doc["xis"], list):
+        raise QlebError(f"{where}.xis: expected a list of query vectors")
     return [complex_vector(x, f"{where}.xis[{k}]") for k, x in enumerate(doc["xis"])]
 
 
@@ -332,11 +350,12 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
     sub = args.operation
     params_doc = load_json(args.params)
     inputs = {"operation": sub, "params": params_doc}
+    xis = []  # no --query: the empty query, whose value is 1
+    if args.query is not None and sub != "shift":
+        inputs["query"] = query_doc = load_json(args.query)
+        xis = _parse_query(query_doc, args.query)
     if sub == "qcf":
         params = _parse_gaussian_params(params_doc, args.params, tol)
-        query_doc = load_json(args.query)
-        inputs["query"] = query_doc
-        xis = _parse_query(query_doc, args.query)
         value = gaussian.gaussian_qcf(params, xis, tol)
         values = {"value": complex_pair(value)}
     elif sub == "shift":
@@ -348,11 +367,6 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
         }
     elif sub == "sandwich":
         ext = _parse_extended_params(params_doc, args.params, tol)
-        xis = []
-        if args.query is not None:
-            query_doc = load_json(args.query)
-            inputs["query"] = query_doc
-            xis = _parse_query(query_doc, args.query)
         value, reference = gaussian._sandwich_and_shift_qcf(ext, xis, tol)
         values = {
             "value": complex_pair(value),

@@ -75,24 +75,6 @@ class ExtendedGaussianParams:
         return GaussianParams(h=h, J=J)
 
 
-@dataclass
-class QcfQuery:
-    """A list of query vectors ``xi_1 .. xi_r`` (complex allowed), r >= 1."""
-
-    xis: list
-
-    def __post_init__(self) -> None:
-        self.xis = [np.asarray(x, dtype=complex).reshape(-1) for x in self.xis]
-        if len(self.xis) < 1:
-            raise InvalidParams("a query needs at least one vector")
-        if len({x.shape[0] for x in self.xis}) != 1:
-            raise InvalidParams("all query vectors must have the same length")
-
-    @property
-    def dim(self) -> int:
-        return self.xis[0].shape[0]
-
-
 def validate(params: GaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``h`` is real of matching length and ``J`` is Hermitian PSD (a non-finite
     entry of ``J`` gives False): :func:`_check_params` as a predicate."""
@@ -128,31 +110,43 @@ def _valid_enlarged(ext: ExtendedGaussianParams, tol: ToleranceConfig) -> Gaussi
 
 
 def gaussian_qcf(params: GaussianParams, query, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
-    """Quasi-characteristic function of ``N(h, J)`` at an ordered query."""
+    """Quasi-characteristic function of ``N(h, J)`` at an ordered query (1 for an empty one)."""
     _check_params(params, tol)
-    return _qcf(params, (query if isinstance(query, QcfQuery) else QcfQuery(list(query))).xis)
+    return complex(_qcf(params, _queries([query], params.dim))[0])
 
 
-def _qcf(params: GaussianParams, xis: list) -> complex:
-    """The closed form, for parameters that passed validation, at the query vectors ``xis``
-    (1-D arrays; a vector whose length is not the dimension raises :class:`InvalidParams`)."""
-    if (bad := next((x for x in xis if x.shape != (params.dim,)), None)) is not None:
-        raise InvalidParams(f"query dimension {bad.size} does not match parameter dimension {params.dim}")
-    J = params.J
-    h = params.h.astype(complex)
-    exponent = 0.0 + 0.0j
-    for t, xt in enumerate(xis):
-        exponent += 1j * xt @ h - 0.5 * (xt @ J.T @ xt)
-        for xu in xis[t + 1:]:
-            # cross term xi_t^i xi_u^j J_ji (no conjugation: analytic continuation)
-            exponent -= xu @ J @ xt
-    return complex(np.exp(exponent))
+def _queries(queries, d: int) -> np.ndarray:
+    """Queries of one factor count as a ``(q, r, d)`` complex stack, the one reading of a query;
+    :class:`InvalidParams` unless every vector has ``d`` entries."""
+    try:
+        X = np.asarray(queries, dtype=complex)
+    except ValueError:
+        raise InvalidParams("all query vectors must have the same length") from None
+    if X.ndim < 2:
+        raise InvalidParams("a query is a sequence of vectors")
+    if X.shape[1] and X[0, 0].size != d:
+        raise InvalidParams(f"query vectors have {X[0, 0].size} entries, but the parameters have dimension {d}")
+    return X.reshape(X.shape[0], X.shape[1], d)
+
+
+def _qcf(params: GaussianParams, X: np.ndarray) -> np.ndarray:
+    """The closed form, for parameters that passed validation, at each query of a ``(q, r, d)``
+    stack: with the suffix sums ``Y_t = sum_{u>=t} xi_u - xi_t / 2`` the exponent is
+    ``i sum_t xi_t.h - sum_t xi_t^i Y_t^j J_ji``, the pair sum of the module docstring."""
+    Y = np.cumsum(X[:, ::-1], axis=1)[:, ::-1] - 0.5 * X
+    return np.exp(1j * (X.sum(axis=1) @ params.h) - ((X @ params.J.T) * Y).sum(axis=(1, 2)))
+
+
+def _shift(ext: ExtendedGaussianParams) -> GaussianParams:
+    """The Le Cam shift ``N(mu + Re kappa, Sigma)`` (``Sigma`` copied), for parameters whose enlarged
+    covariance passed validation: ``Sigma`` is its principal block, so needs no check of its own."""
+    return GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma.copy())
 
 
 def lecam_shift(ext: ExtendedGaussianParams, tol: ToleranceConfig = DEFAULT_TOL) -> GaussianParams:
     """Limit law after reweighting by the likelihood coordinate: ``N(mu + Re kappa, Sigma)``."""
     _valid_enlarged(ext, tol)
-    return GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma.copy())
+    return _shift(ext)
 
 
 def sandwiched_gaussian_qcf(
@@ -169,32 +163,21 @@ def sandwiched_gaussian_qcf(
     up to the Gaussian identity.
     """
     enlarged = _valid_enlarged(ext, tol)
-    d = ext.dim
-    if isinstance(query, QcfQuery):
-        query = query.xis
-    xis = [np.asarray(x, dtype=complex).reshape(-1) for x in (() if query is None else query)]
-    end = np.zeros(d + 1, dtype=complex)
-    end[d] = -0.5j
-    enlarged_query = [end]
-    for xi in xis:
-        if xi.shape[0] != d:
-            raise InvalidParams(f"query vector length {xi.shape[0]} does not match dimension {d}")
-        if np.linalg.norm(xi.imag) > 1e-12 * (1.0 + np.linalg.norm(xi)):
-            raise InvalidParams("sandwiched evaluation requires real query vectors")
-        enlarged_query.append(np.concatenate([xi, [0.0]]))
-    enlarged_query.append(end)
-    return _qcf(enlarged, enlarged_query)
+    X = _queries([() if query is None else query], ext.dim)[0]
+    if X.imag.any() and (np.linalg.norm(X.imag, axis=1) > 1e-12 * (1.0 + np.linalg.norm(X, axis=1))).any():
+        raise InvalidParams("sandwiched evaluation requires real query vectors")
+    d, r = X.shape[1], X.shape[0]
+    E = np.zeros((1, r + 2, d + 1), dtype=complex)
+    E[0, 1:-1, :d] = X
+    E[0, 0, d] = E[0, -1, d] = -0.5j
+    return complex(_qcf(enlarged, E)[0])
 
 
 def _sandwich_and_shift_qcf(ext: ExtendedGaussianParams, query,
                             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[complex, complex]:
     """:func:`sandwiched_gaussian_qcf` and, at the same query, the quasi-characteristic
-    function of :func:`lecam_shift` (1 for an empty query), which Le Cam's third lemma
-    makes equal.  The enlarged covariance is validated once, by the first; ``Sigma`` is
-    its principal block, so the shifted law needs no validation of its own.
+    function of :func:`lecam_shift`, which Le Cam's third lemma makes equal.  The enlarged
+    covariance is validated once, by the first.
     """
     value = sandwiched_gaussian_qcf(ext, query, tol)
-    if not query:
-        return value, 1.0 + 0j
-    shifted = GaussianParams(h=ext.mu + ext.kappa.real, J=ext.Sigma)
-    return value, _qcf(shifted, QcfQuery(list(query)).xis)
+    return value, complex(_qcf(_shift(ext), _queries([query], ext.dim))[0])

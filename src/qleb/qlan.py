@@ -206,17 +206,21 @@ def lecam3_numeric_check(
     Tr rho L_j B_i`` are computed at ``theta0``.  Neither grid may be empty,
     each query has 1 to 3 factors, and each ``n`` must be a finite whole
     number >= 1.  The observables pass :func:`contiguity._observables`, and
-    the limit law is validated once, by :func:`gaussian._check_params`; its
-    value at each query is one closed-form evaluation, and the whole query
-    grid is evaluated in one call per ``n``.
+    the limit law is validated once, by :func:`gaussian._check_params`, and
+    evaluated by one closed-form call per factor count of the query grid; the
+    shifted law over the whole grid in one call per ``n``.  Both grids are
+    checked before any model state is read.
     """
-    from .gaussian import GaussianParams, _check_params, _qcf
+    from .gaussian import GaussianParams, _check_params, _qcf, _queries
 
     theta0 = _parameters(theta0)
     ns = [_whole_count(n, f"copy count n_grid[{k}]") for k, n in enumerate(n_grid)]
     for name, grid in (("n_grid", ns), ("xi_grid", xi_grid)):
         if not len(grid):
             raise ValueError(f"{name} must have at least one entry")
+    counts = [len(query) for query in xi_grid]
+    if not all(1 <= k <= 3 for k in counts):
+        raise ValueError("query grid is limited to 1 <= r <= 3 factors")
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.size != theta0.size:
         raise ValueError(f"h has {h.size} entries, but the model has {theta0.size} parameters")
@@ -224,12 +228,12 @@ def lecam3_numeric_check(
     B = L if obs is None else _observables(rho0, obs, tol)
     tau = _trace_matrix(rho0, B, L)
     limit = GaussianParams(h=tau.real @ h, J=_trace_matrix(rho0, B, B))
-
-    if any(not 1 <= len(q) <= 3 for q in xi_grid):
-        raise ValueError("query grid is limited to 1 <= r <= 3 factors")
     _check_params(limit, tol)
-    # The limit law does not depend on n: one value per query.
-    wants = [_qcf(limit, [np.asarray(x, dtype=float) for x in query]) for query in xi_grid]
+    # The limit law does not depend on n: one value per query, one call per factor count.
+    wants = np.empty(len(xi_grid), dtype=complex)
+    for k in sorted(set(counts)):
+        sel = np.flatnonzero(np.equal(counts, k))
+        wants[sel] = _qcf(limit, _queries([xi_grid[i] for i in sel], limit.dim))
     deviations = []
     for n in ns:
         shifted = _psd_state(model.state_at(theta0 + h / np.sqrt(n)), tol, f"shifted state at n={n}")

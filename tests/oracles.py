@@ -9,7 +9,9 @@ singular part of a decomposition is checked against the shorted operator, a
 pseudo-inverse Schur complement in rho's eigenbasis.  The faithful-pair
 ratio is also evaluated in mpmath at 40 digits, by two independent
 formulations, with the problem's own sensitivity to eps-relative input
-perturbations as the yardstick for a float result.
+perturbations as the yardstick for a float result.  The Gaussian
+quasi-characteristic function is evaluated in mpmath at 40 digits by its
+double sum over ordered pairs of query vectors.
 """
 
 from __future__ import annotations
@@ -200,6 +202,25 @@ def mp_perturbation_bound(sigma: np.ndarray, rho: np.ndarray, rng: np.random.Gen
 def classical_gaussian_cf(mean: np.ndarray, cov: np.ndarray, xi: np.ndarray) -> complex:
     """Characteristic function of a real Gaussian vector at frequency ``xi``."""
     return complex(np.exp(1j * xi @ mean - 0.5 * xi @ cov @ xi))
+
+
+def mp_gaussian_qcf(h: np.ndarray, J: np.ndarray, xis, dps: int = 40) -> complex:
+    """``E prod_t exp(i xi_t . X)`` under ``N(h, J)`` at ``dps`` digits, from the float inputs as given:
+    ``exp(sum_t (i xi_t.h - xi_t^i xi_t^j J_ji / 2) - sum_t sum_{u>t} xi_t^i xi_u^j J_ji)``, term by term."""
+    with mpmath.workdps(dps):
+        hm = [mpmath.mpf(float(x)) for x in h]
+        Jm = [[mpmath.mpc(complex(z)) for z in row] for row in np.asarray(J)]
+        X = [[mpmath.mpc(complex(z)) for z in np.ravel(xi)] for xi in xis]
+        d = len(hm)
+
+        def pair(a, b):  # a^i b^j J_ji
+            return mpmath.fsum(a[i] * b[j] * Jm[j][i] for i in range(d) for j in range(d))
+
+        exponent = mpmath.mpc(0)
+        for t, xt in enumerate(X):
+            exponent += 1j * mpmath.fsum(x * y for x, y in zip(xt, hm)) - pair(xt, xt) / 2
+            exponent -= mpmath.fsum(pair(xt, xu) for xu in X[t + 1:])
+        return complex(mpmath.exp(exponent))
 
 
 def classical_fisher_two_outcome(p: float, dp: float) -> float:

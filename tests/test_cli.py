@@ -150,6 +150,57 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+_HALF = {"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+_EXT = {"mu": [0.0, 0.0], "Sigma": {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "kappa": [0.1, 0.2], "s2": 1.0}
+
+
+def _argv(command: str, path: str, tmp_path) -> list[str]:
+    """The call that reads the malformed file ``path``; the other files it reads are valid."""
+    good_matrix = write_json(tmp_path / "good.json", _HALF)
+    good_params = write_json(tmp_path / "params.json", {"h": [0.0, 0.0], "J": _EXT["Sigma"]})
+    return {"decompose": ["decompose", path, good_matrix],
+            "shift": ["gaussian", "shift", "--params", path],
+            "qcf": ["gaussian", "qcf", "--params", good_params, "--query", path],
+            "limit": ["contiguity", "limit", "--spec", path]}[command]
+
+
+#: id -> (command, document or raw text, the error after "error: " with the file as {path}).
+MALFORMED = {
+    # Each once ended in an unnamed numpy or Python message (exit 2), the spec in a
+    # traceback (exit 1), and a dim of 1.7 read as 1.
+    "entries not a list": ("decompose", {"dim": 2, "entries": 5}, "{path}: entries must be a list of rows"),
+    "dim not a number": ("decompose", dict(_HALF, dim="two"), "{path}: dim must be a whole number, got 'two'"),
+    "dim not whole": ("decompose", {"dim": 1.7, "entries": [[[1, 0]]]}, "{path}: dim must be a whole number, got 1.7"),
+    "cell not numbers": ("decompose", {"dim": 1, "entries": [[["a", 0]]]}, "{path}: entries[0][0] must be a [re, im] pair"),
+    "kappa cell not numbers": ("shift", dict(_EXT, kappa=[["a", 0], 0.2]),
+                               "{path}.kappa[0]: expected a number or a [re, im] pair"),
+    "s2 not a number": ("shift", dict(_EXT, s2="x"), "{path}.s2: expected a real number, got 'x'"),
+    "xis not a list": ("qcf", {"xis": 5}, "{path}.xis: expected a list of query vectors"),
+    "spec not an object": ("limit", [1], "{path}: expected an object with a 'kind' field"),
+    # Named before; their texts are pinned as they are.
+    "entries missing": ("decompose", {"dim": 2}, "{path}: expected an object with an 'entries' field"),
+    "dim and rows differ": ("decompose", dict(_HALF, dim=3), "{path}: declared dim 3 but 2 rows"),
+    "ragged row": ("decompose", {"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0.5, 0]]]},
+                   "{path}: entries[1] has 1 columns, expected 2"),
+    "cell not a pair": ("decompose", {"dim": 2, "entries": [[[0.5, 0], 0], [[0, 0], [0.5, 0]]]},
+                        "{path}: entries[0][1] must be a [re, im] pair"),
+    "invalid JSON": ("decompose", "{", "{path} is not valid JSON: Expecting property name enclosed in double quotes"),
+    "missing file": ("decompose", None, "cannot read {path}: [Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_input_exits_2_and_names_its_file_and_field(tmp_path, capsys, case):
+    command, doc, message = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, _argv(command, str(path), tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(path=path)), err
+
+
 def test_contiguity_kakutani_presets(capsys):
     code, out, _ = run(capsys, ["contiguity", "kakutani", "--preset", "sec-7.2-n"])
     assert code == 0
@@ -330,6 +381,13 @@ def test_gaussian_sandwich_agreement_flag(tmp_path, capsys):
     ])
     assert code == 0
     assert report_values(out)["agrees"] is True
+
+
+def test_gaussian_qcf_without_a_query_is_the_empty_product(tmp_path, capsys):
+    # It once exited 2 with "expected str, bytes or os.PathLike object, not NoneType".
+    params = write_json(tmp_path / "p.json", {"h": [0.3, 0.0], "J": matrix_document(SPIN_J)})
+    code, out, _ = run(capsys, ["gaussian", "qcf", "--params", params])
+    assert code == 0 and report_values(out)["value"] == [1.0, 0.0]
 
 
 def test_gaussian_invalid_params_exit_2(tmp_path, capsys):

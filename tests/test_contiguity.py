@@ -92,6 +92,12 @@ def test_tail_mass_monotone_in_M_and_partition():
         assert tail_mass(rho, R, M) + below == pytest.approx(total, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("M", [0.0, -1.0, float("nan")])
+def test_tail_mass_refuses_a_threshold_that_is_not_positive(M):
+    with pytest.raises(ValueError, match="^threshold M must be positive$"):
+        tail_mass(np.eye(2) / 2, np.eye(2), M)
+
 def test_tr_rho_r_squared_is_one_along_family():
     for n in [1, 10, 100, 10**3]:
         rho, _ = faithful_to_pure_pair(n)
@@ -218,6 +224,17 @@ def test_d_infinitesimal_rejects_long_queries():
     with pytest.raises(ValueError):
         d_infinitesimal_diagnostic(lambda n: None, [[1, 2, 3, 4]], [[0, 0, 0, 0]], [1])
 
+
+
+@pytest.mark.parametrize("xi_grid, eta_grid, match", [
+    ([[0.5]], [[0.5], [0.1]], "^xi_grid and eta_grid must pair up$"),
+    ([[0.5, 0.1]], [[0.5]], "^each xi query must pair with an eta query of equal length$"),
+])
+def test_d_infinitesimal_refuses_unpaired_queries_before_evaluating_triples(xi_grid, eta_grid, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        d_infinitesimal_diagnostic(lambda n: calls.append(n), xi_grid, eta_grid, [1])
+    assert calls == []
 
 def test_d_infinitesimal_refuses_an_empty_query_grid():
     # It once reported max_qcf_deviation 0.0 with nothing compared.
@@ -1220,6 +1237,30 @@ def test_block_criterion_flags_bad_sigma0_trace():
     assert rep.verdict == INCONCLUSIVE
     assert "sigma0" in rep.notes
 
+
+
+def test_block_criterion_without_inner_limits_is_inconclusive():
+    family = three_block_family()
+    rep = block_criterion_diagnostics(BlockSequence(blocks=three_block_blocks, grid=family.grid))
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.details == {"inner_verdict": INCONCLUSIVE, "inner_notes": "no inner limits declared"}
+    assert rep.notes == "inner verdict: Inconclusive"
+
+
+def test_block_criterion_flags_a_vanishing_rho0_trace():
+    # Tr rho0 = 5e-5 at every n; the coupling is scaled with it, so the declared
+    # blocks stay strictly positive and only hypothesis (a) fails.
+    def faint(n):
+        rho2, rho1, rho0, sigma0, sigma1, sigma2 = three_block_blocks(n)
+        return rho2, rho1 * 1e-2, rho0 * 1e-4, sigma0, sigma1, sigma2
+
+    family = three_block_family()
+    rep = block_criterion_diagnostics(BlockSequence(blocks=faint, grid=family.grid,
+                                                    inner_limits=family.inner_limits))
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.notes == "Tr rho0 not bounded away from zero on the sampled tail; inner verdict: Contiguous"
+    assert all(row["blocks_positive"] for row in rep.evidence)
+    assert max(row["tr_rho0"] for row in rep.evidence) < 1e-3
 
 def test_block_criterion_consistency_check():
     def wrong_eval(n):

@@ -196,7 +196,6 @@ OPERANDS = {
                   "R": (lambda bad, d: lambda: qleb.tail_mass(mixed(d), bad, 0.5), "R")},
     "ExtendedGaussianParams": "Gaussian parameters, whose covariance validate judges: not a state",
     "GaussianParams": "Gaussian parameters, whose covariance validate judges: not a state",
-    "QcfQuery": "query vectors",
     "gaussian_qcf": "Gaussian parameters, whose covariance validate judges: not a state",
     "lecam_shift": "Gaussian parameters, whose covariance validate judges: not a state",
     "sandwiched_gaussian_qcf": "Gaussian parameters, whose covariance validate judges: not a state",

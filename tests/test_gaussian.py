@@ -4,7 +4,6 @@ import pytest
 from qleb import (
     ExtendedGaussianParams,
     GaussianParams,
-    QcfQuery,
     gaussian_qcf,
     lecam_shift,
     sandwiched_gaussian_qcf,
@@ -12,7 +11,7 @@ from qleb import (
 )
 from qleb.errors import InvalidParams
 
-from oracles import classical_gaussian_cf
+from oracles import classical_gaussian_cf, mp_gaussian_qcf
 
 SPIN_J = np.array([[1, -1j], [1j, 1]])
 
@@ -129,10 +128,36 @@ def test_qcf_classical_reduction_product_rule():
 
 
 def test_query_validation():
+    # A query once went through a public QcfQuery class, which refused an empty
+    # query; an empty query is now the empty product, as in finite_qcf and the sandwich.
+    params = GaussianParams(h=np.zeros(2), J=SPIN_J)
+    assert gaussian_qcf(params, []) == 1
     with pytest.raises(InvalidParams):
-        QcfQuery([])
-    with pytest.raises(InvalidParams):
-        QcfQuery([np.zeros(2), np.zeros(3)])
+        gaussian_qcf(params, [np.zeros(2), np.zeros(3)])
+
+
+def test_a_query_of_the_wrong_dimension_is_refused():
+    params = GaussianParams(h=np.zeros(2), J=SPIN_J)
+    ext = rand_extended(2, np.random.default_rng(11))
+    for call in (lambda: gaussian_qcf(params, [np.zeros(3)]),
+                 lambda: sandwiched_gaussian_qcf(ext, [np.zeros(3), np.ones(3)])):
+        with pytest.raises(InvalidParams, match=r"^query vectors have 3 entries, but the parameters have dimension 2$"):
+            call()
+
+
+def test_the_closed_form_against_a_40_digit_evaluation():
+    # One stacked evaluation (suffix sums) in place of the loop over ordered pairs;
+    # 600 real queries, then 200 complex ones (analytic continuation).
+    rng = np.random.default_rng(20261022)
+    errors = []
+    for i in range(800):
+        d, r = (int(k) for k in rng.integers(1, 4, size=2))
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        params = GaussianParams(h=rng.standard_normal(d), J=(G @ G.conj().T + (G @ G.conj().T).conj().T) / 2)
+        xis = [rng.standard_normal(d) + (1j * rng.standard_normal(d) if i >= 600 else 0) for _ in range(r)]
+        want = mp_gaussian_qcf(params.h, params.J, xis)
+        errors.append(abs(gaussian_qcf(params, xis) - want) / abs(want))
+    assert max(errors) <= 5e-14
 
 
 def test_lecam_shift_examples():

@@ -51,6 +51,8 @@ def test_density_matrix_validation():
     DensityMatrix(np.eye(2) / 4, subnormalized=True)
     with pytest.raises(NotPSD):
         DensityMatrix(np.diag([1.5, -0.5]))
+    with pytest.raises(ZeroState, match=r"^subnormalized state must have trace in \(0, 1\], got 1\.2$"):
+        DensityMatrix(np.diag([0.7, 0.5]), subnormalized=True)
 
 
 def test_a_density_matrix_is_read_as_an_array_and_validated_under_the_calls_tolerance():

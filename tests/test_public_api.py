@@ -14,7 +14,7 @@ PUBLIC = {
     "BlockSequence", "ContiguityReport", "ProductFamily", "PurePowerFamily", "StateSequence",
     "block_criterion_diagnostics", "d_infinitesimal_diagnostic", "default_grid", "finite_qcf",
     "kakutani_criterion", "l2_norm_sq", "limit_criterion", "pure_criterion", "tail_mass",
-    "ExtendedGaussianParams", "GaussianParams", "QcfQuery", "gaussian_qcf", "lecam_shift",
+    "ExtendedGaussianParams", "GaussianParams", "gaussian_qcf", "lecam_shift",
     "sandwiched_gaussian_qcf", "validate",
     "ExpansionReport", "IIDExperiment", "LeCam3Report", "ParametricModel", "RateScan",
     "RateScanReport", "iid_qcf", "lecam3_numeric_check", "qfi_matrix", "rate_scan", "sld", "slds",
@@ -93,7 +93,6 @@ OPTIONS = {
     "tail_mass": "tol=DEFAULT_TOL",
     "ExtendedGaussianParams": "mu, Sigma, kappa, s2",
     "GaussianParams": "h, J",
-    "QcfQuery": "xis",
     "gaussian_qcf": "tol=DEFAULT_TOL",
     "lecam_shift": "tol=DEFAULT_TOL",
     "sandwiched_gaussian_qcf": "query=None, tol=DEFAULT_TOL",

@@ -598,6 +598,43 @@ def test_lecam3_validates_the_limit_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _spy_qcf(monkeypatch) -> list:
+    calls = []
+    closed_form = gaussian._qcf
+    monkeypatch.setattr(gaussian, "_qcf", lambda params, X: calls.append(X.shape) or closed_form(params, X))
+    return calls
+
+
+def test_lecam3_evaluates_the_limit_law_once_per_factor_count(monkeypatch):
+    # The limit law was one closed-form call per query (20 on this grid).
+    calls = _spy_qcf(monkeypatch)
+    lecam3_numeric_check(spin_pure_model(), np.zeros(2), None, np.array([1.0, 0.5]),
+                         n_grid=[100, 10_000], xi_grid=single_xi_grid())
+    assert calls == [(20, 1, 2)]
+    calls.clear()
+    mixed = [[[0.3, 0.1]], [[0.2, -0.4], [0.5, 0.1]], [[-0.7, 0.2]], [[0.1, 0.1], [-0.3, 0.6]]]
+    rep = lecam3_numeric_check(spin_pure_model(), np.zeros(2), None, np.array([1.0, 0.5]),
+                               n_grid=[100, 10_000], xi_grid=mixed)
+    assert calls == [(2, 1, 2), (2, 2, 2)]
+    # Each query's value is the one it has alone.
+    alone = [lecam3_numeric_check(spin_pure_model(), np.zeros(2), None, np.array([1.0, 0.5]),
+                                  n_grid=[100, 10_000], xi_grid=[query]).deviations for query in mixed]
+    for k, row in enumerate(rep.deviations):
+        assert row["max_deviation"] == max(devs[k]["max_deviation"] for devs in alone)
+
+
+@pytest.mark.parametrize("xi_grid", [[[[0.3, 0.1]], []], [[[0.3, 0.1]] * 4]], ids=["no factor", "four factors"])
+def test_lecam3_refuses_a_bad_query_grid_before_reading_any_state(xi_grid):
+    # The factor count was checked after the state at theta0, its derivatives and
+    # both trace matrices.
+    calls = []
+    model = spin_perturbed_model()
+    probe = ParametricModel(lambda theta: calls.append(theta) or model.state_at(theta), model.deriv_at)
+    with pytest.raises(ValueError, match=r"^query grid is limited to 1 <= r <= 3 factors$"):
+        lecam3_numeric_check(probe, np.zeros(2), None, np.array([1.0, 0.5]), [100], xi_grid)
+    assert calls == []
+
+
 def test_lecam3_custom_observable_subset():
     # probing only the first drive direction: Sigma = [1], Re tau = [1, 0],
     # so the limit law is the scalar Gaussian N(h_1, 1)
@@ -737,6 +774,17 @@ def test_rate_scan_declared_bound():
     scan = RateScan(f=lambda th: 0.0, g=sqrt_scaling, h=np.array([1.0]),
                     grid=[10, 100, 1000])
     assert rate_scan(scan).verdict == CONTIGUOUS
+
+
+def test_rate_scan_reads_a_slowly_vanishing_first_column_as_inconclusive():
+    # n f(h / sqrt(n)) = n^(-1/4) for f = |theta|^(5/2): falling, but still 0.1 at the
+    # end of the grid, and n / g^2 = 1 stays bounded.
+    scan = RateScan(f=lambda th: float(np.linalg.norm(th)) ** 2.5, g=sqrt_scaling, h=np.array([1.0]),
+                    grid=[1, 10, 100, 1000, 10_000])
+    rep = rate_scan(scan)
+    assert rep.verdict == "Inconclusive"
+    assert rep.notes == "trends ambiguous on the sampled grid"
+    assert rep.rows[-1]["n_f"] == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("grid, match", [
